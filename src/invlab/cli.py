@@ -10,8 +10,9 @@ A JSON config file mirroring the flag structure can be passed with
 --config; explicit flags override file values, and --dump-config echoes
 the effective configuration so a run can be reproduced exactly.  Exit
 codes: 0 success, 2 validation failure, 1 runtime failure.  The
-INVLAB_THREADS environment variable caps the worker count; outputs are
-byte-identical for any setting.
+INVLAB_THREADS environment variable caps the worker count of the
+transitionless sweeps and SSE ensembles; outputs are byte-identical for
+any setting.
 """
 
 from __future__ import annotations
@@ -366,10 +367,24 @@ _COMMANDS = {
 }
 
 
+def _attach_axis_values(argv: list) -> list:
+    """Rewrite '--axis1 -1,1,21' as '--axis1=-1,1,21'.
+
+    argparse takes a separate value that starts with '-' for a flag, so an
+    axis with a negative minimum would otherwise only parse in '=' form.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        value = argv[i + 1]
+        if argv[i] in ("--axis1", "--axis2") and value.startswith("-") and not value.startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={value}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_axis_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if not getattr(args, "command", None):

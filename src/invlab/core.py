@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -124,6 +125,16 @@ class ControlField:
         return (np.asarray(self.omega_r_fn(t), dtype=float),
                 np.asarray(self.omega_i_fn(t), dtype=float),
                 np.asarray(self.delta_fn(t), dtype=float))
+
+    @cached_property
+    def stage_tables(self):
+        """Channels at the grid nodes and at the step midpoints, evaluated once per field.
+
+        These are the samples a fourth-order Runge-Kutta step reads; every
+        solve on this field shares them, whatever its error setting.
+        """
+        ts = self.grid.times
+        return self.values(ts), self.values(0.5 * (ts[:-1] + ts[1:]))
 
     def pulse_area(self) -> float:
         """Integral of |Omega| over the full duration (Simpson on the grid)."""

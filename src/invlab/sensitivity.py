@@ -36,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .core import GROUND_BLOCH, GROUND_PURE, ControlField, InvariantAngles, PureState, TimeGrid
-from .dynamics import ErrorSetting, Trajectory, evolve_bloch, evolve_pure
+from .core import GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid
+from .dynamics import (ErrorSetting, Trajectory, evolve_bloch, evolve_propagator,
+                       final_p2_bloch, final_p2_pure)
 
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
-
-EXCITED_PURE = PureState(0.0j, 1.0 + 0.0j)
 
 DEFAULT_LAMBDA2_SAMPLES = tuple(0.002 * k for k in range(1, 11))
 DEFAULT_BETA_SAMPLES = tuple(0.01 * k for k in range(-5, 6) if k != 0)
@@ -123,8 +122,7 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
     t_total = field.grid.duration
     samples = np.asarray(lambda2_samples if lambda2_samples is not None
                          else np.array(DEFAULT_LAMBDA2_SAMPLES) * t_total, dtype=float)
-    p2 = np.array([evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=l2)).final_p2()
-                   for l2 in samples])
+    p2 = final_p2_bloch(field, [ErrorSetting(lambda2=l2) for l2 in samples])
     qn, err = _quadratic_fit(samples, p2)
     if qn * float(np.min(samples)) >= 0.1:
         raise ValueError("lambda2 samples are outside the linear-response regime")
@@ -132,9 +130,14 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
 
 
 def _orthogonal_pair(field: ControlField) -> tuple[Trajectory, Trajectory]:
-    """Unperturbed psi_0 (from ground) and psi_perp (from excited); checks drift."""
-    traj0 = evolve_pure(field, GROUND_PURE)
-    trajp = evolve_pure(field, EXCITED_PURE)
+    """Unperturbed psi_0 (from ground) and psi_perp (from excited); checks drift.
+
+    Both are columns of one propagated unitary [[a, b], [-b*, a*]]:
+    psi_0 = (a, -b*) and psi_perp = (b, a*).
+    """
+    a, b = evolve_propagator(field).T
+    traj0 = Trajectory(field.grid, np.column_stack((a, -b.conj())), "pure")
+    trajp = Trajectory(field.grid, np.column_stack((b, a.conj())), "pure")
     overlap = np.abs(np.sum(np.conj(trajp.states) * traj0.states, axis=1))
     if float(np.max(overlap)) > 1e-7:
         raise RuntimeError(f"orthogonality drift {np.max(overlap)!r} exceeds 1e-7")
@@ -170,7 +173,7 @@ def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityR
     """q_S from evolving the Schrodinger equation at several error amplitudes."""
     samples = np.asarray(beta_samples if beta_samples is not None
                          else DEFAULT_BETA_SAMPLES, dtype=float)
-    p2 = np.array([evolve_pure(field, GROUND_PURE, beta=b).final_p2() for b in samples])
+    p2 = final_p2_pure(field, samples)
     qs, err = _quadratic_fit(samples**2, p2)
     if qs * float(np.min(samples**2)) >= 0.1:
         raise ValueError("beta samples are outside the linear-response regime")

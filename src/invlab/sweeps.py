@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GROUND_BLOCH, GROUND_PURE, ControlField, TimeGrid
-from .dynamics import ErrorSetting, evolve_bloch, evolve_pure, run_ordered
+from .core import ControlField, TimeGrid
+from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure, run_ordered
 from .protocols import make_transitionless
 from .sensitivity import qn_formula, qs_formula
 
@@ -150,26 +150,17 @@ def sweep_qs_transitionless(omega0_axis: Axis, delta0_axis: Axis,
 def robustness_curve(field: ControlField, variable: str, axis: Axis) -> SweepResult:
     """P2(T) versus one error parameter (lambda via Bloch, beta via Schrodinger)."""
     if variable == "lambda":
-        def one(x):
-            return evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=x * x)).final_p2()
+        values = final_p2_bloch(field, [ErrorSetting(lambda2=x * x) for x in axis.values])
     elif variable == "beta":
-        def one(x):
-            return evolve_pure(field, GROUND_PURE, beta=x).final_p2()
+        values = final_p2_pure(field, axis.values)
     else:
         raise ValueError(f"variable must be 'lambda' or 'beta', got {variable!r}")
-    values = np.array(run_ordered(one, list(axis.values)))
     return SweepResult(GridSpec(axis), values, "p2", field.label)
 
 
 def map_p2(field: ControlField, lambda_axis: Axis, beta_axis: Axis) -> SweepResult:
     """P2(T) over the combined (lambda, beta) error plane."""
-    cells = [(lam, b) for lam in lambda_axis.values for b in beta_axis.values]
-
-    def one(cell):
-        lam, b = cell
-        return evolve_bloch(field, GROUND_BLOCH,
-                            ErrorSetting(beta=b, lambda2=lam * lam)).final_p2()
-
-    values = np.array(run_ordered(one, cells)).reshape(lambda_axis.n_points,
-                                                       beta_axis.n_points)
+    settings = [ErrorSetting(beta=b, lambda2=lam * lam)
+                for lam in lambda_axis.values for b in beta_axis.values]
+    values = final_p2_bloch(field, settings).reshape(lambda_axis.n_points, beta_axis.n_points)
     return SweepResult(GridSpec(lambda_axis, beta_axis), values, "p2", field.label)

@@ -162,6 +162,18 @@ def test_sweep_figure4_emits_three_curves(tmp_path):
     assert p2_at_edge >= 0.95  # flat quadratic response
 
 
+def test_sweep_axis_with_negative_minimum_parses_in_both_forms(tmp_path):
+    outputs = []
+    for name, form in (("spaced", ["--axis1", "-1,1,3"]), ("joined", ["--axis1=-1,1,3"])):
+        base = tmp_path / name
+        assert run_cli(["sweep", "--figure", "4", *form, "--out", str(base)]) == 0
+        outputs.append([(base.parent / f"{base.name}_{slug}.csv").read_bytes()
+                        for slug in ("optimal_systematic", "transitionless", "optimal_noise")])
+    assert outputs[0] == outputs[1]
+    rows = outputs[0][1].decode().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [-1.0, 0.0, 1.0]
+
+
 def test_sweep_figure5_below_pi_pulse_plane(tmp_path):
     base = tmp_path / "fig5"
     rc = run_cli(["sweep", "--figure", "5", "--grid-steps", "401",
