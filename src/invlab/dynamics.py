@@ -21,16 +21,17 @@ matrix polynomial in the node, midpoint and next-node generators:
 
     P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
 
-and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms every P_i
-at once with numpy: a real 3x3 matrix for the Bloch equation, and for
-the pure state the pair (a, b) of the SU(2)-form matrix [[a, b], [-b*, a*]],
-a set the RK4 polynomial never leaves.  Trajectories come from a
-log-depth prefix product of the steps, final states from a product
-reduction over the same tree, so a final state is bit-identical either
-way.  Callers that need only P2(T) pass many error settings at once;
-they are evaluated in cache-sized batches that share the field's stage
-tables.  Columns of the propagated pure-state matrix evolve the ground
-and excited states together.
+and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms the P_i
+with numpy, a chunk of steps at a time: a real 3x3 matrix for the Bloch
+equation, and for the pure state the pair (a, b) of the SU(2)-form matrix
+[[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  Within a
+chunk, trajectories come from a log-depth prefix product of the steps,
+final states from a product reduction over the same tree; chunks are
+chained in time order, so a final state is bit-identical either way.
+Callers that need only P2(T) pass many error settings at once; they are
+evaluated in small batches that share the field's stage tables.  Columns
+of the propagated pure-state matrix evolve the ground and excited states
+together.
 
 The stochastic engine is a plain Euler-Maruyama discretization of the
 Ito stochastic Schrodinger equation
@@ -141,11 +142,18 @@ def run_ordered(fn, items):
         return list(ex.map(fn, items))
 
 
-# Bytes of one batch's step-propagator table.  Settings are batched until
-# the table reaches this size, which keeps it in a core's L2 cache: larger
-# batches run slower and only add memory (1 Bloch or 2 pure settings on the
-# default 2001-point grid).
-_BATCH_BYTES = 2**17
+# The time axis is processed in chunks of _CHUNK_STEPS steps: each chunk's
+# step propagators are formed, reduced and chained onto the previous chunks
+# before the next is formed, so the kernel's arrays stay small whatever the
+# grid.  Settings are batched until one chunk's step table reaches
+# _BATCH_BYTES (1 Bloch or 3 pure settings).  Both sizes keep every temporary
+# under the C allocator's default 128 KiB mmap threshold, so it is served
+# from the heap: a full-grid table (144 KiB for one Bloch setting) is mapped
+# afresh for each call, and its page faults cost more than the algebra and
+# vary with the allocator's history.  Chunk boundaries never depend on the
+# batch, so results do not either.
+_CHUNK_STEPS = 1024
+_BATCH_BYTES = 3 * 2**15
 
 
 def _bloch_generator(w, settings) -> np.ndarray:
@@ -193,24 +201,29 @@ _BLOCH = (_bloch_generator, _bloch_mul, np.eye(3)[:, :, None, None])
 _PURE = (_pure_generator, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None, None])
 
 
-def _step_propagators(field: ControlField, engine, params) -> np.ndarray:
-    """Every classical RK4 step as a matrix, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+def _step_propagators(field: ControlField, engine, params, lo: int, hi: int) -> np.ndarray:
+    """Classical RK4 steps lo .. hi-1 as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     For a linear ODE y' = A(t) y one RK4 step is y -> P y with
     K1 = A_n, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2),
     K4 = A_n+1 (I + h K3), A at the node, midpoint and next node.
-    Shape: engine components, then (len(params), n_steps - 1).
+    Shape: engine components, then (len(params), hi - lo).
     """
     generator, mul, ident = engine
     nodes, mids = field.stage_tables
     h = field.grid.h
-    g = generator(nodes, params)
+    g = generator([w[lo:hi + 1] for w in nodes], params)
     a_n, a_next = g[..., :-1], g[..., 1:]
-    a_m = generator(mids, params)
+    a_m = generator([w[lo:hi] for w in mids], params)
     k2 = a_m + 0.5 * h * mul(a_m, a_n)
     k3 = a_m + 0.5 * h * mul(a_m, k2)
     k4 = a_next + h * mul(a_next, k3)
     return ident + h / 6.0 * (a_n + 2.0 * (k2 + k3) + k4)
+
+
+def _chunks(field: ControlField):
+    n = field.grid.n_steps - 1
+    return [(lo, min(lo + _CHUNK_STEPS, n)) for lo in range(0, n, _CHUNK_STEPS)]
 
 
 def _scan(mul, p: np.ndarray) -> np.ndarray:
@@ -260,12 +273,35 @@ def _require_finite(states: np.ndarray, what: str) -> None:
         raise RuntimeError(f"{what} integration diverged (non-finite components)")
 
 
-def _final_products(field: ControlField, engine, params) -> np.ndarray:
-    """End-to-end propagator for each setting, in batches of at most _BATCH_BYTES."""
-    _, mul, ident = engine
-    per = max(1, _BATCH_BYTES // (ident.nbytes * (field.grid.n_steps - 1)))
-    return np.concatenate([_product(mul, _step_propagators(field, engine, params[lo:lo + per]))
-                           for lo in range(0, len(params), per)], axis=-2)[..., 0]
+def _prefixes(field: ControlField, engine, params):
+    """Yield (lo, hi, S) with S the prefix products P_i ... P_0 for steps i = lo .. hi-1.
+
+    Each chunk is scanned on its own and then multiplied onto the last
+    prefix of the previous chunk.  A chunk's last scanned prefix is its
+    ``_product``, so the last prefix of the grid equals ``_final`` bit for bit.
+    """
+    mul = engine[1]
+    last = None
+    for lo, hi in _chunks(field):
+        s = _scan(mul, _step_propagators(field, engine, params, lo, hi))
+        if last is not None:
+            s = mul(s, last)
+        last = s[..., -1:]
+        yield lo, hi, s
+
+
+def _final(field: ControlField, engine, params) -> np.ndarray:
+    """End-to-end propagator P_n-1 ... P_0 of each setting, shape (components, len(params))."""
+    mul, ident = engine[1:]
+    per = max(1, _BATCH_BYTES // (ident.nbytes * _CHUNK_STEPS))
+    out = []
+    for b in range(0, len(params), per):
+        total = None
+        for lo, hi in _chunks(field):
+            p = _product(mul, _step_propagators(field, engine, params[b:b + per], lo, hi))
+            total = p if total is None else mul(p, total)
+        out.append(total[..., 0])
+    return np.concatenate(out, axis=-1)
 
 
 def evolve_pure(field: ControlField, psi0: PureState, beta: float = 0.0) -> Trajectory:
@@ -285,10 +321,10 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
 
     Column 1 of U(t) evolves the ground state, column 2 the excited state.
     """
-    s = _scan(_pair_mul, _step_propagators(field, _PURE, [beta]))[:, 0]
     u = np.empty((field.grid.n_steps, 2), dtype=complex)
     u[0] = (1.0, 0.0)
-    u[1:] = s.T
+    for lo, hi, s in _prefixes(field, _PURE, [beta]):
+        u[lo + 1:hi + 1] = s[:, 0].T
     _require_finite(u, "pure-state")
     return u
 
@@ -296,24 +332,24 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
 def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = ErrorSetting()) -> Trajectory:
     """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r."""
     r = r0.as_array()
-    s = _scan(_bloch_mul, _step_propagators(field, _BLOCH, [setting]))[:, :, 0]
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
-    out[1:] = _apply_bloch(s, r).T
+    for lo, hi, s in _prefixes(field, _BLOCH, [setting]):
+        out[lo + 1:hi + 1] = _apply_bloch(s[:, :, 0], r).T
     _require_finite(out, "Bloch")
     return Trajectory(field.grid, out, "bloch")
 
 
 def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     """P2(T) of the Bloch equation from the ground state, one value per error setting."""
-    r = _apply_bloch(_final_products(field, _BLOCH, list(settings)), GROUND_BLOCH.as_array())
+    r = _apply_bloch(_final(field, _BLOCH, list(settings)), GROUND_BLOCH.as_array())
     _require_finite(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
 
 def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     """P2(T) of the Schrodinger equation from the ground state, one value per beta."""
-    c = _apply_pair(_final_products(field, _PURE, list(betas)), 1.0 + 0.0j, 0.0j)
+    c = _apply_pair(_final(field, _PURE, list(betas)), 1.0 + 0.0j, 0.0j)
     _require_finite(c, "pure-state")
     return _pure_p2(c[0], c[1])
 

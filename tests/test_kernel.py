@@ -95,6 +95,24 @@ def test_batch_size_does_not_change_results(monkeypatch, transitionless_example)
     assert np.array_equal(final_p2_pure(transitionless_example, [s.beta for s in cases]), pure)
 
 
+@settings(max_examples=10, deadline=None)
+@given(smooth_fields(), betas, lambda2s, st.integers(1, 64))
+def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda2, chunk):
+    # GRID has 200 steps, one chunk at the default size; small chunks
+    # exercise the chaining, including a partial last chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        setting = ErrorSetting(beta, lambda2)
+        traj = evolve_bloch(field, GROUND_BLOCH, setting)
+        ref = reference_bloch(field, GROUND_BLOCH.as_array(), beta, lambda2)
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
+        u = evolve_propagator(field, beta)
+        assert np.max(np.abs(u[:, 0] - reference_pure(field, 1.0, 0.0, beta)[:, 0])) < 1e-12
+        assert final_p2_bloch(field, [setting])[0] == traj.final_p2()
+        pure = evolve_pure(field, GROUND_PURE, beta=beta)
+        assert final_p2_pure(field, [beta])[0] == pure.final_p2()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_final_p2_rejects_divergence():
     blowup = ControlField.from_functions(TimeGrid(3), lambda t: 1e300 + 0 * t,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipeinc
 
 from invlab import (InvariantAngles, TimeGrid, constant, first_integral_constant,
                     optimal_noise_angles, qn_lagrangian, solve_optimal_theta,
@@ -50,6 +51,13 @@ def test_solution_qn_value(grid, solution):
     assert qn_lagrangian(ang, grid) == pytest.approx(1.82424, abs=1e-3)
     # closed form of the stationary action: c^2 T / 16
     assert qn_lagrangian(ang, grid) == pytest.approx(solution.c**2 / 16.0, abs=1e-9)
+
+
+def test_theta_fn_inverts_the_elliptic_integral(solution):
+    # t(theta) = T E(theta | 1/2) / E(pi | 1/2), at times off the grid too
+    t = np.random.default_rng(3).uniform(0.0, 1.0, 500)
+    theta = solution.theta_fn(t)
+    assert np.max(np.abs(ellipeinc(theta, 0.5) / ellipeinc(math.pi, 0.5) - t)) < 1e-13
 
 
 def test_shooting_oracle_agrees(grid, solution):
