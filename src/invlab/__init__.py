@@ -6,7 +6,7 @@ from .core import (AngleSamples, BlochState, ControlField, GROUND_BLOCH,
                    sampled_derivative)
 from .dynamics import (EnsembleResult, ErrorSetting, Trajectory, evolve_bloch,
                        evolve_propagator, evolve_pure, evolve_sse, final_p2_bloch,
-                       final_p2_pure, monte_carlo_p2, worker_count)
+                       final_p2_pure, monte_carlo_p2)
 from .optimal import (StationarityReport, ThetaSolution, first_integral_constant,
                       optimal_noise_angles, solve_optimal_theta,
                       solve_optimal_theta_shooting, stationarity_m,

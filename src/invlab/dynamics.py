@@ -43,15 +43,12 @@ Rabi channels.  No normalization is enforced during evolution; final
 probabilities divide by the squared norm to absorb the O(dt) drift.
 Each trajectory draws its increments from a counter-based Philox
 stream keyed by (seed, trajectory index), so ensembles are
-order-independent and bit-reproducible under any batching or thread
-count.
+order-independent and bit-reproducible under any batching.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,25 +118,6 @@ class EnsembleResult:
             raise ValueError(f"p2_mean out of [0, 1]: {self.p2_mean}")
         if self.p2_stderr < 0.0:
             raise ValueError(f"p2_stderr must be >= 0, got {self.p2_stderr}")
-
-
-def worker_count() -> int:
-    """Worker cap from INVLAB_THREADS (default 1); results never depend on it."""
-    raw = os.environ.get("INVLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    if not (raw.isdigit() and int(raw) >= 1):
-        raise ValueError(f"INVLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def run_ordered(fn, items):
-    """Map fn over items, preserving order; threads capped by worker_count()."""
-    workers = worker_count()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 # The time axis is processed in chunks of _CHUNK_STEPS steps: each chunk's
@@ -453,6 +431,6 @@ def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
         return np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
 
     batches = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
-    p2 = np.concatenate(run_ordered(one_batch, batches))
+    p2 = np.concatenate([one_batch(b) for b in batches])
     stderr = float(np.std(p2, ddof=1) / math.sqrt(n_traj))
     return EnsembleResult(float(np.mean(p2)), stderr, n_traj, seed, dt)

@@ -22,8 +22,10 @@ optimal_systematic       zero systematic sensitivity: gamma = n(2 th - sin 2 th)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dfield
-from typing import Callable
+from inspect import Parameter
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,14 +33,18 @@ from scipy.integrate import quad
 from .core import ControlField, InvariantAngles, TimeGrid, constant
 from .optimal import solve_optimal_theta
 
-PROTOCOL_KINDS = ("flat_pi", "shaped_pi", "sinusoidal_adiabatic", "transitionless",
-                  "invariant_engineered", "optimal_noise", "optimal_systematic")
-
 GAUGES = ("zero_omega_i", "explicit")
+
+# Named shaped_pi envelopes; a name may stand for the function wherever an envelope is taken.
+ENVELOPES = {
+    "sin": lambda t: np.sin(math.pi * np.asarray(t, dtype=float)),
+    "flat": lambda t: np.ones_like(np.asarray(t, dtype=float)),
+}
 
 
 def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
     """Constant Omega = (pi/T) e^{i alpha}, zero detuning."""
+    alpha = _check("flat_pi", alpha=alpha)["alpha"]
     w = math.pi / grid.duration
     return ControlField.from_functions(
         grid, constant(w * math.cos(alpha)), constant(w * math.sin(alpha)), constant(0.0),
@@ -47,6 +53,7 @@ def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
 
 def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlField:
     """Nonnegative envelope rescaled so the pulse area is exactly pi."""
+    envelope, alpha = _check("shaped_pi", envelope=envelope, alpha=alpha).values()
     T = grid.duration
     area, _ = quad(envelope, 0.0, T, epsabs=1e-12, epsrel=1e-12, limit=200)
     if area <= 1e-12:
@@ -86,8 +93,7 @@ def _sinusoidal_channels(omega0: float, delta0: float, duration: float):
 
 def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
     """Bare finite-time sinusoidal sweep (no shortcut term)."""
-    if omega0 <= 0.0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    omega0, delta0 = _check("sinusoidal_adiabatic", omega0=omega0, delta0=delta0).values()
     omega_r, delta, _, _ = _sinusoidal_channels(omega0, delta0, grid.duration)
     return ControlField.from_functions(
         grid, omega_r, constant(0.0), delta,
@@ -101,8 +107,7 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
     diabatic transitions, so the state tracks the instantaneous eigenstate
     of the reference for any duration.
     """
-    if omega0 <= 0.0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
     omega_r, delta, omega_r_dot, delta_dot = _sinusoidal_channels(omega0, delta0, grid.duration)
     gap2 = omega_r(grid.times) ** 2 + delta(grid.times) ** 2
     if float(np.min(gap2)) < 1e-12:
@@ -121,6 +126,7 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
 def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
                               label: str = "invariant_engineered") -> ControlField:
     """Invert the angle trajectory into the controls realizing it."""
+    _check("invariant_engineered", angles=angles)
     angles.check_boundaries(grid.duration)
     s = angles.sample(grid)
     if not angles.has_closed_derivatives:
@@ -157,8 +163,7 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     WR = -sin(n pi/4) theta_dot, WI = cos(n pi/4) theta_dot, D = 0,
     so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.
     """
-    if not isinstance(n, (int, np.integer)) or n % 2 == 0:
-        raise ValueError(f"n must be an odd integer, got {n!r}")
+    n = _check("optimal_noise", n=n)["n"]
     sol = solve_optimal_theta(grid)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
@@ -188,10 +193,8 @@ def optimal_systematic_angles(n: int, duration: float = 1.0,
     continuous branch in (-pi, 0), i.e. alpha = arctan(4 n sin^3 theta) - pi/2,
     with alpha(0) = alpha(T) = -pi/2.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if gauge not in GAUGES:
-        raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
+    n = _check("optimal_systematic", n=n, theta=theta, theta_dot=theta_dot, gauge=gauge,
+               alpha=alpha, alpha_dot=alpha_dot)["n"]
     if theta is None:
         theta = lambda t: math.pi * np.asarray(t, dtype=float) / duration
         theta_dot = constant(math.pi / duration)
@@ -244,6 +247,97 @@ def make_optimal_systematic(n: int, grid: TimeGrid,
         angles, grid, label=f"optimal_systematic(n={n},gauge={gauge})")
 
 
+class Param(NamedTuple):
+    """One protocol parameter: its type, its default and the rule a value must meet.
+
+    type is float, int, str, callable or a class.  A parameter whose default
+    is None may be left unset; one without a default is required.  choices
+    lists the allowed strings; when it is a dict, a name stands for its value.
+    cli is False for a parameter the command line cannot express (a function).
+    """
+
+    name: str
+    type: object
+    default: object = Parameter.empty
+    above: float | None = None
+    odd: bool = False
+    choices: tuple | dict | None = None
+    cli: bool = True
+
+    def check(self, kind: str, value):
+        """The value, converted to int or float where typed so; ValueError if it breaks the rule."""
+        if value is None and self.default is None:
+            return None
+        if isinstance(value, str) and self.choices is not None:
+            if value not in self.choices:
+                raise ValueError(f"{kind}: {self.name} must be one of {sorted(self.choices)}, "
+                                 f"got {value!r}")
+            value = self.choices[value] if isinstance(self.choices, dict) else value
+        if self.type in (int, float):
+            ok = (isinstance(value, numbers.Integral if self.type is int else numbers.Real)
+                  and not isinstance(value, bool))
+            value = self.type(value) if ok else value
+        else:
+            ok = callable(value) if self.type is callable else isinstance(value, self.type)
+        if not ok:
+            raise ValueError(f"{kind}: {self.name} must be {self.type.__name__}, got {value!r}")
+        if self.above is not None and not value > self.above:
+            raise ValueError(f"{kind}: {self.name} must be > {self.above:g}, got {value!r}")
+        if self.odd and value % 2 == 0:
+            raise ValueError(f"{kind}: {self.name} must be odd, got {value!r}")
+        return value
+
+
+class Family(NamedTuple):
+    """A protocol kind; the command line exposes it when it can set every required parameter."""
+
+    build: Callable[..., ControlField]  # called with grid= and every parameter by name
+    params: tuple
+
+
+_ALPHA = Param("alpha", float, 0.0)
+_SWEEP = (Param("omega0", float, above=0.0), Param("delta0", float))
+
+# The protocol table: the one place that knows each kind's parameters and
+# their rules.  Builders are called through their module names, so a
+# rebinding of make_* (tracing, mocking) is seen.
+PROTOCOLS = {
+    "flat_pi": Family(lambda **p: make_flat_pi(**p), (_ALPHA,)),
+    "shaped_pi": Family(lambda **p: make_shaped_pi(**p),
+                        (Param("envelope", callable, choices=ENVELOPES), _ALPHA)),
+    "sinusoidal_adiabatic": Family(lambda **p: make_sinusoidal(**p), _SWEEP),
+    "transitionless": Family(lambda **p: make_transitionless(**p), _SWEEP),
+    "invariant_engineered": Family(lambda **p: make_invariant_engineered(**p),
+                                   (Param("angles", InvariantAngles, cli=False),)),
+    "optimal_noise": Family(lambda **p: make_optimal_noise(**p), (Param("n", int, 7, odd=True),)),
+    "optimal_systematic": Family(
+        lambda **p: make_optimal_systematic(**p),
+        (Param("n", int, 1, above=0), Param("gauge", str, "zero_omega_i", choices=GAUGES),
+         *(Param(name, callable, None, cli=False)
+           for name in ("theta", "theta_dot", "alpha", "alpha_dot")))),
+}
+
+PROTOCOL_KINDS = tuple(PROTOCOLS)
+
+
+def _check(kind: str, **params) -> dict:
+    """A kind's parameters, each checked by its rule: those given, in their order, then defaults."""
+    if kind not in PROTOCOLS:
+        raise ValueError(f"unknown protocol kind {kind!r}; expected one of {PROTOCOL_KINDS}")
+    table = PROTOCOLS[kind].params
+    unknown = set(params).difference(p.name for p in table)
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter {sorted(unknown)[0]!r}")
+    out = dict(params)
+    for p in table:
+        value = out.get(p.name, p.default)
+        if value is Parameter.empty:
+            raise ValueError(f"{kind} requires parameter {p.name!r}"
+                             + ("" if p.cli else " (a Python object, not settable from the CLI)"))
+        out[p.name] = p.check(kind, value)
+    return out
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Validated recipe (kind + parameters) for building a ControlField."""
@@ -252,53 +346,7 @@ class ProtocolSpec:
     parameters: dict = dfield(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
-            raise ValueError(f"unknown protocol kind {self.kind!r}; expected one of {PROTOCOL_KINDS}")
-        p = dict(self.parameters)
-        if self.kind == "flat_pi":
-            p["alpha"] = float(p.get("alpha", 0.0))
-        elif self.kind == "shaped_pi":
-            if not callable(p.get("envelope")):
-                raise ValueError("shaped_pi requires a callable 'envelope' parameter")
-            p["alpha"] = float(p.get("alpha", 0.0))
-        elif self.kind in ("sinusoidal_adiabatic", "transitionless"):
-            p["omega0"] = float(p.get("omega0", 0.0))
-            p["delta0"] = float(p.get("delta0", 0.0))
-            if not p["omega0"] > 0.0:
-                raise ValueError(f"{self.kind} requires omega0 > 0")
-            if p["delta0"] < 0.0:
-                raise ValueError(f"{self.kind} requires delta0 >= 0")
-        elif self.kind == "optimal_noise":
-            n = p.get("n", 7)
-            if not isinstance(n, (int, np.integer)) or n % 2 == 0:
-                raise ValueError("optimal_noise requires an odd integer n")
-            p["n"] = int(n)
-        elif self.kind == "optimal_systematic":
-            n = p.get("n", 1)
-            if not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError("optimal_systematic requires an integer n >= 1")
-            p["n"] = int(n)
-            if p.get("gauge", "zero_omega_i") not in GAUGES:
-                raise ValueError(f"gauge must be one of {GAUGES}")
-        elif self.kind == "invariant_engineered":
-            if not isinstance(p.get("angles"), InvariantAngles):
-                raise ValueError("invariant_engineered requires an InvariantAngles instance")
-        object.__setattr__(self, "parameters", p)
+        object.__setattr__(self, "parameters", _check(self.kind, **self.parameters))
 
     def build(self, grid: TimeGrid) -> ControlField:
-        p = self.parameters
-        if self.kind == "flat_pi":
-            return make_flat_pi(p["alpha"], grid)
-        if self.kind == "shaped_pi":
-            return make_shaped_pi(p["envelope"], p["alpha"], grid)
-        if self.kind == "sinusoidal_adiabatic":
-            return make_sinusoidal(p["omega0"], p["delta0"], grid)
-        if self.kind == "transitionless":
-            return make_transitionless(p["omega0"], p["delta0"], grid)
-        if self.kind == "optimal_noise":
-            return make_optimal_noise(p["n"], grid)
-        if self.kind == "optimal_systematic":
-            return make_optimal_systematic(
-                p["n"], grid, p.get("theta"), p.get("theta_dot"),
-                p.get("gauge", "zero_omega_i"), p.get("alpha"), p.get("alpha_dot"))
-        return make_invariant_engineered(p["angles"], grid)
+        return PROTOCOLS[self.kind].build(grid=grid, **self.parameters)

@@ -2,8 +2,7 @@
 
 Cells are independent pure evaluations; failures inside a sensitivity
 sweep are recorded as missing values (NaN, emitted as empty CSV cells)
-rather than aborting the whole figure.  Output ordering is fixed by the
-grid index, so results never depend on how cells were scheduled.
+rather than aborting the whole figure.  Cells run in grid-index order.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import ControlField, TimeGrid
-from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure, run_ordered
+from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
 from .protocols import make_transitionless
 from .sensitivity import qn_formula, qs_formula
 
@@ -129,8 +128,8 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
             return math.nan
         return report.q_n if quantity == "q_n" else report.q_s
 
-    values = np.array(run_ordered(one, cells)).reshape(omega0_axis.n_points,
-                                                       delta0_axis.n_points)
+    values = np.array([one(cell) for cell in cells]).reshape(omega0_axis.n_points,
+                                                             delta0_axis.n_points)
     return SweepResult(GridSpec(omega0_axis, delta0_axis), values, quantity,
                        "transitionless")
 

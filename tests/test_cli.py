@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import invlab.cli as cli_module
 from invlab import ControlField, TimeGrid, make_transitionless
 from invlab.cli import main
 
@@ -243,3 +244,47 @@ def test_console_entry_point(tmp_path):
          "--grid-steps", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "t,omega_r,omega_i,delta"
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("sensitivity", "method", "bogus"),
+    ("sensitivity", "method", 5),
+    ("simulate", "sse", "no"),
+    ("grid", "n_steps", 10.7),
+    ("grid", "n_steps", True),
+    (None, "duration", True),
+    ("protocol", "envelope", "bogus"),
+    ("sweep", "figure", 3),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, section, key, value):
+    cfg = {"protocol": {"kind": "flat_pi"}, "grid": {"n_steps": 11}}
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    command = "sweep" if section == "sweep" else "sensitivity"
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"config {name} must be" in capsys.readouterr().err
+
+
+def test_config_method_accepts_either_separator(tmp_path):
+    outs = []
+    for i, method in enumerate(("finite-difference", "finite_difference")):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps({"protocol": {"kind": "flat_pi"}, "grid": {"n_steps": 201},
+                                        "sensitivity": {"method": method}}))
+        outs.append(tmp_path / f"r{i}.json")
+        assert run_cli(["sensitivity", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_fault_inside_a_command_exits_1(monkeypatch, capsys):
+    def broken(cfg):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "protocol", broken)
+    assert run_cli(["protocol", "--kind", "flat_pi", "--grid-steps", "3"]) == 1
+    assert "missing" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, ErrorSetting,
                     PureState, TimeGrid, bloch_from_pure, constant,
                     evolve_bloch, evolve_pure, evolve_sse, make_flat_pi,
-                    make_transitionless, monte_carlo_p2, worker_count)
+                    make_transitionless, monte_carlo_p2)
 from invlab.dynamics import _sse_run, trajectory_rng
 
 FLAT_P2_NOISE = lambda lam2: 0.5 + 0.5 * math.exp(-lam2 * math.pi**2 / 2.0)
@@ -216,10 +216,3 @@ def test_trajectory_rng_is_counter_based():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         trajectory_rng(-1, 0)
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_worker_count_names_a_bad_setting(monkeypatch, raw):
-    monkeypatch.setenv("INVLAB_THREADS", raw)
-    with pytest.raises(ValueError, match=r"INVLAB_THREADS must be a positive integer, got '"):
-        worker_count()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from invlab import (GROUND_BLOCH, GROUND_PURE, InvariantAngles, ProtocolSpec,
+from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, InvariantAngles, ProtocolSpec,
                     PureState, TimeGrid, constant, evolve_bloch, evolve_pure, make_flat_pi,
                     make_invariant_engineered, make_optimal_noise,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, optimal_systematic_angles)
+from invlab.cli import main
 from conftest import EX_DELTA0, EX_OMEGA0
 
 
@@ -271,3 +272,44 @@ def test_protocol_spec_dispatch(grid):
         ProtocolSpec("shaped_pi", {"envelope": "not callable"})
     with pytest.raises(ValueError):
         ProtocolSpec("invariant_engineered", {"angles": 3})
+
+
+@pytest.mark.parametrize("kind,params,builder,flags", [
+    ("no_such_kind", {}, None, ["--kind", "no_such_kind"]),
+    ("optimal_noise", {"n": 2}, lambda g: make_optimal_noise(2, g), ["--n", "2"]),
+    ("optimal_systematic", {"n": 0}, lambda g: make_optimal_systematic(0, g), ["--n", "0"]),
+    ("transitionless", {"omega0": 0.0, "delta0": 1.0},
+     lambda g: make_transitionless(0.0, 1.0, g), ["--omega0", "0", "--delta0", "1"]),
+    ("sinusoidal_adiabatic", {"omega0": -1.0, "delta0": 1.0},
+     lambda g: make_sinusoidal(-1.0, 1.0, g), ["--omega0=-1", "--delta0", "1"]),
+    ("optimal_systematic", {"gauge": "bogus"},
+     lambda g: make_optimal_systematic(1, g, gauge="bogus"), ["--gauge", "bogus"]),
+    ("shaped_pi", {"envelope": "bogus"}, lambda g: make_shaped_pi("bogus", 0.0, g),
+     ["--envelope", "bogus"]),
+    ("shaped_pi", {"envelope": 3}, lambda g: make_shaped_pi(3, 0.0, g), None),
+])
+def test_each_parameter_rule_holds_on_every_route(kind, params, builder, flags):
+    with pytest.raises(ValueError):
+        ProtocolSpec(kind, params)
+    if builder is not None:
+        with pytest.raises(ValueError):
+            builder(TimeGrid(101))
+    if flags is not None:
+        argv = ["protocol", "--grid-steps", "101", *flags]
+        if "--kind" not in flags:
+            argv += ["--kind", kind]
+        assert main(argv) == 2
+
+
+def test_negative_delta0_builds_the_mirror_sweep_on_every_route(tmp_path):
+    grid = TimeGrid(401)
+    direct = make_transitionless(4.0, -1.0, grid)
+    spec = ProtocolSpec("transitionless", {"omega0": 4.0, "delta0": -1.0}).build(grid)
+    out = tmp_path / "field.csv"
+    assert main(["protocol", "--kind", "transitionless", "--omega0", "4", "--delta0", "-1",
+                 "--grid-steps", "401", "--out", str(out)]) == 0
+    from_cli = ControlField.read_csv(out)
+    for f in (spec, from_cli):
+        for channel in ("omega_r", "omega_i", "delta"):
+            assert np.array_equal(getattr(f, channel), getattr(direct, channel))
+    assert evolve_bloch(direct, GROUND_BLOCH).final_p2() >= 1.0 - 1e-6
