@@ -167,6 +167,11 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
 
+    def check_normalized(self, tol: float = 1e-6) -> None:
+        """ValueError unless the norm is 1 within ``tol``."""
+        if abs(self.norm() - 1.0) > tol:
+            raise ValueError(f"pure state is not normalized: |psi| = {self.norm()!r}")
+
     def as_array(self) -> np.ndarray:
         return np.array([self.c1, self.c2], dtype=complex)
 
@@ -199,9 +204,7 @@ def bloch_from_pure(state: PureState, tol: float = 1e-6) -> BlochState:
     r1 = 2 Re(c1 conj(c2)), r2 = -2 Im(c1 conj(c2)), r3 = |c1|^2 - |c2|^2.
     Rejects input whose norm deviates from 1 by more than ``tol``.
     """
-    n = state.norm()
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"pure state is not normalized: |psi| = {n!r}")
+    state.check_normalized(tol)
     cross = state.c1 * np.conj(state.c2)
     return BlochState(float(2.0 * cross.real), float(-2.0 * cross.imag),
                       float(abs(state.c1) ** 2 - abs(state.c2) ** 2))

@@ -43,19 +43,23 @@ Rabi channels.  No normalization is enforced during evolution; final
 probabilities divide by the squared norm to absorb the O(dt) drift.
 Each trajectory draws its increments from a counter-based Philox
 stream keyed by (seed, trajectory index), so ensembles are
-order-independent and bit-reproducible under any batching.
+order-independent and bit-reproducible under any batching; a single
+trajectory is a batch of one and equals its ensemble member bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GROUND_BLOCH, BlochState, ControlField, PureState, TimeGrid, write_csv
+from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureState, TimeGrid,
+                   write_csv)
 
 _MAX_SEED = 2**64
+_SSE_BATCH = 1024  # trajectories per monte_carlo_p2 batch; its draws take 16 B per step each
 
 
 @dataclass(frozen=True)
@@ -246,9 +250,10 @@ def _pure_p2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
 
 
-def _require_finite(states: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(states)):
-        raise RuntimeError(f"{what} integration diverged (non-finite components)")
+def _require_bounded(states: np.ndarray, what: str) -> None:
+    # an unstable step grows the components long before they overflow; NaN and inf fail too
+    if not np.all(np.abs(states) <= 1.0 + 1e-6):
+        raise RuntimeError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
 def _prefixes(field: ControlField, engine, params):
@@ -288,8 +293,7 @@ def evolve_pure(field: ControlField, psi0: PureState, beta: float = 0.0) -> Traj
     H1 scales the off-diagonal (Rabi) part only; the detuning is error-free.
     Norm is conserved to integrator accuracy (< 1e-9 on default grids).
     """
-    if abs(psi0.norm() - 1.0) > 1e-6:
-        raise ValueError(f"psi0 is not normalized: |psi0| = {psi0.norm()!r}")
+    psi0.check_normalized()
     u = evolve_propagator(field, beta)
     return Trajectory(field.grid, _apply_pair(u.T, complex(psi0.c1), complex(psi0.c2)).T, "pure")
 
@@ -303,7 +307,7 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
     u[0] = (1.0, 0.0)
     for lo, hi, s in _prefixes(field, _PURE, [beta]):
         u[lo + 1:hi + 1] = s[:, 0].T
-    _require_finite(u, "pure-state")
+    _require_bounded(u, "pure-state")
     return u
 
 
@@ -314,41 +318,32 @@ def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = Er
     out[0] = r
     for lo, hi, s in _prefixes(field, _BLOCH, [setting]):
         out[lo + 1:hi + 1] = _apply_bloch(s[:, :, 0], r).T
-    _require_finite(out, "Bloch")
+    _require_bounded(out, "Bloch")
     return Trajectory(field.grid, out, "bloch")
 
 
 def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     """P2(T) of the Bloch equation from the ground state, one value per error setting."""
     r = _apply_bloch(_final(field, _BLOCH, list(settings)), GROUND_BLOCH.as_array())
-    _require_finite(r, "Bloch")
+    _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
 
 def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     """P2(T) of the Schrodinger equation from the ground state, one value per beta."""
     c = _apply_pair(_final(field, _PURE, list(betas)), 1.0 + 0.0j, 0.0j)
-    _require_finite(c, "pure-state")
+    _require_bounded(c, "pure-state")
     return _pure_p2(c[0], c[1])
 
 
 def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     """Counter-based stream for one trajectory, keyed by (seed, index)."""
-    if not (0 <= seed < _MAX_SEED):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    for name, value in (("seed", seed), ("traj_index", traj_index)):
+        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                or not 0 <= value < _MAX_SEED):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([seed, traj_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _sse_step_count(grid: TimeGrid, dt: float) -> tuple[int, int]:
-    """Sub-steps per grid interval and total step count; dt must divide the grid."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    ratio = grid.h / dt
-    per = int(round(ratio))
-    if per < 1 or abs(ratio - per) > 1e-9 * ratio:
-        raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
-    return per, per * (grid.n_steps - 1)
 
 
 def _sse_run(field: ControlField, c1, c2, lambda2: float, dt: float,
@@ -384,53 +379,59 @@ def _sse_run(field: ControlField, c1, c2, lambda2: float, dt: float,
     return c1, c2, recorded
 
 
+def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: float,
+                      seed: int, first: int, count: int, record: bool = False):
+    """``_sse_run`` on trajectories first .. first+count-1 from psi0; i draws from stream (seed, i).
+
+    dt must divide the grid spacing.  Draws fill a contiguous (count, steps, 2)
+    block, then each channel is transposed once: cheaper than strided writes.
+    """
+    ErrorSetting(lambda2=lambda2)  # rejects lambda2 < 0
+    psi0.check_normalized()
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    grid = field.grid
+    ratio = grid.h / dt
+    per = int(round(ratio))
+    if per < 1 or abs(ratio - per) > 1e-9 * ratio:
+        raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
+    n_sse = per * (grid.n_steps - 1)
+    stiffness = lambda2 * float(np.max(field.omega_r ** 2 + field.omega_i ** 2)) * dt
+    if stiffness >= 1.0:
+        raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
+                         f"{stiffness:.3g} >= 1; take a smaller dt")
+    dw = np.empty((count, n_sse, 2))
+    for j in range(count):
+        dw[j] = trajectory_rng(seed, first + j).normal(0.0, math.sqrt(dt), size=(n_sse, 2))
+    return _sse_run(field, np.full(count, complex(psi0.c1)), np.full(count, complex(psi0.c2)),
+                    lambda2, dt, np.ascontiguousarray(dw[:, :, 0].T),
+                    np.ascontiguousarray(dw[:, :, 1].T),
+                    record_every=per if record else 0)
+
+
 def evolve_sse(field: ControlField, psi0: PureState, lambda2: float, dt: float,
                seed: int, traj_index: int = 0) -> Trajectory:
     """One Ito Euler-Maruyama realization; states recorded at the grid nodes.
 
-    The trajectory is left unnormalized, as the scheme produces it.
+    From the ground state it is member ``traj_index`` of ``monte_carlo_p2``'s
+    ensemble for the same seed.  It is left unnormalized, as the scheme produces it.
     """
-    if lambda2 < 0.0:
-        raise ValueError(f"lambda2 must be >= 0, got {lambda2}")
-    if abs(psi0.norm() - 1.0) > 1e-6:
-        raise ValueError(f"psi0 is not normalized: |psi0| = {psi0.norm()!r}")
-    per, n_sse = _sse_step_count(field.grid, dt)
-    rng = trajectory_rng(seed, traj_index)
-    dw = rng.normal(0.0, math.sqrt(dt), size=(n_sse, 2))
-    c1 = np.array([psi0.c1], dtype=complex)
-    c2 = np.array([psi0.c2], dtype=complex)
-    _, _, rec = _sse_run(field, c1, c2, lambda2, dt, dw[:, :1], dw[:, 1:], record_every=per)
+    rec = _sse_trajectories(field, psi0, lambda2, dt, seed, traj_index, 1, record=True)[2]
     return Trajectory(field.grid, rec[:, 0, :], "pure")
 
 
 def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
-                   seed: int, batch_size: int = 1024) -> EnsembleResult:
-    """Mean and standard error of P2(T) over independent SSE trajectories.
+                   seed: int) -> EnsembleResult:
+    """Mean and standard error of P2(T) over independent SSE trajectories from the ground state.
 
     Deterministic given the seed: trajectory i always consumes stream
     (seed, i) and the reduction runs in index order.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    if lambda2 < 0.0:
-        raise ValueError(f"lambda2 must be >= 0, got {lambda2}")
-    per, n_sse = _sse_step_count(field.grid, dt)
-    sqdt = math.sqrt(dt)
-
-    def one_batch(bounds):
-        lo, hi = bounds
-        nb = hi - lo
-        dw = np.empty((nb, n_sse, 2))
-        for j in range(nb):
-            dw[j] = trajectory_rng(seed, lo + j).normal(0.0, sqdt, size=(n_sse, 2))
-        c1 = np.ones(nb, dtype=complex)
-        c2 = np.zeros(nb, dtype=complex)
-        c1, c2, _ = _sse_run(field, c1, c2, lambda2, dt,
-                             np.ascontiguousarray(dw[:, :, 0].T),
-                             np.ascontiguousarray(dw[:, :, 1].T))
-        return np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
-
-    batches = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
-    p2 = np.concatenate([one_batch(b) for b in batches])
+    p2 = np.concatenate([
+        _pure_p2(*_sse_trajectories(field, GROUND_PURE, lambda2, dt, seed, lo,
+                                    min(_SSE_BATCH, n_traj - lo))[:2])
+        for lo in range(0, n_traj, _SSE_BATCH)])
     stderr = float(np.std(p2, ddof=1) / math.sqrt(n_traj))
     return EnsembleResult(float(np.mean(p2)), stderr, n_traj, seed, dt)

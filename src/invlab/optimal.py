@@ -31,7 +31,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import ellipeinc
 
-from .core import InvariantAngles, TimeGrid, constant, write_csv
+from .core import InvariantAngles, TimeGrid, write_csv
 from .sensitivity import qn_lagrangian
 
 # Newton steps of the t(theta) inversion from the linear guess theta = pi t / T;
@@ -256,13 +256,3 @@ def verify_stationarity(angles: InvariantAngles, perturbation_scale: float,
         worst = min(worst, qn_lagrangian(pert, grid))
     return StationarityReport(q0, worst, worst - q0, n_perturbations,
                               perturbation_scale, seed)
-
-
-def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:
-    """Invariant angles of the noise-optimal protocol: stationary theta,
-    alpha = n pi/4, constant gamma (so m = 0)."""
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    sol = solve_optimal_theta(grid)
-    return InvariantAngles(sol.theta_fn, constant(n * math.pi / 4.0), constant(0.0),
-                           sol.theta_dot_fn, constant(0.0), constant(0.0))

@@ -163,21 +163,29 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     WR = -sin(n pi/4) theta_dot, WI = cos(n pi/4) theta_dot, D = 0,
     so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.
     """
-    n = _check("optimal_noise", n=n)["n"]
-    sol = solve_optimal_theta(grid)
+    angles = optimal_noise_angles(grid, n)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
     cr = sign_r * math.sqrt(0.5)
     ci = sign_i * math.sqrt(0.5)
 
     def omega_r(t):
-        return cr * sol.theta_dot_fn(t)
+        return cr * angles.theta_dot(t)
 
     def omega_i(t):
-        return ci * sol.theta_dot_fn(t)
+        return ci * angles.theta_dot(t)
 
     return ControlField.from_functions(grid, omega_r, omega_i, constant(0.0),
                                        label=f"optimal_noise(n={n})")
+
+
+def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:
+    """Invariant angles of the noise-optimal protocol: stationary theta,
+    alpha = n pi/4 (n odd), constant gamma (so m = 0)."""
+    n = _check("optimal_noise", n=n)["n"]
+    sol = solve_optimal_theta(grid)
+    return InvariantAngles(sol.theta_fn, constant(n * math.pi / 4.0), constant(0.0),
+                           sol.theta_dot_fn, constant(0.0), constant(0.0))
 
 
 def optimal_systematic_angles(n: int, duration: float = 1.0,

@@ -288,3 +288,15 @@ def test_fault_inside_a_command_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(cli_module._COMMANDS, "protocol", broken)
     assert run_cli(["protocol", "--kind", "flat_pi", "--grid-steps", "3"]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_diverged_bloch_run_exits_1(capsys):
+    assert run_cli(["simulate", "--kind", "flat_pi", "--lambda2", "1e6", "--grid-steps", "11",
+                    "--format", "json"]) == 1
+    assert "Bloch integration diverged" in capsys.readouterr().err
+
+
+def test_unstable_sse_step_exits_2(capsys):
+    assert run_cli(["simulate", "--kind", "flat_pi", "--sse", "--lambda2", "1e6", "--n-traj", "4",
+                    "--grid-steps", "11", "--dt", "0.1"]) == 2
+    assert "lambda2 * max|Omega|^2 * dt" in capsys.readouterr().err

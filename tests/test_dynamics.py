@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, ErrorSetting,
-                    PureState, TimeGrid, bloch_from_pure, constant,
+from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, EnsembleResult, ErrorSetting,
+                    PureState, TimeGrid, bloch_from_pure, constant, dynamics,
                     evolve_bloch, evolve_pure, evolve_sse, make_flat_pi,
                     make_transitionless, monte_carlo_p2)
 from invlab.dynamics import _sse_run, trajectory_rng
@@ -171,10 +171,43 @@ def test_monte_carlo_transitionless_vs_bloch(grid):
     assert abs(res.p2_mean - master) < 3.0 * res.p2_stderr
 
 
-def test_monte_carlo_batching_invariance(grid, flat_field):
-    a = monte_carlo_p2(flat_field, 0.09, 64, 1.0 / 2000.0, seed=3, batch_size=64)
-    b = monte_carlo_p2(flat_field, 0.09, 64, 1.0 / 2000.0, seed=3, batch_size=7)
+def test_monte_carlo_batching_invariance(grid, flat_field, monkeypatch):
+    monkeypatch.setattr(dynamics, "_SSE_BATCH", 64)
+    a = monte_carlo_p2(flat_field, 0.09, 64, 1.0 / 2000.0, seed=3)
+    monkeypatch.setattr(dynamics, "_SSE_BATCH", 7)
+    b = monte_carlo_p2(flat_field, 0.09, 64, 1.0 / 2000.0, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("kind, n_traj, batch", [("flat", 16, None), ("transitionless", 11, 4)])
+def test_monte_carlo_is_a_batch_of_evolve_sse_runs(grid, flat_field, monkeypatch,
+                                                    kind, n_traj, batch):
+    field = flat_field if kind == "flat" else make_transitionless(2.0, 1.3, grid)
+    if batch:
+        monkeypatch.setattr(dynamics, "_SSE_BATCH", batch)  # 11 trajectories cross two boundaries
+    dt, seed = 1.0 / 2000.0, 17
+    res = monte_carlo_p2(field, 0.09, n_traj, dt, seed)
+    p2 = np.array([evolve_sse(field, GROUND_PURE, 0.09, dt, seed, traj_index=i).final_p2()
+                   for i in range(n_traj)])
+    assert res == EnsembleResult(float(np.mean(p2)), float(np.std(p2, ddof=1) / math.sqrt(n_traj)),
+                                 n_traj, seed, dt)
+
+
+def test_sse_rejects_an_unstable_step(flat_field):
+    # lambda2 * max|Omega|^2 * dt = 0.5 * pi^2 * 1/2000 ~ 2.5e-3: accepted
+    evolve_sse(flat_field, GROUND_PURE, 0.5, 1.0 / 2000.0, seed=0)
+    with pytest.raises(ValueError, match="lambda2 \\* max"):
+        evolve_sse(flat_field, GROUND_PURE, 500.0, 1.0 / 2000.0, seed=0)
+    with pytest.raises(ValueError, match="unstable"):
+        monte_carlo_p2(flat_field, 500.0, 4, 1.0 / 2000.0, seed=0)
+
+
+def test_bloch_divergence_is_refused():
+    field = make_flat_pi(0.0, TimeGrid(11))  # lambda2 h = 1e5: RK4 is far outside its stable range
+    with pytest.raises(RuntimeError, match="diverged"):
+        evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=1e6))
+    with pytest.raises(RuntimeError, match="diverged"):
+        dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=1e6)])
 
 
 def test_monte_carlo_thread_invariance(grid, flat_field, monkeypatch):
@@ -216,3 +249,12 @@ def test_trajectory_rng_is_counter_based():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         trajectory_rng(-1, 0)
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in ("seed", "traj_index")
+                                       for bad in (-1, 2**64, 1.5, True, "1")])
+def test_trajectory_rng_rejects_bad_keys(name, bad):
+    keys = {"seed": 0, "traj_index": 0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        trajectory_rng(**keys)
+    trajectory_rng(**{**keys, name: np.uint64(2**64 - 1)})

@@ -127,5 +127,6 @@ def test_linear_theta_with_diagonal_alpha_is_suboptimal(grid):
 
 
 def test_optimal_noise_angles_validation(grid):
-    with pytest.raises(ValueError):
-        optimal_noise_angles(grid, 2)
+    for n in (2, 7.5, True):
+        with pytest.raises(ValueError):
+            optimal_noise_angles(grid, n)
