@@ -236,16 +236,16 @@ def cmd_protocol(cfg: dict) -> None:
 def cmd_simulate(cfg: dict) -> None:
     field = _field_from_config(cfg)
     T = cfg["duration"]
+    setting = ErrorSetting(beta=float(cfg["errors"]["beta"]),
+                           lambda2=float(cfg["errors"]["lambda2"]))
     if cfg["simulate"]["sse"]:
         mc = cfg["monte_carlo"]
-        result = monte_carlo_p2(field, float(cfg["errors"]["lambda2"]),
+        result = monte_carlo_p2(field, setting.lambda2,
                                 int(mc["n_traj"]), float(mc["dt"]), int(mc["seed"]))
         _emit(cfg, _json_text({"p2_mean": result.p2_mean, "p2_stderr": result.p2_stderr,
                                "n_traj": result.n_traj, "seed": result.seed,
                                "dt": result.dt * T}))
         return
-    setting = ErrorSetting(beta=float(cfg["errors"]["beta"]),
-                           lambda2=float(cfg["errors"]["lambda2"]))
     traj = evolve_bloch(field, GROUND_BLOCH, setting)
     cols = [field.grid.times * T, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]]
     if cfg["output"]["format"] == "json":

@@ -39,7 +39,15 @@ Ito stochastic Schrodinger equation
     dpsi = -i H0 dt psi - (lambda^2/2) H2^2 dt psi - i lambda H2 dW psi,
 
 with two independent Wiener increments driving the real and imaginary
-Rabi channels.  No normalization is enforced during evolution; final
+Rabi channels.  Each step is again a matrix [[a_k, b_k], [-b_k*, a_k*]]:
+
+    a_k = 1 + dt (i d_k / 2 - lambda^2 |Omega_k|^2 / 8),
+    b_k = -1/2 w_I (dt + lambda dW_I) - i/2 w_R (dt + lambda dW_R).
+
+a_k holds the detuning and the Ito correction; it is the same for every
+trajectory and formed once for all steps.  Only b_k reads a trajectory's
+increments, and it is formed a block of steps at a time straight from
+the draws.  No normalization is enforced during evolution; final
 probabilities divide by the squared norm to absorb the O(dt) drift.
 Each trajectory draws its increments from a counter-based Philox
 stream keyed by (seed, trajectory index), so ensembles are
@@ -59,7 +67,12 @@ from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureStat
                    write_csv)
 
 _MAX_SEED = 2**64
-_SSE_BATCH = 1024  # trajectories per monte_carlo_p2 batch; its draws take 16 B per step each
+# Trajectories per monte_carlo_p2 batch.  Their draws, 16 B per step each
+# (65 MB at 4000 steps), are the only batch-by-steps buffer: the integration
+# reads them in place, beside a few amplitude vectors and the b_k of one
+# block of _SSE_BLOCK steps.
+_SSE_BATCH = 1024
+_SSE_BLOCK = 32  # steps per block of b_k; 16-64 measured alike, 128 slower
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,10 @@ class ErrorSetting:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda2 < 0.0:
-            raise ValueError(f"lambda2 must be >= 0, got {self.lambda2}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not (math.isfinite(self.lambda2) and self.lambda2 >= 0.0):
+            raise ValueError(f"lambda2 must be finite and >= 0, got {self.lambda2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,32 +365,57 @@ def _sse_run(field: ControlField, c1, c2, lambda2: float, dt: float,
              dw_r, dw_i, record_every: int = 0):
     """Euler-Maruyama core, vectorized over a batch of trajectories.
 
-    ``c1, c2``: complex arrays (batch,).  ``dw_r, dw_i``: increments of
-    shape (n_sse_steps, batch).  All operations are elementwise, so a
-    batch of one reproduces ensemble members bit for bit.  Returns the
-    final amplitudes and, if record_every > 0, the states at the grid
-    nodes.
+    ``c1, c2``: complex arrays (batch,), not modified.  ``dw_r, dw_i``:
+    increments of shape (n_sse_steps, batch), any strides.  Step k maps
+    (c1, c2) by [[a_k, b_k], [-b_k*, a_k*]] with
+
+        a_k = 1 + dt (i d_k / 2 - lambda^2 |Omega_k|^2 / 8),
+        b_k = -1/2 w_I (dt + lambda dW_I) - i/2 w_R (dt + lambda dW_R),
+
+    a_k shared by the batch and formed once, b_k a block of steps at a
+    time.  Every operation is elementwise and writes a separate buffer
+    (numpy rounds an in-place complex multiply of length 1 differently),
+    so a batch of one reproduces ensemble members bit for bit.  Returns the
+    final amplitudes and, if record_every > 0, the states at every
+    record_every-th step.
     """
-    n_sse = dw_r.shape[0]
+    n_sse, count = dw_r.shape
     lam = math.sqrt(lambda2)
     tk = np.arange(n_sse) * dt  # Ito: channels at left endpoints
     wr, wi, dl = field.values(tk)
+    a = 1.0 + dt * (0.5j * dl - 0.125 * lambda2 * (wr * wr + wi * wi))  # H2^2 Ito correction
+    ac = a.conj()
+    hr, hi = (-0.5 * wr)[:, None], (-0.5 * wi)[:, None]
+    rows = min(_SSE_BLOCK, n_sse)
+    b, bc = np.empty((2, rows, count), dtype=complex)
+    s = np.empty((rows, count))
+    c1, c2 = np.array(c1, dtype=complex), np.array(c2, dtype=complex)
+    n1, n2, t = np.empty((3, count), dtype=complex)
     recorded = None
     if record_every:
-        recorded = np.empty((n_sse // record_every + 1, c1.shape[0], 2), dtype=complex)
+        recorded = np.empty((n_sse // record_every + 1, count, 2), dtype=complex)
         recorded[0, :, 0] = c1
         recorded[0, :, 1] = c2
-    for k in range(n_sse):
-        w_r, w_i, d = wr[k], wi[k], dl[k]
-        decay = 0.125 * lambda2 * (w_r * w_r + w_i * w_i)  # Ito drift correction, H2^2 term
-        g_r = -0.5j * lam * w_r * dw_r[k]
-        g_i = 0.5 * lam * w_i * dw_i[k]
-        n1 = c1 + dt * (-0.5j * (-d * c1 + (w_r - 1j * w_i) * c2) - decay * c1) + g_r * c2 - g_i * c2
-        n2 = c2 + dt * (-0.5j * ((w_r + 1j * w_i) * c1 + d * c2) - decay * c2) + g_r * c1 + g_i * c1
-        c1, c2 = n1, n2
-        if record_every and (k + 1) % record_every == 0:
-            recorded[(k + 1) // record_every, :, 0] = c1
-            recorded[(k + 1) // record_every, :, 1] = c2
+    for k0 in range(0, n_sse, rows):
+        k1 = min(k0 + rows, n_sse)
+        m = k1 - k0
+        for dw, h, part in ((dw_i, hi, b.real), (dw_r, hr, b.imag)):
+            np.multiply(dw[k0:k1], lam, out=s[:m])
+            s[:m] += dt
+            np.multiply(s[:m], h[k0:k1], out=part[:m])
+        np.conjugate(b[:m], out=bc[:m])
+        for j in range(m):
+            k = k0 + j
+            np.multiply(c1, a[k], out=n1)
+            np.multiply(b[j], c2, out=t)
+            n1 += t
+            np.multiply(c2, ac[k], out=n2)
+            np.multiply(bc[j], c1, out=t)
+            n2 -= t
+            c1, n1, c2, n2 = n1, c1, n2, c2
+            if record_every and (k + 1) % record_every == 0:
+                recorded[(k + 1) // record_every, :, 0] = c1
+                recorded[(k + 1) // record_every, :, 1] = c2
     return c1, c2, recorded
 
 
@@ -384,12 +424,12 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
     """``_sse_run`` on trajectories first .. first+count-1 from psi0; i draws from stream (seed, i).
 
     dt must divide the grid spacing.  Draws fill a contiguous (count, steps, 2)
-    block, then each channel is transposed once: cheaper than strided writes.
+    block, and ``_sse_run`` reads each channel from it as a strided view.
     """
-    ErrorSetting(lambda2=lambda2)  # rejects lambda2 < 0
+    ErrorSetting(lambda2=lambda2)  # rejects a negative or non-finite lambda2
     psi0.check_normalized()
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     grid = field.grid
     ratio = grid.h / dt
     per = int(round(ratio))
@@ -404,8 +444,7 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
     for j in range(count):
         dw[j] = trajectory_rng(seed, first + j).normal(0.0, math.sqrt(dt), size=(n_sse, 2))
     return _sse_run(field, np.full(count, complex(psi0.c1)), np.full(count, complex(psi0.c2)),
-                    lambda2, dt, np.ascontiguousarray(dw[:, :, 0].T),
-                    np.ascontiguousarray(dw[:, :, 1].T),
+                    lambda2, dt, dw[:, :, 0].T, dw[:, :, 1].T,
                     record_every=per if record else 0)
 
 

@@ -300,3 +300,14 @@ def test_unstable_sse_step_exits_2(capsys):
     assert run_cli(["simulate", "--kind", "flat_pi", "--sse", "--lambda2", "1e6", "--n-traj", "4",
                     "--grid-steps", "11", "--dt", "0.1"]) == 2
     assert "lambda2 * max|Omega|^2 * dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--lambda2", "nan"], "lambda2"), (["--lambda2", "inf"], "lambda2"),
+    (["--beta", "nan"], "beta"), (["--beta=-inf"], "beta"),
+    (["--sse", "--lambda2", "nan", "--n-traj", "4", "--dt", "0.001"], "lambda2"),
+    (["--sse", "--beta", "nan"], "beta"),
+    (["--sse", "--dt", "nan"], "dt"), (["--sse", "--dt", "inf"], "dt")])
+def test_non_finite_settings_exit_2(capsys, args, name):
+    assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "11", *args]) == 2
+    assert f"invlab: {name} must be finite" in capsys.readouterr().err

@@ -202,6 +202,25 @@ def test_sse_rejects_an_unstable_step(flat_field):
         monte_carlo_p2(flat_field, 500.0, 4, 1.0 / 2000.0, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"beta": math.nan}, "beta"), ({"beta": math.inf}, "beta"), ({"lambda2": math.nan}, "lambda2"),
+    ({"lambda2": math.inf}, "lambda2"), ({"lambda2": -0.1}, "lambda2")])
+def test_error_setting_requires_finite_values(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ErrorSetting(**kwargs)
+
+
+@pytest.mark.parametrize("lambda2, dt, name", [(math.nan, 1.0 / 2000.0, "lambda2"),
+                                               (math.inf, 1.0 / 2000.0, "lambda2"),
+                                               (0.1, math.nan, "dt"), (0.1, math.inf, "dt"),
+                                               (0.1, 0.0, "dt")])
+def test_sse_requires_finite_settings(flat_field, lambda2, dt, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evolve_sse(flat_field, GROUND_PURE, lambda2, dt, seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        monte_carlo_p2(flat_field, lambda2, 4, dt, seed=0)
+
+
 def test_bloch_divergence_is_refused():
     field = make_flat_pi(0.0, TimeGrid(11))  # lambda2 h = 1e5: RK4 is far outside its stable range
     with pytest.raises(RuntimeError, match="diverged"):

@@ -1,7 +1,9 @@
-"""Properties of the RK4 propagator kernel on random smooth fields.
+"""Properties of the RK4 propagator kernel and the SSE step on random fields.
 
-The scalar loops in rk4_reference.py are the oracle: the kernel forms
-the same classical RK4 steps as matrices, so the two agree to rounding.
+The scalar loops in rk4_reference.py are the oracle for the RK4 kernel:
+it forms the same classical RK4 steps as matrices, so the two agree to
+rounding.  The elementwise loop in sse_reference.py is the oracle for the
+Euler-Maruyama step in the same way.
 """
 
 import math
@@ -13,8 +15,11 @@ from hypothesis import strategies as st
 
 from invlab import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, ErrorSetting,
                     PureState, TimeGrid, dynamics, evolve_bloch, evolve_propagator,
-                    evolve_pure, final_p2_bloch, final_p2_pure)
+                    evolve_pure, final_p2_bloch, final_p2_pure, make_flat_pi,
+                    make_transitionless, monte_carlo_p2)
+from invlab.dynamics import trajectory_rng
 from rk4_reference import reference_bloch, reference_pure
+from sse_reference import reference_sse_run
 
 GRID = TimeGrid(201)
 coef = st.floats(-4.0, 4.0)
@@ -42,6 +47,22 @@ def pure_states(draw):
     return PureState(complex(x[0], x[1]), complex(x[2], x[3]))
 
 
+@st.composite
+def bloch_states(draw):
+    """Unit Bloch vectors; the ground state when the drawn vector is near zero."""
+    x = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    norm = float(np.linalg.norm(x))
+    return GROUND_BLOCH if norm < 1e-3 else BlochState(*(x / norm))
+
+
+@st.composite
+def sse_fields(draw):
+    """A flat pi pulse of random phase or a transitionless sweep of random (omega0, delta0)."""
+    if draw(st.booleans()):
+        return make_flat_pi(draw(st.floats(-math.pi, math.pi)), GRID)
+    return make_transitionless(draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0)), GRID)
+
+
 @settings(max_examples=25, deadline=None)
 @given(smooth_fields(), betas, lambda2s)
 def test_bloch_matches_scalar_reference(field, beta, lambda2):
@@ -49,6 +70,16 @@ def test_bloch_matches_scalar_reference(field, beta, lambda2):
     traj = evolve_bloch(field, BlochState(*r0), ErrorSetting(beta, lambda2))
     ref = reference_bloch(field, r0, beta, lambda2)
     assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(smooth_fields(), betas, st.floats(0.0, 1.0, exclude_min=True), bloch_states())
+def test_bloch_contracts_under_noise(field, beta, lambda2, r0):
+    # d|r|^2/dt = -lambda^2 (WI^2 r1^2 + WR^2 r2^2 + (WR^2 + WI^2) r3^2) <= 0
+    traj = evolve_bloch(field, r0, ErrorSetting(beta, lambda2))
+    assert np.all(np.diff(np.linalg.norm(traj.states, axis=1)) <= 1e-9)
+    p2 = traj.p2()
+    assert np.all((p2 >= 0.0) & (p2 <= 1.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,3 +150,41 @@ def test_final_p2_rejects_divergence():
                                          lambda t: 0 * t, lambda t: 0 * t)
     with pytest.raises(RuntimeError):
         final_p2_bloch(blowup, [ErrorSetting(lambda2=1.0)])
+
+
+def _sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record):
+    """Trajectories 0 .. n_traj-1 drawn and integrated ``batch`` at a time, joined."""
+    runs = [dynamics._sse_trajectories(field, psi0, lambda2, dt, seed, lo,
+                                       min(batch, n_traj - lo), record)
+            for lo in range(0, n_traj, batch)]
+    c1, c2, recorded = zip(*runs)
+    return (np.concatenate(c1), np.concatenate(c2),
+            np.concatenate(recorded, axis=1) if record else None)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sse_fields(), st.floats(0.0, 0.5), st.integers(1, 4),
+       pure_states().filter(lambda p: abs(p.c2) > 0.0), st.booleans(),
+       st.integers(0, 2**63))
+def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, psi0, record, seed):
+    n_traj, n_sse = 7, per * (GRID.n_steps - 1)
+    dt = GRID.h / per
+    dw = np.stack([trajectory_rng(seed, i).normal(0.0, math.sqrt(dt), size=(n_sse, 2))
+                   for i in range(n_traj)])
+    ref = reference_sse_run(field, np.full(n_traj, complex(psi0.c1)),
+                            np.full(n_traj, complex(psi0.c2)), lambda2, dt,
+                            dw[:, :, 0].T, dw[:, :, 1].T, per if record else 0)
+    runs = [_sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record)
+            for batch in (1, 3, 7)]
+    keep = 3 if record else 2  # final c1, c2 and the recorded states, if any
+    for got, want in zip(runs[0][:keep], ref[:keep]):
+        assert np.max(np.abs(got - want)) < 1e-12
+    # every step writes a separate buffer, so a batch of one rounds like the rest
+    for run in runs[1:]:
+        assert all(np.array_equal(got, want) for got, want in zip(run[:keep], runs[0][:keep]))
+    ensembles = []
+    with pytest.MonkeyPatch.context() as mp:
+        for batch in (1, 3, 7):
+            mp.setattr(dynamics, "_SSE_BATCH", batch)
+            ensembles.append(monte_carlo_p2(field, lambda2, n_traj, dt, seed))
+    assert ensembles[0] == ensembles[1] == ensembles[2]
