@@ -316,16 +316,20 @@ _COMMANDS = {
 }
 
 
-def _attach_axis_values(argv: list) -> list:
-    """Rewrite '--axis1 -1,1,21' as '--axis1=-1,1,21'.
+_VALUE_FLAGS = frozenset(opt.flag for opt in _OPTIONS if opt.type is not bool)
 
-    argparse takes a separate value that starts with '-' for a flag, so an
-    axis with a negative minimum would otherwise only parse in '=' form.
+
+def _attach_values(argv: list) -> list:
+    """Rewrite '--beta -5e-2' as '--beta=-5e-2' for every value-taking flag.
+
+    argparse takes a separate value that starts with '-' for a flag unless
+    it looks like a plain negative number, so '-inf', '-1e-3' and an axis
+    with a negative minimum would otherwise only parse in '=' form.
     """
     argv = list(argv)
     for i in range(len(argv) - 2, -1, -1):
         value = argv[i + 1]
-        if argv[i] in ("--axis1", "--axis2") and value.startswith("-") and not value.startswith("--"):
+        if argv[i] in _VALUE_FLAGS and value.startswith("-") and not value.startswith("--"):
             argv[i:i + 2] = [f"{argv[i]}={value}"]
     return argv
 
@@ -333,7 +337,7 @@ def _attach_axis_values(argv: list) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_axis_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if not getattr(args, "command", None):

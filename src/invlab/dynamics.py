@@ -53,12 +53,18 @@ Each trajectory draws its increments from a counter-based Philox
 stream keyed by (seed, trajectory index), so ensembles are
 order-independent and bit-reproducible under any batching; a single
 trajectory is a batch of one and equals its ensemble member bit for bit.
+The streams are independent, so a batch's draws are filled concurrently
+on the CPUs the process may use, a contiguous slice of trajectories
+each; the integration stays on the calling thread, and no result
+depends on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent import futures  # its thread pool module loads on first use
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +74,9 @@ from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureStat
 
 _MAX_SEED = 2**64
 # Trajectories per monte_carlo_p2 batch.  Their draws, 16 B per step each
-# (65 MB at 4000 steps), are the only batch-by-steps buffer: the integration
-# reads them in place, beside a few amplitude vectors and the b_k of one
-# block of _SSE_BLOCK steps.
+# (65 MB at 4000 steps), are the only batch-by-steps buffer: every allowed
+# CPU fills its slice of it in place, and the integration reads it in place,
+# beside a few amplitude vectors and the b_k of one block of _SSE_BLOCK steps.
 _SSE_BATCH = 1024
 _SSE_BLOCK = 32  # steps per block of b_k; 16-64 measured alike, 128 slower
 
@@ -419,12 +425,48 @@ def _sse_run(field: ControlField, c1, c2, lambda2: float, dt: float,
     return c1, c2, recorded
 
 
+def _draw_workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_draws(dw: np.ndarray, seed: int, first: int, scale: float) -> None:
+    """Fill dw[j] with scale times stream (seed, first + j)'s standard normals.
+
+    Trajectories are split into one contiguous slice per allowed CPU (never
+    more slices than trajectories).  The calling thread fills the first and
+    a short-lived pool the others; numpy releases the GIL while it fills.
+    Each stream is filled whole and ``standard_normal * scale`` rounds as
+    ``normal(0, scale)`` does, so the draws do not depend on the split.
+    """
+    count = dw.shape[0]
+    parts = min(count, _draw_workers())
+    bounds = [count * i // parts for i in range(parts + 1)]
+
+    def fill(lo, hi):
+        for j in range(lo, hi):
+            trajectory_rng(seed, first + j).standard_normal(out=dw[j])
+        dw[lo:hi] *= scale
+
+    if parts == 1:
+        fill(0, count)
+        return
+    with futures.ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fill(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
+
+
 def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: float,
                       seed: int, first: int, count: int, record: bool = False):
     """``_sse_run`` on trajectories first .. first+count-1 from psi0; i draws from stream (seed, i).
 
     dt must divide the grid spacing.  Draws fill a contiguous (count, steps, 2)
-    block, and ``_sse_run`` reads each channel from it as a strided view.
+    block, concurrently on the allowed CPUs (``_fill_draws``), and ``_sse_run``
+    reads each channel from it as a strided view on the calling thread.
     """
     ErrorSetting(lambda2=lambda2)  # rejects a negative or non-finite lambda2
     psi0.check_normalized()
@@ -441,8 +483,7 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
         raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
                          f"{stiffness:.3g} >= 1; take a smaller dt")
     dw = np.empty((count, n_sse, 2))
-    for j in range(count):
-        dw[j] = trajectory_rng(seed, first + j).normal(0.0, math.sqrt(dt), size=(n_sse, 2))
+    _fill_draws(dw, seed, first, math.sqrt(dt))
     return _sse_run(field, np.full(count, complex(psi0.c1)), np.full(count, complex(psi0.c2)),
                     lambda2, dt, dw[:, :, 0].T, dw[:, :, 1].T,
                     record_every=per if record else 0)

@@ -223,6 +223,12 @@ def test_c12_cli_determinism(tmp_path):
         proc = subprocess.run(args + ["--out", str(path)], env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
+    # the ensemble's draws are split over the CPUs the process may use; pin one
+    path = tmp_path / "pinned.json"
+    proc = subprocess.run(args + ["--out", str(path)], capture_output=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+    assert proc.returncode == 0, proc.stderr
+    outs.append(path.read_bytes())
     sweep_outs = []
     for threads in ("1", "8"):
         env = dict(os.environ)
@@ -234,9 +240,9 @@ def test_c12_cli_determinism(tmp_path):
              "--out", str(base)], env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         sweep_outs.append((base.parent / f"sw{threads}.csv").read_bytes())
-    ok = (outs[0] == outs[1] == outs[2] == outs[3]) and sweep_outs[0] == sweep_outs[1]
+    ok = len(set(outs)) == 1 and sweep_outs[0] == sweep_outs[1]
     report(12, "CLI determinism: byte-identical ensemble and sweep outputs across "
-               "two runs and INVLAB_THREADS=1 vs 8", ok)
+               "repeated runs, and the ensemble on all allowed CPUs vs one", ok)
 
 
 def test_figure_ordering_properties(grid, flat_field, optimal_noise_field):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import invlab.cli as cli_module
-from invlab import ControlField, TimeGrid, make_transitionless
+from invlab import ControlField, TimeGrid, dynamics, make_transitionless
 from invlab.cli import main
 
 FIG1 = ["--omega0", "4.0693", "--delta0", "5.2710"]
@@ -91,7 +91,7 @@ def test_simulate_sse_deterministic(tmp_path, monkeypatch):
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("INVLAB_THREADS", "2")
+    monkeypatch.setattr(dynamics, "_draw_workers", lambda: 1)
     assert run_cli(args + ["--out", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()
     payload = json.loads(out1.read_text())
@@ -311,3 +311,21 @@ def test_unstable_sse_step_exits_2(capsys):
 def test_non_finite_settings_exit_2(capsys, args, name):
     assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "11", *args]) == 2
     assert f"invlab: {name} must be finite" in capsys.readouterr().err
+
+
+def test_spaced_negative_exponent_value_parses_like_joined(tmp_path):
+    outputs = []
+    for name, form in (("spaced", ["--beta", "-5e-2"]), ("joined", ["--beta=-0.05"])):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "101", *form,
+                        "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--beta", "-inf"], "beta must be finite"),
+    (["--lambda2", "-1e-3"], "lambda2 must be finite and >= 0")])
+def test_spaced_negative_values_reach_their_checks(capsys, args, message):
+    assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "11", *args]) == 2
+    assert f"invlab: {message}" in capsys.readouterr().err

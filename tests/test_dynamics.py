@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -231,9 +232,15 @@ def test_bloch_divergence_is_refused():
 
 def test_monte_carlo_thread_invariance(grid, flat_field, monkeypatch):
     a = monte_carlo_p2(flat_field, 0.09, 128, 1.0 / 2000.0, seed=3)
-    monkeypatch.setenv("INVLAB_THREADS", "4")
-    b = monte_carlo_p2(flat_field, 0.09, 128, 1.0 / 2000.0, seed=3)
-    assert a == b
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the draw threads as finely as possible
+    try:
+        for workers in (1, 2, 3, 200):  # 200: more draw workers than trajectories
+            monkeypatch.setattr(dynamics, "_draw_workers", lambda: workers)
+            b = monte_carlo_p2(flat_field, 0.09, 128, 1.0 / 2000.0, seed=3)
+            assert a == b
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sse_weak_order_one(grid, flat_field):

@@ -7,6 +7,7 @@ Euler-Maruyama step in the same way.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -188,3 +189,50 @@ def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, psi
             mp.setattr(dynamics, "_SSE_BATCH", batch)
             ensembles.append(monte_carlo_p2(field, lambda2, n_traj, dt, seed))
     assert ensembles[0] == ensembles[1] == ensembles[2]
+
+
+@settings(max_examples=6, deadline=None)
+@given(sse_fields(), st.floats(0.0, 0.5), pure_states(), st.integers(0, 2**63),
+       st.integers(0, 2**32))
+def test_sse_draws_do_not_depend_on_worker_count_or_batch(field, lambda2, psi0, seed, index):
+    dt = GRID.h / 2
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for workers in (1, 2, 3, 5):
+            mp.setattr(dynamics, "_draw_workers", lambda: workers)
+            for batch in (1, 3, 7):  # batches of fewer trajectories than workers too
+                mp.setattr(dynamics, "_SSE_BATCH", batch)
+                states = dynamics.evolve_sse(field, psi0, lambda2, dt, seed, index).states
+                runs.append((states, monte_carlo_p2(field, lambda2, 7, dt, seed)))
+    for states, ensemble in runs[1:]:
+        assert np.array_equal(states, runs[0][0]) and ensemble == runs[0][1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.floats(1e-8, 1.0))
+def test_scaled_standard_normal_is_normal(seed, index, dt):
+    """The SSE draw, standard_normal then * sqrt(dt), is normal(0, sqrt(dt)) bit for bit."""
+    scale = math.sqrt(dt)
+    want = trajectory_rng(seed, index).normal(0.0, scale, size=(300, 2))
+    got = np.empty((300, 2))
+    trajectory_rng(seed, index).standard_normal(out=got)
+    got *= scale
+    assert got.tobytes() == want.tobytes()  # signs of zero included
+
+
+def test_draw_pool_leaves_the_calling_thread_one_cpu(monkeypatch, flat_field):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    asked = []
+
+    class Recording(dynamics.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(dynamics.futures, "ThreadPoolExecutor", Recording)
+    dynamics.evolve_sse(flat_field, GROUND_PURE, 0.09, flat_field.grid.h, seed=1)
+    assert asked == []  # one trajectory: no pool
+    monkeypatch.setattr(dynamics, "_SSE_BATCH", 5)
+    monte_carlo_p2(flat_field, 0.09, 11, flat_field.grid.h, seed=1)  # batches of 5, 5 and 1
+    assert asked == ([min(5, cpus) - 1] * 2 if cpus > 1 else [])
+    assert all(1 <= n <= cpus - 1 for n in asked)

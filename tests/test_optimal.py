@@ -7,8 +7,8 @@ from scipy.special import ellipeinc
 
 from invlab import (InvariantAngles, TimeGrid, constant, first_integral_constant,
                     optimal_noise_angles, qn_lagrangian, solve_optimal_theta,
-                    solve_optimal_theta_shooting, stationarity_m,
-                    verify_stationarity)
+                    stationarity_m, verify_stationarity)
+from shooting_reference import solve_optimal_theta_shooting
 
 
 @pytest.fixture(scope="module")
