@@ -187,8 +187,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         _check_value(opt, table[opt.key])
 
     cfg["protocol"]["gauge"] = cfg["protocol"]["gauge"].replace("-", "_")
-    if not (cfg["duration"] > 0.0):
-        raise ValueError(f"duration must be positive, got {cfg['duration']}")
+    if not (cfg["duration"] > 0.0 and math.isfinite(cfg["duration"])):
+        raise ValueError(f"duration must be finite and positive, got {cfg['duration']}")
     return cfg
 
 

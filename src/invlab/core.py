@@ -21,7 +21,10 @@ Control channels are kept as closed-form callables whenever the
 generator has them; otherwise a cubic spline over the grid samples
 stands in, which keeps fourth-order integrators at full accuracy.
 Derivatives of sampled quantities use centered second-order
-differences (one-sided second-order at the endpoints) throughout.
+differences (one-sided second-order at the endpoints) throughout, and
+integrals over the grid use the in-house composite Simpson rule
+``simpson``.  Only numpy is loaded with this module; scipy's spline is
+imported when a field without closed forms first needs one.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 CSV_FIELD_HEADER = "t,omega_r,omega_i,delta"
 
@@ -49,7 +50,7 @@ class TimeGrid:
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be positive, got {self.duration}")
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
     @property
     def times(self) -> np.ndarray:
@@ -68,6 +69,27 @@ def sampled_derivative(values: np.ndarray, h: float) -> np.ndarray:
     second-order at the endpoints (np.gradient with edge_order=2).
     """
     return np.gradient(np.asarray(values, dtype=float), h, edge_order=2)
+
+
+def simpson(y, dx: float):
+    """Composite Simpson's rule over uniformly spaced samples, along the last axis.
+
+    Matches ``scipy.integrate.simpson(y, dx=dx)``: 0 for one sample, the
+    trapezoid rule for two, composite Simpson for an odd count and, for an
+    even count, Simpson over all but the last interval plus Cartwright's
+    correction dx (5 y[-1] + 8 y[-2] - y[-3]) / 12.  Complex samples work.
+    """
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n == 2:
+        return 0.5 * dx * (y[..., 0] + y[..., 1])
+    stop = n - 2 if n % 2 else n - 3  # the odd-count head covers samples 0 .. stop+1
+    result = np.sum(y[..., 0:stop:2] + 4.0 * y[..., 1:stop + 1:2] + y[..., 2:stop + 2:2],
+                    axis=-1)
+    result *= dx / 3.0
+    if n % 2 == 0:
+        result += dx * (5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]) / 12.0
+    return result
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -104,6 +126,8 @@ class ControlField:
                 raise ValueError(f"{name} is not finite at every grid point")
             object.__setattr__(self, name, arr)
             if getattr(self, name + "_fn") is None:
+                from scipy.interpolate import CubicSpline
+
                 object.__setattr__(self, name + "_fn", CubicSpline(ts, arr))
 
     @classmethod
@@ -138,7 +162,7 @@ class ControlField:
 
     def pulse_area(self) -> float:
         """Integral of |Omega| over the full duration (Simpson on the grid)."""
-        return float(simpson(np.hypot(self.omega_r, self.omega_i), x=self.grid.times))
+        return float(simpson(np.hypot(self.omega_r, self.omega_i), self.grid.h))
 
     def to_csv(self, path) -> None:
         write_csv(path, CSV_FIELD_HEADER, [self.grid.times, self.omega_r, self.omega_i, self.delta])

@@ -13,10 +13,12 @@ Quadrature of the first integral fixes
     c = (1/T) Int_0^pi sqrt(3 + cos(2 s)) ds
 
 Since sqrt(3 + cos 2s) = 2 sqrt(1 - sin^2(s) / 2), the quadrature is an
-incomplete elliptic integral of the second kind, t(theta) = (2/c) E(theta | 1/2),
-and theta(t) follows by inverting it with Newton's method; no
-boundary-value iteration is needed.  The tests check it against a
-conventional shooting solver of the second-order equation.
+incomplete elliptic integral of the second kind: c = 2 E(pi | 1/2) / T and
+t(theta) = (2/c) E(theta | 1/2), and theta(t) follows by inverting it with
+Newton's method; no boundary-value iteration is needed.  The tests check
+it against a conventional shooting solver of the second-order equation.
+scipy (the elliptic integral and the interpolants) is imported inside the
+functions that use it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-from scipy.special import ellipeinc
 
 from .core import InvariantAngles, TimeGrid, write_csv
 from .sensitivity import qn_lagrangian
@@ -87,10 +86,10 @@ class ThetaSolution:
 
 
 def first_integral_constant(duration: float = 1.0) -> float:
-    """c = (1/T) Int_0^pi sqrt(3 + cos 2 s) ds."""
-    val, _ = quad(lambda s: math.sqrt(3.0 + math.cos(2.0 * s)), 0.0, math.pi,
-                  epsabs=1e-13, epsrel=1e-13)
-    return val / duration
+    """c = (1/T) Int_0^pi sqrt(3 + cos 2 s) ds = 2 E(pi | 1/2) / T."""
+    from scipy.special import ellipeinc
+
+    return 2.0 * float(ellipeinc(math.pi, 0.5)) / duration
 
 
 def solve_optimal_theta(grid: TimeGrid) -> ThetaSolution:
@@ -103,6 +102,9 @@ def solve_optimal_theta(grid: TimeGrid) -> ThetaSolution:
     follows analytically; a cubic Hermite interpolant through both serves
     other times, within 1e-14 of the exact inverse.
     """
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.special import ellipeinc
+
     c = first_integral_constant(grid.duration)
     knots = TimeGrid(2 * grid.n_steps - 1, grid.duration).times
     u = knots / grid.duration
@@ -137,6 +139,8 @@ def stationarity_m(angles: InvariantAngles, n_dense: int = 4001) -> Callable:
     if angles.theta_dot is not None:
         theta_dot = angles.theta_dot
     else:
+        from scipy.interpolate import PchipInterpolator
+
         grid = TimeGrid(n_dense)
         s = angles.sample(grid)
         theta_dot = PchipInterpolator(grid.times, s.theta_dot)

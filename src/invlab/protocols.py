@@ -28,7 +28,6 @@ from inspect import Parameter
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import ControlField, InvariantAngles, TimeGrid, constant
 from .optimal import solve_optimal_theta
@@ -53,6 +52,8 @@ def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
 
 def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlField:
     """Nonnegative envelope rescaled so the pulse area is exactly pi."""
+    from scipy.integrate import quad
+
     envelope, alpha = _check("shaped_pi", envelope=envelope, alpha=alpha).values()
     T = grid.duration
     area, _ = quad(envelope, 0.0, T, epsabs=1e-12, epsrel=1e-12, limit=200)

@@ -24,9 +24,9 @@ Each closed form is paired with an independent finite-difference route
 that evolves the perturbed dynamics at several error strengths and fits
 the quadratic response; the two must agree within max(1%, fit error).
 
-Quadrature is composite Simpson on the evolution grid; each formula
-report carries a numerical-error estimate from comparing against the
-half-resolution quadrature.
+Quadrature is the composite Simpson rule of :func:`invlab.core.simpson`
+on the evolution grid; each formula report carries a numerical-error
+estimate from comparing against the half-resolution quadrature.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .core import GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid
+from .core import GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid, simpson
 from .dynamics import (ErrorSetting, Trajectory, evolve_bloch, evolve_propagator,
                        final_p2_bloch, final_p2_pure)
 
@@ -66,10 +65,10 @@ def _require_inversion(label: str, p2_final: float) -> None:
             f"protocol does not invert: P2(T) = {p2_final!r} for {label or 'field'}")
 
 
-def _simpson_with_estimate(f: np.ndarray, ts: np.ndarray) -> tuple[float, float]:
+def _simpson_with_estimate(f: np.ndarray, h: float) -> tuple[float, float]:
     """Composite Simpson plus an error estimate from the half-resolution grid."""
-    full = float(simpson(f, x=ts))
-    half = float(simpson(f[::2], x=ts[::2]))
+    full = float(simpson(f, h))
+    half = float(simpson(f[::2], 2.0 * h))
     return full, abs(full - half)
 
 
@@ -80,7 +79,7 @@ def qn_formula(field: ControlField) -> SensitivityReport:
     r = traj.states
     wr, wi = field.omega_r, field.omega_i
     f = wi**2 * (r[:, 0] ** 2 + r[:, 2] ** 2) + wr**2 * (r[:, 1] ** 2 + r[:, 2] ** 2)
-    qn, err = _simpson_with_estimate(0.25 * f, field.grid.times)
+    qn, err = _simpson_with_estimate(0.25 * f, field.grid.h)
     return SensitivityReport(q_n=qn, method="formula", error_estimate=err)
 
 
@@ -91,10 +90,10 @@ def qn_pi_analytic(field: ControlField) -> SensitivityReport:
         raise ValueError("field has a nonzero imaginary Rabi component")
     if np.max(np.abs(field.delta)) > 1e-8 * scale:
         raise ValueError("field is not on resonance (nonzero detuning)")
-    area = float(simpson(field.omega_r, x=field.grid.times))
+    area = float(simpson(field.omega_r, field.grid.h))
     if abs(area - np.pi) > 1e-6:
         raise ValueError(f"pulse area is {area!r}, not pi")
-    qn, err = _simpson_with_estimate(0.25 * field.omega_r**2, field.grid.times)
+    qn, err = _simpson_with_estimate(0.25 * field.omega_r**2, field.grid.h)
     return SensitivityReport(q_n=qn, method="analytic_pi", error_estimate=err)
 
 
@@ -152,9 +151,9 @@ def qs_formula(field: ControlField) -> SensitivityReport:
     psi0, psip = traj0.states, trajp.states
     f = 0.5 * (np.conj(psip[:, 0]) * (wr - 1j * wi) * psi0[:, 1]
                + np.conj(psip[:, 1]) * (wr + 1j * wi) * psi0[:, 0])
-    ts = field.grid.times
-    amp = complex(simpson(f, x=ts))
-    amp_half = complex(simpson(f[::2], x=ts[::2]))
+    h = field.grid.h
+    amp = complex(simpson(f, h))
+    amp_half = complex(simpson(f[::2], 2.0 * h))
     qs = abs(amp) ** 2
     return SensitivityReport(q_s=qs, method="formula",
                              error_estimate=abs(qs - abs(amp_half) ** 2))
@@ -166,7 +165,7 @@ def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float
     angles.check_boundaries(grid.duration)
     s = angles.sample(grid)
     f = np.exp(-1j * s.gamma) * s.theta_dot * np.sin(s.theta) ** 2
-    return float(abs(simpson(f, x=grid.times)) ** 2)
+    return float(abs(simpson(f, grid.h)) ** 2)
 
 
 def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityReport:
@@ -196,4 +195,4 @@ def qn_lagrangian(angles: InvariantAngles, grid: TimeGrid | None = None) -> floa
     m = s.m
     dens = 0.25 * ((cos_t**2 + cos_a**2 * sin_t**2) * (m * sin_a - cos_a * s.theta_dot) ** 2
                    + (cos_t**2 + sin_a**2 * sin_t**2) * (m * cos_a + sin_a * s.theta_dot) ** 2)
-    return float(simpson(dens, x=grid.times))
+    return float(simpson(dens, grid.h))

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,66 @@ def test_console_entry_point(tmp_path):
          "--grid-steps", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "t,omega_r,omega_i,delta"
+
+
+# Runs one command in a fresh interpreter, then prints whether the process
+# loaded any scipy module; the command's own stdout comes first.
+_IMPORT_PROBE = """
+import sys
+from invlab.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print()
+print(rc, " ".join(scipy) or "-")
+"""
+
+_AXES = ["--axis1", "0.25,1.25,5", "--axis2", "0.25,1.25,5"]
+
+
+def _probe_imports(args, cwd):
+    env = dict(os.environ)
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, scipy = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(rc), scipy.split() if scipy != "-" else []
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["protocol", "--kind", "flat_pi", "--grid-steps", "5"],
+    ["simulate", "--sse", "--kind", "transitionless", *FIG1, "--n-traj", "8",
+     "--grid-steps", "101", "--dt", "0.001"],
+    ["sweep", "--figure", "2", "--grid-steps", "401", *_AXES, "--out", "fig2"],
+    ["sweep", "--figure", "5", "--grid-steps", "401", *_AXES, "--out", "fig5"],
+    ["sensitivity", "--kind", "transitionless", *FIG1, "--method", "formula",
+     "--grid-steps", "401"],
+], ids=["import", "protocol", "simulate-sse", "sweep-2", "sweep-5", "sensitivity-formula"])
+def test_main_paths_load_no_scipy(tmp_path, args):
+    """Importing the CLI, and running closed-form commands, never imports scipy."""
+    rc, scipy = _probe_imports(args, tmp_path)
+    assert rc == 0
+    assert scipy == []
+
+
+def test_optimal_protocol_loads_scipy_on_first_use(tmp_path):
+    rc, scipy = _probe_imports(["protocol", "--kind", "optimal_noise", "--n", "3",
+                                "--out", "field.csv"], tmp_path)
+    assert rc == 0
+    assert "scipy.special" in scipy
+    field = ControlField.read_csv(tmp_path / "field.csv")
+    assert field.grid.n_steps == 2001
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_duration_exits_2(capsys, value):
+    assert run_cli(["protocol", "--kind", "flat_pi", "--grid-steps", "3",
+                    "--duration", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invlab: duration must be finite and positive, got {value}" in captured.err
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson as scipy_simpson
 
 from invlab import (BlochState, ControlField, InvariantAngles, PureState,
                     TimeGrid, bloch_from_pure, constant, excitation_probability,
                     sampled_derivative)
+from invlab.core import simpson
 
 
 def test_time_grid_points():
@@ -16,10 +18,42 @@ def test_time_grid_points():
     assert g.h == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("n_steps,duration", [(1, 1.0), (0, 1.0), (10, 0.0), (10, -1.0)])
+@pytest.mark.parametrize("n_steps,duration", [(1, 1.0), (0, 1.0), (10, 0.0), (10, -1.0),
+                                              (10, math.inf), (10, math.nan)])
 def test_time_grid_rejects_bad_args(n_steps, duration):
     with pytest.raises(ValueError):
         TimeGrid(n_steps, duration)
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 2000, 2001])
+def test_simpson_matches_scipy(n):
+    """The in-house rule against scipy's on uniform grids: real, complex and 2-D samples.
+
+    Agreement is judged relative to dx * sum|y|, the size of the integral
+    without cancellation, so zero-mean random samples are held to it too.
+    """
+    rng = np.random.default_rng(n)
+    for dx in (1.0 / 2000, 0.37, 1.9):
+        positive = rng.uniform(0.0, 1.0, size=(4, n))
+        signed = rng.normal(size=(4, n))
+        for y in (positive, signed, signed + 1j * rng.normal(size=(4, n))):
+            scale = dx * np.sum(np.abs(y), axis=-1)
+            ours, ref = simpson(y, dx), scipy_simpson(y, dx=dx)
+            assert ours.shape == ref.shape == (4,) and ours.dtype == ref.dtype
+            assert np.all(np.abs(ours - ref) <= 1e-13 * scale)
+            row, row_ref = simpson(y[1], dx), scipy_simpson(y[1], dx=dx)
+            assert np.ndim(row) == 0 and abs(row - row_ref) <= 1e-13 * scale[1]
+
+
+def test_simpson_small_counts_and_exactness():
+    assert simpson(np.array([2.5]), 0.1) == 0.0
+    assert simpson(np.array([1.0, 3.0]), 0.5) == 1.0  # trapezoid
+    x = np.linspace(0.0, 2.0, 9)
+    assert simpson(x**3, x[1]) == pytest.approx(4.0, rel=1e-15)  # odd count: exact for cubics
+    x = np.linspace(0.0, 2.0, 8)
+    assert simpson(x**2, x[1]) == pytest.approx(8.0 / 3.0, rel=1e-15)  # even count: exact for quadratics
+    x = np.linspace(0.0, 2.0, 201)
+    assert simpson(np.exp(1j * x), x[1]) == pytest.approx((np.exp(2j) - 1.0) / 1j, rel=1e-9)
 
 
 @pytest.mark.parametrize("r,expected", [
