@@ -100,8 +100,8 @@ _OPTIONS = (
     _Option("protocol", "protocol", "delta0", "--delta0", float, None, None,
             "detuning amplitude times T"),
     _Option("protocol", "protocol", "n", "--n", int, None, None, "protocol family index"),
-    _Option("protocol", "protocol", "gauge", "--gauge", str, None, "zero_omega_i",
-            "optimal_systematic gauge (zero-omega-i | explicit)"),
+    _Option("protocol", "protocol", "gauge", "--gauge", str, ("zero-omega-i",), "zero_omega_i",
+            "optimal_systematic gauge (explicit needs a Python alpha function)"),
     _Option("protocol", "protocol", "envelope", "--envelope", str, tuple(sorted(ENVELOPES)),
             "sin", "shaped_pi envelope name"),
     _Option("simulate", "errors", "beta", "--beta", float, None, 0.0, "systematic error amplitude"),

@@ -37,6 +37,8 @@ from typing import Callable
 import numpy as np
 
 CSV_FIELD_HEADER = "t,omega_r,omega_i,delta"
+_NORM_TOL = 1e-6  # a pure state's norm may miss 1 by this much
+_BOUNDARY_TOL = 1e-9  # theta(0) = 0 and theta(T) = pi hold to this
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,9 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
 
-    def check_normalized(self, tol: float = 1e-6) -> None:
-        """ValueError unless the norm is 1 within ``tol``."""
-        if abs(self.norm() - 1.0) > tol:
+    def check_normalized(self) -> None:
+        """ValueError unless the norm is 1 within 1e-6."""
+        if abs(self.norm() - 1.0) > _NORM_TOL:
             raise ValueError(f"pure state is not normalized: |psi| = {self.norm()!r}")
 
     def as_array(self) -> np.ndarray:
@@ -222,13 +224,13 @@ def excitation_probability(state: BlochState) -> float:
     return 0.5 * (1.0 - state.r3)
 
 
-def bloch_from_pure(state: PureState, tol: float = 1e-6) -> BlochState:
+def bloch_from_pure(state: PureState) -> BlochState:
     """Map a normalized pure state to its Bloch vector.
 
     r1 = 2 Re(c1 conj(c2)), r2 = -2 Im(c1 conj(c2)), r3 = |c1|^2 - |c2|^2.
-    Rejects input whose norm deviates from 1 by more than ``tol``.
+    Rejects input whose norm deviates from 1 by more than 1e-6.
     """
-    state.check_normalized(tol)
+    state.check_normalized()
     cross = state.c1 * np.conj(state.c2)
     return BlochState(float(2.0 * cross.real), float(-2.0 * cross.imag),
                       float(abs(state.c1) ** 2 - abs(state.c2) ** 2))
@@ -274,10 +276,10 @@ class InvariantAngles:
     def has_closed_derivatives(self) -> bool:
         return None not in (self.theta_dot, self.alpha_dot, self.gamma_dot)
 
-    def check_boundaries(self, duration: float = 1.0, tol: float = 1e-9) -> None:
+    def check_boundaries(self, duration: float = 1.0) -> None:
         th0 = float(self.theta(np.array(0.0)))
         thT = float(self.theta(np.array(duration)))
-        if abs(th0) > tol or abs(thT - math.pi) > tol:
+        if abs(th0) > _BOUNDARY_TOL or abs(thT - math.pi) > _BOUNDARY_TOL:
             raise ValueError(
                 f"inversion boundary conditions violated: theta(0)={th0!r}, theta(T)={thT!r}")
 

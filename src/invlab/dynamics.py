@@ -150,11 +150,12 @@ class EnsembleResult:
 # before the next is formed, so the kernel's arrays stay small whatever the
 # grid.  Settings are batched until one chunk's step table reaches
 # _BATCH_BYTES (1 Bloch or 3 pure settings).  Both sizes keep every temporary
-# under the C allocator's default 128 KiB mmap threshold, so it is served
-# from the heap: a full-grid table (144 KiB for one Bloch setting) is mapped
-# afresh for each call, and its page faults cost more than the algebra and
-# vary with the allocator's history.  Chunk boundaries never depend on the
-# batch, so results do not either.
+# under the C allocator's default 128 KiB mmap threshold, so it comes from
+# the heap rather than its own mapping (a full-grid table is 144 KiB for one
+# Bloch setting).  That does not keep the kernel off fresh pages: glibc may
+# trim the freed top of the heap after a chunk and fault it back in on the
+# next, depending on the allocator's history.  Chunk boundaries never depend
+# on the batch, so results do not either.
 _CHUNK_STEPS = 1024
 _BATCH_BYTES = 3 * 2**15
 

@@ -6,16 +6,21 @@ quantify the curvature of the excitation probability around the
 error-free protocol: P2 ~ 1 - q_N lambda^2 - q_S beta^2.  Smaller is
 more robust; q_N carries units 1/T, q_S is dimensionless.
 
-Closed-form routes (assuming the unperturbed protocol inverts):
+Both closed forms (which assume the unperturbed protocol inverts) are
+functionals of one error-free evolution, the propagator
+U(t) = [[a, b], [-b*, a*]] of :func:`invlab.dynamics.evolve_propagator`.
+Its columns evolve the ground state, psi_0 = (a, -b*), and the
+orthogonal solution from the excited state, psi_perp = (b, a*).  Then
 
     q_N = 1/4 Int [WI^2 (r1^2 + r3^2) + WR^2 (r2^2 + r3^2)] dt,
 
-over the unperturbed Bloch trajectory r(t), and
+over the Bloch vector of psi_0, r = (-2 Re(ab), 2 Im(ab), |a|^2 - |b|^2),
+and
 
-    q_S = | Int <psi_perp| H1 |psi_0> dt |^2,
+    q_S = | Int <psi_perp| H1 |psi_0> dt |^2
+        = | 1/2 Int [(WR + i WI) a^2 - (WR - i WI) b*^2] dt |^2.
 
-with psi_0 evolving from the ground state and psi_perp the orthogonal
-solution.  For a trajectory in invariant angles the latter collapses to
+For a trajectory in invariant angles the latter collapses to
 q_S = | Int exp(-i gamma) theta_dot sin^2(theta) dt |^2, and q_N has
 the Lagrangian density L(m, alpha, theta, theta_dot) used by the
 variational machinery in :mod:`invlab.optimal`.
@@ -35,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid, simpson
-from .dynamics import (ErrorSetting, Trajectory, evolve_bloch, evolve_propagator,
-                       final_p2_bloch, final_p2_pure)
+from .core import ControlField, InvariantAngles, TimeGrid, simpson
+from .dynamics import ErrorSetting, evolve_propagator, final_p2_bloch, final_p2_pure
 
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
 
@@ -59,26 +63,30 @@ class SensitivityReport:
             raise ValueError("error_estimate must be >= 0")
 
 
-def _require_inversion(label: str, p2_final: float) -> None:
+def _unperturbed(field: ControlField) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (a, b) of the error-free propagator; refuses a field that does not invert."""
+    a, b = evolve_propagator(field).T
+    p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
     if p2_final < 1.0 - INVERSION_THRESHOLD:
         raise RuntimeError(
-            f"protocol does not invert: P2(T) = {p2_final!r} for {label or 'field'}")
+            f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
+    return a, b
 
 
-def _simpson_with_estimate(f: np.ndarray, h: float) -> tuple[float, float]:
-    """Composite Simpson plus an error estimate from the half-resolution grid."""
-    full = float(simpson(f, h))
-    half = float(simpson(f[::2], 2.0 * h))
+def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float, float]:
+    """``value`` of the composite Simpson integral, and its distance from the half-grid one."""
+    full = value(simpson(f, h))
+    half = value(simpson(f[::2], 2.0 * h))
     return full, abs(full - half)
 
 
 def qn_formula(field: ControlField) -> SensitivityReport:
-    """q_N from the unperturbed Bloch trajectory and the dissipator quadratic form."""
-    traj = evolve_bloch(field, GROUND_BLOCH, ErrorSetting())
-    _require_inversion(field.label, traj.final_p2())
-    r = traj.states
+    """q_N from the unperturbed Bloch vector and the dissipator quadratic form."""
+    a, b = _unperturbed(field)
+    ab = a * b
+    r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
     wr, wi = field.omega_r, field.omega_i
-    f = wi**2 * (r[:, 0] ** 2 + r[:, 2] ** 2) + wr**2 * (r[:, 1] ** 2 + r[:, 2] ** 2)
+    f = wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2)
     qn, err = _simpson_with_estimate(0.25 * f, field.grid.h)
     return SensitivityReport(q_n=qn, method="formula", error_estimate=err)
 
@@ -97,19 +105,22 @@ def qn_pi_analytic(field: ControlField) -> SensitivityReport:
     return SensitivityReport(q_n=qn, method="analytic_pi", error_estimate=err)
 
 
-def _quadratic_fit(x: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
+def _quadratic_fit(x: np.ndarray, p2: np.ndarray, name: str) -> tuple[float, float]:
     """Least squares for the linear-response coefficient: P2 = a - q x + c x^2.
 
     The x^2 term absorbs the next order of the exact response, which
     otherwise biases q by several percent over the default sample range;
     q and its standard error come from the linear coefficient alone.
+    Refuses the fit when q times the smallest ``name`` sample reaches 0.1,
+    outside the linear regime.
     """
     if len(x) < 3 or len(np.unique(x)) < 3:
         raise ValueError("need at least 3 distinct samples for the response fit")
-    if np.ptp(x) <= 0.0:
-        raise ValueError("samples span no range; fit is degenerate")
     coef, cov = np.polyfit(x, p2, 2, cov=True)
-    return float(-coef[1]), float(np.sqrt(cov[1, 1]))
+    q = float(-coef[1])
+    if q * float(np.min(x)) >= 0.1:
+        raise ValueError(f"{name} samples are outside the linear-response regime")
+    return q, float(np.sqrt(cov[1, 1]))
 
 
 def qn_finite_difference(field: ControlField, lambda2_samples=None) -> SensitivityReport:
@@ -122,41 +133,18 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
     samples = np.asarray(lambda2_samples if lambda2_samples is not None
                          else np.array(DEFAULT_LAMBDA2_SAMPLES) * t_total, dtype=float)
     p2 = final_p2_bloch(field, [ErrorSetting(lambda2=l2) for l2 in samples])
-    qn, err = _quadratic_fit(samples, p2)
-    if qn * float(np.min(samples)) >= 0.1:
-        raise ValueError("lambda2 samples are outside the linear-response regime")
+    qn, err = _quadratic_fit(samples, p2, "lambda2")
     return SensitivityReport(q_n=qn, method="finite_difference", error_estimate=err)
-
-
-def _orthogonal_pair(field: ControlField) -> tuple[Trajectory, Trajectory]:
-    """Unperturbed psi_0 (from ground) and psi_perp (from excited); checks drift.
-
-    Both are columns of one propagated unitary [[a, b], [-b*, a*]]:
-    psi_0 = (a, -b*) and psi_perp = (b, a*).
-    """
-    a, b = evolve_propagator(field).T
-    traj0 = Trajectory(field.grid, np.column_stack((a, -b.conj())), "pure")
-    trajp = Trajectory(field.grid, np.column_stack((b, a.conj())), "pure")
-    overlap = np.abs(np.sum(np.conj(trajp.states) * traj0.states, axis=1))
-    if float(np.max(overlap)) > 1e-7:
-        raise RuntimeError(f"orthogonality drift {np.max(overlap)!r} exceeds 1e-7")
-    return traj0, trajp
 
 
 def qs_formula(field: ControlField) -> SensitivityReport:
     """q_S from the first-order matrix element between the orthogonal solutions."""
-    traj0, trajp = _orthogonal_pair(field)
-    _require_inversion(field.label, traj0.final_p2())
+    a, b = _unperturbed(field)
     wr, wi = field.omega_r, field.omega_i
-    psi0, psip = traj0.states, trajp.states
-    f = 0.5 * (np.conj(psip[:, 0]) * (wr - 1j * wi) * psi0[:, 1]
-               + np.conj(psip[:, 1]) * (wr + 1j * wi) * psi0[:, 0])
-    h = field.grid.h
-    amp = complex(simpson(f, h))
-    amp_half = complex(simpson(f[::2], 2.0 * h))
-    qs = abs(amp) ** 2
-    return SensitivityReport(q_s=qs, method="formula",
-                             error_estimate=abs(qs - abs(amp_half) ** 2))
+    bc = b.conj()
+    f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
+    qs, err = _simpson_with_estimate(f, field.grid.h, lambda amp: abs(complex(amp)) ** 2)
+    return SensitivityReport(q_s=qs, method="formula", error_estimate=err)
 
 
 def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float:
@@ -173,9 +161,7 @@ def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityR
     samples = np.asarray(beta_samples if beta_samples is not None
                          else DEFAULT_BETA_SAMPLES, dtype=float)
     p2 = final_p2_pure(field, samples)
-    qs, err = _quadratic_fit(samples**2, p2)
-    if qs * float(np.min(samples**2)) >= 0.1:
-        raise ValueError("beta samples are outside the linear-response regime")
+    qs, err = _quadratic_fit(samples**2, p2, "beta")
     return SensitivityReport(q_s=qs, method="finite_difference", error_estimate=err)
 
 

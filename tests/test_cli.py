@@ -237,6 +237,10 @@ def test_exit_codes(capsys):
                     "--delta0", "0.0", "--grid-steps", "101"]) == 1  # singular CD term
     assert run_cli(["sensitivity", "--kind", "sinusoidal_adiabatic", *FIG1,
                     "--grid-steps", "401"]) == 1  # protocol does not invert
+    # the explicit gauge needs a Python alpha function, so the flag refuses it
+    assert run_cli(["protocol", "--kind", "optimal_systematic", "--gauge", "explicit"]) == 2
+    assert run_cli(["protocol", "--kind", "optimal_noise", "--n", "3",
+                    "--grid-steps", "201"]) == 0
     assert run_cli([]) == 2
 
 
@@ -317,6 +321,7 @@ def test_non_finite_duration_exits_2(capsys, value):
     (None, "duration", True),
     ("protocol", "envelope", "bogus"),
     ("sweep", "figure", 3),
+    ("protocol", "gauge", "explicit"),
 ])
 def test_config_values_are_type_checked(tmp_path, capsys, section, key, value):
     cfg = {"protocol": {"kind": "flat_pi"}, "grid": {"n_steps": 11}}

@@ -106,6 +106,17 @@ def test_propagator_columns_are_orthogonal_solutions(field, beta):
     assert np.max(np.abs(excited - reference_pure(field, 0.0, 1.0, beta))) < 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(smooth_fields())
+def test_bloch_vector_from_propagator_rows_matches_bloch_engine(field):
+    # the error-free Bloch vector of psi_0 = (a, -b*), as qn_formula reads it,
+    # against the independent 3x3 RK4 solve; both carry RK4's truncation error
+    a, b = evolve_propagator(field).T
+    ab = a * b
+    rows = np.column_stack((-2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2))
+    assert np.max(np.abs(rows - evolve_bloch(field, GROUND_BLOCH).states)) < 1e-6
+
+
 @settings(max_examples=15, deadline=None)
 @given(smooth_fields(), st.lists(st.tuples(betas, lambda2s), min_size=1, max_size=7))
 def test_batched_final_p2_equals_single_solves(field, pairs):

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc
 
 from invlab import (InvariantAngles, TimeGrid, constant, first_integral_constant,
-                    optimal_noise_angles, qn_lagrangian, solve_optimal_theta,
-                    stationarity_m, verify_stationarity)
+                    make_optimal_noise, optimal, optimal_noise_angles, qn_lagrangian,
+                    solve_optimal_theta, stationarity_m, verify_stationarity)
 from shooting_reference import solve_optimal_theta_shooting
 
 
@@ -63,8 +63,24 @@ def test_theta_fn_inverts_the_elliptic_integral(solution):
 def test_shooting_oracle_agrees(grid, solution):
     shot = solve_optimal_theta_shooting(grid)
     assert shot.method == "shooting"
+    assert shot.ode_residual() < 1e-6
     assert np.max(np.abs(shot.theta - solution.theta)) < 1e-6
     assert shot.c == pytest.approx(solution.c, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_steps", [101, 201])
+def test_optimal_noise_builds_on_coarse_grids(n_steps):
+    # the finite-difference ODE residual reads 5.6e-5 and 3.6e-6 here from its own
+    # truncation; the inversion itself is checked at every knot
+    field = make_optimal_noise(3, TimeGrid(n_steps))
+    assert field.grid.n_steps == n_steps
+    assert solve_optimal_theta(TimeGrid(n_steps)).theta[-1] == math.pi
+
+
+def test_unconverged_inversion_is_refused(monkeypatch):
+    monkeypatch.setattr(optimal, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="elliptic-integral residual"):
+        solve_optimal_theta(TimeGrid(201))
 
 
 def test_theta_solution_csv(tmp_path, solution):

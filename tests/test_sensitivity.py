@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from invlab import (InvariantAngles, TimeGrid, constant, make_flat_pi,
-                    make_optimal_systematic, make_shaped_pi, make_sinusoidal,
+from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
+                    make_flat_pi, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, optimal_systematic_angles,
                     qn_finite_difference, qn_formula, qn_lagrangian,
                     qn_pi_analytic, qs_finite_difference, qs_formula,
                     qs_invariant, solve_optimal_theta)
+from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
 from conftest import EX_DELTA0, EX_OMEGA0
 
@@ -44,6 +45,23 @@ def test_qn_formula_transitionless_example(transitionless_example):
 
 def test_qn_formula_transitionless_minimum_cell(grid):
     assert qn_formula(make_transitionless(0.5, 0.5, grid)).q_n == pytest.approx(2.475, rel=0.02)
+
+
+@pytest.mark.parametrize("omega0, delta0", [(0.25, 8.0), (8.0, 0.25)])
+def test_qn_formula_converged_at_stiff_corners(omega0, delta0):
+    # q_N is near 39.5 here; the 2001-point value is within 1e-10 of the 16001-point one
+    coarse = qn_formula(make_transitionless(omega0, delta0, TimeGrid(2001))).q_n
+    fine = qn_formula(make_transitionless(omega0, delta0, TimeGrid(16001))).q_n
+    assert abs(coarse - fine) <= 1e-10 * fine
+
+
+def test_qn_formula_matches_bloch_engine_quadrature(transitionless_example):
+    # the same integrand over the independent 3x3 Bloch solve
+    f = transitionless_example
+    r = evolve_bloch(f, GROUND_BLOCH).states
+    dens = f.omega_i**2 * (r[:, 0]**2 + r[:, 2]**2) + f.omega_r**2 * (r[:, 1]**2 + r[:, 2]**2)
+    bloch = float(simpson(0.25 * dens, f.grid.h))
+    assert qn_formula(f).q_n == pytest.approx(bloch, rel=1e-9)
 
 
 def test_qn_formula_requires_inversion(grid):
