@@ -33,38 +33,40 @@ evaluated in small batches that share the field's stage tables.  Columns
 of the propagated pure-state matrix evolve the ground and excited states
 together.
 
-The stochastic engine is a plain Euler-Maruyama discretization of the
-Ito stochastic Schrodinger equation
+The stochastic engine is the simplified weak Euler scheme (Kloeden &
+Platen 1992, ch. 14.1) for the Ito stochastic Schrodinger equation
 
     dpsi = -i H0 dt psi - (lambda^2/2) H2^2 dt psi - i lambda H2 dW psi,
 
 with two independent Wiener increments driving the real and imaginary
-Rabi channels.  Each step is again a matrix [[a_k, b_k], [-b_k*, a_k*]]:
+Rabi channels.  Each increment is a two-point variable dW = +-sqrt(dt),
+which keeps weak order 1: ensemble means converge as dt, single
+realizations do not follow a Brownian path.  Each step is again a matrix
+[[a_k, b_k], [-b_k*, a_k*]]:
 
     a_k = 1 + dt (i d_k / 2 - lambda^2 |Omega_k|^2 / 8),
     b_k = -1/2 w_I (dt + lambda dW_I) - i/2 w_R (dt + lambda dW_R).
 
-a_k holds the detuning and the Ito correction; it is the same for every
-trajectory and formed once for all steps.  Only b_k reads a trajectory's
-increments, and it is formed a block of steps at a time straight from
-the draws.  No normalization is enforced during evolution; final
-probabilities divide by the squared norm to absorb the O(dt) drift.
-Each trajectory draws its increments from a counter-based Philox
-stream keyed by (seed, trajectory index), so ensembles are
-order-independent and bit-reproducible under any batching; a single
-trajectory is a batch of one and equals its ensemble member bit for bit.
-The streams are independent, so a batch's draws are filled concurrently
-on the CPUs the process may use, a contiguous slice of trajectories
-each; the integration stays on the calling thread, and no result
-depends on the CPU count.
+a_k holds the detuning and the Ito correction; b_k takes one of four
+values per step.  So four steps take one of 256 values: their products
+are tabulated once per ensemble, and one byte of signs picks a
+trajectory's four-step propagator.  No normalization is enforced during
+evolution; final probabilities divide by the squared norm to absorb the
+O(dt) drift.
+
+Seed contract: trajectory i of seed s reads ceil(n_steps / 32) words of
+Philox(key=[s, i]).random_raw as little-endian bytes.  Byte q drives
+steps 4q .. 4q+3; its bit 2j is the sign of dW_R at step 4q+j and bit
+2j+1 that of dW_I, a 1 bit meaning +sqrt(dt).  The streams are keyed
+per trajectory, so ensembles are order-independent and bit-reproducible
+under any batching; a single trajectory is a batch of one and equals its
+ensemble member bit for bit.  The ensemble runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent import futures  # its thread pool module loads on first use
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +75,11 @@ from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureStat
                    write_csv)
 
 _MAX_SEED = 2**64
-# Trajectories per monte_carlo_p2 batch.  Their draws, 16 B per step each
-# (65 MB at 4000 steps), are the only batch-by-steps buffer: every allowed
-# CPU fills its slice of it in place, and the integration reads it in place,
-# beside a few amplitude vectors and the b_k of one block of _SSE_BLOCK steps.
-_SSE_BATCH = 1024
-_SSE_BLOCK = 32  # steps per block of b_k; 16-64 measured alike, 128 slower
+# Trajectories per monte_carlo_p2 batch.  A batch's signs, one byte per four
+# steps each (1 KB at 4000 steps), are its only batch-by-steps buffer; the
+# step tables, 8 MB at 4000 steps, are built once per ensemble.  Below a few
+# thousand trajectories numpy's per-call cost dominates each group's update.
+_SSE_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -272,6 +273,24 @@ def _pure_p2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
 
 
+# RK4's stability interval on the negative real axis is [-2.785, 0]
+_RK4_REAL_LIMIT = 2.785
+
+
+def _require_rk4_stable(field: ControlField, settings) -> None:
+    """Refuse, before solving, a noise damping that RK4 cannot integrate on the grid.
+
+    The fastest rate of -lambda^2 L2 is lambda^2 (W_R^2 + W_I^2) / 2, real
+    and negative; a step h times it past the interval makes the solve grow.
+    """
+    lambda2 = max((s.lambda2 for s in settings), default=0.0)
+    if lambda2 > 0.0:
+        x = field.grid.h * lambda2 * float(np.max(field.omega_r ** 2 + field.omega_i ** 2)) / 2.0
+        if x >= _RK4_REAL_LIMIT:
+            raise ValueError(f"RK4 step unstable: h * max(lambda2 |Omega|^2) / 2 = {x:.3g} >= "
+                             f"{_RK4_REAL_LIMIT}; lower --lambda2 or raise --grid-steps")
+
+
 def _require_bounded(states: np.ndarray, what: str) -> None:
     # an unstable step grows the components long before they overflow; NaN and inf fail too
     if not np.all(np.abs(states) <= 1.0 + 1e-6):
@@ -335,6 +354,7 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
 
 def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = ErrorSetting()) -> Trajectory:
     """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r."""
+    _require_rk4_stable(field, [setting])
     r = r0.as_array()
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
@@ -346,7 +366,9 @@ def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = Er
 
 def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     """P2(T) of the Bloch equation from the ground state, one value per error setting."""
-    r = _apply_bloch(_final(field, _BLOCH, list(settings)), GROUND_BLOCH.as_array())
+    settings = list(settings)
+    _require_rk4_stable(field, settings)
+    r = _apply_bloch(_final(field, _BLOCH, settings), GROUND_BLOCH.as_array())
     _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
@@ -368,106 +390,125 @@ def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sse_run(field: ControlField, c1, c2, lambda2: float, dt: float,
-             dw_r, dw_i, record_every: int = 0):
-    """Euler-Maruyama core, vectorized over a batch of trajectories.
+def _sse_tables(field: ControlField, lambda2: float, dt: float, n_sse: int) -> list:
+    """Products of 1, 2, 3 and 4 consecutive SSE steps for every sign pattern.
 
-    ``c1, c2``: complex arrays (batch,), not modified.  ``dw_r, dw_i``:
-    increments of shape (n_sse_steps, batch), any strides.  Step k maps
-    (c1, c2) by [[a_k, b_k], [-b_k*, a_k*]] with
-
-        a_k = 1 + dt (i d_k / 2 - lambda^2 |Omega_k|^2 / 8),
-        b_k = -1/2 w_I (dt + lambda dW_I) - i/2 w_R (dt + lambda dW_R),
-
-    a_k shared by the batch and formed once, b_k a block of steps at a
-    time.  Every operation is elementwise and writes a separate buffer
-    (numpy rounds an in-place complex multiply of length 1 differently),
-    so a batch of one reproduces ensemble members bit for bit.  Returns the
-    final amplitudes and, if record_every > 0, the states at every
-    record_every-th step.
+    Step k is the module docstring's [[a_k, b_k], [-b_k*, a_k*]], channels at
+    the left endpoint (Ito).  Entry r-1 of the list has shape (2, groups,
+    4**r): the pair (a, b) of M_4q+r-1 ... M_4q for the signs in the low 2r
+    bits of the index, bit 2j that of dW_R and bit 2j+1 that of dW_I at step
+    4q+j.  Steps past n_sse are the identity, so a tail group shorter than
+    four steps reads its full-group entry like any other.
     """
-    n_sse, count = dw_r.shape
-    lam = math.sqrt(lambda2)
-    tk = np.arange(n_sse) * dt  # Ito: channels at left endpoints
-    wr, wi, dl = field.values(tk)
-    a = 1.0 + dt * (0.5j * dl - 0.125 * lambda2 * (wr * wr + wi * wi))  # H2^2 Ito correction
-    ac = a.conj()
-    hr, hi = (-0.5 * wr)[:, None], (-0.5 * wi)[:, None]
-    rows = min(_SSE_BLOCK, n_sse)
-    b, bc = np.empty((2, rows, count), dtype=complex)
-    s = np.empty((rows, count))
+    groups = -(-n_sse // 4)
+    wr, wi, dl = field.values(np.arange(n_sse) * dt)
+    inc = dt + math.sqrt(lambda2) * math.sqrt(dt) * np.array([-1.0, 1.0])  # a 0 bit, a 1 bit
+    steps = np.zeros((2, 4 * groups, 4), dtype=complex)
+    steps[0] = 1.0
+    steps[0, :n_sse] = (1.0 + dt * (0.5j * dl - 0.125 * lambda2 * (wr * wr + wi * wi)))[:, None]
+    steps[1, :n_sse].real = -0.5 * wi[:, None] * inc[[0, 0, 1, 1]]
+    steps[1, :n_sse].imag = -0.5 * wr[:, None] * inc[[0, 1, 0, 1]]
+    steps = steps.reshape(2, groups, 4, 4)
+    tables = [steps[:, :, 0]]
+    for j in range(1, 4):
+        prev = tables[-1]
+        prod = np.empty((2, groups, 4, prev.shape[-1]), dtype=complex)
+        for sign in range(4):  # one slice at a time keeps the temporaries to 1/4 of the table
+            prod[:, :, sign] = _pair_mul(steps[:, :, j, sign, None], prev)
+        tables.append(prod.reshape(2, groups, -1))
+    return tables
+
+
+def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
+    """(n1, n2) = [[u, v], [-v*, u*]] (c1, c2), elementwise; w and t are scratch.
+
+    Every product writes a separate buffer: numpy rounds an in-place
+    complex multiply of length 1 differently, and a batch of one must
+    round like the rest.
+    """
+    np.multiply(u, c1, out=n1)
+    np.multiply(v, c2, out=t)
+    n1 += t
+    np.conjugate(u, out=w)
+    np.multiply(w, c2, out=n2)
+    np.conjugate(v, out=w)
+    np.multiply(w, c1, out=t)
+    n2 -= t
+
+
+def _sse_run(tables: list, n_sse: int, c1, c2, signs: np.ndarray, record_every: int = 0):
+    """Euler-Maruyama core on two-point increments, vectorized over a batch of trajectories.
+
+    ``tables``: ``_sse_tables`` for the n_sse steps.  ``c1, c2``: complex
+    arrays (batch,), not modified.  ``signs``: uint8 (bytes, batch), byte q
+    holding the signs of steps 4q .. 4q+3 (a trajectory's column may run
+    past the last group; the rest is unused).  Each group of four steps is
+    two gathers from the 256-entry table and one 2x2 update.  States at
+    every record_every-th step are a side computation: a node inside a
+    group applies that group's prefix table to the state at its start, and
+    the main chain never reads them.  Returns the final amplitudes and, if
+    record_every > 0, the recorded states.
+    """
+    full = tables[3]
     c1, c2 = np.array(c1, dtype=complex), np.array(c2, dtype=complex)
-    n1, n2, t = np.empty((3, count), dtype=complex)
+    count = c1.shape[0]
+    u, v, n1, n2, w, t = np.empty((6, count), dtype=complex)
+    index = np.empty(count, dtype=np.uint8)
     recorded = None
     if record_every:
         recorded = np.empty((n_sse // record_every + 1, count, 2), dtype=complex)
         recorded[0, :, 0] = c1
         recorded[0, :, 1] = c2
-    for k0 in range(0, n_sse, rows):
-        k1 = min(k0 + rows, n_sse)
-        m = k1 - k0
-        for dw, h, part in ((dw_i, hi, b.real), (dw_r, hr, b.imag)):
-            np.multiply(dw[k0:k1], lam, out=s[:m])
-            s[:m] += dt
-            np.multiply(s[:m], h[k0:k1], out=part[:m])
-        np.conjugate(b[:m], out=bc[:m])
-        for j in range(m):
-            k = k0 + j
-            np.multiply(c1, a[k], out=n1)
-            np.multiply(b[j], c2, out=t)
-            n1 += t
-            np.multiply(c2, ac[k], out=n2)
-            np.multiply(bc[j], c1, out=t)
-            n2 -= t
-            c1, n1, c2, n2 = n1, c1, n2, c2
-            if record_every and (k + 1) % record_every == 0:
-                recorded[(k + 1) // record_every, :, 0] = c1
-                recorded[(k + 1) // record_every, :, 1] = c2
+    for q in range(full.shape[1]):
+        row = signs[q]
+        end = min(4 * q + 4, n_sse)
+        if record_every:
+            for k in range(4 * q + 1, end):
+                if k % record_every == 0:
+                    r = k - 4 * q
+                    np.bitwise_and(row, 4**r - 1, out=index)
+                    np.take(tables[r - 1][0, q], index, out=u, mode="clip")
+                    np.take(tables[r - 1][1, q], index, out=v, mode="clip")
+                    _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
+                    recorded[k // record_every, :, 0] = n1
+                    recorded[k // record_every, :, 1] = n2
+        # a uint8 index cannot leave a 256-entry row; "clip" is the cheaper bounds rule
+        np.take(full[0, q], row, out=u, mode="clip")
+        np.take(full[1, q], row, out=v, mode="clip")
+        _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
+        c1, n1, c2, n2 = n1, c1, n2, c2
+        if record_every and end % record_every == 0:
+            recorded[end // record_every, :, 0] = c1
+            recorded[end // record_every, :, 1] = c2
     return c1, c2, recorded
 
 
-def _draw_workers() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _stream_bytes(seed: int, first: int, count: int, words: int) -> np.ndarray:
+    """Signs of trajectories first .. first+count-1, as uint8 of shape (8 * words, count).
 
-
-def _fill_draws(dw: np.ndarray, seed: int, first: int, scale: float) -> None:
-    """Fill dw[j] with scale times stream (seed, first + j)'s standard normals.
-
-    Trajectories are split into one contiguous slice per allowed CPU (never
-    more slices than trajectories).  The calling thread fills the first and
-    a short-lived pool the others; numpy releases the GIL while it fills.
-    Each stream is filled whole and ``standard_normal * scale`` rounds as
-    ``normal(0, scale)`` does, so the draws do not depend on the split.
+    Column j is ``words`` 64-bit words of ``random_raw`` from stream
+    (seed, first + j), viewed as little-endian bytes.  One Philox generator
+    is re-keyed per trajectory: setting a state of counter 0 and the new
+    key leaves it exactly as ``Philox(key=[seed, i])`` starts, at a third of
+    the cost of constructing one.
     """
-    count = dw.shape[0]
-    parts = min(count, _draw_workers())
-    bounds = [count * i // parts for i in range(parts + 1)]
-
-    def fill(lo, hi):
-        for j in range(lo, hi):
-            trajectory_rng(seed, first + j).standard_normal(out=dw[j])
-        dw[lo:hi] *= scale
-
-    if parts == 1:
-        fill(0, count)
-        return
-    with futures.ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        fill(bounds[0], bounds[1])
-        for future in rest:
-            future.result()
+    trajectory_rng(seed, first + count - 1)  # rejects a last index past the key range
+    philox = trajectory_rng(seed, first).bit_generator
+    fresh = philox.state
+    raw = np.empty((count, words), dtype=np.uint64)
+    for j in range(count):
+        fresh["state"]["key"][1] = first + j
+        philox.state = fresh
+        raw[j] = philox.random_raw(words)
+    return np.ascontiguousarray(raw.astype("<u8", copy=False).view(np.uint8).T)
 
 
 def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: float,
                       seed: int, first: int, count: int, record: bool = False):
-    """``_sse_run`` on trajectories first .. first+count-1 from psi0; i draws from stream (seed, i).
+    """Yield ``_sse_run`` on trajectories first .. first+count-1 from psi0, _SSE_BATCH at a time.
 
-    dt must divide the grid spacing.  Draws fill a contiguous (count, steps, 2)
-    block, concurrently on the allowed CPUs (``_fill_draws``), and ``_sse_run``
-    reads each channel from it as a strided view on the calling thread.
+    dt must divide the grid spacing.  The step tables are built once; each
+    batch reads its signs from streams (seed, i) and is integrated from them.
     """
     ErrorSetting(lambda2=lambda2)  # rejects a negative or non-finite lambda2
     psi0.check_normalized()
@@ -483,21 +524,25 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
     if stiffness >= 1.0:
         raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
                          f"{stiffness:.3g} >= 1; take a smaller dt")
-    dw = np.empty((count, n_sse, 2))
-    _fill_draws(dw, seed, first, math.sqrt(dt))
-    return _sse_run(field, np.full(count, complex(psi0.c1)), np.full(count, complex(psi0.c2)),
-                    lambda2, dt, dw[:, :, 0].T, dw[:, :, 1].T,
-                    record_every=per if record else 0)
+    tables = _sse_tables(field, lambda2, dt, n_sse)
+    for lo in range(first, first + count, _SSE_BATCH):
+        m = min(_SSE_BATCH, first + count - lo)
+        signs = _stream_bytes(seed, lo, m, -(-n_sse // 32))
+        yield _sse_run(tables, n_sse, np.full(m, complex(psi0.c1)), np.full(m, complex(psi0.c2)),
+                       signs, record_every=per if record else 0)
 
 
 def evolve_sse(field: ControlField, psi0: PureState, lambda2: float, dt: float,
                seed: int, traj_index: int = 0) -> Trajectory:
-    """One Ito Euler-Maruyama realization; states recorded at the grid nodes.
+    """One realization of the weak Euler scheme; states recorded at the grid nodes.
 
-    From the ground state it is member ``traj_index`` of ``monte_carlo_p2``'s
-    ensemble for the same seed.  It is left unnormalized, as the scheme produces it.
+    Its increments are two-point signs, not Brownian increments, so it is
+    not a sample-path approximation of the SSE: only averages over many
+    realizations converge (weak order 1).  From the ground state it is
+    member ``traj_index`` of ``monte_carlo_p2``'s ensemble for the same seed,
+    bit for bit.  It is left unnormalized, as the scheme produces it.
     """
-    rec = _sse_trajectories(field, psi0, lambda2, dt, seed, traj_index, 1, record=True)[2]
+    rec = next(_sse_trajectories(field, psi0, lambda2, dt, seed, traj_index, 1, record=True))[2]
     return Trajectory(field.grid, rec[:, 0, :], "pure")
 
 
@@ -505,14 +550,18 @@ def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
                    seed: int) -> EnsembleResult:
     """Mean and standard error of P2(T) over independent SSE trajectories from the ground state.
 
-    Deterministic given the seed: trajectory i always consumes stream
-    (seed, i) and the reduction runs in index order.
+    Each trajectory follows the simplified weak Euler scheme: the Wiener
+    increments of step k are dW_R, dW_I = +-sqrt(dt), whose signs are bits
+    2(k mod 4) and 2(k mod 4) + 1 of byte k // 4 of trajectory i's stream,
+    ceil(n_steps / 32) words of ``Philox(key=[seed, i]).random_raw`` read as
+    little-endian bytes (a 1 bit is +sqrt(dt)).  The mean converges with
+    weak order 1 in dt.  Deterministic given the seed: trajectory i always
+    consumes stream (seed, i) and the reduction runs in index order, so the
+    result does not depend on batching.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    p2 = np.concatenate([
-        _pure_p2(*_sse_trajectories(field, GROUND_PURE, lambda2, dt, seed, lo,
-                                    min(_SSE_BATCH, n_traj - lo))[:2])
-        for lo in range(0, n_traj, _SSE_BATCH)])
+    p2 = np.concatenate([_pure_p2(c1, c2) for c1, c2, _ in
+                         _sse_trajectories(field, GROUND_PURE, lambda2, dt, seed, 0, n_traj)])
     stderr = float(np.std(p2, ddof=1) / math.sqrt(n_traj))
     return EnsembleResult(float(np.mean(p2)), stderr, n_traj, seed, dt)

@@ -1,8 +1,9 @@
 """The elementwise Euler-Maruyama loop, kept only as a reference for ``dynamics._sse_run``.
 
-It steps the Ito SSE exactly as the engine did before each step became
-one precomputed SU(2)-form pair (a_k, b_k): every term is formed afresh
-from the channels and increments at each step.
+It steps the Ito SSE one step at a time from the increments it is given,
+every term formed afresh from the channels and increments at each step;
+the engine instead multiplies tabulated products of four steps, picked by
+the increments' signs.
 """
 
 import math

@@ -223,7 +223,7 @@ def test_c12_cli_determinism(tmp_path):
         proc = subprocess.run(args + ["--out", str(path)], env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
-    # the ensemble's draws are split over the CPUs the process may use; pin one
+    # the ensemble must not depend on the CPUs the process may use; pin it to one
     path = tmp_path / "pinned.json"
     proc = subprocess.run(args + ["--out", str(path)], capture_output=True,
                           preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import invlab.cli as cli_module
-from invlab import ControlField, TimeGrid, dynamics, make_transitionless
+from invlab import ControlField, TimeGrid, make_transitionless
 from invlab.cli import main
 
 FIG1 = ["--omega0", "4.0693", "--delta0", "5.2710"]
@@ -86,14 +86,13 @@ def test_simulate_bloch_noise_value(tmp_path):
     assert 0.5 * (1.0 - r3_final) == pytest.approx(0.6456, abs=1e-4)
 
 
-def test_simulate_sse_deterministic(tmp_path, monkeypatch):
+def test_simulate_sse_deterministic(tmp_path):
     args = ["simulate", "--kind", "flat_pi", "--sse", "--lambda2", "0.09",
             "--n-traj", "300", "--dt", "0.0005", "--seed", "42", "--grid-steps", "2001"]
     out1, out2, out3 = (tmp_path / f"r{i}.json" for i in range(3))
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setattr(dynamics, "_draw_workers", lambda: 1)
     assert run_cli(args + ["--out", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()
     payload = json.loads(out1.read_text())
@@ -252,29 +251,30 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "t,omega_r,omega_i,delta"
 
 
-# Runs one command in a fresh interpreter, then prints whether the process
-# loaded any scipy module; the command's own stdout comes first.
+# Runs one command in a fresh interpreter, then prints the modules the process
+# loaded from the package named first; the command's own stdout comes first.
 _IMPORT_PROBE = """
 import sys
 from invlab.cli import main
-rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+package, args = sys.argv[1], sys.argv[2:]
+rc = main(args) if args else 0
+loaded = sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 print()
-print(rc, " ".join(scipy) or "-")
+print(rc, " ".join(loaded) or "-")
 """
 
 _AXES = ["--axis1", "0.25,1.25,5", "--axis2", "0.25,1.25,5"]
 
 
-def _probe_imports(args, cwd):
+def _probe_imports(args, cwd, package="scipy"):
     env = dict(os.environ)
     src = str(Path(cli_module.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True,
-                          text=True, cwd=cwd, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, package, *args],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rc, scipy = proc.stdout.splitlines()[-1].split(" ", 1)
-    return int(rc), scipy.split() if scipy != "-" else []
+    rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(rc), loaded.split() if loaded != "-" else []
 
 
 @pytest.mark.parametrize("args", [
@@ -292,6 +292,15 @@ def test_main_paths_load_no_scipy(tmp_path, args):
     rc, scipy = _probe_imports(args, tmp_path)
     assert rc == 0
     assert scipy == []
+
+
+def test_sse_ensemble_starts_no_thread_pool(tmp_path):
+    """The ensemble runs on the calling thread, so the thread pool module never loads."""
+    rc, loaded = _probe_imports(["simulate", "--sse", "--kind", "flat_pi", "--n-traj", "64",
+                                 "--lambda2", "0.09", "--grid-steps", "101", "--dt", "0.001"],
+                                tmp_path, package="concurrent.futures.thread")
+    assert rc == 0
+    assert loaded == []
 
 
 def test_optimal_protocol_loads_scipy_on_first_use(tmp_path):
@@ -358,9 +367,16 @@ def test_fault_inside_a_command_exits_1(monkeypatch, capsys):
 
 
 def test_diverged_bloch_run_exits_1(capsys):
-    assert run_cli(["simulate", "--kind", "flat_pi", "--lambda2", "1e6", "--grid-steps", "11",
-                    "--format", "json"]) == 1
+    # h |Omega| ~ 10 without noise: the rotation diverges, which the up-front bound does not cover
+    assert run_cli(["simulate", "--kind", "transitionless", "--omega0", "40", "--delta0", "40",
+                    "--grid-steps", "11", "--format", "json"]) == 1
     assert "Bloch integration diverged" in capsys.readouterr().err
+
+
+def test_unstable_bloch_step_exits_2(capsys):
+    assert run_cli(["simulate", "--kind", "flat_pi", "--lambda2", "1e6", "--grid-steps", "11",
+                    "--format", "json"]) == 2
+    assert "lower --lambda2 or raise --grid-steps" in capsys.readouterr().err
 
 
 def test_unstable_sse_step_exits_2(capsys):

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -224,47 +223,56 @@ def test_sse_requires_finite_settings(flat_field, lambda2, dt, name):
 
 def test_bloch_divergence_is_refused():
     field = make_flat_pi(0.0, TimeGrid(11))  # lambda2 h = 1e5: RK4 is far outside its stable range
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(ValueError, match="RK4 step unstable"):
         evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=1e6))
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(ValueError, match="RK4 step unstable"):
         dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=1e6)])
 
 
-def test_monte_carlo_thread_invariance(grid, flat_field, monkeypatch):
-    a = monte_carlo_p2(flat_field, 0.09, 128, 1.0 / 2000.0, seed=3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the draw threads as finely as possible
-    try:
-        for workers in (1, 2, 3, 200):  # 200: more draw workers than trajectories
-            monkeypatch.setattr(dynamics, "_draw_workers", lambda: workers)
-            b = monte_carlo_p2(flat_field, 0.09, 128, 1.0 / 2000.0, seed=3)
-            assert a == b
-    finally:
-        sys.setswitchinterval(interval)
+def test_rk4_bound_sits_at_the_stability_interval():
+    # flat pi pulse: h lambda2 pi^2 / 2 against 2.785, on both sides of the bound
+    field = make_flat_pi(0.0, TimeGrid(101))
+    edge = 2.785 * 2.0 / (field.grid.h * math.pi ** 2)
+    p2 = dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=0.99 * edge)])[0]
+    assert 0.0 <= p2 <= 1.0
+    with pytest.raises(ValueError, match="--lambda2 or raise --grid-steps"):
+        dynamics.final_p2_bloch(field, [ErrorSetting(), ErrorSetting(lambda2=edge)])
 
 
 def test_sse_weak_order_one(grid, flat_field):
-    """Weak order >= 1, measured against the exact flat-pulse solution driven
-    by the same Brownian increments: P2_exact = sin^2(pi/2 + (lambda pi / 2) W_T)."""
+    """Weak order >= 1 of the two-point scheme on the flat pulse, whose W_I channel is zero.
+
+    The exact SSE mean is E[sin^2(pi/2 + (lambda pi / 2) W_T)] over a Gaussian W_T.
+    The scheme's bias against it is the pathwise error against the same
+    function of the two-point W_T built from the same signs (sampled), plus
+    that function's exact mean over the binomial law of the two-point W_T
+    minus its Gaussian mean (a sum over the number k of + signs).
+    """
     lam2 = 0.16
-    lam = math.sqrt(lam2)
+    c = 0.5 * math.sqrt(lam2) * math.pi
     n_paths = 4000
     errors = []
-    for n_sse in (500, 1000):
+    for n_sse in (250, 500, 1000, 2000):
         dt = 1.0 / n_sse
         rng = np.random.default_rng(42)
-        dw_r = rng.normal(0.0, math.sqrt(dt), size=(n_sse, n_paths))
-        dw_i = np.zeros_like(dw_r)
+        signs = rng.integers(0, 256, size=(-(-n_sse // 4), n_paths), dtype=np.uint8)
         field = make_flat_pi(0.0, TimeGrid(n_sse + 1))
         c1 = np.ones(n_paths, dtype=complex)
         c2 = np.zeros(n_paths, dtype=complex)
-        c1, c2, _ = _sse_run(field, c1, c2, lam2, dt, dw_r, dw_i)
+        c1, c2, _ = _sse_run(dynamics._sse_tables(field, lam2, dt, n_sse), n_sse, c1, c2, signs)
         p2_em = np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
-        w_T = dw_r.sum(axis=0)
-        p2_exact = np.sin(0.5 * math.pi + 0.5 * lam * math.pi * w_T) ** 2
-        errors.append(abs(np.mean(p2_em - p2_exact)))
-    order = math.log2(errors[0] / errors[1])
-    assert order >= 0.8, (errors, order)
+        plus = np.unpackbits(signs, axis=0, bitorder="little")[0::2][:n_sse].sum(axis=0)
+        w_T = math.sqrt(dt) * (2.0 * plus - n_sse)
+        pathwise = np.mean(p2_em - np.sin(0.5 * math.pi + c * w_T) ** 2)
+        k = np.arange(n_sse + 1)
+        log_prob = (math.lgamma(n_sse + 1) - np.array([math.lgamma(j + 1) + math.lgamma(n_sse - j + 1)
+                                                       for j in k]) - n_sse * math.log(2.0))
+        two_point = np.sum(np.exp(log_prob)
+                           * np.sin(0.5 * math.pi + c * math.sqrt(dt) * (2.0 * k - n_sse)) ** 2)
+        gaussian = 0.5 * (1.0 + math.exp(-2.0 * c * c))  # E cos^2(c W_1)
+        errors.append(abs(pathwise + two_point - gaussian))
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+    assert min(orders) >= 0.8, (errors, orders)
 
 
 def test_trajectory_rng_is_counter_based():
