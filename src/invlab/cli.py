@@ -10,10 +10,11 @@ A JSON config file mirroring the flag structure can be passed with
 --config; explicit flags override file values, and --dump-config echoes
 the effective configuration so a run can be reproduced exactly.  The
 option table _OPTIONS makes the flags, the config defaults and the key,
-type and choice checks of config values; the protocol table in
-invlab.protocols checks protocol parameters.  Exit codes: 0 success, 2
-bad input (a ValueError, or an unreadable --config file), 1 any other
-failure, a fault of the program included.
+type and choice checks of config values; its protocol rows come from the
+protocol table in invlab.protocols (default null: the kind's own), which
+checks every protocol value set.  Exit codes: 0 success, 2 bad input (a
+ValueError, or an unreadable --config file), 1 any other failure, a
+fault of the program included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 from .core import GROUND_BLOCH, ControlField, TimeGrid, write_csv
 from .dynamics import ErrorSetting, evolve_bloch, monte_carlo_p2
-from .protocols import ENVELOPES, PROTOCOLS, ProtocolSpec
+from .protocols import PROTOCOLS, ProtocolSpec
 from .sensitivity import (qn_finite_difference, qn_formula, qs_finite_difference,
                           qs_formula)
 from .sweeps import (Axis, default_beta_axis, default_delta0_axis,
@@ -85,30 +86,25 @@ _SUBCOMMANDS = {
 _OPTIONS = (
     _Option("common", "grid", "n_steps", "--grid-steps", int, None, 2001,
             "grid points (default 2001)"),
-    _Option("common", "monte_carlo", "seed", "--seed", int, None, 0,
-            "64-bit RNG seed (default 0)"),
     _Option("common", "output", "path", "--out", str, None, None,
             "output path (default: stdout)"),
     _Option("common", "output", "format", "--format", str, ("csv", "json"), "csv", "output format"),
     _Option("common", None, "duration", "--duration", float, None, 1.0,
             "physical duration T used only to scale displayed outputs"),
     _Option("protocol", "protocol", "kind", "--kind", str, None, None, "protocol kind"),
-    _Option("protocol", "protocol", "alpha", "--alpha", float, None, 0.0,
-            "pulse phase (radians)"),
-    _Option("protocol", "protocol", "omega0", "--omega0", float, None, None,
-            "Rabi amplitude times T"),
-    _Option("protocol", "protocol", "delta0", "--delta0", float, None, None,
-            "detuning amplitude times T"),
-    _Option("protocol", "protocol", "n", "--n", int, None, None, "protocol family index"),
-    _Option("protocol", "protocol", "gauge", "--gauge", str, ("zero-omega-i",), "zero_omega_i",
-            "optimal_systematic gauge (explicit needs a Python alpha function)"),
-    _Option("protocol", "protocol", "envelope", "--envelope", str, tuple(sorted(ENVELOPES)),
-            "sin", "shaped_pi envelope name"),
+    # one row per protocol parameter name the command line can set, as the protocol table
+    # gives it (choices are names, so strings); None leaves the kind's own default
+    *(_Option("protocol", "protocol", p.name, f"--{p.name}", str if p.choices else p.type,
+              tuple(sorted(p.choices)) if p.choices else None, None, p.help)
+      for p in {q.name: q for family in PROTOCOLS.values() for q in family.params
+                if q.cli_settable}.values()),
     _Option("simulate", "errors", "beta", "--beta", float, None, 0.0, "systematic error amplitude"),
     _Option("simulate", "errors", "lambda2", "--lambda2", float, None, 0.0,
             "noise intensity lambda^2 (units T)"),
     _Option("simulate", "simulate", "sse", "--sse", bool, None, False,
             "run a Monte Carlo SSE ensemble instead of the Bloch equation"),
+    _Option("simulate", "monte_carlo", "seed", "--seed", int, None, 0,
+            "64-bit RNG seed (default 0)"),
     _Option("simulate", "monte_carlo", "n_traj", "--n-traj", int, None, 10000,
             "SSE trajectories (default 10000)"),
     _Option("simulate", "monte_carlo", "dt", "--dt", float, None, 0.00025,
@@ -186,7 +182,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
             table[opt.key] = flag_value
         _check_value(opt, table[opt.key])
 
-    cfg["protocol"]["gauge"] = cfg["protocol"]["gauge"].replace("-", "_")
     if not (cfg["duration"] > 0.0 and math.isfinite(cfg["duration"])):
         raise ValueError(f"duration must be finite and positive, got {cfg['duration']}")
     return cfg
@@ -196,9 +191,7 @@ def _field_from_config(cfg: dict) -> ControlField:
     p = cfg["protocol"]
     if not p["kind"]:
         raise ValueError("a protocol kind is required (--kind or config protocol.kind)")
-    family = PROTOCOLS.get(p["kind"])
-    params = {q.name: p[q.name] for q in (family.params if family else ())
-              if q.cli and p[q.name] is not None}
+    params = {key: value for key, value in p.items() if key != "kind" and value is not None}
     return ProtocolSpec(p["kind"], params).build(TimeGrid(cfg["grid"]["n_steps"]))
 
 
@@ -239,6 +232,8 @@ def cmd_simulate(cfg: dict) -> None:
     setting = ErrorSetting(beta=float(cfg["errors"]["beta"]),
                            lambda2=float(cfg["errors"]["lambda2"]))
     if cfg["simulate"]["sse"]:
+        if setting.beta != 0.0:
+            raise ValueError(f"--beta {setting.beta:g}: the SSE ensemble has no systematic error")
         mc = cfg["monte_carlo"]
         result = monte_carlo_p2(field, setting.lambda2,
                                 int(mc["n_traj"]), float(mc["dt"]), int(mc["seed"]))

@@ -32,8 +32,6 @@ import numpy as np
 from .core import ControlField, InvariantAngles, TimeGrid, constant
 from .optimal import solve_optimal_theta
 
-GAUGES = ("zero_omega_i", "explicit")
-
 # Named shaped_pi envelopes; a name may stand for the function wherever an envelope is taken.
 ENVELOPES = {
     "sin": lambda t: np.sin(math.pi * np.asarray(t, dtype=float)),
@@ -192,18 +190,19 @@ def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:
 def optimal_systematic_angles(n: int, duration: float = 1.0,
                               theta: Callable | None = None,
                               theta_dot: Callable | None = None,
-                              gauge: str = "zero_omega_i",
                               alpha: Callable | None = None,
                               alpha_dot: Callable | None = None) -> InvariantAngles:
     """Angle triple of the zero-systematic-sensitivity family.
 
-    gamma = n (2 theta - sin 2 theta) makes q_S vanish for integer n.
-    The zero_omega_i gauge fixes alpha = -arccot(4 n sin^3 theta) on the
-    continuous branch in (-pi, 0), i.e. alpha = arctan(4 n sin^3 theta) - pi/2,
-    with alpha(0) = alpha(T) = -pi/2.
+    gamma = n (2 theta - sin 2 theta) makes q_S vanish for integer n; alpha
+    is free.  Without an alpha function, alpha = -arccot(4 n sin^3 theta) on
+    the continuous branch in (-pi, 0), i.e. alpha = arctan(4 n sin^3 theta) - pi/2,
+    with alpha(0) = alpha(T) = -pi/2: the choice that makes Omega_I vanish.
     """
-    n = _check("optimal_systematic", n=n, theta=theta, theta_dot=theta_dot, gauge=gauge,
+    n = _check("optimal_systematic", n=n, theta=theta, theta_dot=theta_dot,
                alpha=alpha, alpha_dot=alpha_dot)["n"]
+    if (theta is None and theta_dot is not None) or (alpha is None and alpha_dot is not None):
+        raise ValueError("optimal_systematic: theta_dot and alpha_dot need theta and alpha")
     if theta is None:
         theta = lambda t: math.pi * np.asarray(t, dtype=float) / duration
         theta_dot = constant(math.pi / duration)
@@ -218,51 +217,46 @@ def optimal_systematic_angles(n: int, duration: float = 1.0,
             th = np.asarray(theta(t), dtype=float)
             return 4.0 * n * np.sin(th) ** 2 * np.asarray(theta_dot(t), dtype=float)
 
-    if gauge == "explicit":
-        if alpha is None:
-            raise ValueError("explicit gauge requires an alpha function")
-        return InvariantAngles(theta, alpha, gamma, theta_dot, alpha_dot, gamma_dot)
-
-    def alpha_zero_wi(t):
-        th = np.asarray(theta(t), dtype=float)
-        return np.arctan(4.0 * n * np.sin(th) ** 3) - 0.5 * math.pi
-
-    alpha_zero_wi_dot = None
-    if theta_dot is not None:
-        def alpha_zero_wi_dot(t):
+    if alpha is None:
+        def alpha(t):
             th = np.asarray(theta(t), dtype=float)
-            x = 4.0 * n * np.sin(th) ** 3
-            return (12.0 * n * np.sin(th) ** 2 * np.cos(th)
-                    * np.asarray(theta_dot(t), dtype=float)) / (1.0 + x * x)
+            return np.arctan(4.0 * n * np.sin(th) ** 3) - 0.5 * math.pi
 
-    return InvariantAngles(theta, alpha_zero_wi, gamma, theta_dot, alpha_zero_wi_dot, gamma_dot)
+        if theta_dot is not None:
+            def alpha_dot(t):
+                th = np.asarray(theta(t), dtype=float)
+                x = 4.0 * n * np.sin(th) ** 3
+                return (12.0 * n * np.sin(th) ** 2 * np.cos(th)
+                        * np.asarray(theta_dot(t), dtype=float)) / (1.0 + x * x)
+
+    return InvariantAngles(theta, alpha, gamma, theta_dot, alpha_dot, gamma_dot)
 
 
 def make_optimal_systematic(n: int, grid: TimeGrid,
                             theta: Callable | None = None,
                             theta_dot: Callable | None = None,
-                            gauge: str = "zero_omega_i",
                             alpha: Callable | None = None,
                             alpha_dot: Callable | None = None) -> ControlField:
     """Protocol with zero systematic-error sensitivity (integer n >= 1)."""
-    angles = optimal_systematic_angles(n, grid.duration, theta, theta_dot,
-                                       gauge, alpha, alpha_dot)
+    angles = optimal_systematic_angles(n, grid.duration, theta, theta_dot, alpha, alpha_dot)
     s = angles.sample(grid)
-    if np.any(np.diff(s.theta) < -1e-12) or abs(s.theta[0]) > 1e-9 or abs(s.theta[-1] - math.pi) > 1e-9:
+    if np.any(np.diff(s.theta) < -1e-12):
         raise ValueError("theta must be monotone from 0 to pi")
     if float(np.max(np.abs(np.diff(s.alpha)))) > 0.5 * math.pi:
         raise RuntimeError("gauge branch is discontinuous on the grid")
+    gauge = "zero_omega_i" if alpha is None else "explicit"
     return make_invariant_engineered(
         angles, grid, label=f"optimal_systematic(n={n},gauge={gauge})")
 
 
 class Param(NamedTuple):
-    """One protocol parameter: its type, its default and the rule a value must meet.
+    """One protocol parameter: its type, default, rule and help.
 
     type is float, int, str, callable or a class.  A parameter whose default
     is None may be left unset; one without a default is required.  choices
     lists the allowed strings; when it is a dict, a name stands for its value.
-    cli is False for a parameter the command line cannot express (a function).
+    The parameter is a command-line flag exactly when its type is int, float
+    or str, or when it has choices; help is the flag's help text.
     """
 
     name: str
@@ -271,7 +265,11 @@ class Param(NamedTuple):
     above: float | None = None
     odd: bool = False
     choices: tuple | dict | None = None
-    cli: bool = True
+    help: str = ""
+
+    @property
+    def cli_settable(self) -> bool:
+        return self.type in (int, float, str) or self.choices is not None
 
     def check(self, kind: str, value):
         """The value, converted to int or float where typed so; ValueError if it breaks the rule."""
@@ -304,26 +302,29 @@ class Family(NamedTuple):
     params: tuple
 
 
-_ALPHA = Param("alpha", float, 0.0)
-_SWEEP = (Param("omega0", float, above=0.0), Param("delta0", float))
+_ALPHA = Param("alpha", float, 0.0, help="pulse phase (radians)")
+_SWEEP = (Param("omega0", float, above=0.0, help="Rabi amplitude times T"),
+          Param("delta0", float, help="detuning amplitude times T"))
+_N_HELP = "protocol family index"
 
-# The protocol table: the one place that knows each kind's parameters and
-# their rules.  Builders are called through their module names, so a
-# rebinding of make_* (tracing, mocking) is seen.
+# The protocol table: the one place that knows each kind's parameters, their
+# rules and their command-line flags.  Builders are called through their
+# module names, so a rebinding of make_* (tracing, mocking) is seen.
 PROTOCOLS = {
     "flat_pi": Family(lambda **p: make_flat_pi(**p), (_ALPHA,)),
     "shaped_pi": Family(lambda **p: make_shaped_pi(**p),
-                        (Param("envelope", callable, choices=ENVELOPES), _ALPHA)),
+                        (Param("envelope", callable, "sin", choices=ENVELOPES,
+                               help="shaped_pi envelope name"), _ALPHA)),
     "sinusoidal_adiabatic": Family(lambda **p: make_sinusoidal(**p), _SWEEP),
     "transitionless": Family(lambda **p: make_transitionless(**p), _SWEEP),
     "invariant_engineered": Family(lambda **p: make_invariant_engineered(**p),
-                                   (Param("angles", InvariantAngles, cli=False),)),
-    "optimal_noise": Family(lambda **p: make_optimal_noise(**p), (Param("n", int, 7, odd=True),)),
+                                   (Param("angles", InvariantAngles),)),
+    "optimal_noise": Family(lambda **p: make_optimal_noise(**p),
+                            (Param("n", int, 7, odd=True, help=_N_HELP),)),
     "optimal_systematic": Family(
         lambda **p: make_optimal_systematic(**p),
-        (Param("n", int, 1, above=0), Param("gauge", str, "zero_omega_i", choices=GAUGES),
-         *(Param(name, callable, None, cli=False)
-           for name in ("theta", "theta_dot", "alpha", "alpha_dot")))),
+        (Param("n", int, 1, above=0, help=_N_HELP),
+         *(Param(name, callable, None) for name in ("theta", "theta_dot", "alpha", "alpha_dot")))),
 }
 
 PROTOCOL_KINDS = tuple(PROTOCOLS)
@@ -342,7 +343,7 @@ def _check(kind: str, **params) -> dict:
         value = out.get(p.name, p.default)
         if value is Parameter.empty:
             raise ValueError(f"{kind} requires parameter {p.name!r}"
-                             + ("" if p.cli else " (a Python object, not settable from the CLI)"))
+                             + ("" if p.cli_settable else " (a Python object, not a CLI flag)"))
         out[p.name] = p.check(kind, value)
     return out
 

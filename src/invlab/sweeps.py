@@ -1,8 +1,9 @@
 """Parameter-grid experiments: sensitivity surfaces and robustness maps.
 
-Cells are independent pure evaluations; failures inside a sensitivity
-sweep are recorded as missing values (NaN, emitted as empty CSV cells)
-rather than aborting the whole figure.  Cells run in grid-index order.
+Cells are independent pure evaluations; a sensitivity-sweep cell whose
+field is singular or does not invert is recorded as a missing value (NaN,
+emitted as an empty CSV cell) rather than aborting the whole figure.
+Cells run in grid-index order.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
@@ -124,9 +125,9 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
         w, d = cell
         try:
             report = analyzer(make_transitionless(w, d, grid))
-        except (RuntimeError, ValueError):
+        except RuntimeError:  # singular or non-inverting cell; bad parameters still raise
             return math.nan
-        return report.q_n if quantity == "q_n" else report.q_s
+        return getattr(report, quantity)
 
     values = np.array([one(cell) for cell in cells]).reshape(omega0_axis.n_points,
                                                              delta0_axis.n_points)

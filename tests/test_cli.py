@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import invlab.cli as cli_module
 from invlab import ControlField, TimeGrid, make_transitionless
 from invlab.cli import main
+from invlab.protocols import PROTOCOLS
 
 FIG1 = ["--omega0", "4.0693", "--delta0", "5.2710"]
 
@@ -61,10 +63,9 @@ def test_protocol_duration_scaling(capsys):
 def test_protocol_optimal_systematic_zero_gauge(tmp_path):
     out = tmp_path / "field.csv"
     assert run_cli(["protocol", "--kind", "optimal_systematic", "--n", "1",
-                    "--gauge", "zero-omega-i", "--grid-steps", "401",
-                    "--out", str(out)]) == 0
+                    "--grid-steps", "401", "--out", str(out)]) == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.max(np.abs(data[:, 2])) < 1e-12        # omega_i vanishes in this gauge
+    assert np.max(np.abs(data[:, 2])) < 1e-12        # the default alpha makes omega_i vanish
     assert np.max(np.abs(data[:, 3])) > 1.0          # detuning channel is active
     assert np.max(np.abs(data[:, 3] + data[::-1, 3])) < 1e-9  # odd about T/2
 
@@ -236,8 +237,16 @@ def test_exit_codes(capsys):
                     "--delta0", "0.0", "--grid-steps", "101"]) == 1  # singular CD term
     assert run_cli(["sensitivity", "--kind", "sinusoidal_adiabatic", *FIG1,
                     "--grid-steps", "401"]) == 1  # protocol does not invert
-    # the explicit gauge needs a Python alpha function, so the flag refuses it
-    assert run_cli(["protocol", "--kind", "optimal_systematic", "--gauge", "explicit"]) == 2
+    # a protocol flag the kind does not take is refused, by name
+    capsys.readouterr()
+    assert run_cli(["protocol", "--kind", "flat_pi", "--omega0", "3"]) == 2
+    assert "flat_pi takes no parameter 'omega0'" in capsys.readouterr().err
+    assert run_cli(["protocol", "--kind", "transitionless", "--omega0", "1", "--delta0", "1",
+                    "--n", "3"]) == 2
+    assert "transitionless takes no parameter 'n'" in capsys.readouterr().err
+    # the seed is read by the SSE ensemble alone
+    assert run_cli(["sweep", "--figure", "4", "--seed", "5"]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
     assert run_cli(["protocol", "--kind", "optimal_noise", "--n", "3",
                     "--grid-steps", "201"]) == 0
     assert run_cli([]) == 2
@@ -330,7 +339,6 @@ def test_non_finite_duration_exits_2(capsys, value):
     (None, "duration", True),
     ("protocol", "envelope", "bogus"),
     ("sweep", "figure", 3),
-    ("protocol", "gauge", "explicit"),
 ])
 def test_config_values_are_type_checked(tmp_path, capsys, section, key, value):
     cfg = {"protocol": {"kind": "flat_pi"}, "grid": {"n_steps": 11}}
@@ -394,6 +402,43 @@ def test_unstable_sse_step_exits_2(capsys):
 def test_non_finite_settings_exit_2(capsys, args, name):
     assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "11", *args]) == 2
     assert f"invlab: {name} must be finite" in capsys.readouterr().err
+
+
+def test_sse_refuses_a_systematic_error(capsys):
+    # the SSE ensemble has no systematic error, so a beta would be dropped
+    assert run_cli(["simulate", "--kind", "flat_pi", "--grid-steps", "11", "--sse",
+                    "--beta", "0.1", "--n-traj", "4", "--dt", "0.001"]) == 2
+    assert "invlab: --beta 0.1: the SSE ensemble has no systematic error" in capsys.readouterr().err
+
+
+def test_sweep_axis_outside_the_family_exits_2(tmp_path, capsys):
+    assert run_cli(["sweep", "--figure", "2", "--axis1=-1,1,3", "--axis2=0.5,1,2",
+                    "--grid-steps", "101", "--out", str(tmp_path / "fig2")]) == 2
+    assert "omega0 must be > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_protocol_flags_come_from_the_protocol_table(capsys):
+    params = {}
+    for family in PROTOCOLS.values():
+        for p in family.params:
+            if p.cli_settable:
+                params.setdefault(p.name, set()).add(
+                    (p.type, tuple(sorted(p.choices or ())), p.help))
+    assert all(len(rules) == 1 for rules in params.values()), params
+    assert run_cli(["protocol", "--help"]) == 0
+    text = capsys.readouterr().out
+    flags = re.findall(r"^ +(--[\w-]+)", text, re.M)
+    for name, [(_, choices, help_text)] in params.items():
+        assert flags.count(f"--{name}") == 1, name
+        assert help_text in " ".join(text.split())
+        if choices:
+            assert f"--{name} {{{','.join(choices)}}}" in text
+    assert "--gauge" not in text
+    # unset protocol parameters dump as null: the kind's own default
+    assert run_cli(["protocol", "--kind", "shaped_pi", "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)["protocol"]
+    assert dumped == {"kind": "shaped_pi", **dict.fromkeys(params)}
 
 
 def test_spaced_negative_exponent_value_parses_like_joined(tmp_path):

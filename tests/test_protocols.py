@@ -227,18 +227,18 @@ def test_optimal_systematic_gamma_relation(grid):
 
 
 def test_optimal_systematic_explicit_gauge(grid):
-    f = make_optimal_systematic(1, grid, gauge="explicit", alpha=constant(0.0),
-                                alpha_dot=constant(0.0))
+    # a given alpha is used: alpha = 0 puts theta_dot = pi into omega_i
+    f = make_optimal_systematic(1, grid, alpha=constant(0.0), alpha_dot=constant(0.0))
+    assert np.max(np.abs(f.omega_i - np.pi)) < 1e-12
+    assert f.label == "optimal_systematic(n=1,gauge=explicit)"
     assert evolve_bloch(f, GROUND_BLOCH).final_p2() >= 1.0 - 1e-6
     with pytest.raises(ValueError):
-        make_optimal_systematic(1, grid, gauge="explicit")
+        make_optimal_systematic(1, grid, alpha_dot=constant(0.0))  # a derivative without alpha
 
 
 def test_optimal_systematic_validation(grid):
     with pytest.raises(ValueError):
         make_optimal_systematic(0, grid)
-    with pytest.raises(ValueError):
-        make_optimal_systematic(1, grid, gauge="bogus")
     with pytest.raises(ValueError):
         make_optimal_systematic(1, grid, theta=lambda t: 0.5 * np.pi * np.asarray(t),
                                 theta_dot=constant(0.5 * np.pi))
@@ -282,14 +282,18 @@ def test_protocol_spec_dispatch(grid):
      lambda g: make_transitionless(0.0, 1.0, g), ["--omega0", "0", "--delta0", "1"]),
     ("sinusoidal_adiabatic", {"omega0": -1.0, "delta0": 1.0},
      lambda g: make_sinusoidal(-1.0, 1.0, g), ["--omega0=-1", "--delta0", "1"]),
-    ("optimal_systematic", {"gauge": "bogus"},
-     lambda g: make_optimal_systematic(1, g, gauge="bogus"), ["--gauge", "bogus"]),
+    ("optimal_systematic", {"alpha": 0.3},
+     lambda g: make_optimal_systematic(1, g, alpha=0.3), ["--alpha", "0.3"]),
     ("shaped_pi", {"envelope": "bogus"}, lambda g: make_shaped_pi("bogus", 0.0, g),
      ["--envelope", "bogus"]),
     ("shaped_pi", {"envelope": 3}, lambda g: make_shaped_pi(3, 0.0, g), None),
+    # parameters of another kind: a Python call fails with TypeError, so no builder route
+    ("flat_pi", {"omega0": 3.0}, None, ["--omega0", "3"]),
+    ("transitionless", {"omega0": 1.0, "delta0": 1.0, "n": 3}, None,
+     ["--omega0", "1", "--delta0", "1", "--n", "3"]),
 ])
-def test_each_parameter_rule_holds_on_every_route(kind, params, builder, flags):
-    with pytest.raises(ValueError):
+def test_each_parameter_rule_holds_on_every_route(capsys, kind, params, builder, flags):
+    with pytest.raises(ValueError) as refused:
         ProtocolSpec(kind, params)
     if builder is not None:
         with pytest.raises(ValueError):
@@ -299,6 +303,9 @@ def test_each_parameter_rule_holds_on_every_route(kind, params, builder, flags):
         if "--kind" not in flags:
             argv += ["--kind", kind]
         assert main(argv) == 2
+        # the CLI says what ProtocolSpec says, unless argparse refuses a choice first
+        err = capsys.readouterr().err
+        assert err == f"invlab: {refused.value}\n" or f"argument {flags[-2]}: invalid choice" in err
 
 
 def test_negative_delta0_builds_the_mirror_sweep_on_every_route(tmp_path):
