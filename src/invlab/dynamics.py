@@ -54,13 +54,16 @@ trajectory's four-step propagator.  No normalization is enforced during
 evolution; final probabilities divide by the squared norm to absorb the
 O(dt) drift.
 
-Seed contract: trajectory i of seed s reads ceil(n_steps / 32) words of
-Philox(key=[s, i]).random_raw as little-endian bytes.  Byte q drives
-steps 4q .. 4q+3; its bit 2j is the sign of dW_R at step 4q+j and bit
-2j+1 that of dW_I, a 1 bit meaning +sqrt(dt).  The streams are keyed
-per trajectory, so ensembles are order-independent and bit-reproducible
-under any batching; a single trajectory is a batch of one and equals its
-ensemble member bit for bit.  The ensemble runs on the calling thread.
+Seed contract: with W = ceil(n_steps / 32) and B = ceil(W / 4),
+trajectory i of seed s reads W words of
+Philox(key=s, counter=i * B).random_raw as little-endian bytes, a window
+of B Philox blocks that no other trajectory reads.  Byte q drives steps
+4q .. 4q+3; its bit 2j is the sign of dW_R at step 4q+j and bit 2j+1
+that of dW_I, a 1 bit meaning +sqrt(dt).  A trajectory's signs depend on
+(s, i) alone, so ensembles are order-independent and bit-reproducible
+under any batching; a batch's signs are one random_raw call, and a
+single trajectory is a batch of one that equals its ensemble member bit
+for bit.  The ensemble runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class Trajectory:
         if self.kind == "bloch":
             return BlochState(*map(float, self.states[-1]))
         return PureState(complex(self.states[-1, 0]), complex(self.states[-1, 1]))
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.states) ** 2, axis=1))
 
     def to_csv(self, path) -> None:
         ts = self.grid.times
@@ -294,7 +294,7 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
 def _require_bounded(states: np.ndarray, what: str) -> None:
     # an unstable step grows the components long before they overflow; NaN and inf fail too
     if not np.all(np.abs(states) <= 1.0 + 1e-6):
-        raise RuntimeError(f"{what} integration diverged (a component exceeds 1 in modulus)")
+        raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
 def _prefixes(field: ControlField, engine, params):
@@ -375,19 +375,10 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
 
 def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     """P2(T) of the Schrodinger equation from the ground state, one value per beta."""
-    c = _apply_pair(_final(field, _PURE, list(betas)), 1.0 + 0.0j, 0.0j)
+    betas = [ErrorSetting(beta=b).beta for b in betas]  # rejects a non-finite beta
+    c = _apply_pair(_final(field, _PURE, betas), 1.0 + 0.0j, 0.0j)
     _require_bounded(c, "pure-state")
     return _pure_p2(c[0], c[1])
-
-
-def trajectory_rng(seed: int, traj_index: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory, keyed by (seed, index)."""
-    for name, value in (("seed", seed), ("traj_index", traj_index)):
-        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                or not 0 <= value < _MAX_SEED):
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    key = np.array([seed, traj_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _sse_tables(field: ControlField, lambda2: float, dt: float, n_sse: int) -> list:
@@ -483,33 +474,18 @@ def _sse_run(tables: list, n_sse: int, c1, c2, signs: np.ndarray, record_every: 
     return c1, c2, recorded
 
 
-def _stream_bytes(seed: int, first: int, count: int, words: int) -> np.ndarray:
-    """Signs of trajectories first .. first+count-1, as uint8 of shape (8 * words, count).
-
-    Column j is ``words`` 64-bit words of ``random_raw`` from stream
-    (seed, first + j), viewed as little-endian bytes.  One Philox generator
-    is re-keyed per trajectory: setting a state of counter 0 and the new
-    key leaves it exactly as ``Philox(key=[seed, i])`` starts, at a third of
-    the cost of constructing one.
-    """
-    trajectory_rng(seed, first + count - 1)  # rejects a last index past the key range
-    philox = trajectory_rng(seed, first).bit_generator
-    fresh = philox.state
-    raw = np.empty((count, words), dtype=np.uint64)
-    for j in range(count):
-        fresh["state"]["key"][1] = first + j
-        philox.state = fresh
-        raw[j] = philox.random_raw(words)
-    return np.ascontiguousarray(raw.astype("<u8", copy=False).view(np.uint8).T)
-
-
 def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: float,
                       seed: int, first: int, count: int, record: bool = False):
     """Yield ``_sse_run`` on trajectories first .. first+count-1 from psi0, _SSE_BATCH at a time.
 
     dt must divide the grid spacing.  The step tables are built once; each
-    batch reads its signs from streams (seed, i) and is integrated from them.
+    batch reads its signs under the module docstring's seed contract in one
+    Philox call and is integrated from them.
     """
+    for name, value in (("seed", seed), ("traj_index", first)):
+        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                or not 0 <= value < _MAX_SEED):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     ErrorSetting(lambda2=lambda2)  # rejects a negative or non-finite lambda2
     psi0.check_normalized()
     if not (math.isfinite(dt) and dt > 0.0):
@@ -525,9 +501,16 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
         raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
                          f"{stiffness:.3g} >= 1; take a smaller dt")
     tables = _sse_tables(field, lambda2, dt, n_sse)
+    words = -(-n_sse // 32)
+    blocks = -(-words // 4)
+    first = int(first)  # a numpy uint64 index times the block count would wrap
+    philox = np.random.Philox(key=int(seed), counter=first * blocks)
     for lo in range(first, first + count, _SSE_BATCH):
         m = min(_SSE_BATCH, first + count - lo)
-        signs = _stream_bytes(seed, lo, m, -(-n_sse // 32))
+        raw = philox.random_raw(4 * blocks * m).reshape(m, 4 * blocks)
+        # contiguous rows before the byte transpose, which is several times slower on strided ones
+        raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
+        signs = np.ascontiguousarray(raw.view(np.uint8).T)
         yield _sse_run(tables, n_sse, np.full(m, complex(psi0.c1)), np.full(m, complex(psi0.c2)),
                        signs, record_every=per if record else 0)
 
@@ -550,13 +533,11 @@ def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
                    seed: int) -> EnsembleResult:
     """Mean and standard error of P2(T) over independent SSE trajectories from the ground state.
 
-    Each trajectory follows the simplified weak Euler scheme: the Wiener
-    increments of step k are dW_R, dW_I = +-sqrt(dt), whose signs are bits
-    2(k mod 4) and 2(k mod 4) + 1 of byte k // 4 of trajectory i's stream,
-    ceil(n_steps / 32) words of ``Philox(key=[seed, i]).random_raw`` read as
-    little-endian bytes (a 1 bit is +sqrt(dt)).  The mean converges with
-    weak order 1 in dt.  Deterministic given the seed: trajectory i always
-    consumes stream (seed, i) and the reduction runs in index order, so the
+    Each trajectory follows the simplified weak Euler scheme on two-point
+    increments dW_R, dW_I = +-sqrt(dt), whose signs trajectory i reads
+    under the module docstring's seed contract.  The mean converges with
+    weak order 1 in dt.  Deterministic given the seed: trajectory i's signs
+    depend on (seed, i) alone and the reduction runs in index order, so the
     result does not depend on batching.
     """
     if n_traj < 2:

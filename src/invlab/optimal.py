@@ -53,7 +53,6 @@ class ThetaSolution:
     theta: np.ndarray
     theta_dot: np.ndarray
     c: float
-    method: str  # "first_integral" | "shooting"
     theta_fn: Callable
     theta_dot_fn: Callable
 
@@ -64,21 +63,6 @@ class ThetaSolution:
                 f"theta(T)={self.theta[-1]!r}")
         if np.any(np.diff(self.theta) <= 0.0):
             raise RuntimeError("theta is not strictly increasing")
-
-    def ode_residual(self) -> float:
-        """Max norm of (3 + cos 2 th) th'' - sin(2 th) th'^2 on interior points.
-
-        Both derivatives come from fourth-order central differences of the
-        sampled theta, so the check is independent of how the solution was
-        produced.  A diagnostic, not a gate: its O(h^4) truncation and
-        O(eps / h^2) rounding read 5.6e-5 at 101 points and 4.0e-6 at 20001.
-        """
-        y, h = self.theta, self.grid.h
-        d1 = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-        d2 = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]) / (12.0 * h * h)
-        mid = y[2:-2]
-        return float(np.max(np.abs((3.0 + np.cos(2.0 * mid)) * d2
-                                   - np.sin(2.0 * mid) * d1**2)))
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,theta,theta_dot", [self.grid.times, self.theta, self.theta_dot])
@@ -128,8 +112,7 @@ def solve_optimal_theta(grid: TimeGrid) -> ThetaSolution:
 
     theta = theta_fn(grid.times)
     theta[0], theta[-1] = 0.0, math.pi
-    return ThetaSolution(grid, theta, theta_dot_fn(grid.times), c,
-                         "first_integral", theta_fn, theta_dot_fn)
+    return ThetaSolution(grid, theta, theta_dot_fn(grid.times), c, theta_fn, theta_dot_fn)
 
 
 def stationarity_m(angles: InvariantAngles) -> Callable:

@@ -33,6 +33,8 @@ class Axis:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"axis {self.name}: min {self.min} and max {self.max} must be finite")
         if not self.min < self.max:
             raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
         if self.n_points < 2:
@@ -125,7 +127,7 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
         w, d = cell
         try:
             report = analyzer(make_transitionless(w, d, grid))
-        except RuntimeError:  # singular or non-inverting cell; bad parameters still raise
+        except RuntimeError:  # singular or non-inverting; bad parameters and divergence raise
             return math.nan
         return getattr(report, quantity)
 

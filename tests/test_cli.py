@@ -418,6 +418,23 @@ def test_sweep_axis_outside_the_family_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("figure", ["2", "5"])
+def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure):
+    # h = 1/2 against |Omega| > 14: the RK4 rotation grows, which is a fault and not a missing cell
+    assert run_cli(["sweep", "--figure", figure, "--axis1=10,12,2", "--axis2=10,12,2",
+                    "--grid-steps", "3", "--out", str(tmp_path / "fig")]) == 1
+    assert "pure-state integration diverged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, axis", [(["--figure", "4", "--axis1=0,inf,3"], "beta"),
+                                        (["--figure", "2", "--axis1=1,inf,3"], "omega0")])
+def test_non_finite_sweep_axis_exits_2(tmp_path, capsys, args, axis):
+    assert run_cli(["sweep", *args, "--grid-steps", "101", "--out", str(tmp_path / "fig")]) == 2
+    assert f"invlab: axis {axis}: min" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_protocol_flags_come_from_the_protocol_table(capsys):
     params = {}
     for family in PROTOCOLS.values():

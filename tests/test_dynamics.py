@@ -8,7 +8,7 @@ from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, EnsembleResult, Err
                     PureState, TimeGrid, bloch_from_pure, constant, dynamics,
                     evolve_bloch, evolve_pure, evolve_sse, make_flat_pi,
                     make_transitionless, monte_carlo_p2)
-from invlab.dynamics import _sse_run, trajectory_rng
+from invlab.dynamics import _sse_run
 
 FLAT_P2_NOISE = lambda lam2: 0.5 + 0.5 * math.exp(-lam2 * math.pi**2 / 2.0)
 
@@ -43,7 +43,7 @@ def test_flat_pi_systematic_closed_form(grid, flat_field, beta):
 
 def test_norm_conservation_under_systematic_error(grid, transitionless_example):
     traj = evolve_pure(transitionless_example, GROUND_PURE, beta=0.35)
-    assert np.max(np.abs(traj.norms() - 1.0)) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-9
 
 
 def test_flat_pi_inverts_bloch(grid, flat_field):
@@ -72,9 +72,9 @@ def test_flat_pi_noise_final_p2_value(grid, flat_field):
 
 def test_bloch_norm_monotone_under_noise(grid, transitionless_example):
     traj = evolve_bloch(transitionless_example, GROUND_BLOCH, ErrorSetting(lambda2=0.3))
-    norms = traj.norms()
+    norms = np.linalg.norm(traj.states, axis=1)
     assert np.all(np.diff(norms) <= 1e-9)
-    pure = evolve_bloch(transitionless_example, GROUND_BLOCH).norms()
+    pure = np.linalg.norm(evolve_bloch(transitionless_example, GROUND_BLOCH).states, axis=1)
     assert np.max(np.abs(pure - 1.0)) < 1e-9
 
 
@@ -275,20 +275,22 @@ def test_sse_weak_order_one(grid, flat_field):
     assert min(orders) >= 0.8, (errors, orders)
 
 
-def test_trajectory_rng_is_counter_based():
-    a = trajectory_rng(10, 0).normal(size=4)
-    b = trajectory_rng(10, 0).normal(size=4)
-    c = trajectory_rng(10, 1).normal(size=4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        trajectory_rng(-1, 0)
-
-
 @pytest.mark.parametrize("name, bad", [(name, bad) for name in ("seed", "traj_index")
                                        for bad in (-1, 2**64, 1.5, True, "1")])
-def test_trajectory_rng_rejects_bad_keys(name, bad):
+def test_trajectory_rng_rejects_bad_keys(flat_field, name, bad):
+    # the seed and first trajectory index key the Philox window of every SSE entry point
     keys = {"seed": 0, "traj_index": 0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        trajectory_rng(**keys)
-    trajectory_rng(**{**keys, name: np.uint64(2**64 - 1)})
+        evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, **keys)
+    if name == "seed":
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            monte_carlo_p2(flat_field, 0.09, 4, 1.0 / 2000.0, seed=bad)
+
+
+def test_sse_last_key_is_a_python_int_counter(flat_field):
+    # the window's counter is index * blocks; as a numpy uint64 product it would wrap (with a warning)
+    top = 2**64 - 1
+    got = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=np.uint64(top),
+                     traj_index=np.uint64(top))
+    want = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=top, traj_index=top)
+    assert np.array_equal(got.states, want.states)

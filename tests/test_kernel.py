@@ -18,7 +18,6 @@ from invlab import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, ErrorSe
                     PureState, TimeGrid, dynamics, evolve_bloch, evolve_propagator,
                     evolve_pure, final_p2_bloch, final_p2_pure, make_flat_pi,
                     make_transitionless, monte_carlo_p2)
-from invlab.dynamics import trajectory_rng
 from rk4_reference import reference_bloch, reference_pure
 from sse_reference import reference_sse_run
 
@@ -94,7 +93,7 @@ def test_pure_matches_reference_keeps_norm_and_p2_range(field, beta, psi0):
     assert np.max(np.abs(traj.states - reference_pure(field, psi0.c1, psi0.c2, beta))) < 1e-12
     # RK4 is unitary only to its truncation error, which reaches ~1.4e-7 here
     # (201 points, channels up to 12, beta = 1); rounding adds nothing visible.
-    assert np.max(np.abs(traj.norms() - 1.0)) < 1e-6
+    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-6
     p2 = traj.p2()
     assert np.all((p2 >= -1e-15) & (p2 <= 1.0 + 1e-15))
 
@@ -166,8 +165,13 @@ def test_final_p2_rejects_divergence():
                                          lambda t: 0 * t, lambda t: 0 * t)
     with pytest.raises(ValueError, match="RK4 step unstable"):  # the noise term, before solving
         final_p2_bloch(blowup, [ErrorSetting(lambda2=1.0)])
-    with pytest.raises(RuntimeError):  # the rotation, which the bound does not cover
+    with pytest.raises(FloatingPointError):  # the rotation, which the bound does not cover
         final_p2_bloch(blowup, [ErrorSetting()])
+
+
+def test_final_p2_pure_rejects_a_non_finite_beta():
+    with pytest.raises(ValueError, match="beta must be finite"):
+        final_p2_pure(make_flat_pi(0.0, GRID), [0.0, math.inf])
 
 
 def _sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record):
@@ -181,12 +185,14 @@ def _sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record):
 
 
 def _increments(seed, index, n_sse, dt):
-    """(dW_R, dW_I) of each step of trajectory ``index``, decoded from its stream's bytes.
+    """(dW_R, dW_I) of each step of trajectory ``index``, decoded from its window's bytes.
 
-    ceil(n_sse / 32) words of random_raw, little-endian; bit 2j of byte q is
-    the sign of dW_R at step 4q+j and bit 2j+1 that of dW_I, 1 meaning +sqrt(dt).
+    W = ceil(n_sse / 32) words of random_raw from Philox(key=seed) at counter
+    index * ceil(W / 4), little-endian; bit 2j of byte q is the sign of dW_R
+    at step 4q+j and bit 2j+1 that of dW_I, 1 meaning +sqrt(dt).
     """
-    raw = trajectory_rng(seed, index).bit_generator.random_raw(-(-n_sse // 32))
+    words = -(-n_sse // 32)
+    raw = np.random.Philox(key=seed, counter=index * -(-words // 4)).random_raw(words)
     bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")
     return math.sqrt(dt) * (2.0 * bits[:2 * n_sse].reshape(n_sse, 2) - 1.0)
 
