@@ -287,6 +287,8 @@ def cmd_sweep(cfg: dict) -> None:
     if figure is None:
         raise ValueError(f"sweep requires --figure in {set(_FIGURES)}")
     default_axes, analysis, protocols = _FIGURES[figure]
+    if len(default_axes) == 1 and cfg["sweep"]["axis2"] is not None:
+        raise ValueError(f"sweep --figure {figure} has one axis; --axis2 does not apply")
     axes = [_parse_axis(cfg["sweep"][f"axis{i}"], fallback)
             for i, fallback in enumerate(default_axes, start=1)]
     T = cfg["duration"]

@@ -17,9 +17,10 @@ carry units 1/T.  A mixed state is the Bloch vector
 with excitation probability P2 = (1 - r3)/2.  Component 1 of a pure
 state is the ground state, component 2 the excited state.
 
-Control channels are kept as closed-form callables whenever the
-generator has them; otherwise a cubic spline over the grid samples
-stands in, which keeps fourth-order integrators at full accuracy.
+A field's channels are one vectorized function of time, t -> (Omega_R,
+Omega_I, Delta): the generator's closed forms whenever it has them,
+otherwise a cubic spline over the grid samples, which keeps
+fourth-order integrators at full accuracy.
 Derivatives of sampled quantities use centered second-order
 differences (one-sided second-order at the endpoints) throughout, and
 integrals over the grid use the in-house composite Simpson rule
@@ -104,9 +105,9 @@ def write_csv(path, header: str, columns) -> None:
 class ControlField:
     """The three control channels of H(t) sampled on a grid.
 
-    ``omega_r_fn``/``omega_i_fn``/``delta_fn`` hold the closed forms when
-    available; missing ones are filled with cubic splines over the
-    samples so that ``values`` can be evaluated anywhere in [0, T].
+    ``channels`` is one vectorized callable t -> (omega_r, omega_i, delta):
+    the closed forms when available, otherwise a cubic spline over the
+    samples, so that ``values`` can be evaluated anywhere in [0, T].
     """
 
     grid: TimeGrid
@@ -114,9 +115,7 @@ class ControlField:
     omega_i: np.ndarray
     delta: np.ndarray
     label: str = ""
-    omega_r_fn: Callable | None = None
-    omega_i_fn: Callable | None = None
-    delta_fn: Callable | None = None
+    channels: Callable | None = None
 
     def __post_init__(self):
         ts = self.grid.times
@@ -127,19 +126,16 @@ class ControlField:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} is not finite at every grid point")
             object.__setattr__(self, name, arr)
-            if getattr(self, name + "_fn") is None:
-                from scipy.interpolate import CubicSpline
+        if self.channels is None:
+            from scipy.interpolate import CubicSpline
 
-                object.__setattr__(self, name + "_fn", CubicSpline(ts, arr))
+            spline = CubicSpline(ts, np.column_stack([self.omega_r, self.omega_i, self.delta]))
+            object.__setattr__(self, "channels", lambda t: np.moveaxis(spline(t), -1, 0))
 
     @classmethod
-    def from_functions(cls, grid: TimeGrid, omega_r, omega_i, delta, label: str = "") -> "ControlField":
-        """Build from vectorized callables t -> value."""
-        ts = grid.times
-        return cls(grid, np.asarray(omega_r(ts), dtype=float),
-                   np.asarray(omega_i(ts), dtype=float),
-                   np.asarray(delta(ts), dtype=float),
-                   label, omega_r, omega_i, delta)
+    def from_functions(cls, grid: TimeGrid, channels, label: str = "") -> "ControlField":
+        """Build from one vectorized callable t -> (omega_r, omega_i, delta)."""
+        return cls(grid, *channels(grid.times), label=label, channels=channels)
 
     @classmethod
     def from_samples(cls, grid: TimeGrid, omega_r, omega_i, delta, label: str = "") -> "ControlField":
@@ -147,20 +143,18 @@ class ControlField:
 
     def values(self, t):
         """Evaluate (omega_r, omega_i, delta) at arbitrary times in [0, T]."""
-        t = np.asarray(t, dtype=float)
-        return (np.asarray(self.omega_r_fn(t), dtype=float),
-                np.asarray(self.omega_i_fn(t), dtype=float),
-                np.asarray(self.delta_fn(t), dtype=float))
+        return tuple(np.asarray(c, dtype=float) for c in self.channels(np.asarray(t, dtype=float)))
 
     @cached_property
     def stage_tables(self):
         """Channels at the grid nodes and at the step midpoints, evaluated once per field.
 
         These are the samples a fourth-order Runge-Kutta step reads; every
-        solve on this field shares them, whatever its error setting.
+        solve on this field shares them, whatever its error setting.  The
+        node table is the field's own samples.
         """
         ts = self.grid.times
-        return self.values(ts), self.values(0.5 * (ts[:-1] + ts[1:]))
+        return (self.omega_r, self.omega_i, self.delta), self.values(0.5 * (ts[:-1] + ts[1:]))
 
     def pulse_area(self) -> float:
         """Integral of |Omega| over the full duration (Simpson on the grid)."""

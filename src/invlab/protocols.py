@@ -1,8 +1,9 @@
 """Generators for the population-inversion protocol families.
 
-Every generator returns a :class:`~invlab.core.ControlField` whose
-error-free evolution takes the ground state to the excited state at
-t = T (the bare sinusoidal reference being the deliberate exception).
+Every generator returns a :class:`~invlab.core.ControlField`, built from
+one channel function t -> (WR, WI, D), whose error-free evolution takes
+the ground state to the excited state at t = T (the bare sinusoidal
+reference being the deliberate exception).
 
 Families
 --------
@@ -39,12 +40,20 @@ ENVELOPES = {
 }
 
 
+def _on_resonance(amplitude: Callable, c_r: float, c_i: float) -> Callable:
+    """Channels (c_r a(t), c_i a(t), 0) of a pulse with real amplitude a(t), read once per call."""
+    def channels(t):
+        a = np.asarray(amplitude(np.asarray(t, dtype=float)), dtype=float)
+        return c_r * a, c_i * a, np.zeros_like(a)
+    return channels
+
+
 def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
     """Constant Omega = (pi/T) e^{i alpha}, zero detuning."""
     alpha = _check("flat_pi", alpha=alpha)["alpha"]
     w = math.pi / grid.duration
     return ControlField.from_functions(
-        grid, constant(w * math.cos(alpha)), constant(w * math.sin(alpha)), constant(0.0),
+        grid, _on_resonance(ENVELOPES["flat"], w * math.cos(alpha), w * math.sin(alpha)),
         label=f"flat_pi(alpha={alpha:g})")
 
 
@@ -60,43 +69,29 @@ def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlF
     if float(np.min(envelope(grid.times))) < -1e-12:
         raise ValueError("envelope must be nonnegative")
     scale = math.pi / area
-    ca, sa = math.cos(alpha), math.sin(alpha)
-
-    def omega_r(t):
-        return scale * ca * np.asarray(envelope(np.asarray(t, dtype=float)), dtype=float)
-
-    def omega_i(t):
-        return scale * sa * np.asarray(envelope(np.asarray(t, dtype=float)), dtype=float)
-
-    return ControlField.from_functions(grid, omega_r, omega_i, constant(0.0),
-                                       label=f"shaped_pi(alpha={alpha:g})")
+    return ControlField.from_functions(
+        grid, _on_resonance(envelope, scale * math.cos(alpha), scale * math.sin(alpha)),
+        label=f"shaped_pi(alpha={alpha:g})")
 
 
-def _sinusoidal_channels(omega0: float, delta0: float, duration: float):
+def _sinusoidal(omega0: float, delta0: float, duration: float, t):
+    """WR, D and their time derivatives for the sinusoidal sweep, from one sin and one cos."""
     w = math.pi / duration
-
-    def omega_r(t):
-        return omega0 * np.sin(w * np.asarray(t, dtype=float))
-
-    def delta(t):
-        return -delta0 * np.cos(w * np.asarray(t, dtype=float))
-
-    def omega_r_dot(t):
-        return omega0 * w * np.cos(w * np.asarray(t, dtype=float))
-
-    def delta_dot(t):
-        return delta0 * w * np.sin(w * np.asarray(t, dtype=float))
-
-    return omega_r, delta, omega_r_dot, delta_dot
+    wt = w * np.asarray(t, dtype=float)
+    s, c = np.sin(wt), np.cos(wt)
+    return omega0 * s, -delta0 * c, omega0 * w * c, delta0 * w * s
 
 
 def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
     """Bare finite-time sinusoidal sweep (no shortcut term)."""
     omega0, delta0 = _check("sinusoidal_adiabatic", omega0=omega0, delta0=delta0).values()
-    omega_r, delta, _, _ = _sinusoidal_channels(omega0, delta0, grid.duration)
+
+    def channels(t):
+        omega_r, delta, _, _ = _sinusoidal(omega0, delta0, grid.duration, t)
+        return omega_r, np.zeros_like(omega_r), delta
+
     return ControlField.from_functions(
-        grid, omega_r, constant(0.0), delta,
-        label=f"sinusoidal_adiabatic(omega0={omega0:g},delta0={delta0:g})")
+        grid, channels, label=f"sinusoidal_adiabatic(omega0={omega0:g},delta0={delta0:g})")
 
 
 def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
@@ -107,52 +102,48 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
     of the reference for any duration.
     """
     omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
-    omega_r, delta, omega_r_dot, delta_dot = _sinusoidal_channels(omega0, delta0, grid.duration)
-    gap2 = omega_r(grid.times) ** 2 + delta(grid.times) ** 2
+    omega_r, delta, _, _ = _sinusoidal(omega0, delta0, grid.duration, grid.times)
+    gap2 = omega_r ** 2 + delta ** 2
     if float(np.min(gap2)) < 1e-12:
         raise RuntimeError(
             f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(np.min(gap2))!r}")
 
-    def omega_a(t):
-        wr, d = omega_r(t), delta(t)
-        return (wr * delta_dot(t) - omega_r_dot(t) * d) / (wr * wr + d * d)
+    def channels(t):
+        wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
+        return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
     return ControlField.from_functions(
-        grid, omega_r, omega_a, delta,
-        label=f"transitionless(omega0={omega0:g},delta0={delta0:g})")
+        grid, channels, label=f"transitionless(omega0={omega0:g},delta0={delta0:g})")
+
+
+def _controls(theta, alpha, theta_dot, alpha_dot, gamma_dot):
+    """The inversion angles -> controls (WR, WI, D) of the module docstring."""
+    sin_t = np.sin(theta)
+    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+    return (cos_a * sin_t * gamma_dot - sin_a * theta_dot,
+            sin_a * sin_t * gamma_dot + cos_a * theta_dot,
+            -np.cos(theta) * gamma_dot - alpha_dot)
 
 
 def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
                               label: str = "invariant_engineered") -> ControlField:
-    """Invert the angle trajectory into the controls realizing it."""
+    """Invert the angle trajectory into the controls realizing it.
+
+    With closed-form derivatives the channels are closed forms too; otherwise
+    the grid samples (derivatives by ``sampled_derivative``) are splined.
+    """
     _check("invariant_engineered", angles=angles)
     angles.check_boundaries(grid.duration)
     s = angles.sample(grid)
-    if not angles.has_closed_derivatives:
-        sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
-        sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
-        return ControlField.from_samples(
-            grid,
-            cos_a * sin_t * s.gamma_dot - sin_a * s.theta_dot,
-            sin_a * sin_t * s.gamma_dot + cos_a * s.theta_dot,
-            -cos_t * s.gamma_dot - s.alpha_dot,
-            label=label)
+    channels = None
+    if angles.has_closed_derivatives:
+        def channels(t):
+            t = np.asarray(t, dtype=float)
+            return _controls(angles.theta(t), angles.alpha(t), angles.theta_dot(t),
+                             angles.alpha_dot(t), angles.gamma_dot(t))
 
-    def omega_r(t):
-        t = np.asarray(t, dtype=float)
-        return (np.cos(angles.alpha(t)) * np.sin(angles.theta(t)) * angles.gamma_dot(t)
-                - np.sin(angles.alpha(t)) * angles.theta_dot(t))
-
-    def omega_i(t):
-        t = np.asarray(t, dtype=float)
-        return (np.sin(angles.alpha(t)) * np.sin(angles.theta(t)) * angles.gamma_dot(t)
-                + np.cos(angles.alpha(t)) * angles.theta_dot(t))
-
-    def delta(t):
-        t = np.asarray(t, dtype=float)
-        return -np.cos(angles.theta(t)) * angles.gamma_dot(t) - angles.alpha_dot(t)
-
-    return ControlField.from_functions(grid, omega_r, omega_i, delta, label=label)
+    return ControlField(grid, *_controls(s.theta, s.alpha, s.theta_dot, s.alpha_dot, s.gamma_dot),
+                        label=label, channels=channels)
 
 
 def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
@@ -165,17 +156,9 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     angles = optimal_noise_angles(grid, n)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
-    cr = sign_r * math.sqrt(0.5)
-    ci = sign_i * math.sqrt(0.5)
-
-    def omega_r(t):
-        return cr * angles.theta_dot(t)
-
-    def omega_i(t):
-        return ci * angles.theta_dot(t)
-
-    return ControlField.from_functions(grid, omega_r, omega_i, constant(0.0),
-                                       label=f"optimal_noise(n={n})")
+    return ControlField.from_functions(
+        grid, _on_resonance(angles.theta_dot, sign_r * math.sqrt(0.5), sign_i * math.sqrt(0.5)),
+        label=f"optimal_noise(n={n})")
 
 
 def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:

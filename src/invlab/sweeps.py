@@ -1,9 +1,13 @@
 """Parameter-grid experiments: sensitivity surfaces and robustness maps.
 
-Cells are independent pure evaluations; a sensitivity-sweep cell whose
-field is singular or does not invert is recorded as a missing value (NaN,
-emitted as an empty CSV cell) rather than aborting the whole figure.
-Cells run in grid-index order.
+Cells are independent pure evaluations, run in grid-index order.  Each
+cell's field carries its channels as one function of time, t -> (Omega_R,
+Omega_I, Delta).  A sensitivity-sweep cell whose transitionless field is
+singular (the counter-diabatic denominator vanishes on the grid) is
+recorded as a missing value (NaN, emitted as an empty CSV cell) rather
+than aborting the whole figure.  Any other field of that family inverts
+exactly, so a cell that does not invert or diverges is integration error
+on too coarse a grid and fails the sweep.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
@@ -126,10 +130,11 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
     def one(cell):
         w, d = cell
         try:
-            report = analyzer(make_transitionless(w, d, grid))
-        except RuntimeError:  # singular or non-inverting; bad parameters and divergence raise
+            field = make_transitionless(w, d, grid)
+        except RuntimeError:  # singular; bad parameters raise ValueError
             return math.nan
-        return getattr(report, quantity)
+        # the field inverts exactly, so "does not invert" here is integration error and raises
+        return getattr(analyzer(field), quantity)
 
     values = np.array([one(cell) for cell in cells]).reshape(omega0_axis.n_points,
                                                              delta0_axis.n_points)

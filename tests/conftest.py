@@ -1,12 +1,24 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import invlab
 from invlab import TimeGrid, make_flat_pi, make_optimal_noise, make_transitionless
 
 # transitionless example parameters used throughout (Omega0*T, delta0*T)
 EX_OMEGA0 = (5.57 / 4.3) * math.pi
 EX_DELTA0 = (5.57 / 4.3) ** 2 * math.pi
+
+
+def src_env() -> dict:
+    """This environment with the tested package's source directory first on PYTHONPATH,
+    so a CLI subprocess imports the same invlab as the tests."""
+    env = dict(os.environ)
+    src = str(Path(invlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from invlab import (Axis, GROUND_BLOCH, GROUND_PURE, ErrorSetting,
                     qn_lagrangian, qn_pi_analytic, qs_finite_difference,
                     qs_formula, qs_invariant, robustness_curve,
                     sweep_qn_transitionless, verify_stationarity)
-from conftest import EX_DELTA0, EX_OMEGA0
+from conftest import EX_DELTA0, EX_OMEGA0, src_env
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -216,12 +216,12 @@ def test_c12_cli_determinism(tmp_path):
     outs = []
     for name in ("a", "b", "c", "d"):
         path = tmp_path / f"{name}.json"
-        proc = subprocess.run(args + ["--out", str(path)], capture_output=True)
+        proc = subprocess.run(args + ["--out", str(path)], capture_output=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     # the ensemble must not depend on the CPUs the process may use; pin it to one
     path = tmp_path / "pinned.json"
-    proc = subprocess.run(args + ["--out", str(path)], capture_output=True,
+    proc = subprocess.run(args + ["--out", str(path)], capture_output=True, env=src_env(),
                           preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
     assert proc.returncode == 0, proc.stderr
     outs.append(path.read_bytes())
@@ -231,7 +231,7 @@ def test_c12_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "invlab.cli", "sweep", "--figure", "2",
              "--grid-steps", "401", "--axis1", "0.5,1.5,3", "--axis2", "0.5,1.5,3",
-             "--out", str(base)], capture_output=True)
+             "--out", str(base)], capture_output=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         sweep_outs.append((tmp_path / f"{name}.csv").read_bytes())
     ok = len(set(outs)) == 1 and sweep_outs[0] == sweep_outs[1]

@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ import invlab.cli as cli_module
 from invlab import ControlField, TimeGrid, make_transitionless
 from invlab.cli import main
 from invlab.protocols import PROTOCOLS
+from conftest import src_env
 
 FIG1 = ["--omega0", "4.0693", "--delta0", "5.2710"]
 
@@ -255,7 +254,7 @@ def test_exit_codes(capsys):
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "invlab.cli", "protocol", "--kind", "flat_pi",
-         "--grid-steps", "3"], capture_output=True, text=True)
+         "--grid-steps", "3"], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "t,omega_r,omega_i,delta"
 
@@ -276,11 +275,8 @@ _AXES = ["--axis1", "0.25,1.25,5", "--axis2", "0.25,1.25,5"]
 
 
 def _probe_imports(args, cwd, package="scipy"):
-    env = dict(os.environ)
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, package, *args],
-                          capture_output=True, text=True, cwd=cwd, env=env, timeout=120)
+                          capture_output=True, text=True, cwd=cwd, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
     return int(rc), loaded.split() if loaded != "-" else []
@@ -418,13 +414,35 @@ def test_sweep_axis_outside_the_family_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("figure", ["2", "5"])
-def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure):
+@pytest.mark.parametrize("figure, axis, message", [
     # h = 1/2 against |Omega| > 14: the RK4 rotation grows, which is a fault and not a missing cell
-    assert run_cli(["sweep", "--figure", figure, "--axis1=10,12,2", "--axis2=10,12,2",
+    *(pytest.param(figure, "10,12,2", "pure-state integration diverged", id=figure)
+      for figure in ("2", "5")),
+    # transitionless driving inverts exactly, so P2(T) < 1 here is RK4 error on 3 points
+    *(pytest.param(figure, "6,8,2", r"protocol does not invert: P2\(T\) = 0\.86\d* "
+                   r"for transitionless\(omega0=6,delta0=8\)", id=f"{figure}-not-inverted")
+      for figure in ("2", "5"))])
+def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axis, message):
+    assert run_cli(["sweep", "--figure", figure, f"--axis1={axis}", f"--axis2={axis}",
                     "--grid-steps", "3", "--out", str(tmp_path / "fig")]) == 1
-    assert "pure-state integration diverged" in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("figure", ["1", "4"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_axis2_on_a_one_axis_figure_exits_2(tmp_path, capsys, figure, how):
+    args = ["sweep", "--figure", figure, "--axis1=0,1,3", "--grid-steps", "11",
+            "--out", str(tmp_path / "fig")]
+    if how == "flag":
+        args.append("--axis2=0,1,3")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sweep": {"axis2": "0,1,3"}}))
+        args += ["--config", str(config)]
+    assert run_cli(args) == 2
+    assert f"sweep --figure {figure} has one axis; --axis2 does not apply" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if how == "config" else [])
 
 
 @pytest.mark.parametrize("args, axis", [(["--figure", "4", "--axis1=0,inf,3"], "beta"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
+from scipy.interpolate import CubicSpline
 
 from invlab import (BlochState, ControlField, InvariantAngles, PureState,
                     TimeGrid, bloch_from_pure, constant, excitation_probability,
@@ -116,12 +117,41 @@ def test_control_field_rejects_shape_mismatch():
 
 def test_control_field_values_use_closed_forms():
     g = TimeGrid(51)
-    f = ControlField.from_functions(g, lambda t: np.sin(np.pi * t), constant(0.25), constant(0.0))
+    f = ControlField.from_functions(
+        g, lambda t: (np.sin(np.pi * t), constant(0.25)(t), constant(0.0)(t)))
     t = np.array([0.123, 0.567])
     wr, wi, d = f.values(t)
     assert wr == pytest.approx(np.sin(np.pi * t))
     assert wi == pytest.approx([0.25, 0.25])
     assert d == pytest.approx([0.0, 0.0])
+
+
+def test_control_field_calls_its_channels_once_per_table():
+    calls = []
+
+    def channels(t):
+        calls.append(np.shape(t))
+        return np.sin(np.pi * t), 0.25 + 0 * t, -np.cos(np.pi * t)
+
+    g = TimeGrid(51)
+    f = ControlField.from_functions(g, channels, label="counted")
+    nodes, mids = f.stage_tables
+    assert calls == [(51,), (50,)]  # the nodes at construction, then the midpoints
+    assert nodes[0] is f.omega_r and nodes[1] is f.omega_i and nodes[2] is f.delta
+    t_mid = 0.5 * (g.times[:-1] + g.times[1:])
+    assert np.array_equal(mids[0], np.sin(np.pi * t_mid))
+    assert f.stage_tables is f.stage_tables and len(calls) == 2
+
+
+def test_sampled_field_splines_all_channels_alike():
+    g = TimeGrid(41)
+    rng = np.random.default_rng(3)
+    wr, wi, d = rng.normal(size=(3, 41))
+    f = ControlField.from_samples(g, wr, wi, d)
+    t = np.linspace(0.0, 1.0, 173)
+    for got, samples in zip(f.values(t), (wr, wi, d)):
+        assert np.array_equal(got, CubicSpline(g.times, samples)(t))
+    assert all(np.shape(v) == () for v in f.values(0.3))
 
 
 def test_control_field_spline_interpolation_accuracy():
@@ -134,8 +164,8 @@ def test_control_field_spline_interpolation_accuracy():
 
 def test_control_field_csv_round_trip(tmp_path):
     g = TimeGrid(101)
-    f = ControlField.from_functions(g, lambda t: np.sin(np.pi * t), constant(0.3),
-                                    lambda t: -np.cos(np.pi * t), label="probe")
+    f = ControlField.from_functions(
+        g, lambda t: (np.sin(np.pi * t), constant(0.3)(t), -np.cos(np.pi * t)), label="probe")
     path = tmp_path / "field.csv"
     f.to_csv(path)
     assert path.read_text().splitlines()[0] == "t,omega_r,omega_i,delta"

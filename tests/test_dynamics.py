@@ -15,7 +15,7 @@ FLAT_P2_NOISE = lambda lam2: 0.5 + 0.5 * math.exp(-lam2 * math.pi**2 / 2.0)
 
 def zero_field(grid):
     z = constant(0.0)
-    return ControlField.from_functions(grid, z, z, z, label="zero")
+    return ControlField.from_functions(grid, lambda t: (z(t), z(t), z(t)), label="zero")
 
 
 def test_zero_field_is_identity(grid):

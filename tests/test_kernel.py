@@ -33,7 +33,8 @@ def smooth_fields(draw):
     def channel():
         c0, c1, c2 = draw(coef), draw(coef), draw(coef)
         return lambda t: c0 + c1 * np.sin(math.pi * t) + c2 * np.cos(2.0 * math.pi * t)
-    return ControlField.from_functions(GRID, channel(), channel(), channel(), label="random")
+    wr, wi, d = channel(), channel(), channel()
+    return ControlField.from_functions(GRID, lambda t: (wr(t), wi(t), d(t)), label="random")
 
 
 @st.composite
@@ -161,8 +162,7 @@ def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda
 
 def test_final_p2_rejects_divergence():
     # h Omega = 5e9: RK4 grows the rotation by ~1e37 per step, short of overflow
-    blowup = ControlField.from_functions(TimeGrid(3), lambda t: 1e10 + 0 * t,
-                                         lambda t: 0 * t, lambda t: 0 * t)
+    blowup = ControlField.from_functions(TimeGrid(3), lambda t: (1e10 + 0 * t, 0 * t, 0 * t))
     with pytest.raises(ValueError, match="RK4 step unstable"):  # the noise term, before solving
         final_p2_bloch(blowup, [ErrorSetting(lambda2=1.0)])
     with pytest.raises(FloatingPointError):  # the rotation, which the bound does not cover

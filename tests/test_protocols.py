@@ -185,6 +185,25 @@ def test_invariant_engineered_sampled_derivative_path(grid):
     assert evolve_bloch(f, GROUND_BLOCH).final_p2() >= 1.0 - 1e-6
 
 
+def test_invariant_engineered_closed_and_sampled_branches_agree():
+    # theta = pi t, constant alpha and linear gamma have exact sampled derivatives,
+    # so both branches feed the same numbers to the one angle -> control inversion;
+    # h = 1/256 keeps the differences' rounding (eps |gamma| / h) below 1e-12
+    grid = TimeGrid(257)
+    theta = lambda t: np.pi * np.asarray(t, dtype=float)
+    gamma = lambda t: 2.5 * np.asarray(t, dtype=float)
+    closed = make_invariant_engineered(
+        InvariantAngles(theta, constant(0.4), gamma, constant(np.pi), constant(0.0),
+                        constant(2.5)), grid)
+    sampled = make_invariant_engineered(InvariantAngles(theta, constant(0.4), gamma), grid)
+    # the closed-form channel function, read at the nodes, too
+    for name, at_nodes in zip(("omega_r", "omega_i", "delta"), closed.values(grid.times)):
+        a, b = getattr(closed, name), getattr(sampled, name)
+        assert np.max(np.abs(a - b)) < 1e-12, name
+        assert np.max(np.abs(at_nodes - b)) < 1e-12, name
+    assert np.max(np.abs(closed.omega_i)) > 1.0 and np.max(np.abs(closed.delta)) > 1.0
+
+
 def test_optimal_noise_n7_equal_channels(grid, optimal_noise_field):
     f = optimal_noise_field
     assert np.array_equal(f.omega_r, f.omega_i)
