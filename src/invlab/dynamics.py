@@ -22,15 +22,15 @@ matrix polynomial in the node, midpoint and next-node generators:
     P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
 
 and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms the P_i
-with numpy, a chunk of steps at a time: a real 3x3 matrix for the Bloch
-equation, and for the pure state the pair (a, b) of the SU(2)-form matrix
-[[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  Within a
-chunk, trajectories come from a log-depth prefix product of the steps,
-final states from a product reduction over the same tree; chunks are
-chained in time order, so a final state is bit-identical either way.
-Callers that need only P2(T) pass many error settings at once; they are
-evaluated in small batches that share the field's stage tables.  Columns
-of the propagated pure-state matrix evolve the ground and excited states
+with numpy for one error setting, a chunk of steps at a time: a real 3x3
+matrix for the Bloch equation, and for the pure state the pair (a, b) of
+the SU(2)-form matrix [[a, b], [-b*, a*]], a set the RK4 polynomial never
+leaves.  Within a chunk, trajectories come from a log-depth prefix product
+of the steps, final states from a product reduction over the same tree;
+chunks are chained in time order, so a final state is bit-identical
+either way.  Callers that need only P2(T) pass a list of error settings,
+solved one after another on the field's shared stage tables.  Columns of
+the propagated pure-state matrix evolve the ground and excited states
 together.
 
 The stochastic engine is the simplified weak Euler scheme (Kloeden &
@@ -146,27 +146,19 @@ class EnsembleResult:
             raise ValueError(f"p2_stderr must be >= 0, got {self.p2_stderr}")
 
 
-# The time axis is processed in chunks of _CHUNK_STEPS steps: each chunk's
-# step propagators are formed, reduced and chained onto the previous chunks
-# before the next is formed, so the kernel's arrays stay small whatever the
-# grid.  Settings are batched until one chunk's step table reaches
-# _BATCH_BYTES (1 Bloch or 3 pure settings).  Both sizes keep every temporary
-# under the C allocator's default 128 KiB mmap threshold, so it comes from
-# the heap rather than its own mapping (a full-grid table is 144 KiB for one
-# Bloch setting).  That does not keep the kernel off fresh pages: glibc may
-# trim the freed top of the heap after a chunk and fault it back in on the
-# next, depending on the allocator's history.  Chunk boundaries never depend
-# on the batch, so results do not either.
-_CHUNK_STEPS = 1024
-_BATCH_BYTES = 3 * 2**15
+# A solve forms, reduces and chains its steps _CHUNK_BYTES // identity.nbytes
+# at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB step table.  Measured
+# on 2001 points: whole-grid tables (144 KiB a Bloch solve) page-faulted on every
+# call and ran the entry points 15-20% slower; 1024 pure-state steps a chunk ran
+# final_p2_pure of 10 betas 10-50% slower.
+_CHUNK_BYTES = 72 * 1024
 
 
-def _bloch_generator(w, settings) -> np.ndarray:
-    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, settings, points)."""
+def _bloch_generator(w, setting: ErrorSetting) -> np.ndarray:
+    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points)."""
     wr, wi, d = w
-    om = np.array([[1.0 + s.beta] for s in settings])
-    l2 = np.array([[s.lambda2] for s in settings])
-    g = np.empty((3, 3, len(settings), wr.size))
+    om, l2 = 1.0 + setting.beta, setting.lambda2
+    g = np.empty((3, 3, wr.size))
     g[0, 0] = -0.5 * l2 * wi * wi
     g[0, 1] = d
     g[0, 2] = om * wi
@@ -184,13 +176,12 @@ def _bloch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", x, y)
 
 
-def _pure_generator(w, betas) -> np.ndarray:
-    """-i (H0 + beta H1) at channel samples w as the pair (a, b), shape (2, betas, points)."""
+def _pure_generator(w, beta: float) -> np.ndarray:
+    """-i (H0 + beta H1) at channel samples w as the pair (a, b), shape (2, points)."""
     wr, wi, d = w
-    om = 1.0 + np.asarray(betas, dtype=float)[:, None]
-    g = np.empty((2, om.shape[0], wr.size), dtype=complex)
+    g = np.empty((2, wr.size), dtype=complex)
     g[0] = 0.5j * d
-    g[1] = -0.5 * om * (wi + 1j * wr)
+    g[1] = -0.5 * (1.0 + beta) * (wi + 1j * wr)
     return g
 
 
@@ -201,34 +192,29 @@ def _pair_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((a * c - b * d.conj(), a * d + b * c.conj()))
 
 
-# engine -> (generator, product, identity); the identity broadcasts over (batch, steps)
-_BLOCH = (_bloch_generator, _bloch_mul, np.eye(3)[:, :, None, None])
-_PURE = (_pure_generator, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None, None])
+# engine -> (generator, product, identity); the identity broadcasts over steps
+_BLOCH = (_bloch_generator, _bloch_mul, np.eye(3)[:, :, None])
+_PURE = (_pure_generator, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
 
 
-def _step_propagators(field: ControlField, engine, params, lo: int, hi: int) -> np.ndarray:
+def _step_propagators(field: ControlField, engine, param, lo: int, hi: int) -> np.ndarray:
     """Classical RK4 steps lo .. hi-1 as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     For a linear ODE y' = A(t) y one RK4 step is y -> P y with
     K1 = A_n, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2),
     K4 = A_n+1 (I + h K3), A at the node, midpoint and next node.
-    Shape: engine components, then (len(params), hi - lo).
+    Shape: engine components, then hi - lo.
     """
     generator, mul, ident = engine
     nodes, mids = field.stage_tables
     h = field.grid.h
-    g = generator([w[lo:hi + 1] for w in nodes], params)
+    g = generator([w[lo:hi + 1] for w in nodes], param)
     a_n, a_next = g[..., :-1], g[..., 1:]
-    a_m = generator([w[lo:hi] for w in mids], params)
+    a_m = generator([w[lo:hi] for w in mids], param)
     k2 = a_m + 0.5 * h * mul(a_m, a_n)
     k3 = a_m + 0.5 * h * mul(a_m, k2)
     k4 = a_next + h * mul(a_next, k3)
     return ident + h / 6.0 * (a_n + 2.0 * (k2 + k3) + k4)
-
-
-def _chunks(field: ControlField):
-    n = field.grid.n_steps - 1
-    return [(lo, min(lo + _CHUNK_STEPS, n)) for lo in range(0, n, _CHUNK_STEPS)]
 
 
 def _scan(mul, p: np.ndarray) -> np.ndarray:
@@ -297,35 +283,21 @@ def _require_bounded(states: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
-def _prefixes(field: ControlField, engine, params):
-    """Yield (lo, hi, S) with S the prefix products P_i ... P_0 for steps i = lo .. hi-1.
+def _solve(field: ControlField, engine, param, reduce) -> np.ndarray:
+    """``reduce`` (``_scan`` or ``_product``) of the RK4 steps, chunk by chunk in time order.
 
-    Each chunk is scanned on its own and then multiplied onto the last
-    prefix of the previous chunk.  A chunk's last scanned prefix is its
-    ``_product``, so the last prefix of the grid equals ``_final`` bit for bit.
+    Each chunk is reduced on its own and multiplied onto the last entry of
+    the previous one, so the last entry is P_n-1 ... P_0.  A chunk's last
+    scanned prefix is its ``_product``, so both reductions give it bit for bit.
     """
-    mul = engine[1]
-    last = None
-    for lo, hi in _chunks(field):
-        s = _scan(mul, _step_propagators(field, engine, params, lo, hi))
-        if last is not None:
-            s = mul(s, last)
-        last = s[..., -1:]
-        yield lo, hi, s
-
-
-def _final(field: ControlField, engine, params) -> np.ndarray:
-    """End-to-end propagator P_n-1 ... P_0 of each setting, shape (components, len(params))."""
     mul, ident = engine[1:]
-    per = max(1, _BATCH_BYTES // (ident.nbytes * _CHUNK_STEPS))
-    out = []
-    for b in range(0, len(params), per):
-        total = None
-        for lo, hi in _chunks(field):
-            p = _product(mul, _step_propagators(field, engine, params[b:b + per], lo, hi))
-            total = p if total is None else mul(p, total)
-        out.append(total[..., 0])
-    return np.concatenate(out, axis=-1)
+    n = field.grid.n_steps - 1
+    size = _CHUNK_BYTES // ident.nbytes
+    parts = []
+    for lo in range(0, n, size):
+        s = reduce(mul, _step_propagators(field, engine, param, lo, min(lo + size, n)))
+        parts.append(mul(s, parts[-1][..., -1:]) if parts else s)
+    return np.concatenate(parts, axis=-1)
 
 
 def evolve_pure(field: ControlField, psi0: PureState, beta: float = 0.0) -> Trajectory:
@@ -346,8 +318,7 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
     """
     u = np.empty((field.grid.n_steps, 2), dtype=complex)
     u[0] = (1.0, 0.0)
-    for lo, hi, s in _prefixes(field, _PURE, [beta]):
-        u[lo + 1:hi + 1] = s[:, 0].T
+    u[1:] = _solve(field, _PURE, beta, _scan).T
     _require_bounded(u, "pure-state")
     return u
 
@@ -358,8 +329,7 @@ def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = Er
     r = r0.as_array()
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
-    for lo, hi, s in _prefixes(field, _BLOCH, [setting]):
-        out[lo + 1:hi + 1] = _apply_bloch(s[:, :, 0], r).T
+    out[1:] = _apply_bloch(_solve(field, _BLOCH, setting, _scan), r).T
     _require_bounded(out, "Bloch")
     return Trajectory(field.grid, out, "bloch")
 
@@ -368,7 +338,10 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     """P2(T) of the Bloch equation from the ground state, one value per error setting."""
     settings = list(settings)
     _require_rk4_stable(field, settings)
-    r = _apply_bloch(_final(field, _BLOCH, settings), GROUND_BLOCH.as_array())
+    m = np.empty((3, 3, len(settings)))
+    for k, s in enumerate(settings):
+        m[..., k] = _solve(field, _BLOCH, s, _product)[..., -1]
+    r = _apply_bloch(m, GROUND_BLOCH.as_array())
     _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
@@ -376,7 +349,10 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
 def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     """P2(T) of the Schrodinger equation from the ground state, one value per beta."""
     betas = [ErrorSetting(beta=b).beta for b in betas]  # rejects a non-finite beta
-    c = _apply_pair(_final(field, _PURE, betas), 1.0 + 0.0j, 0.0j)
+    u = np.empty((2, len(betas)), dtype=complex)
+    for k, b in enumerate(betas):
+        u[:, k] = _solve(field, _PURE, b, _product)[:, -1]
+    c = _apply_pair(u, 1.0 + 0.0j, 0.0j)
     _require_bounded(c, "pure-state")
     return _pure_p2(c[0], c[1])
 

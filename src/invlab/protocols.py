@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ControlField, InvariantAngles, TimeGrid, constant
+from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, constant
 from .optimal import solve_optimal_theta
 
 # Named shaped_pi envelopes; a name may stand for the function wherever an envelope is taken.
@@ -102,18 +102,22 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
     of the reference for any duration.
     """
     omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
-    omega_r, delta, _, _ = _sinusoidal(omega0, delta0, grid.duration, grid.times)
+
+    def counter_diabatic(wr, d, wr_dot, d_dot):
+        return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
+
+    def channels(t):
+        return counter_diabatic(*_sinusoidal(omega0, delta0, grid.duration, t))
+
+    nodes = _sinusoidal(omega0, delta0, grid.duration, grid.times)
+    omega_r, delta = nodes[:2]
     gap2 = omega_r ** 2 + delta ** 2
     if float(np.min(gap2)) < 1e-12:
         raise RuntimeError(
             f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(np.min(gap2))!r}")
-
-    def channels(t):
-        wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
-        return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
-
-    return ControlField.from_functions(
-        grid, channels, label=f"transitionless(omega0={omega0:g},delta0={delta0:g})")
+    return ControlField(grid, *counter_diabatic(*nodes),
+                        label=f"transitionless(omega0={omega0:g},delta0={delta0:g})",
+                        channels=channels)
 
 
 def _controls(theta, alpha, theta_dot, alpha_dot, gamma_dot):
@@ -134,7 +138,11 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
     """
     _check("invariant_engineered", angles=angles)
     angles.check_boundaries(grid.duration)
-    s = angles.sample(grid)
+    return _invariant_field(angles, angles.sample(grid), label)
+
+
+def _invariant_field(angles: InvariantAngles, s: AngleSamples, label: str) -> ControlField:
+    """The field realizing ``angles``, whose grid samples are ``s``."""
     channels = None
     if angles.has_closed_derivatives:
         def channels(t):
@@ -142,8 +150,8 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
             return _controls(angles.theta(t), angles.alpha(t), angles.theta_dot(t),
                              angles.alpha_dot(t), angles.gamma_dot(t))
 
-    return ControlField(grid, *_controls(s.theta, s.alpha, s.theta_dot, s.alpha_dot, s.gamma_dot),
-                        label=label, channels=channels)
+    controls = _controls(s.theta, s.alpha, s.theta_dot, s.alpha_dot, s.gamma_dot)
+    return ControlField(s.grid, *controls, label=label, channels=channels)
 
 
 def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
@@ -227,9 +235,9 @@ def make_optimal_systematic(n: int, grid: TimeGrid,
         raise ValueError("theta must be monotone from 0 to pi")
     if float(np.max(np.abs(np.diff(s.alpha)))) > 0.5 * math.pi:
         raise RuntimeError("gauge branch is discontinuous on the grid")
+    angles.check_boundaries(grid.duration)
     gauge = "zero_omega_i" if alpha is None else "explicit"
-    return make_invariant_engineered(
-        angles, grid, label=f"optimal_systematic(n={n},gauge={gauge})")
+    return _invariant_field(angles, s, label=f"optimal_systematic(n={n},gauge={gauge})")
 
 
 class Param(NamedTuple):

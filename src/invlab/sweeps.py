@@ -41,6 +41,8 @@ class Axis:
             raise ValueError(f"axis {self.name}: min {self.min} and max {self.max} must be finite")
         if not self.min < self.max:
             raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
+        if not math.isfinite(self.max - self.min):
+            raise ValueError(f"axis {self.name}: min {self.min} to max {self.max} overflows a float")
         if self.n_points < 2:
             raise ValueError(f"axis {self.name}: n_points must be >= 2")
 

@@ -446,7 +446,8 @@ def test_axis2_on_a_one_axis_figure_exits_2(tmp_path, capsys, figure, how):
 
 
 @pytest.mark.parametrize("args, axis", [(["--figure", "4", "--axis1=0,inf,3"], "beta"),
-                                        (["--figure", "2", "--axis1=1,inf,3"], "omega0")])
+                                        (["--figure", "2", "--axis1=1,inf,3"], "omega0"),
+                                        (["--figure", "4", "--axis1=-1e308,1e308,3"], "beta")])
 def test_non_finite_sweep_axis_exits_2(tmp_path, capsys, args, axis):
     assert run_cli(["sweep", *args, "--grid-steps", "101", "--out", str(tmp_path / "fig")]) == 2
     assert f"invlab: axis {axis}: min" in capsys.readouterr().err

@@ -133,22 +133,15 @@ def test_batched_final_p2_equals_single_solves(field, pairs):
     assert np.all((pure >= 0.0) & (pure <= 1.0))
 
 
-def test_batch_size_does_not_change_results(monkeypatch, transitionless_example):
-    cases = [ErrorSetting(b, l2) for b in (-0.4, 0.0, 0.3) for l2 in (0.0, 0.1, 0.5)]
-    bloch = final_p2_bloch(transitionless_example, cases)
-    pure = final_p2_pure(transitionless_example, [s.beta for s in cases])
-    monkeypatch.setattr(dynamics, "_BATCH_BYTES", 2**30)  # every setting in one batch
-    assert np.array_equal(final_p2_bloch(transitionless_example, cases), bloch)
-    assert np.array_equal(final_p2_pure(transitionless_example, [s.beta for s in cases]), pure)
-
-
 @settings(max_examples=10, deadline=None)
 @given(smooth_fields(), betas, lambda2s, st.integers(1, 64))
 def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda2, chunk):
     # GRID has 200 steps, one chunk at the default size; small chunks
-    # exercise the chaining, including a partial last chunk
+    # exercise the chaining, including a partial last chunk.  A Bloch step
+    # table holds 72 bytes per step, a pure-state one 32, so the pure
+    # chunks are 72 * chunk // 32 steps.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        mp.setattr(dynamics, "_CHUNK_BYTES", 72 * chunk)
         setting = ErrorSetting(beta, lambda2)
         traj = evolve_bloch(field, GROUND_BLOCH, setting)
         ref = reference_bloch(field, GROUND_BLOCH.as_array(), beta, lambda2)
@@ -158,6 +151,32 @@ def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda
         assert final_p2_bloch(field, [setting])[0] == traj.final_p2()
         pure = evolve_pure(field, GROUND_PURE, beta=beta)
         assert final_p2_pure(field, [beta])[0] == pure.final_p2()
+
+
+def test_step_tables_stay_within_the_chunk_budget(monkeypatch):
+    field = make_transitionless(4.0, 5.0, TimeGrid(5001))
+    sizes = []
+    step_propagators = dynamics._step_propagators
+
+    def recording(*args):
+        p = step_propagators(*args)
+        sizes.append((p.dtype, p.nbytes))
+        return p
+
+    monkeypatch.setattr(dynamics, "_step_propagators", recording)
+    final_p2_bloch(field, [ErrorSetting(0.1, 0.2)])
+    evolve_bloch(field, GROUND_BLOCH)
+    final_p2_pure(field, [0.1])
+    evolve_propagator(field)
+    assert {dtype for dtype, _ in sizes} == {np.dtype(float), np.dtype(complex)}
+    assert len(sizes) == 2 * 5 + 2 * 3  # 5000 steps: 1024 Bloch or 2304 pure steps a chunk
+    assert max(nbytes for _, nbytes in sizes) <= dynamics._CHUNK_BYTES
+
+
+def test_final_p2_of_no_settings_is_empty():
+    field = make_flat_pi(0.0, GRID)
+    assert final_p2_bloch(field, []).shape == (0,)
+    assert final_p2_pure(field, []).shape == (0,)
 
 
 def test_final_p2_rejects_divergence():
