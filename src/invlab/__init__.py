@@ -12,7 +12,8 @@ from .optimal import (StationarityReport, ThetaSolution, first_integral_constant
 from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         make_optimal_noise, make_optimal_systematic,
                         make_shaped_pi, make_sinusoidal, make_transitionless,
-                        optimal_noise_angles, optimal_systematic_angles)
+                        optimal_noise_angles, optimal_systematic_angles,
+                        transitionless_angles)
 from .sensitivity import (SensitivityReport, qn_finite_difference, qn_formula,
                           qn_lagrangian, qn_pi_analytic, qs_finite_difference,
                           qs_formula, qs_invariant)

@@ -108,6 +108,8 @@ class ControlField:
     ``channels`` is one vectorized callable t -> (omega_r, omega_i, delta):
     the closed forms when available, otherwise a cubic spline over the
     samples, so that ``values`` can be evaluated anywhere in [0, T].
+    ``angles`` holds the invariant angles of the field's error-free
+    evolution on the grid when its builder knows them exactly.
     """
 
     grid: TimeGrid
@@ -116,6 +118,7 @@ class ControlField:
     delta: np.ndarray
     label: str = ""
     channels: Callable | None = None
+    angles: AngleSamples | None = None
 
     def __post_init__(self):
         ts = self.grid.times

@@ -94,30 +94,69 @@ def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlFiel
         grid, channels, label=f"sinusoidal_adiabatic(omega0={omega0:g},delta0={delta0:g})")
 
 
+# a transitionless field is singular where min(WR^2 + D^2) on its grid is below this
+SINGULAR_GAP2 = 1e-12
+
+
+def _transitionless(omega0, delta0, grid: TimeGrid):
+    """Node channels (WR, Wa, D), invariant angles and min(WR^2 + D^2) over the nodes.
+
+    One ``_sinusoidal`` evaluation on the nodes and step midpoints serves all
+    three; it broadcasts over array parameters.  Wa, and so theta_dot, is
+    NaN where the field is singular: the division is masked there.
+    """
+    t = np.linspace(0.0, grid.duration, 2 * grid.n_steps - 1)  # nodes are the even entries
+    wr_half, d_half, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
+    wr, d = np.ascontiguousarray(wr_half[..., ::2]), np.ascontiguousarray(d_half[..., ::2])
+    wr_dot, d_dot = wr_dot[..., ::2], d_dot[..., ::2]
+    gap2 = wr * wr + d * d
+    min_gap2 = np.min(gap2, axis=-1)
+    numerator = wr * d_dot - wr_dot * d
+    wa = np.divide(numerator, gap2, out=np.full_like(numerator, np.nan),
+                   where=np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1))
+    # gamma integrates gamma_dot = sqrt(WR^2 + D^2) by Simpson's rule on each step
+    gamma_dot = np.sqrt(wr_half * wr_half + d_half * d_half)
+    steps = (grid.h / 6.0) * (gamma_dot[..., :-1:2] + 4.0 * gamma_dot[..., 1::2]
+                              + gamma_dot[..., 2::2])
+    gamma = np.concatenate((np.zeros_like(steps[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
+    zero = np.zeros_like(wa)
+    angles = AngleSamples(grid, np.arctan2(wr, -d), zero, gamma, wa, zero,
+                          np.ascontiguousarray(gamma_dot[..., ::2]))
+    return (wr, wa, d), angles, min_gap2
+
+
+def transitionless_angles(omega0, delta0, grid: TimeGrid) -> AngleSamples:
+    """Invariant angles of the transitionless field's error-free evolution on ``grid``.
+
+    theta = atan2(WR, -D), alpha = 0, theta_dot = Wa (the counter-diabatic
+    term) and gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by
+    Simpson's rule over each step.  For delta0 < 0, theta runs from pi to 0.
+    Broadcasts over array parameters, e.g. delta0 of shape (k, 1) gives
+    (k, points) samples; theta_dot is NaN where the field is singular.
+    """
+    return _transitionless(omega0, delta0, grid)[1]
+
+
 def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
     """Sinusoidal sweep with the counter-diabatic term in the imaginary channel.
 
     The added coupling Wa = (WR D_dot - WR_dot D)/(WR^2 + D^2) cancels all
     diabatic transitions, so the state tracks the instantaneous eigenstate
-    of the reference for any duration.
+    of the reference for any duration; the field carries that evolution's
+    invariant angles (``transitionless_angles``).
     """
     omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
 
-    def counter_diabatic(wr, d, wr_dot, d_dot):
+    def channels(t):
+        wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
         return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
-    def channels(t):
-        return counter_diabatic(*_sinusoidal(omega0, delta0, grid.duration, t))
-
-    nodes = _sinusoidal(omega0, delta0, grid.duration, grid.times)
-    omega_r, delta = nodes[:2]
-    gap2 = omega_r ** 2 + delta ** 2
-    if float(np.min(gap2)) < 1e-12:
+    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid)
+    if min_gap2 < SINGULAR_GAP2:
         raise RuntimeError(
-            f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(np.min(gap2))!r}")
-    return ControlField(grid, *counter_diabatic(*nodes),
-                        label=f"transitionless(omega0={omega0:g},delta0={delta0:g})",
-                        channels=channels)
+            f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(min_gap2)!r}")
+    return ControlField(grid, *nodes, label=f"transitionless(omega0={omega0:g},delta0={delta0:g})",
+                        channels=channels, angles=angles)
 
 
 def _controls(theta, alpha, theta_dot, alpha_dot, gamma_dot):

@@ -7,10 +7,18 @@ error-free protocol: P2 ~ 1 - q_N lambda^2 - q_S beta^2.  Smaller is
 more robust; q_N carries units 1/T, q_S is dimensionless.
 
 Both closed forms (which assume the unperturbed protocol inverts) are
-functionals of one error-free evolution, the propagator
-U(t) = [[a, b], [-b*, a*]] of :func:`invlab.dynamics.evolve_propagator`.
-Its columns evolve the ground state, psi_0 = (a, -b*), and the
-orthogonal solution from the excited state, psi_perp = (b, a*).  Then
+functionals of one error-free evolution.  A field that carries the
+invariant angles of that evolution (``ControlField.angles``, set by the
+transitionless builder) is read through them: q_N is the action of the
+Lagrangian density L(m, alpha, theta, theta_dot) used by the variational
+machinery in :mod:`invlab.optimal`, and
+
+    q_S = | Int exp(-i gamma) theta_dot sin^2(theta) dt |^2.
+
+Any other field is read through the propagator U(t) = [[a, b], [-b*, a*]]
+of :func:`invlab.dynamics.evolve_propagator`.  Its columns evolve the
+ground state, psi_0 = (a, -b*), and the orthogonal solution from the
+excited state, psi_perp = (b, a*).  Then
 
     q_N = 1/4 Int [WI^2 (r1^2 + r3^2) + WR^2 (r2^2 + r3^2)] dt,
 
@@ -20,18 +28,15 @@ and
     q_S = | Int <psi_perp| H1 |psi_0> dt |^2
         = | 1/2 Int [(WR + i WI) a^2 - (WR - i WI) b*^2] dt |^2.
 
-For a trajectory in invariant angles the latter collapses to
-q_S = | Int exp(-i gamma) theta_dot sin^2(theta) dt |^2, and q_N has
-the Lagrangian density L(m, alpha, theta, theta_dot) used by the
-variational machinery in :mod:`invlab.optimal`.
-
 Each closed form is paired with an independent finite-difference route
 that evolves the perturbed dynamics at several error strengths and fits
 the quadratic response; the two must agree within max(1%, fit error).
 
 Quadrature is the composite Simpson rule of :func:`invlab.core.simpson`
 on the evolution grid; each formula report carries a numerical-error
-estimate from comparing against the half-resolution quadrature.
+estimate from comparing against the half-resolution quadrature.  The
+finite-difference routes always solve the perturbed dynamics, so they stay
+independent of the angles.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlField, InvariantAngles, TimeGrid, simpson
+from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, simpson
 from .dynamics import ErrorSetting, evolve_propagator, final_p2_bloch, final_p2_pure
 
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
@@ -74,20 +79,55 @@ def _unperturbed(field: ControlField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float, float]:
-    """``value`` of the composite Simpson integral, and its distance from the half-grid one."""
+    """``value`` of the composite Simpson integral, and its distance from the half-grid one.
+
+    On an even count, f[::2] would stop one step short of T, so both sides
+    of the comparison cover a prefix instead: the largest one whose count
+    and half count are odd (plain Simpson on both grids), or 3 samples.
+    """
     full = value(simpson(f, h))
-    half = value(simpson(f[::2], 2.0 * h))
-    return full, abs(full - half)
+    n = f.shape[-1]
+    m = n if n % 2 or n == 2 else max(n - 1 - (n - 2) % 4, 3)
+    prefix = full if m == n else value(simpson(f[:m], h))
+    return full, abs(prefix - value(simpson(f[:m:2], 2.0 * h)))
+
+
+def _qn_density(s: AngleSamples) -> np.ndarray:
+    """The q_N Lagrangian density L(m, alpha, theta, theta_dot) of ``qn_lagrangian``."""
+    sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
+    sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
+    m = -sin_t * s.gamma_dot  # AngleSamples.m
+    cos2_t, sin2_t = cos_t**2, sin_t**2
+    return 0.25 * ((cos2_t + cos_a**2 * sin2_t) * (m * sin_a - cos_a * s.theta_dot) ** 2
+                   + (cos2_t + sin_a**2 * sin2_t) * (m * cos_a + sin_a * s.theta_dot) ** 2)
+
+
+def _qs_integrand(s: AngleSamples) -> np.ndarray:
+    """exp(-i gamma) theta_dot sin^2(theta), whose integral's squared modulus is q_S."""
+    return np.exp(-1j * s.gamma) * s.theta_dot * np.sin(s.theta) ** 2
+
+
+def _qs_value(amp) -> float:
+    return abs(complex(amp)) ** 2
+
+
+# sensitivity -> (integrand over the invariant angles, value of its integral), as the
+# formulas read them; the samples may carry leading axes, one per field
+ANGLE_FORMS = {"q_n": (_qn_density, float), "q_s": (_qs_integrand, _qs_value)}
 
 
 def qn_formula(field: ControlField) -> SensitivityReport:
-    """q_N from the unperturbed Bloch vector and the dissipator quadratic form."""
-    a, b = _unperturbed(field)
-    ab = a * b
-    r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
-    wr, wi = field.omega_r, field.omega_i
-    f = wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2)
-    qn, err = _simpson_with_estimate(0.25 * f, field.grid.h)
+    """q_N from the field's invariant angles, or else from the unperturbed
+    Bloch vector and the dissipator quadratic form."""
+    if field.angles is not None:
+        f = _qn_density(field.angles)
+    else:
+        a, b = _unperturbed(field)
+        ab = a * b
+        r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
+        wr, wi = field.omega_r, field.omega_i
+        f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
+    qn, err = _simpson_with_estimate(f, field.grid.h)
     return SensitivityReport(q_n=qn, method="formula", error_estimate=err)
 
 
@@ -138,12 +178,16 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
 
 
 def qs_formula(field: ControlField) -> SensitivityReport:
-    """q_S from the first-order matrix element between the orthogonal solutions."""
-    a, b = _unperturbed(field)
-    wr, wi = field.omega_r, field.omega_i
-    bc = b.conj()
-    f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
-    qs, err = _simpson_with_estimate(f, field.grid.h, lambda amp: abs(complex(amp)) ** 2)
+    """q_S from the field's invariant angles, or else from the first-order
+    matrix element between the orthogonal solutions."""
+    if field.angles is not None:
+        f = _qs_integrand(field.angles)
+    else:
+        a, b = _unperturbed(field)
+        wr, wi = field.omega_r, field.omega_i
+        bc = b.conj()
+        f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
+    qs, err = _simpson_with_estimate(f, field.grid.h, _qs_value)
     return SensitivityReport(q_s=qs, method="formula", error_estimate=err)
 
 
@@ -151,9 +195,7 @@ def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float
     """q_S = |Int exp(-i gamma) theta_dot sin^2(theta) dt|^2 by quadrature."""
     grid = grid or TimeGrid(2001)
     angles.check_boundaries(grid.duration)
-    s = angles.sample(grid)
-    f = np.exp(-1j * s.gamma) * s.theta_dot * np.sin(s.theta) ** 2
-    return float(abs(simpson(f, grid.h)) ** 2)
+    return _qs_value(simpson(_qs_integrand(angles.sample(grid)), grid.h))
 
 
 def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityReport:
@@ -175,10 +217,4 @@ def qn_lagrangian(angles: InvariantAngles, grid: TimeGrid | None = None) -> floa
     generated from the same angles this equals qn_formula.
     """
     grid = grid or TimeGrid(2001)
-    s = angles.sample(grid)
-    sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
-    sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
-    m = s.m
-    dens = 0.25 * ((cos_t**2 + cos_a**2 * sin_t**2) * (m * sin_a - cos_a * s.theta_dot) ** 2
-                   + (cos_t**2 + sin_a**2 * sin_t**2) * (m * cos_a + sin_a * s.theta_dot) ** 2)
-    return float(simpson(dens, grid.h))
+    return float(simpson(_qn_density(angles.sample(grid)), grid.h))

@@ -1,13 +1,15 @@
 """Parameter-grid experiments: sensitivity surfaces and robustness maps.
 
-Cells are independent pure evaluations, run in grid-index order.  Each
-cell's field carries its channels as one function of time, t -> (Omega_R,
-Omega_I, Delta).  A sensitivity-sweep cell whose transitionless field is
-singular (the counter-diabatic denominator vanishes on the grid) is
-recorded as a missing value (NaN, emitted as an empty CSV cell) rather
-than aborting the whole figure.  Any other field of that family inverts
-exactly, so a cell that does not invert or diverges is integration error
-on too coarse a grid and fails the sweep.
+Cells are independent pure evaluations, run in grid-index order.  The
+sensitivity surfaces of the transitionless family solve no dynamics: a
+cell reads the invariant angles of its field's error-free evolution, which
+are closed forms (``transitionless_angles``), and one row of cells (one
+omega0, every delta0) is evaluated as a (cells, points) array.  Each cell
+equals ``qn_formula``/``qs_formula`` of ``make_transitionless`` at its
+parameters bit for bit.  A cell whose field is singular (the
+counter-diabatic denominator vanishes on the grid) is recorded as a
+missing value (NaN, emitted as an empty CSV cell) rather than aborting the
+whole figure.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
@@ -23,10 +25,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ControlField, TimeGrid
+from .core import ControlField, TimeGrid, simpson
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
-from .protocols import make_transitionless
-from .sensitivity import qn_formula, qs_formula
+from .protocols import ProtocolSpec, transitionless_angles
+from .sensitivity import ANGLE_FORMS
 
 
 @dataclass(frozen=True)
@@ -126,34 +128,29 @@ def default_beta_axis(n_points: int = 61) -> Axis:
 
 
 def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
-                          analyzer, quantity: str) -> SweepResult:
-    cells = [(w, d) for w in omega0_axis.values for d in delta0_axis.values]
-
-    def one(cell):
-        w, d = cell
-        try:
-            field = make_transitionless(w, d, grid)
-        except RuntimeError:  # singular; bad parameters raise ValueError
-            return math.nan
-        # the field inverts exactly, so "does not invert" here is integration error and raises
-        return getattr(analyzer(field), quantity)
-
-    values = np.array([one(cell) for cell in cells]).reshape(omega0_axis.n_points,
-                                                             delta0_axis.n_points)
-    return SweepResult(GridSpec(omega0_axis, delta0_axis), values, quantity,
-                       "transitionless")
+                          quantity: str) -> SweepResult:
+    for ends in ((omega0_axis.min, delta0_axis.min), (omega0_axis.max, delta0_axis.max)):
+        ProtocolSpec("transitionless", dict(zip(("omega0", "delta0"), ends)))  # the family's rules
+    integrand, value = ANGLE_FORMS[quantity]
+    delta0 = delta0_axis.values[:, None]
+    values = np.empty((omega0_axis.n_points, delta0_axis.n_points))
+    for row, omega0 in zip(values, omega0_axis.values):
+        # a singular field's theta_dot is NaN, and so is its cell
+        amplitudes = simpson(integrand(transitionless_angles(omega0, delta0, grid)), grid.h)
+        row[:] = [value(a) for a in amplitudes]
+    return SweepResult(GridSpec(omega0_axis, delta0_axis), values, quantity, "transitionless")
 
 
 def sweep_qn_transitionless(omega0_axis: Axis, delta0_axis: Axis,
                             grid: TimeGrid) -> SweepResult:
     """Noise sensitivity of the transitionless family over (omega0, delta0)."""
-    return _sweep_transitionless(omega0_axis, delta0_axis, grid, qn_formula, "q_n")
+    return _sweep_transitionless(omega0_axis, delta0_axis, grid, "q_n")
 
 
 def sweep_qs_transitionless(omega0_axis: Axis, delta0_axis: Axis,
                             grid: TimeGrid) -> SweepResult:
     """Systematic sensitivity of the transitionless family over (omega0, delta0)."""
-    return _sweep_transitionless(omega0_axis, delta0_axis, grid, qs_formula, "q_s")
+    return _sweep_transitionless(omega0_axis, delta0_axis, grid, "q_s")
 
 
 def robustness_curve(field: ControlField, variable: str, axis: Axis) -> SweepResult:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import invlab.cli as cli_module
-from invlab import ControlField, TimeGrid, make_transitionless
+from invlab import ControlField, TimeGrid, make_transitionless, qn_formula, qs_formula
 from invlab.cli import main
 from invlab.protocols import PROTOCOLS
 from conftest import src_env
@@ -414,19 +414,33 @@ def test_sweep_axis_outside_the_family_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("figure, axis, message", [
-    # h = 1/2 against |Omega| > 14: the RK4 rotation grows, which is a fault and not a missing cell
-    *(pytest.param(figure, "10,12,2", "pure-state integration diverged", id=figure)
-      for figure in ("2", "5")),
-    # transitionless driving inverts exactly, so P2(T) < 1 here is RK4 error on 3 points
-    *(pytest.param(figure, "6,8,2", r"protocol does not invert: P2\(T\) = 0\.86\d* "
-                   r"for transitionless\(omega0=6,delta0=8\)", id=f"{figure}-not-inverted")
-      for figure in ("2", "5"))])
-def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axis, message):
-    assert run_cli(["sweep", "--figure", figure, f"--axis1={axis}", f"--axis2={axis}",
-                    "--grid-steps", "3", "--out", str(tmp_path / "fig")]) == 1
-    assert re.search(message, capsys.readouterr().err)
+@pytest.mark.parametrize("figure, axes, message", [
+    # h = 1/2 against |beta| >= 10: the RK4 rotation grows, which is a fault and not a missing point
+    pytest.param("4", ["--axis1=10,12,2"], "pure-state integration diverged", id="4"),
+    pytest.param("7", ["--axis1=0,0.1,2", "--axis2=10,12,2"], "Bloch integration diverged",
+                 id="7")])
+def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axes, message):
+    assert run_cli(["sweep", "--figure", figure, *axes, "--grid-steps", "3",
+                    "--out", str(tmp_path / "fig")]) == 1
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("axis", ["10,12,2", "6,8,2"])
+@pytest.mark.parametrize("figure, formula, key", [("2", qn_formula, "q_n"),
+                                                  ("5", qs_formula, "q_s")], ids=["2", "5"])
+def test_coarse_sweep_cells_are_the_fields_angle_values(tmp_path, figure, formula, key, axis):
+    # Fig. 2/5 cells integrate no dynamics, so even a 3-point grid has nothing to
+    # diverge or miss the inversion: each cell is its field's angle-route value
+    base = tmp_path / "fig"
+    assert run_cli(["sweep", "--figure", figure, f"--axis1={axis}", f"--axis2={axis}",
+                    "--grid-steps", "3", "--out", str(base)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "fig.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for omega0, delta0, value in rows:
+        field = make_transitionless(float(omega0), float(delta0), TimeGrid(3))
+        assert field.angles is not None
+        assert float(value) == getattr(formula(field), key)
 
 
 @pytest.mark.parametrize("figure", ["1", "4"])

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
                     make_flat_pi, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
@@ -264,3 +267,42 @@ def test_optimal_below_transitionless_configurations(grid, optimal_noise_field):
     q_opt = qn_formula(optimal_noise_field).q_n
     for om0, d0 in [(0.5, 0.5), (2.0, 2.0), (EX_OMEGA0, EX_DELTA0)]:
         assert qn_formula(make_transitionless(om0, d0, grid)).q_n > q_opt
+
+
+def _both_routes(omega0, delta0, n):
+    """(q_N, q_S) from the field's angles and from its RK4 propagator, on n points."""
+    field = make_transitionless(omega0, delta0, TimeGrid(n))
+    solved = dataclasses.replace(field, angles=None)
+    return [(qn_formula(f).q_n, qs_formula(f).q_s) for f in (field, solved)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.25, 8.0),
+       st.one_of(st.floats(-8.0, -0.25), st.floats(0.25, 8.0)))
+@example(0.25, 8.0)
+@example(8.0, 0.25)
+@example(5.25, 0.25)  # q_S = 7.3e-4, its smallest on the default Fig. 5 window
+@example(3.0, -2.0)  # theta runs from pi to 0
+@example(6.4375, 0.515625)  # the RK4 q_N moves 7e-11 from 401 to 801 points, but 2.6e-10 to 1601
+def test_angle_route_matches_propagator_route(omega0, delta0):
+    # both routes are fourth order, so each differs from its limit by about its
+    # own change from 401 to 1601 points; two of those bound the distance
+    # between them.  401 to 801 points is not enough: near the stiff edges the
+    # RK4 route is not yet in its asymptotic regime at 401 points.
+    angle, solved = _both_routes(omega0, delta0, 401)
+    angle_fine, solved_fine = _both_routes(omega0, delta0, 1601)
+    for k in range(2):
+        refinement = abs(angle[k] - angle_fine[k]) + abs(solved[k] - solved_fine[k])
+        assert abs(angle[k] - solved[k]) <= 2.0 * refinement + 1e-12 * abs(solved[k])
+
+
+@pytest.mark.parametrize("make", [lambda g: make_flat_pi(0.0, g),
+                                  lambda g: make_transitionless(3.0, 2.0, g)],
+                         ids=["flat_pi", "transitionless"])
+@pytest.mark.parametrize("n", [2000, 2002])
+def test_error_estimate_on_an_even_grid_covers_the_whole_duration(make, n):
+    # the half grid of an even count used to stop one step short of T,
+    # which read as an error of about 1e-3
+    field = make(TimeGrid(n))
+    assert qn_formula(field).error_estimate <= 1e-10
+    assert qs_formula(field).error_estimate <= 1e-10

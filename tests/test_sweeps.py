@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from invlab import (Axis, GridSpec, SweepResult, TimeGrid, default_beta_axis,
                     default_delta0_axis, default_lambda_axis,
                     default_omega0_axis, make_flat_pi, make_optimal_noise,
-                    make_optimal_systematic, map_p2, robustness_curve,
-                    sweep_qn_transitionless, sweep_qs_transitionless)
+                    make_optimal_systematic, make_transitionless, map_p2, qn_formula,
+                    qs_formula, robustness_curve, sweep_qn_transitionless,
+                    sweep_qs_transitionless)
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -54,6 +56,22 @@ def test_sweep_qn_failed_cells_become_nan(small_grid):
                                   small_grid)
     assert np.isnan(res.values[:, 0]).all()
     assert np.isfinite(res.values[:, 1:]).all()
+
+
+@pytest.mark.parametrize("sweep, formula, key", [
+    (sweep_qn_transitionless, qn_formula, "q_n"), (sweep_qs_transitionless, qs_formula, "q_s")])
+def test_sweep_cells_equal_the_single_field_formulas(sweep, formula, key):
+    # a row of cells is one array pass, with the same arithmetic as one field
+    grid = TimeGrid(401)
+    omega0, delta0 = Axis("omega0", 0.5, 7.5, 3), Axis("delta0", -3.0, 6.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sweep(omega0, delta0, grid)
+    assert np.isnan(res.values[:, 1]).all()  # delta0 = 0 is singular
+    for i, w in enumerate(omega0.values):
+        for j, d in enumerate(delta0.values):
+            if j != 1:
+                assert res.values[i, j] == getattr(formula(make_transitionless(w, d, grid)), key)
 
 
 def test_sweep_refinement_stability(small_grid):
