@@ -71,15 +71,6 @@ class _Option(NamedTuple):
     help: str
 
 
-# subcommand -> (help, flag groups it takes)
-_SUBCOMMANDS = {
-    "protocol": ("emit a generated control field", ("common", "protocol")),
-    "simulate": ("evolve a protocol (Bloch equation or SSE ensemble)",
-                 ("common", "protocol", "simulate")),
-    "sensitivity": ("compute noise/systematic sensitivities", ("common", "protocol", "sensitivity")),
-    "sweep": ("reproduce a figure's data on a parameter grid", ("common", "sweep")),
-}
-
 # Every config key and the flag that sets it.  The table makes the argparse
 # flags, the config defaults, the known-key and value checks of config
 # files, and the flag-over-file merge.
@@ -137,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             groups[opt.group].add_argument(opt.flag, type=opt.type, choices=opt.choices,
                                            help=opt.help)
-    for command, (text, names) in _SUBCOMMANDS.items():
+    for command, (_, text, names) in _SUBCOMMANDS.items():
         sub.add_parser(command, parents=[groups[name] for name in names], help=text)
     return parser
 
@@ -208,22 +199,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: str, columns) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, columns)
-    return buf.getvalue()
+def _emit_columns(cfg: dict, label: str, header: str, columns, **extra) -> None:
+    """Columns as CSV, or as JSON keyed by the header's names plus label and ``extra``."""
+    if cfg["output"]["format"] == "json":
+        _emit(cfg, _json_text({"label": label, **dict(zip(header.split(","), map(list, columns))),
+                               **extra}))
+    else:
+        buf = io.StringIO()
+        write_csv(buf, header, columns)
+        _emit(cfg, buf.getvalue())
 
 
 def cmd_protocol(cfg: dict) -> None:
     field = _field_from_config(cfg)
     T = cfg["duration"]
-    cols = [field.grid.times * T, field.omega_r / T, field.omega_i / T, field.delta / T]
-    if cfg["output"]["format"] == "json":
-        _emit(cfg, _json_text({"label": field.label,
-                               "t": list(cols[0]), "omega_r": list(cols[1]),
-                               "omega_i": list(cols[2]), "delta": list(cols[3])}))
-    else:
-        _emit(cfg, _csv_text("t,omega_r,omega_i,delta", cols))
+    _emit_columns(cfg, field.label, "t,omega_r,omega_i,delta",
+                  [field.grid.times * T, field.omega_r / T, field.omega_i / T, field.delta / T])
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -242,13 +233,8 @@ def cmd_simulate(cfg: dict) -> None:
                                "dt": result.dt * T}))
         return
     traj = evolve_bloch(field, GROUND_BLOCH, setting)
-    cols = [field.grid.times * T, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]]
-    if cfg["output"]["format"] == "json":
-        _emit(cfg, _json_text({"label": field.label, "t": list(cols[0]),
-                               "r1": list(cols[1]), "r2": list(cols[2]),
-                               "r3": list(cols[3]), "p2_final": traj.final_p2()}))
-    else:
-        _emit(cfg, _csv_text("t,r1,r2,r3", cols))
+    _emit_columns(cfg, field.label, "t,r1,r2,r3", [field.grid.times * T, *traj.states.T],
+                  p2_final=traj.final_p2())
 
 
 def cmd_sensitivity(cfg: dict) -> None:
@@ -305,11 +291,14 @@ def cmd_sweep(cfg: dict) -> None:
         print(path_base + ".json")
 
 
-_COMMANDS = {
-    "protocol": cmd_protocol,
-    "simulate": cmd_simulate,
-    "sensitivity": cmd_sensitivity,
-    "sweep": cmd_sweep,
+# subcommand -> (handler, help, flag groups it takes)
+_SUBCOMMANDS = {
+    "protocol": (cmd_protocol, "emit a generated control field", ("common", "protocol")),
+    "simulate": (cmd_simulate, "evolve a protocol (Bloch equation or SSE ensemble)",
+                 ("common", "protocol", "simulate")),
+    "sensitivity": (cmd_sensitivity, "compute noise/systematic sensitivities",
+                    ("common", "protocol", "sensitivity")),
+    "sweep": (cmd_sweep, "reproduce a figure's data on a parameter grid", ("common", "sweep")),
 }
 
 
@@ -349,7 +338,7 @@ def main(argv=None) -> int:
         sys.stdout.write(_json_text(cfg))
         return 0
     try:
-        _COMMANDS[args.command](cfg)
+        _SUBCOMMANDS[args.command][0](cfg)
     except ValueError as exc:
         print(f"invlab: {exc}", file=sys.stderr)
         return 2

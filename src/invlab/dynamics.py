@@ -316,6 +316,7 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
 
     Column 1 of U(t) evolves the ground state, column 2 the excited state.
     """
+    beta = ErrorSetting(beta=beta).beta  # rejects a non-finite beta
     u = np.empty((field.grid.n_steps, 2), dtype=complex)
     u[0] = (1.0, 0.0)
     u[1:] = _solve(field, _PURE, beta, _scan).T

@@ -17,7 +17,9 @@ invariant_engineered     controls inverted from a target angle trajectory:
                              D  = -cos(th) g_dot - al_dot
 optimal_noise            minimal noise sensitivity: stationary theta,
                          alpha = n pi/4 (n odd), zero detuning
-optimal_systematic       zero systematic sensitivity: gamma = n(2 th - sin 2 th)
+optimal_systematic       zero systematic sensitivity: gamma = n(2 th - sin 2 th);
+                         the builder's member has th = pi t/T and WI = 0, and
+                         invariant_engineered builds any other th or al
 """
 
 from __future__ import annotations
@@ -168,8 +170,7 @@ def _controls(theta, alpha, theta_dot, alpha_dot, gamma_dot):
             -np.cos(theta) * gamma_dot - alpha_dot)
 
 
-def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
-                              label: str = "invariant_engineered") -> ControlField:
+def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid) -> ControlField:
     """Invert the angle trajectory into the controls realizing it.
 
     With closed-form derivatives the channels are closed forms too; otherwise
@@ -177,7 +178,7 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid,
     """
     _check("invariant_engineered", angles=angles)
     angles.check_boundaries(grid.duration)
-    return _invariant_field(angles, angles.sample(grid), label)
+    return _invariant_field(angles, angles.sample(grid), "invariant_engineered")
 
 
 def _invariant_field(angles: InvariantAngles, s: AngleSamples, label: str) -> ControlField:
@@ -217,74 +218,54 @@ def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:
                            sol.theta_dot_fn, constant(0.0), constant(0.0))
 
 
-def optimal_systematic_angles(n: int, duration: float = 1.0,
-                              theta: Callable | None = None,
-                              theta_dot: Callable | None = None,
-                              alpha: Callable | None = None,
-                              alpha_dot: Callable | None = None) -> InvariantAngles:
-    """Angle triple of the zero-systematic-sensitivity family.
+def optimal_systematic_angles(n: int, duration: float = 1.0) -> InvariantAngles:
+    """Angle triple of the zero-systematic-sensitivity family's default member.
 
-    gamma = n (2 theta - sin 2 theta) makes q_S vanish for integer n; alpha
-    is free.  Without an alpha function, alpha = -arccot(4 n sin^3 theta) on
-    the continuous branch in (-pi, 0), i.e. alpha = arctan(4 n sin^3 theta) - pi/2,
-    with alpha(0) = alpha(T) = -pi/2: the choice that makes Omega_I vanish.
+    gamma = n (2 theta - sin 2 theta) makes q_S vanish for integer n and any
+    admissible theta and alpha.  This member has theta = pi t/T and
+    alpha = -arccot(4 n sin^3 theta) on the continuous branch in (-pi, 0),
+    i.e. alpha = arctan(4 n sin^3 theta) - pi/2, with alpha(0) = alpha(T) = -pi/2:
+    the choice that makes Omega_I vanish.  Any other member is
+    ``make_invariant_engineered(InvariantAngles(...), grid)`` of the same gamma.
     """
-    n = _check("optimal_systematic", n=n, theta=theta, theta_dot=theta_dot,
-               alpha=alpha, alpha_dot=alpha_dot)["n"]
-    if (theta is None and theta_dot is not None) or (alpha is None and alpha_dot is not None):
-        raise ValueError("optimal_systematic: theta_dot and alpha_dot need theta and alpha")
-    if theta is None:
-        theta = lambda t: math.pi * np.asarray(t, dtype=float) / duration
-        theta_dot = constant(math.pi / duration)
+    n = _check("optimal_systematic", n=n)["n"]
+    w = math.pi / duration
+
+    def theta(t):
+        return math.pi * np.asarray(t, dtype=float) / duration
 
     def gamma(t):
-        th = np.asarray(theta(t), dtype=float)
+        th = theta(t)
         return n * (2.0 * th - np.sin(2.0 * th))
 
-    gamma_dot = None
-    if theta_dot is not None:
-        def gamma_dot(t):
-            th = np.asarray(theta(t), dtype=float)
-            return 4.0 * n * np.sin(th) ** 2 * np.asarray(theta_dot(t), dtype=float)
+    def gamma_dot(t):
+        return 4.0 * n * np.sin(theta(t)) ** 2 * w
 
-    if alpha is None:
-        def alpha(t):
-            th = np.asarray(theta(t), dtype=float)
-            return np.arctan(4.0 * n * np.sin(th) ** 3) - 0.5 * math.pi
+    def alpha(t):
+        return np.arctan(4.0 * n * np.sin(theta(t)) ** 3) - 0.5 * math.pi
 
-        if theta_dot is not None:
-            def alpha_dot(t):
-                th = np.asarray(theta(t), dtype=float)
-                x = 4.0 * n * np.sin(th) ** 3
-                return (12.0 * n * np.sin(th) ** 2 * np.cos(th)
-                        * np.asarray(theta_dot(t), dtype=float)) / (1.0 + x * x)
+    def alpha_dot(t):
+        th = theta(t)
+        x = 4.0 * n * np.sin(th) ** 3
+        return 12.0 * n * np.sin(th) ** 2 * np.cos(th) * w / (1.0 + x * x)
 
-    return InvariantAngles(theta, alpha, gamma, theta_dot, alpha_dot, gamma_dot)
+    return InvariantAngles(theta, alpha, gamma, constant(w), alpha_dot, gamma_dot)
 
 
-def make_optimal_systematic(n: int, grid: TimeGrid,
-                            theta: Callable | None = None,
-                            theta_dot: Callable | None = None,
-                            alpha: Callable | None = None,
-                            alpha_dot: Callable | None = None) -> ControlField:
-    """Protocol with zero systematic-error sensitivity (integer n >= 1)."""
-    angles = optimal_systematic_angles(n, grid.duration, theta, theta_dot, alpha, alpha_dot)
-    s = angles.sample(grid)
-    if np.any(np.diff(s.theta) < -1e-12):
-        raise ValueError("theta must be monotone from 0 to pi")
-    if float(np.max(np.abs(np.diff(s.alpha)))) > 0.5 * math.pi:
-        raise RuntimeError("gauge branch is discontinuous on the grid")
-    angles.check_boundaries(grid.duration)
-    gauge = "zero_omega_i" if alpha is None else "explicit"
-    return _invariant_field(angles, s, label=f"optimal_systematic(n={n},gauge={gauge})")
+def make_optimal_systematic(n: int, grid: TimeGrid) -> ControlField:
+    """Protocol with zero systematic-error sensitivity (integer n >= 1): the
+    member of ``optimal_systematic_angles``, theta = pi t/T with Omega_I = 0."""
+    angles = optimal_systematic_angles(n, grid.duration)
+    return _invariant_field(angles, angles.sample(grid),
+                            label=f"optimal_systematic(n={n},gauge=zero_omega_i)")
 
 
 class Param(NamedTuple):
     """One protocol parameter: its type, default, rule and help.
 
-    type is float, int, str, callable or a class.  A parameter whose default
-    is None may be left unset; one without a default is required.  choices
-    lists the allowed strings; when it is a dict, a name stands for its value.
+    type is float, int, str, callable or a class.  A parameter without a
+    default is required.  choices maps each allowed name to the value it
+    stands for.
     The parameter is a command-line flag exactly when its type is int, float
     or str, or when it has choices; help is the flag's help text.
     """
@@ -294,7 +275,7 @@ class Param(NamedTuple):
     default: object = Parameter.empty
     above: float | None = None
     odd: bool = False
-    choices: tuple | dict | None = None
+    choices: dict | None = None
     help: str = ""
 
     @property
@@ -303,13 +284,11 @@ class Param(NamedTuple):
 
     def check(self, kind: str, value):
         """The value, converted to int or float where typed so; ValueError if it breaks the rule."""
-        if value is None and self.default is None:
-            return None
         if isinstance(value, str) and self.choices is not None:
             if value not in self.choices:
                 raise ValueError(f"{kind}: {self.name} must be one of {sorted(self.choices)}, "
                                  f"got {value!r}")
-            value = self.choices[value] if isinstance(self.choices, dict) else value
+            value = self.choices[value]
         if self.type in (int, float):
             ok = (isinstance(value, numbers.Integral if self.type is int else numbers.Real)
                   and not isinstance(value, bool))
@@ -353,8 +332,7 @@ PROTOCOLS = {
                             (Param("n", int, 7, odd=True, help=_N_HELP),)),
     "optimal_systematic": Family(
         lambda **p: make_optimal_systematic(**p),
-        (Param("n", int, 1, above=0, help=_N_HELP),
-         *(Param(name, callable, None) for name in ("theta", "theta_dot", "alpha", "alpha_dot")))),
+        (Param("n", int, 1, above=0, help=_N_HELP),)),
 }
 
 PROTOCOL_KINDS = tuple(PROTOCOLS)

@@ -81,13 +81,15 @@ def _unperturbed(field: ControlField) -> tuple[np.ndarray, np.ndarray]:
 def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float, float]:
     """``value`` of the composite Simpson integral, and its distance from the half-grid one.
 
-    On an even count, f[::2] would stop one step short of T, so both sides
-    of the comparison cover a prefix instead: the largest one whose count
-    and half count are odd (plain Simpson on both grids), or 3 samples.
+    Both sides of the comparison cover the largest prefix whose count and
+    half count are odd (count 1 mod 4), so both grids take plain Simpson:
+    f[::2] of an even count would stop one step short of T, and an even half
+    count would take the end correction at step 2h.  Below 5 points the
+    prefix is the first 3 samples (2 on a 2-point grid).
     """
     full = value(simpson(f, h))
     n = f.shape[-1]
-    m = n if n % 2 or n == 2 else max(n - 1 - (n - 2) % 4, 3)
+    m = n - (n - 1) % 4 if n >= 5 else min(n, 3)
     prefix = full if m == n else value(simpson(f[:m], h))
     return full, abs(prefix - value(simpson(f[:m:2], 2.0 * h)))
 

@@ -365,7 +365,8 @@ def test_fault_inside_a_command_exits_1(monkeypatch, capsys):
     def broken(cfg):
         raise KeyError("missing")
 
-    monkeypatch.setitem(cli_module._COMMANDS, "protocol", broken)
+    _, text, groups = cli_module._SUBCOMMANDS["protocol"]
+    monkeypatch.setitem(cli_module._SUBCOMMANDS, "protocol", (broken, text, groups))
     assert run_cli(["protocol", "--kind", "flat_pi", "--grid-steps", "3"]) == 1
     assert "missing" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, EnsembleResult, ErrorSetting,
                     PureState, TimeGrid, bloch_from_pure, constant, dynamics,
-                    evolve_bloch, evolve_pure, evolve_sse, make_flat_pi,
+                    evolve_bloch, evolve_propagator, evolve_pure, evolve_sse, make_flat_pi,
                     make_transitionless, monte_carlo_p2)
 from invlab.dynamics import _sse_run
 
@@ -208,6 +208,16 @@ def test_sse_rejects_an_unstable_step(flat_field):
 def test_error_setting_requires_finite_values(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         ErrorSetting(**kwargs)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evolve", [evolve_propagator,
+                                    lambda field, beta: evolve_pure(field, GROUND_PURE, beta)],
+                         ids=["evolve_propagator", "evolve_pure"])
+def test_propagator_route_requires_a_finite_beta(flat_field, evolve, beta):
+    # bad input, as in final_p2_pure, not a diverged integration
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        evolve(flat_field, beta)
 
 
 @pytest.mark.parametrize("lambda2, dt, name", [(math.nan, 1.0 / 2000.0, "lambda2"),

@@ -8,7 +8,7 @@ from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, InvariantAngles, Pr
                     PureState, TimeGrid, constant, evolve_bloch, evolve_pure, make_flat_pi,
                     make_invariant_engineered, make_optimal_noise,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
-                    make_transitionless, optimal_systematic_angles)
+                    make_transitionless, optimal_systematic_angles, qs_formula)
 from invlab.cli import main
 from conftest import EX_DELTA0, EX_OMEGA0
 
@@ -245,22 +245,27 @@ def test_optimal_systematic_gamma_relation(grid):
     assert np.max(np.abs(s.gamma_dot - 8.0 * np.sin(s.theta) ** 2 * s.theta_dot)) < 1e-12
 
 
+def _zero_systematic_angles(w):
+    """gamma = 2 theta - sin 2 theta with theta = w t and alpha = 0, closed derivatives."""
+    theta = lambda t: w * np.asarray(t, dtype=float)
+    return InvariantAngles(theta, constant(0.0), lambda t: 2.0 * theta(t) - np.sin(2.0 * theta(t)),
+                           constant(w), constant(0.0),
+                           lambda t: 4.0 * np.sin(theta(t)) ** 2 * w)
+
+
 def test_optimal_systematic_explicit_gauge(grid):
-    # a given alpha is used: alpha = 0 puts theta_dot = pi into omega_i
-    f = make_optimal_systematic(1, grid, alpha=constant(0.0), alpha_dot=constant(0.0))
+    # another member of the family: alpha = 0 puts theta_dot = pi into omega_i, and q_S stays 0
+    f = make_invariant_engineered(_zero_systematic_angles(np.pi), grid)
     assert np.max(np.abs(f.omega_i - np.pi)) < 1e-12
-    assert f.label == "optimal_systematic(n=1,gauge=explicit)"
     assert evolve_bloch(f, GROUND_BLOCH).final_p2() >= 1.0 - 1e-6
-    with pytest.raises(ValueError):
-        make_optimal_systematic(1, grid, alpha_dot=constant(0.0))  # a derivative without alpha
+    assert qs_formula(f).q_s <= 1e-8
 
 
 def test_optimal_systematic_validation(grid):
     with pytest.raises(ValueError):
         make_optimal_systematic(0, grid)
-    with pytest.raises(ValueError):
-        make_optimal_systematic(1, grid, theta=lambda t: 0.5 * np.pi * np.asarray(t),
-                                theta_dot=constant(0.5 * np.pi))
+    with pytest.raises(ValueError, match="inversion boundary conditions violated"):
+        make_invariant_engineered(_zero_systematic_angles(0.5 * np.pi), grid)
 
 
 def test_every_generator_inverts(grid, transitionless_example, optimal_noise_field):
@@ -301,8 +306,7 @@ def test_protocol_spec_dispatch(grid):
      lambda g: make_transitionless(0.0, 1.0, g), ["--omega0", "0", "--delta0", "1"]),
     ("sinusoidal_adiabatic", {"omega0": -1.0, "delta0": 1.0},
      lambda g: make_sinusoidal(-1.0, 1.0, g), ["--omega0=-1", "--delta0", "1"]),
-    ("optimal_systematic", {"alpha": 0.3},
-     lambda g: make_optimal_systematic(1, g, alpha=0.3), ["--alpha", "0.3"]),
+    ("optimal_systematic", {"alpha": 0.3}, None, ["--alpha", "0.3"]),  # no such parameter
     ("shaped_pi", {"envelope": "bogus"}, lambda g: make_shaped_pi("bogus", 0.0, g),
      ["--envelope", "bogus"]),
     ("shaped_pi", {"envelope": 3}, lambda g: make_shaped_pi(3, 0.0, g), None),

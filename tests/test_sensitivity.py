@@ -306,3 +306,13 @@ def test_error_estimate_on_an_even_grid_covers_the_whole_duration(make, n):
     field = make(TimeGrid(n))
     assert qn_formula(field).error_estimate <= 1e-10
     assert qs_formula(field).error_estimate <= 1e-10
+
+
+@pytest.mark.parametrize("n, neighbour, qn_bound", [(2003, 2001, 1e-12), (1003, 1001, 2e-11)])
+def test_error_estimate_on_a_3_mod_4_grid_reads_like_its_neighbour(n, neighbour, qn_bound):
+    # n = 3 (mod 4) used to compare with an even-count half grid, whose end
+    # correction read about 5x the estimate of the neighbouring 1 (mod 4) grid
+    field = make_transitionless(3.0, 2.0, TimeGrid(n))
+    near = make_transitionless(3.0, 2.0, TimeGrid(neighbour))
+    assert qs_formula(field).error_estimate <= 2.0 * qs_formula(near).error_estimate
+    assert qn_formula(field).error_estimate <= qn_bound

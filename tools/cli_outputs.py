@@ -1,0 +1,91 @@
+"""Write the outputs of a fixed set of invlab CLI runs to OUTDIR, for a byte comparison.
+
+    python tools/cli_outputs.py OUTDIR
+
+Each run calls invlab.cli.main in-process, with OUTDIR as the working
+directory, and leaves its output files there together with <run>.stdout,
+<run>.stderr and a line "<run> <exit code>" in exit_codes.txt.  invlab is
+imported from this checkout's src/, never from an installed copy.  Run the
+script from two checkouts and compare the directories with `diff -r`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the kind settings: every family, each optimal one at two indices
+KINDS = {
+    "flat_pi": ["--kind", "flat_pi", "--alpha", "0.3"],
+    "shaped_pi_sin": ["--kind", "shaped_pi", "--envelope", "sin"],
+    "shaped_pi_flat": ["--kind", "shaped_pi", "--envelope", "flat"],
+    "sinusoidal": ["--kind", "sinusoidal_adiabatic", "--omega0", "3", "--delta0", "2"],
+    "transitionless": ["--kind", "transitionless", "--omega0", "3", "--delta0", "2"],
+    "optimal_noise_3": ["--kind", "optimal_noise", "--n", "3"],
+    "optimal_noise_7": ["--kind", "optimal_noise", "--n", "7"],
+    "optimal_systematic_1": ["--kind", "optimal_systematic", "--n", "1"],
+    "optimal_systematic_2": ["--kind", "optimal_systematic", "--n", "2"],
+}
+
+
+def runs():
+    """(run name, argv) pairs; the names are unique file stems."""
+    for name, kind in KINDS.items():
+        yield f"protocol_{name}", ["protocol", *kind, "--out", f"protocol_{name}.csv"]
+        yield f"protocol_{name}_json", ["protocol", *kind, "--format", "json", "--duration",
+                                        "2.5", "--out", f"protocol_{name}.json"]
+        yield f"sensitivity_{name}", ["sensitivity", *kind, "--method", "both",
+                                      "--out", f"sensitivity_{name}.json"]
+    bloch = ["simulate", *KINDS["transitionless"], "--beta", "0.05", "--lambda2", "0.1"]
+    yield "simulate", [*bloch, "--out", "simulate.csv"]
+    yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
+    yield "simulate_sse", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2", "0.09",
+                           "--n-traj", "300", "--seed", "42", "--out", "simulate_sse.json"]
+    for figure in (1, 2, 4, 5, 7):
+        yield f"sweep_{figure}", ["sweep", "--figure", str(figure), "--out", f"figure{figure}"]
+    yield "help", ["--help"]
+    for command in ("protocol", "simulate", "sensitivity", "sweep"):
+        yield f"help_{command}", [command, "--help"]
+    yield "dump_config", ["simulate", *KINDS["optimal_noise_7"], "--lambda2", "0.1",
+                          "--dump-config"]
+
+
+def import_cli():
+    """invlab.cli from this checkout's src/."""
+    if not (SRC / "invlab" / "__init__.py").is_file():
+        raise SystemExit(f"cli_outputs: no program source at {SRC / 'invlab'}")
+    sys.path.insert(0, str(SRC))
+    import invlab.cli
+    if Path(invlab.__file__).resolve().parent != SRC / "invlab":
+        raise SystemExit(f"cli_outputs: imported invlab from {invlab.__file__}, not {SRC}")
+    return invlab.cli
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    cli = import_cli()
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    os.environ["COLUMNS"] = "100"  # argparse wraps --help to the terminal width
+    codes = []
+    for name, args in runs():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        Path(f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+        Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
+        codes.append(f"{name} {code}\n")
+    Path("exit_codes.txt").write_text("".join(codes), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
