@@ -7,8 +7,8 @@ from .core import (AngleSamples, BlochState, ControlField, GROUND_BLOCH,
 from .dynamics import (EnsembleResult, ErrorSetting, Trajectory, evolve_bloch,
                        evolve_propagator, evolve_pure, evolve_sse, final_p2_bloch,
                        final_p2_pure, monte_carlo_p2)
-from .optimal import (StationarityReport, ThetaSolution, first_integral_constant,
-                      solve_optimal_theta, stationarity_m, verify_stationarity)
+from .optimal import (StationarityReport, first_integral_constant, solve_optimal_theta,
+                      stationarity_m, verify_stationarity)
 from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         make_optimal_noise, make_optimal_systematic,
                         make_shaped_pi, make_sinusoidal, make_transitionless,

@@ -235,7 +235,7 @@ def bloch_from_pure(state: PureState) -> BlochState:
 
 @dataclass(frozen=True, eq=False)
 class AngleSamples:
-    """Grid evaluation of an InvariantAngles triple plus derived quantities."""
+    """Grid evaluation of an InvariantAngles triple and its three derivatives."""
 
     grid: TimeGrid
     theta: np.ndarray
@@ -244,12 +244,6 @@ class AngleSamples:
     theta_dot: np.ndarray
     alpha_dot: np.ndarray
     gamma_dot: np.ndarray
-
-    @property
-    def m(self) -> np.ndarray:
-        # m = tan(theta) (Delta + alpha_dot); with Delta = -cos(theta) gamma_dot - alpha_dot
-        # this collapses to m = -sin(theta) gamma_dot.
-        return -np.sin(self.theta) * self.gamma_dot
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,11 @@ Quadrature of the first integral fixes
 Since sqrt(3 + cos 2s) = 2 sqrt(1 - sin^2(s) / 2), the quadrature is an
 incomplete elliptic integral of the second kind: c = 2 E(pi | 1/2) / T and
 t(theta) = (2/c) E(theta | 1/2), and theta(t) follows by inverting it with
-Newton's method; no boundary-value iteration is needed.  The tests check
-it against a conventional shooting solver of the second-order equation.
-scipy (the elliptic integral and the interpolants) is imported inside the
-functions that use it, so importing this module loads numpy alone.
+Newton's method at each time asked for; no boundary-value iteration, grid
+or interpolant is needed.  The tests check it against a conventional
+shooting solver of the second-order equation.  scipy (the elliptic
+integral) is imported inside the functions that use it, so importing this
+module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -29,43 +30,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvariantAngles, TimeGrid, write_csv
+from .core import InvariantAngles, TimeGrid
 from .sensitivity import qn_lagrangian
 
 # Newton steps of the t(theta) inversion from the linear guess theta = pi t / T;
 # the fourth lands within an ulp or two of the root everywhere on [0, T].
 _NEWTON_STEPS = 4
-_DENSE_STEPS = 4001  # grid of stationarity_m's theta_dot interpolant when none is given
+_DENSE_STEPS = 4001  # grid of stationarity_m's sampled theta_dot when none is given
 
 
 def _gap(theta):
     return np.sqrt(3.0 + np.cos(2.0 * np.asarray(theta, dtype=float)))
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaSolution:
-    """Stationary theta(t) sampled on a grid, with its analytic derivative.
-
-    ``c`` is the first-integral constant theta_dot * sqrt(3 + cos 2 theta).
-    """
-
-    grid: TimeGrid
-    theta: np.ndarray
-    theta_dot: np.ndarray
-    c: float
-    theta_fn: Callable
-    theta_dot_fn: Callable
-
-    def __post_init__(self):
-        if abs(self.theta[0]) > 1e-9 or abs(self.theta[-1] - math.pi) > 1e-9:
-            raise RuntimeError(
-                f"boundary conditions violated: theta(0)={self.theta[0]!r}, "
-                f"theta(T)={self.theta[-1]!r}")
-        if np.any(np.diff(self.theta) <= 0.0):
-            raise RuntimeError("theta is not strictly increasing")
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "t,theta,theta_dot", [self.grid.times, self.theta, self.theta_dot])
 
 
 def first_integral_constant(duration: float = 1.0) -> float:
@@ -75,47 +50,41 @@ def first_integral_constant(duration: float = 1.0) -> float:
     return 2.0 * float(ellipeinc(math.pi, 0.5)) / duration
 
 
-def solve_optimal_theta(grid: TimeGrid) -> ThetaSolution:
-    """Solve the stationarity ODE through its first integral.
+def solve_optimal_theta(duration: float = 1.0) -> tuple[Callable, Callable]:
+    """The stationary theta(t) and theta_dot(t) on [0, T], as vectorized callables.
 
     t(theta) = (1/c) Int_0^theta sqrt(3 + cos 2 s) ds = (2/c) E(theta | 1/2)
     is inverted by Newton's method (dE/dtheta = sqrt(3 + cos 2 theta) / 2)
-    at the grid nodes and step midpoints, with t scaled by E(pi | 1/2) so
-    that t(pi) lands exactly on T; a knot whose E(theta | 1/2) misses its
-    target by more than 1e-12 is a RuntimeError.  theta_dot =
-    c / sqrt(3 + cos 2 theta) follows analytically; a cubic Hermite
-    interpolant through both serves other times, within 1e-14 of the
-    exact inverse.
+    at the times asked for, with t scaled by E(pi | 1/2) so that t(pi)
+    lands exactly on T: theta(0) is 0.0 and theta(T) is pi.  Every call
+    checks the defining equation, and a time whose E(theta | 1/2) misses
+    its target by more than 1e-12 is a RuntimeError.  theta_dot =
+    c / sqrt(3 + cos 2 theta) follows analytically.
     """
-    from scipy.interpolate import CubicHermiteSpline
     from scipy.special import ellipeinc
 
-    c = first_integral_constant(grid.duration)
-    knots = TimeGrid(2 * grid.n_steps - 1, grid.duration).times
-    u = knots / grid.duration
-    target = float(ellipeinc(math.pi, 0.5)) * u
-    th = math.pi * u
-    for _ in range(_NEWTON_STEPS):
-        th = th - (ellipeinc(th, 0.5) - target) / (0.5 * _gap(th))
-    th[0], th[-1] = 0.0, math.pi
-    # the defining equation at every knot; it reads 4.4e-16 on grids of 101 to 20001 points
-    res = float(np.max(np.abs(ellipeinc(th, 0.5) - target)))
-    if res > 1e-12:
-        raise RuntimeError(f"elliptic-integral residual {res!r} exceeds 1e-12")
-    inv = CubicHermiteSpline(knots, th, c / _gap(th))
+    c = first_integral_constant(duration)
+    e_pi = float(ellipeinc(math.pi, 0.5))
 
-    def theta_fn(t):
-        return inv(np.clip(np.asarray(t, dtype=float), 0.0, grid.duration))
+    def theta(t):
+        u = np.asarray(t, dtype=float) / duration
+        target = e_pi * u
+        th = math.pi * u
+        for _ in range(_NEWTON_STEPS):
+            th = th - (ellipeinc(th, 0.5) - target) / (0.5 * _gap(th))
+        # the defining equation at every time asked for; it reads 3.3e-16 over 10^5 times
+        res = float(np.max(np.abs(ellipeinc(th, 0.5) - target), initial=0.0))
+        if res > 1e-12:
+            raise RuntimeError(f"elliptic-integral residual {res!r} exceeds 1e-12")
+        return th
 
-    def theta_dot_fn(t):
-        return c / _gap(theta_fn(t))
+    def theta_dot(t):
+        return c / _gap(theta(t))
 
-    theta = theta_fn(grid.times)
-    theta[0], theta[-1] = 0.0, math.pi
-    return ThetaSolution(grid, theta, theta_dot_fn(grid.times), c, theta_fn, theta_dot_fn)
+    return theta, theta_dot
 
 
-def stationarity_m(angles: InvariantAngles) -> Callable:
+def stationarity_m(angles: InvariantAngles, duration: float = 1.0) -> Callable:
     """Gauge function that makes the action stationary in m:
 
         m = theta_dot sin(4 alpha) sin^2 theta
@@ -123,15 +92,17 @@ def stationarity_m(angles: InvariantAngles) -> Callable:
 
     At alpha = n pi/4 (where sin 4 alpha = 0) and wherever the
     denominator degenerates, the stationary value is identically 0.
+    Without a closed-form theta_dot, the sampled one on [0, duration] is
+    interpolated linearly.
     """
     if angles.theta_dot is not None:
         theta_dot = angles.theta_dot
     else:
-        from scipy.interpolate import PchipInterpolator
+        grid = TimeGrid(_DENSE_STEPS, duration)
+        samples = angles.sample(grid).theta_dot
 
-        grid = TimeGrid(_DENSE_STEPS)
-        s = angles.sample(grid)
-        theta_dot = PchipInterpolator(grid.times, s.theta_dot)
+        def theta_dot(t):
+            return np.interp(t, grid.times, samples)
 
     def m_of_t(t):
         t = np.asarray(t, dtype=float)

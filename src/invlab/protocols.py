@@ -201,7 +201,7 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     WR = -sin(n pi/4) theta_dot, WI = cos(n pi/4) theta_dot, D = 0,
     so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.
     """
-    angles = optimal_noise_angles(grid, n)
+    angles = optimal_noise_angles(n, grid.duration)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
     return ControlField.from_functions(
@@ -209,13 +209,13 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
         label=f"optimal_noise(n={n})")
 
 
-def optimal_noise_angles(grid: TimeGrid, n: int = 7) -> InvariantAngles:
+def optimal_noise_angles(n: int = 7, duration: float = 1.0) -> InvariantAngles:
     """Invariant angles of the noise-optimal protocol: stationary theta,
     alpha = n pi/4 (n odd), constant gamma (so m = 0)."""
     n = _check("optimal_noise", n=n)["n"]
-    sol = solve_optimal_theta(grid)
-    return InvariantAngles(sol.theta_fn, constant(n * math.pi / 4.0), constant(0.0),
-                           sol.theta_dot_fn, constant(0.0), constant(0.0))
+    theta, theta_dot = solve_optimal_theta(duration)
+    return InvariantAngles(theta, constant(n * math.pi / 4.0), constant(0.0),
+                           theta_dot, constant(0.0), constant(0.0))
 
 
 def optimal_systematic_angles(n: int, duration: float = 1.0) -> InvariantAngles:

@@ -98,7 +98,7 @@ def _qn_density(s: AngleSamples) -> np.ndarray:
     """The q_N Lagrangian density L(m, alpha, theta, theta_dot) of ``qn_lagrangian``."""
     sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
     sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
-    m = -sin_t * s.gamma_dot  # AngleSamples.m
+    m = -sin_t * s.gamma_dot  # m = tan(theta)(Delta + alpha_dot) = -sin(theta) gamma_dot
     cos2_t, sin2_t = cos_t**2, sin_t**2
     return 0.25 * ((cos2_t + cos_a**2 * sin2_t) * (m * sin_a - cos_a * s.theta_dot) ** 2
                    + (cos2_t + sin_a**2 * sin2_t) * (m * cos_a + sin_a * s.theta_dot) ** 2)

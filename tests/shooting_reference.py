@@ -7,15 +7,22 @@ theta(0) = 0 and finds theta_dot(0) by bracketing theta(T) = pi.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from invlab import ThetaSolution, TimeGrid, first_integral_constant
+from invlab import TimeGrid, first_integral_constant
 
 
-def solve_optimal_theta_shooting(grid: TimeGrid, substeps: int = 8) -> ThetaSolution:
+class Shot(NamedTuple):
+    """theta at the grid nodes, and the first-integral constant c = 2 theta_dot(0)."""
+
+    theta: np.ndarray
+    c: float
+
+
+def solve_optimal_theta_shooting(grid: TimeGrid, substeps: int = 8) -> Shot:
     """Independent oracle: RK4 shooting on the second-order ODE itself."""
     T = grid.duration
     n_fine = substeps * (grid.n_steps - 1)
@@ -51,11 +58,9 @@ def solve_optimal_theta_shooting(grid: TimeGrid, substeps: int = 8) -> ThetaSolu
     if miss(lo) * miss(hi) > 0.0:
         raise RuntimeError("shooting bracket does not straddle the target")
     v0 = brentq(miss, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    theta, theta_dot = integrate(v0)
+    theta, _ = integrate(v0)
     theta[0], theta[-1] = 0.0, math.pi
-    theta_fn = PchipInterpolator(grid.times, theta)
-    rate_fn = PchipInterpolator(grid.times, theta_dot)
-    return ThetaSolution(grid, theta, theta_dot, 2.0 * v0, theta_fn, rate_fn)
+    return Shot(theta, 2.0 * v0)
 
 
 def ode_residual(theta: np.ndarray, h: float) -> float:

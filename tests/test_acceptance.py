@@ -168,7 +168,7 @@ def test_c09_schwartz_bound_property(grid):
 
 
 def test_c10_variational_margin(grid):
-    angles = optimal_noise_angles(grid, 7)
+    angles = optimal_noise_angles(7)
     rep = verify_stationarity(angles, 0.05, n_perturbations=20, seed=3, grid=grid)
     ok = rep.min_perturbed_qn >= 1.82424 - 1e-6
     report(10, f"variational margin: 20 perturbations (amplitude 0.05), min "

@@ -309,12 +309,20 @@ def test_sse_ensemble_starts_no_thread_pool(tmp_path):
 
 
 def test_optimal_protocol_loads_scipy_on_first_use(tmp_path):
+    """optimal_noise loads the elliptic integral, and no interpolant, on first use."""
     rc, scipy = _probe_imports(["protocol", "--kind", "optimal_noise", "--n", "3",
                                 "--out", "field.csv"], tmp_path)
     assert rc == 0
     assert "scipy.special" in scipy
+    assert "scipy.interpolate" not in scipy
     field = ControlField.read_csv(tmp_path / "field.csv")
     assert field.grid.n_steps == 2001
+    # Fig. 4 contains optimal_noise
+    rc, scipy = _probe_imports(["sweep", "--figure", "4", "--grid-steps", "101",
+                                "--axis1=-1,1,3", "--out", "fig4"], tmp_path)
+    assert rc == 0
+    assert "scipy.special" in scipy
+    assert "scipy.interpolate" not in scipy
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

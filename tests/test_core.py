@@ -208,13 +208,3 @@ def test_invariant_angles_derivative_fallback():
     assert np.max(np.abs(s.theta_dot - np.pi)) < 1e-7
     exact = 2.0 * np.pi * np.cos(2.0 * np.pi * g.times)
     assert np.max(np.abs(s.gamma_dot - exact)) < 1e-4
-
-
-def test_gauge_m_identity():
-    # m = -sin(theta) gamma_dot when derived from the angle triple
-    g = TimeGrid(401)
-    ang = InvariantAngles(lambda t: np.pi * np.asarray(t), constant(0.0),
-                          lambda t: 3.0 * np.asarray(t),
-                          constant(np.pi), constant(0.0), constant(3.0))
-    s = ang.sample(g)
-    assert s.m == pytest.approx(-3.0 * np.sin(np.pi * g.times), abs=1e-12)

@@ -13,7 +13,7 @@ from shooting_reference import ode_residual, solve_optimal_theta_shooting
 
 @pytest.fixture(scope="module")
 def solution(grid):
-    return solve_optimal_theta(grid)
+    return optimal_noise_angles(7).sample(grid)
 
 
 def test_first_integral_constant_value():
@@ -41,52 +41,52 @@ def test_solution_residual(solution):
 
 def test_solution_first_integral_relation(solution):
     gap = np.sqrt(3.0 + np.cos(2.0 * solution.theta))
-    assert np.max(np.abs(solution.theta_dot * gap - solution.c)) < 1e-9
+    assert np.max(np.abs(solution.theta_dot * gap - first_integral_constant())) < 1e-9
 
 
-def test_solution_qn_value(grid, solution):
-    ang = InvariantAngles(solution.theta_fn, constant(math.pi / 4.0), constant(0.0),
-                          solution.theta_dot_fn, constant(0.0), constant(0.0))
+def test_solution_qn_value(grid):
+    theta, theta_dot = solve_optimal_theta()
+    ang = InvariantAngles(theta, constant(math.pi / 4.0), constant(0.0),
+                          theta_dot, constant(0.0), constant(0.0))
     assert qn_lagrangian(ang, grid) == pytest.approx(1.82424, abs=1e-3)
     # closed form of the stationary action: c^2 T / 16
-    assert qn_lagrangian(ang, grid) == pytest.approx(solution.c**2 / 16.0, abs=1e-9)
+    assert qn_lagrangian(ang, grid) == pytest.approx(first_integral_constant()**2 / 16.0,
+                                                     abs=1e-9)
 
 
-def test_theta_fn_inverts_the_elliptic_integral(solution):
-    # t(theta) = T E(theta | 1/2) / E(pi | 1/2), at times off the grid too
-    t = np.random.default_rng(3).uniform(0.0, 1.0, 500)
-    theta = solution.theta_fn(t)
-    assert np.max(np.abs(ellipeinc(theta, 0.5) / ellipeinc(math.pi, 0.5) - t)) < 1e-13
+def test_theta_fn_inverts_the_elliptic_integral():
+    # t(theta) = T E(theta | 1/2) / E(pi | 1/2) at any time, and exactly at both ends
+    for duration in (1.0, 2.5):
+        theta, _ = solve_optimal_theta(duration)
+        t = np.random.default_rng(3).uniform(0.0, duration, 100_000)
+        err = ellipeinc(theta(t), 0.5) / ellipeinc(math.pi, 0.5) - t / duration
+        assert np.max(np.abs(err)) < 1e-15
+        assert float(theta(0.0)) == 0.0
+        assert float(theta(duration)) == math.pi
 
 
 def test_shooting_oracle_agrees(grid, solution):
     shot = solve_optimal_theta_shooting(grid)
-    assert ode_residual(shot.theta, shot.grid.h) < 1e-6
+    assert ode_residual(shot.theta, grid.h) < 1e-6
     assert np.max(np.abs(shot.theta - solution.theta)) < 1e-6
-    assert shot.c == pytest.approx(solution.c, abs=1e-9)
+    assert shot.c == pytest.approx(first_integral_constant(), abs=1e-9)
 
 
 @pytest.mark.parametrize("n_steps", [101, 201])
 def test_optimal_noise_builds_on_coarse_grids(n_steps):
     # the finite-difference ODE residual reads 5.6e-5 and 3.6e-6 here from its own
-    # truncation; the inversion itself is checked at every knot
+    # truncation; the inversion itself is checked at every evaluated time
     field = make_optimal_noise(3, TimeGrid(n_steps))
     assert field.grid.n_steps == n_steps
-    assert solve_optimal_theta(TimeGrid(n_steps)).theta[-1] == math.pi
+    theta, _ = solve_optimal_theta()
+    assert theta(TimeGrid(n_steps).times)[-1] == math.pi
 
 
 def test_unconverged_inversion_is_refused(monkeypatch):
     monkeypatch.setattr(optimal, "_NEWTON_STEPS", 1)
+    theta, _ = solve_optimal_theta()
     with pytest.raises(RuntimeError, match="elliptic-integral residual"):
-        solve_optimal_theta(TimeGrid(201))
-
-
-def test_theta_solution_csv(tmp_path, solution):
-    path = tmp_path / "theta.csv"
-    solution.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,theta,theta_dot"
-    assert len(lines) == solution.grid.n_steps + 1
+        theta(TimeGrid(201).times)
 
 
 def test_stationarity_m_zero_at_quarter_multiples():
@@ -113,8 +113,19 @@ def test_stationarity_m_derivative_fallback():
     assert float(m(0.5)) == pytest.approx(math.pi, abs=1e-6)
 
 
+def test_stationarity_m_derivative_fallback_spans_the_duration():
+    # theta = pi t / 2 on [0, 2]: the sampled theta_dot must cover t > 1 too
+    theta = lambda t: 0.5 * np.pi * np.asarray(t, dtype=float)
+    sampled = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0))
+    closed = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0),
+                             constant(0.5 * np.pi), constant(0.0), constant(0.0))
+    t = np.linspace(0.0, 2.0, 41)
+    err = stationarity_m(sampled, 2.0)(t) - stationarity_m(closed, 2.0)(t)
+    assert np.max(np.abs(err)) < 1e-9
+
+
 def test_verify_stationarity_optimal_candidate(grid):
-    ang = optimal_noise_angles(grid, 7)
+    ang = optimal_noise_angles(7)
     report = verify_stationarity(ang, 0.05, n_perturbations=20, seed=1, grid=grid)
     assert report.margin >= -1e-6
     assert report.candidate_qn == pytest.approx(1.82424, abs=1e-3)
@@ -140,7 +151,7 @@ def test_linear_theta_with_diagonal_alpha_is_suboptimal(grid):
     assert q == pytest.approx(3.0 * math.pi**2 / 16.0, abs=1e-9)
 
 
-def test_optimal_noise_angles_validation(grid):
+def test_optimal_noise_angles_validation():
     for n in (2, 7.5, True):
         with pytest.raises(ValueError):
-            optimal_noise_angles(grid, n)
+            optimal_noise_angles(n)

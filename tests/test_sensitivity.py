@@ -219,9 +219,9 @@ def test_qn_lagrangian_flat_candidate():
 
 
 def test_qn_lagrangian_optimal_candidate(grid):
-    sol = solve_optimal_theta(grid)
-    ang = InvariantAngles(sol.theta_fn, constant(np.pi / 4.0), constant(0.0),
-                          sol.theta_dot_fn, constant(0.0), constant(0.0))
+    theta, theta_dot = solve_optimal_theta()
+    ang = InvariantAngles(theta, constant(np.pi / 4.0), constant(0.0),
+                          theta_dot, constant(0.0), constant(0.0))
     assert qn_lagrangian(ang, grid) == pytest.approx(1.82424, abs=1e-3)
 
 

@@ -46,6 +46,12 @@ def runs():
     yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
     yield "simulate_sse", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2", "0.09",
                            "--n-traj", "300", "--seed", "42", "--out", "simulate_sse.json"]
+    # optimal_noise's theta is evaluated at the SSE times; at dt = 1/8000 they fall between
+    # the nodes of the field's grid
+    for name, dt in (("", []), ("_dt8000", ["--dt", "0.000125"])):
+        yield f"simulate_sse_optimal_noise{name}", [
+            "simulate", *KINDS["optimal_noise_7"], "--sse", "--lambda2", "0.09", "--n-traj", "300",
+            "--seed", "42", *dt, "--out", f"simulate_sse_optimal_noise{name}.json"]
     for figure in (1, 2, 4, 5, 7):
         yield f"sweep_{figure}", ["sweep", "--figure", str(figure), "--out", f"figure{figure}"]
     yield "help", ["--help"]
