@@ -36,7 +36,7 @@ from .sensitivity import qn_lagrangian
 # Newton steps of the t(theta) inversion from the linear guess theta = pi t / T;
 # the fourth lands within an ulp or two of the root everywhere on [0, T].
 _NEWTON_STEPS = 4
-_DENSE_STEPS = 4001  # grid of stationarity_m's sampled theta_dot when none is given
+_FD_STEP = 1e-5  # half-step of stationarity_m's central difference of theta
 
 
 def _gap(theta):
@@ -84,7 +84,7 @@ def solve_optimal_theta(duration: float = 1.0) -> tuple[Callable, Callable]:
     return theta, theta_dot
 
 
-def stationarity_m(angles: InvariantAngles, duration: float = 1.0) -> Callable:
+def stationarity_m(angles: InvariantAngles) -> Callable:
     """Gauge function that makes the action stationary in m:
 
         m = theta_dot sin(4 alpha) sin^2 theta
@@ -92,17 +92,16 @@ def stationarity_m(angles: InvariantAngles, duration: float = 1.0) -> Callable:
 
     At alpha = n pi/4 (where sin 4 alpha = 0) and wherever the
     denominator degenerates, the stationary value is identically 0.
-    Without a closed-form theta_dot, the sampled one on [0, duration] is
-    interpolated linearly.
+    Without a closed-form theta_dot, theta is differenced centrally at the
+    times asked for.
     """
     if angles.theta_dot is not None:
         theta_dot = angles.theta_dot
     else:
-        grid = TimeGrid(_DENSE_STEPS, duration)
-        samples = angles.sample(grid).theta_dot
-
         def theta_dot(t):
-            return np.interp(t, grid.times, samples)
+            t = np.asarray(t, dtype=float)
+            return (np.asarray(angles.theta(t + _FD_STEP), dtype=float)
+                    - np.asarray(angles.theta(t - _FD_STEP), dtype=float)) / (2.0 * _FD_STEP)
 
     def m_of_t(t):
         t = np.asarray(t, dtype=float)

@@ -114,13 +114,19 @@ def test_stationarity_m_derivative_fallback():
 
 
 def test_stationarity_m_derivative_fallback_spans_the_duration():
-    # theta = pi t / 2 on [0, 2]: the sampled theta_dot must cover t > 1 too
-    theta = lambda t: 0.5 * np.pi * np.asarray(t, dtype=float)
+    # a curved theta on [0, 2]: the fallback theta_dot must hold beyond t = 1 too
+    def theta(t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 * np.pi * t + 0.1 * np.sin(np.pi * t)
+
+    def theta_dot(t):
+        return 0.5 * np.pi + 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
+
     sampled = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0))
     closed = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0),
-                             constant(0.5 * np.pi), constant(0.0), constant(0.0))
+                             theta_dot, constant(0.0), constant(0.0))
     t = np.linspace(0.0, 2.0, 41)
-    err = stationarity_m(sampled, 2.0)(t) - stationarity_m(closed, 2.0)(t)
+    err = stationarity_m(sampled)(t) - stationarity_m(closed)(t)
     assert np.max(np.abs(err)) < 1e-9
 
 
