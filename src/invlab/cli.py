@@ -20,6 +20,7 @@ fault of the program included.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -111,6 +112,7 @@ _OPTIONS = (
 )
 
 
+@functools.cache  # one parser per process: main only reads it, and building it costs 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invlab",

@@ -49,8 +49,9 @@ realizations do not follow a Brownian path.  Each step is again a matrix
 
 a_k holds the detuning and the Ito correction; b_k takes one of four
 values per step.  So four steps take one of 256 values: their products
-are tabulated once per ensemble, and one byte of signs picks a
-trajectory's four-step propagator.  No normalization is enforced during
+are tabulated once per ensemble as (groups, 256, 2) rows (a, b), and one
+byte of signs picks the row of a trajectory's four-step propagator, one
+gather per group for a whole batch.  No normalization is enforced during
 evolution; final probabilities divide by the squared norm to absorb the
 O(dt) drift.
 
@@ -61,9 +62,10 @@ of B Philox blocks that no other trajectory reads.  Byte q drives steps
 4q .. 4q+3; its bit 2j is the sign of dW_R at step 4q+j and bit 2j+1
 that of dW_I, a 1 bit meaning +sqrt(dt).  A trajectory's signs depend on
 (s, i) alone, so ensembles are order-independent and bit-reproducible
-under any batching; a batch's signs are one random_raw call, and a
-single trajectory is a batch of one that equals its ensemble member bit
-for bit.  The ensemble runs on the calling thread.
+under any batching.  A batch draws its signs in pieces of trajectories,
+one after another from one Philox stream, which gives the bytes of one
+random_raw call; a single trajectory is a batch of one that equals its
+ensemble member bit for bit.  The ensemble runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -78,11 +80,16 @@ from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureStat
                    write_csv)
 
 _MAX_SEED = 2**64
-# Trajectories per monte_carlo_p2 batch.  A batch's signs, one byte per four
-# steps each (1 KB at 4000 steps), are its only batch-by-steps buffer; the
-# step tables, 8 MB at 4000 steps, are built once per ensemble.  Below a few
-# thousand trajectories numpy's per-call cost dominates each group's update.
-_SSE_BATCH = 4096
+# Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
+# batch.  A batch's signs, one byte per four steps each (1 KB at 4000 steps,
+# 10 MB for the batch, scaling with 1/dt), are its only batch-by-steps
+# buffer; the step tables, 11 MB at 4000 steps, are built once per ensemble.
+# Each group costs a fixed number of numpy calls, so larger batches spread
+# that cost; 16384 would raise the peak of a 2 * 10^4 ensemble from 23 to 30 MiB.
+_SSE_BATCH = 10_000
+# Trajectories per Philox call while a batch's signs are drawn: the raw words
+# of one piece (1 MB at 4000 steps) are transposed into the batch's sign array.
+_SIGN_PIECE = 1024
 
 
 @dataclass(frozen=True)
@@ -268,10 +275,12 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
 
     The fastest rate of -lambda^2 L2 is lambda^2 (W_R^2 + W_I^2) / 2, real
     and negative; a step h times it past the interval makes the solve grow.
+    The rate is read where the steps read it: at the nodes and the midpoints.
     """
     lambda2 = max((s.lambda2 for s in settings), default=0.0)
     if lambda2 > 0.0:
-        x = field.grid.h * lambda2 * float(np.max(field.omega_r ** 2 + field.omega_i ** 2)) / 2.0
+        rate = max(float(np.max(wr ** 2 + wi ** 2)) for wr, wi, _ in field.stage_tables)
+        x = field.grid.h * lambda2 * rate / 2.0
         if x >= _RK4_REAL_LIMIT:
             raise ValueError(f"RK4 step unstable: h * max(lambda2 |Omega|^2) / 2 = {x:.3g} >= "
                              f"{_RK4_REAL_LIMIT}; lower --lambda2 or raise --grid-steps")
@@ -362,28 +371,39 @@ def _sse_tables(field: ControlField, lambda2: float, dt: float, n_sse: int) -> l
     """Products of 1, 2, 3 and 4 consecutive SSE steps for every sign pattern.
 
     Step k is the module docstring's [[a_k, b_k], [-b_k*, a_k*]], channels at
-    the left endpoint (Ito).  Entry r-1 of the list has shape (2, groups,
-    4**r): the pair (a, b) of M_4q+r-1 ... M_4q for the signs in the low 2r
-    bits of the index, bit 2j that of dW_R and bit 2j+1 that of dW_I at step
-    4q+j.  Steps past n_sse are the identity, so a tail group shorter than
-    four steps reads its full-group entry like any other.
+    the left endpoint (Ito).  Entry r-1 of the list has shape (groups, 4**r,
+    2): row [q, i] is the pair (a, b) of M_4q+r-1 ... M_4q for the signs in
+    the low 2r bits of i, bit 2j that of dW_R and bit 2j+1 that of dW_I at
+    step 4q+j, so one gather of rows reads both halves.  Steps past n_sse
+    are the identity, so a tail group shorter than four steps reads its
+    full-group entry like any other.  Refuses a step whose damping
+    lambda2 |Omega|^2 dt reaches 1 at any step time.
     """
     groups = -(-n_sse // 4)
     wr, wi, dl = field.values(np.arange(n_sse) * dt)
+    rate = wr * wr + wi * wi
+    stiffness = lambda2 * float(np.max(rate)) * dt
+    if stiffness >= 1.0:
+        raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
+                         f"{stiffness:.3g} >= 1; take a smaller dt")
     inc = dt + math.sqrt(lambda2) * math.sqrt(dt) * np.array([-1.0, 1.0])  # a 0 bit, a 1 bit
-    steps = np.zeros((2, 4 * groups, 4), dtype=complex)
-    steps[0] = 1.0
-    steps[0, :n_sse] = (1.0 + dt * (0.5j * dl - 0.125 * lambda2 * (wr * wr + wi * wi)))[:, None]
-    steps[1, :n_sse].real = -0.5 * wi[:, None] * inc[[0, 0, 1, 1]]
-    steps[1, :n_sse].imag = -0.5 * wr[:, None] * inc[[0, 1, 0, 1]]
-    steps = steps.reshape(2, groups, 4, 4)
-    tables = [steps[:, :, 0]]
+    steps = np.zeros((4 * groups, 4, 2), dtype=complex)
+    steps[:, :, 0] = 1.0
+    steps[:n_sse, :, 0] = (1.0 + dt * (0.5j * dl - 0.125 * lambda2 * rate))[:, None]
+    steps[:n_sse, :, 1].real = -0.5 * wi[:, None] * inc[[0, 0, 1, 1]]
+    steps[:n_sse, :, 1].imag = -0.5 * wr[:, None] * inc[[0, 1, 0, 1]]
+    steps = steps.reshape(groups, 4, 4, 2)
+    tables = [steps[:, 0]]
     for j in range(1, 4):
-        prev = tables[-1]
-        prod = np.empty((2, groups, 4, prev.shape[-1]), dtype=complex)
-        for sign in range(4):  # one slice at a time keeps the temporaries to 1/4 of the table
-            prod[:, :, sign] = _pair_mul(steps[:, :, j, sign, None], prev)
-        tables.append(prod.reshape(2, groups, -1))
+        c, d = tables[-1][..., 0], tables[-1][..., 1]
+        width = c.shape[-1]
+        prod = np.empty((groups, 4 * width, 2), dtype=complex)
+        for sign in range(4):  # step j's sign is the high bits: one slice at a time, in place
+            a, b = steps[:, j, sign, 0, None], steps[:, j, sign, 1, None]
+            part = prod[:, sign * width:(sign + 1) * width]
+            np.subtract(a * c, b * d.conj(), out=part[..., 0])  # _pair_mul's arithmetic
+            np.add(a * d, b * c.conj(), out=part[..., 1])
+        tables.append(prod)
     return tables
 
 
@@ -411,23 +431,26 @@ def _sse_run(tables: list, n_sse: int, c1, c2, signs: np.ndarray, record_every: 
     arrays (batch,), not modified.  ``signs``: uint8 (bytes, batch), byte q
     holding the signs of steps 4q .. 4q+3 (a trajectory's column may run
     past the last group; the rest is unused).  Each group of four steps is
-    two gathers from the 256-entry table and one 2x2 update.  States at
-    every record_every-th step are a side computation: a node inside a
-    group applies that group's prefix table to the state at its start, and
-    the main chain never reads them.  Returns the final amplitudes and, if
-    record_every > 0, the recorded states.
+    one gather of (a, b) rows from the group's 256-row table and one 2x2
+    update.  States at every record_every-th step are a side computation:
+    a node inside a group applies that group's prefix table to the state at
+    its start, and the main chain never reads them.  Returns the final
+    amplitudes and, if record_every > 0, the recorded states.
     """
     full = tables[3]
     c1, c2 = np.array(c1, dtype=complex), np.array(c2, dtype=complex)
     count = c1.shape[0]
-    u, v, n1, n2, w, t = np.empty((6, count), dtype=complex)
+    n1, n2, w, t = np.empty((4, count), dtype=complex)
+    g = np.empty((count, 2), dtype=complex)
+    u, v = g[:, 0], g[:, 1]
     index = np.empty(count, dtype=np.uint8)
     recorded = None
     if record_every:
         recorded = np.empty((n_sse // record_every + 1, count, 2), dtype=complex)
         recorded[0, :, 0] = c1
         recorded[0, :, 1] = c2
-    for q in range(full.shape[1]):
+    # a uint8 index cannot leave a 256-row table; "clip" is the cheaper bounds rule
+    for q in range(full.shape[0]):
         row = signs[q]
         end = min(4 * q + 4, n_sse)
         if record_every:
@@ -435,14 +458,11 @@ def _sse_run(tables: list, n_sse: int, c1, c2, signs: np.ndarray, record_every: 
                 if k % record_every == 0:
                     r = k - 4 * q
                     np.bitwise_and(row, 4**r - 1, out=index)
-                    np.take(tables[r - 1][0, q], index, out=u, mode="clip")
-                    np.take(tables[r - 1][1, q], index, out=v, mode="clip")
+                    tables[r - 1][q].take(index, axis=0, out=g, mode="clip")
                     _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
                     recorded[k // record_every, :, 0] = n1
                     recorded[k // record_every, :, 1] = n2
-        # a uint8 index cannot leave a 256-entry row; "clip" is the cheaper bounds rule
-        np.take(full[0, q], row, out=u, mode="clip")
-        np.take(full[1, q], row, out=v, mode="clip")
+        full[q].take(row, axis=0, out=g, mode="clip")
         _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
         c1, n1, c2, n2 = n1, c1, n2, c2
         if record_every and end % record_every == 0:
@@ -455,9 +475,11 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
                       seed: int, first: int, count: int, record: bool = False):
     """Yield ``_sse_run`` on trajectories first .. first+count-1 from psi0, _SSE_BATCH at a time.
 
-    dt must divide the grid spacing.  The step tables are built once; each
-    batch reads its signs under the module docstring's seed contract in one
-    Philox call and is integrated from them.
+    dt must divide the grid spacing.  The step tables and one (bytes, batch)
+    sign array are made once.  Each batch's signs, read under the module
+    docstring's seed contract, fill that array in pieces of _SIGN_PIECE
+    trajectories drawn one after another from the same Philox stream: the
+    bytes one call would give.
     """
     for name, value in (("seed", seed), ("traj_index", first)):
         if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
@@ -473,23 +495,22 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
     if per < 1 or abs(ratio - per) > 1e-9 * ratio:
         raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
     n_sse = per * (grid.n_steps - 1)
-    stiffness = lambda2 * float(np.max(field.omega_r ** 2 + field.omega_i ** 2)) * dt
-    if stiffness >= 1.0:
-        raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
-                         f"{stiffness:.3g} >= 1; take a smaller dt")
     tables = _sse_tables(field, lambda2, dt, n_sse)
     words = -(-n_sse // 32)
     blocks = -(-words // 4)
     first = int(first)  # a numpy uint64 index times the block count would wrap
     philox = np.random.Philox(key=int(seed), counter=first * blocks)
+    signs = np.empty((8 * words, min(count, _SSE_BATCH)), dtype=np.uint8)  # reused by every batch
     for lo in range(first, first + count, _SSE_BATCH):
         m = min(_SSE_BATCH, first + count - lo)
-        raw = philox.random_raw(4 * blocks * m).reshape(m, 4 * blocks)
-        # contiguous rows before the byte transpose, which is several times slower on strided ones
-        raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
-        signs = np.ascontiguousarray(raw.view(np.uint8).T)
+        for j in range(0, m, _SIGN_PIECE):
+            p = min(_SIGN_PIECE, m - j)
+            raw = philox.random_raw(4 * blocks * p).reshape(p, 4 * blocks)
+            # contiguous rows before the byte transpose, which is slower from strided ones
+            raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
+            signs[:, j:j + p] = raw.view(np.uint8).T
         yield _sse_run(tables, n_sse, np.full(m, complex(psi0.c1)), np.full(m, complex(psi0.c2)),
-                       signs, record_every=per if record else 0)
+                       signs[:, :m], record_every=per if record else 0)
 
 
 def evolve_sse(field: ControlField, psi0: PureState, lambda2: float, dt: float,

@@ -259,6 +259,30 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "t,omega_r,omega_i,delta"
 
 
+def test_one_process_runs_many_commands_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; each command still parses on its own."""
+    commands = [
+        ["protocol", "--kind", "flat_pi", "--grid-steps", "5"],
+        ["sweep", "--figure", "4", "--seed", "5"],
+        ["simulate", "--kind", "flat_pi", "--grid-steps", "11", "--lambda2", "0.1",
+         "--format", "json"],
+        ["simulate", "--kind", "flat_pi", "--grid-steps", "11", "--beta", "nan"],
+        ["protocol", "--help"],
+        ["sensitivity", "--kind", "transitionless", *FIG1, "--method", "formula",
+         "--grid-steps", "101"],
+        [],
+    ]
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps --help to the terminal width
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        rc = main(args)
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "invlab.cli", *args], capture_output=True,
+                              text=True, cwd=tmp_path, env=src_env(), timeout=120)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
 # Runs one command in a fresh interpreter, then prints the modules the process
 # loaded from the package named first; the command's own stdout comes first.
 _IMPORT_PROBE = """

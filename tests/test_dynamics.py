@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,41 @@ def test_sse_rejects_an_unstable_step(flat_field):
         evolve_sse(flat_field, GROUND_PURE, 500.0, 1.0 / 2000.0, seed=0)
     with pytest.raises(ValueError, match="unstable"):
         monte_carlo_p2(flat_field, 500.0, 4, 1.0 / 2000.0, seed=0)
+
+
+def _bump_field():
+    """|Omega| = 1 at the nodes of a 3-point grid, but 11 at t = 0.25, between them."""
+    return ControlField.from_functions(
+        TimeGrid(3), lambda t: (1.0 + 10.0 * np.exp(-((t - 0.25) / 0.02) ** 2), 0 * t, 0 * t))
+
+
+def test_sse_stiffness_is_checked_at_every_step_time():
+    # dt = 0.25 steps at t = 0, 0.25, 0.5, 0.75; at t = 0.25 lambda2 |Omega|^2 dt = 15
+    with pytest.raises(ValueError, match="lambda2 \\* max\\|Omega\\|\\^2 \\* dt = 15.1 >= 1"):
+        monte_carlo_p2(_bump_field(), 0.5, 4, 0.25, seed=0)
+    with pytest.raises(ValueError, match="Euler-Maruyama step unstable"):
+        evolve_sse(_bump_field(), GROUND_PURE, 0.5, 0.25, seed=0)
+
+
+def test_rk4_stability_is_checked_at_the_midpoints():
+    # h = 0.5: the midpoint t = 0.25 reads h lambda2 |Omega|^2 / 2 = 30, the nodes 0.25
+    field = _bump_field()
+    with pytest.raises(ValueError, match="RK4 step unstable: .* = 30.2 >= 2.785"):
+        dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=1.0)])
+    with pytest.raises(ValueError, match="RK4 step unstable"):
+        evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=1.0))
+
+
+@pytest.mark.parametrize("n_traj", [10_000, 20_000])
+def test_ensemble_memory_is_pinned(flat_field, n_traj):
+    """A default-size ensemble is one batch; two batches do not hold two batches' signs."""
+    tracemalloc.start()
+    try:
+        monte_carlo_p2(flat_field, 0.09, n_traj, 1.0 / 4000.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -268,3 +268,30 @@ def test_sse_draws_do_not_depend_on_batch(field, lambda2, psi0, seed, index):
             runs.append((states, monte_carlo_p2(field, lambda2, 7, dt, seed)))
     for states, ensemble in runs[1:]:
         assert np.array_equal(states, runs[0][0]) and ensemble == runs[0][1]
+
+
+@pytest.mark.parametrize("piece", [1, 3, 7])
+def test_batch_signs_drawn_in_pieces_are_one_call(monkeypatch, piece):
+    """A batch's signs drawn ``piece`` trajectories at a time hold the bytes of one Philox call,
+    and every member of the batch equals its own evolve_sse run bit for bit."""
+    field = make_transitionless(2.0, 1.3, TimeGrid(202))
+    dt, seed, first, n_traj = field.grid.h / 2, 9, 5, 11
+    n_sse = 402  # 13 words of a 16-word window: the last three are drawn but never read
+    words = -(-n_sse // 32)
+    blocks = -(-words // 4)
+    run, seen = dynamics._sse_run, []
+
+    def spy(tables, n, c1, c2, signs, record_every=0):
+        seen.append(signs.copy())
+        return run(tables, n, c1, c2, signs, record_every)
+
+    monkeypatch.setattr(dynamics, "_SSE_BATCH", n_traj)
+    monkeypatch.setattr(dynamics, "_SIGN_PIECE", piece)
+    monkeypatch.setattr(dynamics, "_sse_run", spy)
+    c1, c2, _ = next(dynamics._sse_trajectories(field, GROUND_PURE, 0.09, dt, seed, first, n_traj))
+    raw = np.random.Philox(key=seed, counter=first * blocks).random_raw(4 * blocks * n_traj)
+    want = raw.reshape(n_traj, 4 * blocks)[:, :words].astype("<u8").view(np.uint8).T
+    assert len(seen) == 1 and seen[0].shape == want.shape and np.array_equal(seen[0], want)
+    for i in range(n_traj):
+        final = dynamics.evolve_sse(field, GROUND_PURE, 0.09, dt, seed, first + i).states[-1]
+        assert np.array_equal(final, [c1[i], c2[i]])

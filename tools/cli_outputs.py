@@ -46,6 +46,12 @@ def runs():
     yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
     yield "simulate_sse", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2", "0.09",
                            "--n-traj", "300", "--seed", "42", "--out", "simulate_sse.json"]
+    # the default ensemble (10^4 trajectories, dt = 1/4000) is one batch; 10001 crosses a
+    # batch boundary
+    for name, n_traj in (("_default", []), ("_10001", ["--n-traj", "10001"])):
+        yield f"simulate_sse{name}", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2",
+                                      "0.09", "--seed", "42", *n_traj,
+                                      "--out", f"simulate_sse{name}.json"]
     # optimal_noise's theta is evaluated at the SSE times; at dt = 1/8000 they fall between
     # the nodes of the field's grid
     for name, dt in (("", []), ("_dt8000", ["--dt", "0.000125"])):
