@@ -17,9 +17,8 @@ from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
 from .sensitivity import (SensitivityReport, qn_finite_difference, qn_formula,
                           qn_lagrangian, qn_pi_analytic, qs_finite_difference,
                           qs_formula, qs_invariant)
-from .sweeps import (Axis, GridSpec, SweepResult, default_beta_axis,
-                     default_delta0_axis, default_lambda_axis,
-                     default_omega0_axis, map_p2, robustness_curve,
+from .sweeps import (Axis, SweepResult, default_beta_axis, default_delta0_axis,
+                     default_lambda_axis, default_omega0_axis, map_p2, robustness_curve,
                      sweep_qn_transitionless, sweep_qs_transitionless)
 
 __version__ = "0.1.0"

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-from .core import GROUND_BLOCH, ControlField, TimeGrid, write_csv
+from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, json_text, write_text
 from .dynamics import ErrorSetting, evolve_bloch, monte_carlo_p2
 from .protocols import PROTOCOLS, ProtocolSpec
 from .sensitivity import (qn_finite_difference, qn_formula, qs_finite_difference,
@@ -191,32 +190,25 @@ def _field_from_config(cfg: dict) -> ControlField:
 def _emit(cfg: dict, text: str) -> None:
     path = cfg["output"]["path"]
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_columns(cfg: dict, label: str, header: str, columns, **extra) -> None:
     """Columns as CSV, or as JSON keyed by the header's names plus label and ``extra``."""
     if cfg["output"]["format"] == "json":
-        _emit(cfg, _json_text({"label": label, **dict(zip(header.split(","), map(list, columns))),
-                               **extra}))
+        _emit(cfg, json_text({"label": label, **dict(zip(header.split(","), map(list, columns))),
+                              **extra}))
     else:
-        buf = io.StringIO()
-        write_csv(buf, header, columns)
-        _emit(cfg, buf.getvalue())
+        _emit(cfg, csv_text(header, columns))
 
 
 def cmd_protocol(cfg: dict) -> None:
     field = _field_from_config(cfg)
     T = cfg["duration"]
-    _emit_columns(cfg, field.label, "t,omega_r,omega_i,delta",
-                  [field.grid.times * T, field.omega_r / T, field.omega_i / T, field.delta / T])
+    header, (t, *channels) = field.csv_columns()
+    _emit_columns(cfg, field.label, header, [t * T, *(c / T for c in channels)])
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -230,13 +222,13 @@ def cmd_simulate(cfg: dict) -> None:
         mc = cfg["monte_carlo"]
         result = monte_carlo_p2(field, setting.lambda2,
                                 int(mc["n_traj"]), float(mc["dt"]), int(mc["seed"]))
-        _emit(cfg, _json_text({"p2_mean": result.p2_mean, "p2_stderr": result.p2_stderr,
-                               "n_traj": result.n_traj, "seed": result.seed,
-                               "dt": result.dt * T}))
+        _emit(cfg, json_text({"p2_mean": result.p2_mean, "p2_stderr": result.p2_stderr,
+                              "n_traj": result.n_traj, "seed": result.seed,
+                              "dt": result.dt * T}))
         return
     traj = evolve_bloch(field, GROUND_BLOCH, setting)
-    _emit_columns(cfg, field.label, "t,r1,r2,r3", [field.grid.times * T, *traj.states.T],
-                  p2_final=traj.final_p2())
+    header, (t, *states) = traj.csv_columns()
+    _emit_columns(cfg, field.label, header, [t * T, *states], p2_final=traj.final_p2())
 
 
 def cmd_sensitivity(cfg: dict) -> None:
@@ -258,7 +250,7 @@ def cmd_sensitivity(cfg: dict) -> None:
             out["finite_difference"] = fd
         else:
             out.update(fd)
-    _emit(cfg, _json_text(out))
+    _emit(cfg, json_text(out))
 
 
 def _parse_axis(spec: str | None, fallback: Axis) -> Axis:
@@ -337,7 +329,7 @@ def main(argv=None) -> int:
         print(f"invlab: {exc}", file=sys.stderr)
         return 2
     if args.dump_config:
-        sys.stdout.write(_json_text(cfg))
+        sys.stdout.write(json_text(cfg))
         return 0
     try:
         _SUBCOMMANDS[args.command][0](cfg)

@@ -26,10 +26,15 @@ differences (one-sided second-order at the endpoints) throughout, and
 integrals over the grid use the in-house composite Simpson rule
 ``simpson``.  Only numpy is loaded with this module; scipy's spline is
 imported when a field without closed forms first needs one.
+
+Every output file goes through one writer here: ``csv_text`` formats the
+columns a result names once (``csv_columns``), ``json_text`` a JSON
+object, and ``write_text`` writes either as UTF-8 with Unix newlines.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,10 +100,23 @@ def simpson(y, dx: float):
     return result
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write columns as CSV with full double precision and '.' decimals."""
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+def csv_text(header: str, columns) -> str:
+    """The header line, then one row per sample: '%.17g' with '.' decimals, a
+    non-finite value as an empty cell."""
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns]).tolist()
+    lines = [",".join(["%.17g" % v if math.isfinite(v) else "" for v in row]) for row in rows]
+    return "\n".join([header, *lines, ""])
+
+
+def json_text(obj) -> str:
+    """JSON with a two-space indent, sorted keys and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write an output file: UTF-8 text with Unix newlines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +181,12 @@ class ControlField:
         """Integral of |Omega| over the full duration (Simpson on the grid)."""
         return float(simpson(np.hypot(self.omega_r, self.omega_i), self.grid.h))
 
+    def csv_columns(self) -> tuple[str, list]:
+        """The CSV header and its columns: t and the three channels."""
+        return CSV_FIELD_HEADER, [self.grid.times, self.omega_r, self.omega_i, self.delta]
+
     def to_csv(self, path) -> None:
-        write_csv(path, CSV_FIELD_HEADER, [self.grid.times, self.omega_r, self.omega_i, self.delta])
+        write_text(path, csv_text(*self.csv_columns()))
 
     @classmethod
     def read_csv(cls, path, label: str = "") -> "ControlField":
@@ -235,7 +257,8 @@ def bloch_from_pure(state: PureState) -> BlochState:
 
 @dataclass(frozen=True, eq=False)
 class AngleSamples:
-    """Grid evaluation of an InvariantAngles triple and its three derivatives."""
+    """Grid evaluation of an InvariantAngles triple and its three derivatives; an
+    angle constant in time may be stored with a trailing axis of length 1."""
 
     grid: TimeGrid
     theta: np.ndarray

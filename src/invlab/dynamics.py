@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureState, TimeGrid,
-                   write_csv)
+                   csv_text, write_text)
 
 _MAX_SEED = 2**64
 # Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
@@ -128,14 +128,15 @@ class Trajectory:
             return BlochState(*map(float, self.states[-1]))
         return PureState(complex(self.states[-1, 0]), complex(self.states[-1, 1]))
 
-    def to_csv(self, path) -> None:
-        ts = self.grid.times
+    def csv_columns(self) -> tuple[str, list]:
+        """The CSV header and its columns: t, then r1..r3 or the parts of c1 and c2."""
         if self.kind == "bloch":
-            write_csv(path, "t,r1,r2,r3", [ts, self.states[:, 0], self.states[:, 1], self.states[:, 2]])
-        else:
-            write_csv(path, "t,re_c1,im_c1,re_c2,im_c2",
-                      [ts, self.states[:, 0].real, self.states[:, 0].imag,
-                       self.states[:, 1].real, self.states[:, 1].imag])
+            return "t,r1,r2,r3", [self.grid.times, *self.states.T]
+        c1, c2 = self.states.T
+        return "t,re_c1,im_c1,re_c2,im_c2", [self.grid.times, c1.real, c1.imag, c2.real, c2.imag]
+
+    def to_csv(self, path) -> None:
+        write_text(path, csv_text(*self.csv_columns()))
 
 
 @dataclass(frozen=True)

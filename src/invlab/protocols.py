@@ -121,7 +121,7 @@ def _transitionless(omega0, delta0, grid: TimeGrid):
     steps = (grid.h / 6.0) * (gamma_dot[..., :-1:2] + 4.0 * gamma_dot[..., 1::2]
                               + gamma_dot[..., 2::2])
     gamma = np.concatenate((np.zeros_like(steps[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
-    zero = np.zeros_like(wa)
+    zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
     angles = AngleSamples(grid, np.arctan2(wr, -d), zero, gamma, wa, zero,
                           np.ascontiguousarray(gamma_dot[..., ::2]))
     return (wr, wa, d), angles, min_gap2

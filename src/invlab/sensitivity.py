@@ -41,6 +41,7 @@ independent of the angles.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +67,6 @@ class SensitivityReport:
             raise ValueError("at least one of q_n/q_s must be present")
         if self.error_estimate < 0.0:
             raise ValueError("error_estimate must be >= 0")
-
-
-def _unperturbed(field: ControlField) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (a, b) of the error-free propagator; refuses a field that does not invert."""
-    a, b = evolve_propagator(field).T
-    p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
-    if p2_final < 1.0 - INVERSION_THRESHOLD:
-        raise RuntimeError(
-            f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
-    return a, b
 
 
 def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float, float]:
@@ -118,19 +109,41 @@ def _qs_value(amp) -> float:
 ANGLE_FORMS = {"q_n": (_qn_density, float), "q_s": (_qs_integrand, _qs_value)}
 
 
+def _formula_report(quantity: str, f: np.ndarray, h: float) -> SensitivityReport:
+    """The formula report of ``quantity`` ("q_n" or "q_s") from its integrand samples."""
+    q, err = _simpson_with_estimate(f, h, ANGLE_FORMS[quantity][1])
+    return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
+
+
+_PROPAGATOR_FORMULAS = weakref.WeakKeyDictionary()  # field -> its two reports, dropped with it
+
+
+def _propagator_formulas(field: ControlField) -> tuple[SensitivityReport, SensitivityReport]:
+    """The q_N and q_S formula reports of a field without angles, from one solve of
+    its error-free propagator, kept while the field lives; refuses a field that
+    does not invert."""
+    if field not in _PROPAGATOR_FORMULAS:
+        a, b = evolve_propagator(field).T
+        p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
+        if p2_final < 1.0 - INVERSION_THRESHOLD:
+            raise RuntimeError(
+                f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
+        h, wr, wi = field.grid.h, field.omega_r, field.omega_i
+        bc = b.conj()
+        qs = _formula_report("q_s", 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a), h)
+        ab = a * b
+        r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
+        qn = _formula_report("q_n", 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2)), h)
+        _PROPAGATOR_FORMULAS[field] = qn, qs
+    return _PROPAGATOR_FORMULAS[field]
+
+
 def qn_formula(field: ControlField) -> SensitivityReport:
     """q_N from the field's invariant angles, or else from the unperturbed
     Bloch vector and the dissipator quadratic form."""
-    if field.angles is not None:
-        f = _qn_density(field.angles)
-    else:
-        a, b = _unperturbed(field)
-        ab = a * b
-        r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
-        wr, wi = field.omega_r, field.omega_i
-        f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
-    qn, err = _simpson_with_estimate(f, field.grid.h)
-    return SensitivityReport(q_n=qn, method="formula", error_estimate=err)
+    if field.angles is None:
+        return _propagator_formulas(field)[0]
+    return _formula_report("q_n", _qn_density(field.angles), field.grid.h)
 
 
 def qn_pi_analytic(field: ControlField) -> SensitivityReport:
@@ -182,15 +195,9 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
 def qs_formula(field: ControlField) -> SensitivityReport:
     """q_S from the field's invariant angles, or else from the first-order
     matrix element between the orthogonal solutions."""
-    if field.angles is not None:
-        f = _qs_integrand(field.angles)
-    else:
-        a, b = _unperturbed(field)
-        wr, wi = field.omega_r, field.omega_i
-        bc = b.conj()
-        f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
-    qs, err = _simpson_with_estimate(f, field.grid.h, _qs_value)
-    return SensitivityReport(q_s=qs, method="formula", error_estimate=err)
+    if field.angles is None:
+        return _propagator_formulas(field)[1]
+    return _formula_report("q_s", _qs_integrand(field.angles), field.grid.h)
 
 
 def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float:

@@ -19,13 +19,12 @@ systematic amplitudes beta in [-1, 1] with 61 points each.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ControlField, TimeGrid, simpson
+from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
 from .protocols import ProtocolSpec, transitionless_angles
 from .sensitivity import ANGLE_FORMS
@@ -57,16 +56,10 @@ class Axis:
         return (self.max - self.min) / (self.n_points - 1)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    axis1: Axis
-    axis2: Axis | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    grid_spec: GridSpec
-    values: np.ndarray  # (n1,) or (n1, n2); NaN marks a failed cell
+    axes: tuple[Axis, ...]  # one or two
+    values: np.ndarray  # one dimension per axis; NaN marks a failed cell
     quantity: str  # "q_n" | "q_s" | "p2"
     protocol_label: str
 
@@ -74,41 +67,23 @@ class SweepResult:
         """Coordinates and value of the smallest finite cell."""
         flat = np.where(np.isfinite(self.values), self.values, np.inf)
         idx = np.unravel_index(int(np.argmin(flat)), self.values.shape)
-        coords = [float(self.grid_spec.axis1.values[idx[0]])]
-        if self.grid_spec.axis2 is not None:
-            coords.append(float(self.grid_spec.axis2.values[idx[1]]))
-        return tuple(coords), float(self.values[idx])
+        return tuple(float(a.values[i]) for a, i in zip(self.axes, idx)), float(self.values[idx])
+
+    def csv_columns(self) -> tuple[str, list]:
+        """Long form: a column per axis, then the value column (a failed cell is empty)."""
+        coords = np.meshgrid(*(a.values for a in self.axes), indexing="ij")
+        return (",".join([a.name for a in self.axes] + [self.quantity]),
+                [c.ravel() for c in coords] + [self.values.ravel()])
 
     def to_csv(self, path) -> None:
-        """Long-form CSV: axis1[,axis2],value with empty cells for failures."""
-        a1 = self.grid_spec.axis1
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if self.grid_spec.axis2 is None:
-                fh.write(f"{a1.name},{self.quantity}\n")
-                for x, v in zip(a1.values, self.values):
-                    fh.write(f"{x:.17g},{_cell(v)}\n")
-            else:
-                a2 = self.grid_spec.axis2
-                fh.write(f"{a1.name},{a2.name},{self.quantity}\n")
-                for i, x in enumerate(a1.values):
-                    for j, y in enumerate(a2.values):
-                        fh.write(f"{x:.17g},{y:.17g},{_cell(self.values[i, j])}\n")
+        write_text(path, csv_text(*self.csv_columns()))
 
     def sidecar_dict(self) -> dict:
-        spec = {"axis1": asdict(self.grid_spec.axis1)}
-        if self.grid_spec.axis2 is not None:
-            spec["axis2"] = asdict(self.grid_spec.axis2)
-        return {"grid_spec": spec, "quantity": self.quantity,
-                "protocol_label": self.protocol_label}
+        return {"grid_spec": {f"axis{i}": asdict(a) for i, a in enumerate(self.axes, start=1)},
+                "quantity": self.quantity, "protocol_label": self.protocol_label}
 
     def to_json_sidecar(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.sidecar_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _cell(v: float) -> str:
-    return "" if not math.isfinite(v) else f"{v:.17g}"
+        write_text(path, json_text(self.sidecar_dict()))
 
 
 def default_omega0_axis() -> Axis:
@@ -138,7 +113,7 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
         # a singular field's theta_dot is NaN, and so is its cell
         amplitudes = simpson(integrand(transitionless_angles(omega0, delta0, grid)), grid.h)
         row[:] = [value(a) for a in amplitudes]
-    return SweepResult(GridSpec(omega0_axis, delta0_axis), values, quantity, "transitionless")
+    return SweepResult((omega0_axis, delta0_axis), values, quantity, "transitionless")
 
 
 def sweep_qn_transitionless(omega0_axis: Axis, delta0_axis: Axis,
@@ -161,7 +136,7 @@ def robustness_curve(field: ControlField, variable: str, axis: Axis) -> SweepRes
         values = final_p2_pure(field, axis.values)
     else:
         raise ValueError(f"variable must be 'lambda' or 'beta', got {variable!r}")
-    return SweepResult(GridSpec(axis), values, "p2", field.label)
+    return SweepResult((axis,), values, "p2", field.label)
 
 
 def map_p2(field: ControlField, lambda_axis: Axis, beta_axis: Axis) -> SweepResult:
@@ -169,4 +144,4 @@ def map_p2(field: ControlField, lambda_axis: Axis, beta_axis: Axis) -> SweepResu
     settings = [ErrorSetting(beta=b, lambda2=lam * lam)
                 for lam in lambda_axis.values for b in beta_axis.values]
     values = final_p2_bloch(field, settings).reshape(lambda_axis.n_points, beta_axis.n_points)
-    return SweepResult(GridSpec(lambda_axis, beta_axis), values, "p2", field.label)
+    return SweepResult((lambda_axis, beta_axis), values, "p2", field.label)

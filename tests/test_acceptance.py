@@ -72,7 +72,7 @@ def test_c03_transitionless_example(grid, transitionless_example):
 def test_c04_fig2_sweep_minimum(grid):
     res = sweep_qn_transitionless(default_omega0_axis(), default_delta0_axis(), grid)
     (w, d), vmin = res.located_min()
-    cell = res.grid_spec.axis1.spacing + 1e-12
+    cell = res.axes[0].spacing + 1e-12
     at_half = float(res.values[1, 1])  # the (0.5, 0.5) cell of the default axes
     ok = (abs(w - 0.5) <= cell and abs(d - 0.5) <= cell
           and abs(vmin - 2.475) / 2.475 < 0.02

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.interpolate import CubicSpline
 from invlab import (BlochState, ControlField, InvariantAngles, PureState,
                     TimeGrid, bloch_from_pure, constant, excitation_probability,
                     sampled_derivative)
-from invlab.core import simpson
+from invlab.core import csv_text, json_text, simpson
 
 
 def test_time_grid_points():
@@ -162,12 +163,32 @@ def test_control_field_spline_interpolation_accuracy():
     assert np.max(np.abs(wr - np.sin(np.pi * t))) < 1e-8
 
 
+def test_csv_text_matches_savetxt():
+    columns = [np.array([0.0, -0.0, 5e-324, 1e300, 0.1]),
+               np.array([-1.0, -5e-324, -1e300, 1.0 / 3.0, -2.5e-7]),
+               np.arange(5)]
+    oracle = io.StringIO()
+    np.savetxt(oracle, np.column_stack(columns), delimiter=",", header="a,b,c", comments="",
+               fmt="%.17g")
+    assert csv_text("a,b,c", columns) == oracle.getvalue()
+
+
+def test_csv_text_writes_non_finite_values_as_empty_cells():
+    text = csv_text("a,b", [[math.nan, 1.0, math.inf], [-math.inf, -0.0, 0.5]])
+    assert text == "a,b\n,\n1,-0\n,0.5\n"
+
+
+def test_json_text_layout():
+    assert json_text({"b": 1, "a": [0.5]}) == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+
+
 def test_control_field_csv_round_trip(tmp_path):
     g = TimeGrid(101)
     f = ControlField.from_functions(
         g, lambda t: (np.sin(np.pi * t), constant(0.3)(t), -np.cos(np.pi * t)), label="probe")
     path = tmp_path / "field.csv"
     f.to_csv(path)
+    assert path.read_bytes() == csv_text(*f.csv_columns()).encode()
     assert path.read_text().splitlines()[0] == "t,omega_r,omega_i,delta"
     back = ControlField.read_csv(path)
     assert np.array_equal(back.omega_r, f.omega_r)

@@ -113,14 +113,26 @@ def test_bloch_step_halving_order():
 
 
 def test_trajectory_csv(tmp_path, grid, flat_field):
+    # '%.17g' reads back exactly, so the file's columns are the states themselves
     bl = evolve_bloch(flat_field, GROUND_BLOCH)
     path = tmp_path / "bloch.csv"
     bl.to_csv(path)
     assert path.read_text().splitlines()[0] == "t,r1,r2,r3"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], grid.times)
+    assert np.array_equal(data[:, 1:], bl.states)
+    assert bl.csv_columns()[0] == "t,r1,r2,r3"
     pu = evolve_pure(flat_field, GROUND_PURE)
     path2 = tmp_path / "pure.csv"
     pu.to_csv(path2)
     assert path2.read_text().splitlines()[0] == "t,re_c1,im_c1,re_c2,im_c2"
+    data = np.loadtxt(path2, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], grid.times)
+    assert np.array_equal(data[:, 1::2] + 1j * data[:, 2::2], pu.states)
+    assert np.any(data[:, 2::2] != 0.0)
+    header, columns = pu.csv_columns()
+    assert header == "t,re_c1,im_c1,re_c2,im_c2"
+    assert np.array_equal(np.column_stack(columns), data)
 
 
 def test_error_setting_validation():

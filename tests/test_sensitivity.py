@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
-                    make_flat_pi, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
-                    make_transitionless, optimal_systematic_angles,
+                    evolve_propagator, make_flat_pi, make_optimal_systematic, make_shaped_pi,
+                    make_sinusoidal, make_transitionless, optimal_systematic_angles,
                     qn_finite_difference, qn_formula, qn_lagrangian,
                     qn_pi_analytic, qs_finite_difference, qs_formula,
                     qs_invariant, solve_optimal_theta)
+from invlab import sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
 from conftest import EX_DELTA0, EX_OMEGA0
@@ -316,3 +318,24 @@ def test_error_estimate_on_a_3_mod_4_grid_reads_like_its_neighbour(n, neighbour,
     near = make_transitionless(3.0, 2.0, TimeGrid(neighbour))
     assert qs_formula(field).error_estimate <= 2.0 * qs_formula(near).error_estimate
     assert qn_formula(field).error_estimate <= qn_bound
+
+
+@pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.0, g),
+                                   lambda g: make_optimal_systematic(1, g)])
+def test_formulas_share_one_unperturbed_solve(monkeypatch, build):
+    solves = []
+
+    def counting(field, *args, **kwargs):
+        solves.append(id(field))
+        return evolve_propagator(field, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "evolve_propagator", counting)
+    field = build(TimeGrid(401))
+    assert field.angles is None
+    qn, qs = qn_formula(field), qs_formula(field)
+    assert qn_formula(field) == qn and qs_formula(field) == qs
+    assert solves == [id(field)]
+    # the shared solve does not keep its field alive
+    ref = weakref.ref(field)
+    del field
+    assert ref() is None

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from invlab import (Axis, GridSpec, SweepResult, TimeGrid, default_beta_axis,
+from invlab import (Axis, SweepResult, TimeGrid, default_beta_axis,
                     default_delta0_axis, default_lambda_axis,
                     default_omega0_axis, make_flat_pi, make_optimal_noise,
                     make_optimal_systematic, make_transitionless, map_p2, qn_formula,
@@ -74,6 +75,17 @@ def test_sweep_cells_equal_the_single_field_formulas(sweep, formula, key):
                 assert res.values[i, j] == getattr(formula(make_transitionless(w, d, grid)), key)
 
 
+def test_fig2_sweep_memory_is_pinned():
+    """The default Fig. 2 sweep keeps its zero alpha as one column per row of cells."""
+    tracemalloc.start()
+    try:
+        sweep_qn_transitionless(default_omega0_axis(), default_delta0_axis(), TimeGrid(2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.4 * 2**20, peak / 2**20
+
+
 def test_sweep_refinement_stability(small_grid):
     coarse = sweep_qn_transitionless(Axis("omega0", 0.25, 1.25, 5),
                                      Axis("delta0", 0.25, 1.25, 5), small_grid)
@@ -81,7 +93,7 @@ def test_sweep_refinement_stability(small_grid):
                                    Axis("delta0", 0.25, 1.25, 9), small_grid)
     c_xy, _ = coarse.located_min()
     f_xy, _ = fine.located_min()
-    cell = coarse.grid_spec.axis1.spacing
+    cell = coarse.axes[0].spacing
     assert abs(c_xy[0] - f_xy[0]) < cell
     assert abs(c_xy[1] - f_xy[1]) < cell
 
@@ -149,8 +161,8 @@ def test_map_p2_consistency_and_dominance(small_grid):
 
 
 def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
-    spec = GridSpec(Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2))
-    res = SweepResult(spec, np.array([[1.0, math.nan], [0.25, 2.0]]), "q_n", "probe")
+    axes = (Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2))
+    res = SweepResult(axes, np.array([[1.0, math.nan], [0.25, 2.0]]), "q_n", "probe")
     csv_path = tmp_path / "map.csv"
     res.to_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -165,6 +177,14 @@ def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
     coords, val = res.located_min()
     assert coords == (1.0, 0.0)
     assert val == 0.25
+    # one axis: two columns, and the sidecar has no axis2
+    res = SweepResult(axes[:1], np.array([math.inf, -0.5]), "p2", "probe")
+    res.to_csv(csv_path)
+    assert csv_path.read_text() == "a,p2\n0,\n1,-0.5\n"
+    res.to_json_sidecar(tmp_path / "map.json")
+    side = json.loads((tmp_path / "map.json").read_text())
+    assert side["grid_spec"] == {"axis1": {"name": "a", "min": 0.0, "max": 1.0, "n_points": 2}}
+    assert res.located_min() == ((1.0,), -0.5)
 
 
 def test_sweep_result_1d_csv(tmp_path, small_grid):

@@ -44,6 +44,8 @@ def runs():
     bloch = ["simulate", *KINDS["transitionless"], "--beta", "0.05", "--lambda2", "0.1"]
     yield "simulate", [*bloch, "--out", "simulate.csv"]
     yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
+    yield "simulate_duration", [*bloch, "--format", "csv", "--duration", "2.5",
+                                "--out", "simulate_duration.csv"]
     yield "simulate_sse", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2", "0.09",
                            "--n-traj", "300", "--seed", "42", "--out", "simulate_sse.json"]
     # the default ensemble (10^4 trajectories, dt = 1/4000) is one batch; 10001 crosses a
@@ -60,6 +62,12 @@ def runs():
             "--seed", "42", *dt, "--out", f"simulate_sse_optimal_noise{name}.json"]
     for figure in (1, 2, 4, 5, 7):
         yield f"sweep_{figure}", ["sweep", "--figure", str(figure), "--out", f"figure{figure}"]
+    # q_N has units 1/T, so --duration rescales the cells
+    yield "sweep_2_duration", ["sweep", "--figure", "2", "--duration", "2.5",
+                               "--out", "figure2_duration"]
+    # the delta0 = 0 cells are singular fields, written as empty cells
+    yield "sweep_2_signed", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=-1,1,3",
+                             "--grid-steps", "101", "--out", "figure2_signed"]
     yield "help", ["--help"]
     for command in ("protocol", "simulate", "sensitivity", "sweep"):
         yield f"help_{command}", [command, "--help"]
