@@ -7,19 +7,19 @@ polar angle obeys
     (3 + cos(2 theta)) theta_ddot = sin(2 theta) theta_dot^2,
     theta(0) = 0,  theta(T) = pi,
 
-whose first integral is theta_dot * sqrt(3 + cos(2 theta)) = c.
-Quadrature of the first integral fixes
+whose first integral is theta_dot * sqrt(3 + cos(2 theta)) = c, so that
+t(theta) = F(theta) / c with
 
-    c = (1/T) Int_0^pi sqrt(3 + cos(2 s)) ds
+    F(theta) = Int_0^theta sqrt(3 + cos 2s) ds = 2 E(theta | 1/2)
 
-Since sqrt(3 + cos 2s) = 2 sqrt(1 - sin^2(s) / 2), the quadrature is an
-incomplete elliptic integral of the second kind: c = 2 E(pi | 1/2) / T and
-t(theta) = (2/c) E(theta | 1/2), and theta(t) follows by inverting it with
-Newton's method at each time asked for; no boundary-value iteration, grid
-or interpolant is needed.  The tests check it against a conventional
-shooting solver of the second-order equation.  scipy (the elliptic
-integral) is imported inside the functions that use it, so importing this
-module loads numpy alone.
+(an incomplete elliptic integral of the second kind) and c = F(pi) / T.
+sqrt(3 + cos x) is periodic and analytic, so its cosine coefficients
+a_k fall off geometrically and F(theta) = a_0 theta + sum_k a_k
+sin(2k theta) / (2k) reaches rounding by k = 16; theta(t) follows by
+inverting F with Newton's method at each time asked for, and no
+boundary-value iteration, grid or interpolant is needed.  The tests
+check the series against scipy's elliptic integral and theta against a
+conventional shooting solver of the second-order equation.
 """
 
 from __future__ import annotations
@@ -33,53 +33,62 @@ import numpy as np
 from .core import InvariantAngles, TimeGrid
 from .sensitivity import qn_lagrangian
 
-# Newton steps of the t(theta) inversion from the linear guess theta = pi t / T;
+# Newton steps of the F(theta) inversion from the linear guess theta = pi t / T;
 # the fourth lands within an ulp or two of the root everywhere on [0, T].
 _NEWTON_STEPS = 4
 _FD_STEP = 1e-5  # half-step of stationarity_m's central difference of theta
 
+# sqrt(3 + cos x) = a_0 + sum_k a_k cos(k x), k <= 16, from one 64-point cosine sum (the
+# trapezoid rule, exact to rounding for this periodic analytic integrand); a_17 / 34 < 1e-16
+_X = np.arange(64) * (math.pi / 32.0)
+_A = np.cos(np.multiply.outer(np.arange(17), _X)) @ np.sqrt(3.0 + np.cos(_X)) / 32.0
+_A[0] *= 0.5
+_SINE = _A[1:] / (2.0 * np.arange(1, 17))  # F's sine coefficients a_k / (2k)
+_F_PI = _A[0] * math.pi  # F(pi) = 2 E(pi | 1/2)
 
-def _gap(theta):
-    return np.sqrt(3.0 + np.cos(2.0 * np.asarray(theta, dtype=float)))
+
+def _first_integral(theta):
+    """F(theta) and F'(theta) = sqrt(3 + cos 2 theta); the sine series is summed by
+    Clenshaw's recurrence in 2 cos 2 theta."""
+    two_cos = 2.0 * np.cos(2.0 * theta)
+    y1 = y2 = 0.0
+    for b in _SINE[::-1]:
+        y1, y2 = b + two_cos * y1 - y2, y1
+    return _A[0] * theta + y1 * np.sin(2.0 * theta), np.sqrt(3.0 + 0.5 * two_cos)
 
 
 def first_integral_constant(duration: float = 1.0) -> float:
-    """c = (1/T) Int_0^pi sqrt(3 + cos 2 s) ds = 2 E(pi | 1/2) / T."""
-    from scipy.special import ellipeinc
-
-    return 2.0 * float(ellipeinc(math.pi, 0.5)) / duration
+    """c = (1/T) Int_0^pi sqrt(3 + cos 2 s) ds = a_0 pi / T."""
+    return _F_PI / duration
 
 
 def solve_optimal_theta(duration: float = 1.0) -> tuple[Callable, Callable]:
     """The stationary theta(t) and theta_dot(t) on [0, T], as vectorized callables.
 
-    t(theta) = (1/c) Int_0^theta sqrt(3 + cos 2 s) ds = (2/c) E(theta | 1/2)
-    is inverted by Newton's method (dE/dtheta = sqrt(3 + cos 2 theta) / 2)
-    at the times asked for, with t scaled by E(pi | 1/2) so that t(pi)
-    lands exactly on T: theta(0) is 0.0 and theta(T) is pi.  Every call
-    checks the defining equation, and a time whose E(theta | 1/2) misses
-    its target by more than 1e-12 is a RuntimeError.  theta_dot =
-    c / sqrt(3 + cos 2 theta) follows analytically.
+    F(theta) = a_0 pi t / T is solved by Newton's method (F' = sqrt(3 +
+    cos 2 theta)) at the times asked for; t = T lands exactly on F(pi), so
+    theta(0) is 0.0 and theta(T) is pi.  Every call checks the defining
+    equation, and a time whose F(theta) misses its target by more than
+    1e-12 is a RuntimeError.  theta_dot = c / sqrt(3 + cos 2 theta)
+    follows analytically.
     """
-    from scipy.special import ellipeinc
-
     c = first_integral_constant(duration)
-    e_pi = float(ellipeinc(math.pi, 0.5))
 
     def theta(t):
         u = np.asarray(t, dtype=float) / duration
-        target = e_pi * u
+        target = _F_PI * u
         th = math.pi * u
         for _ in range(_NEWTON_STEPS):
-            th = th - (ellipeinc(th, 0.5) - target) / (0.5 * _gap(th))
-        # the defining equation at every time asked for; it reads 3.3e-16 over 10^5 times
-        res = float(np.max(np.abs(ellipeinc(th, 0.5) - target), initial=0.0))
+            f, slope = _first_integral(th)
+            th = th - (f - target) / slope
+        # the defining equation at every time asked for; it reads 2.7e-15 over 10^5 times
+        res = float(np.max(np.abs(_first_integral(th)[0] - target), initial=0.0))
         if res > 1e-12:
             raise RuntimeError(f"elliptic-integral residual {res!r} exceeds 1e-12")
         return th
 
     def theta_dot(t):
-        return c / _gap(theta(t))
+        return c / np.sqrt(3.0 + np.cos(2.0 * theta(t)))
 
     return theta, theta_dot
 
@@ -139,36 +148,22 @@ def verify_stationarity(angles: InvariantAngles, perturbation_scale: float,
     action and its margin over the candidate.
     """
     grid = grid or TimeGrid(2001)
-    T = grid.duration
     q0 = qn_lagrangian(angles, grid)
     rng = np.random.default_rng(seed)
-    ts = grid.times
+    k = np.arange(1, 6) * (math.pi / grid.duration)  # the wavenumbers k pi / T
+
+    def plus_series(base, mode, a):  # t -> base(t) + sum_k a_k mode(k t)
+        return lambda t: (np.asarray(base(t), dtype=float)
+                          + mode(np.multiply.outer(np.asarray(t, dtype=float), k)) @ a)
+
+    grid_modes = np.sin(np.multiply.outer(grid.times, k))
     worst = math.inf
     for _ in range(n_perturbations):
         coeffs = rng.uniform(-1.0, 1.0, size=5)
-        modes = np.array([np.sin((k + 1) * math.pi * ts / T) for k in range(5)])
-        bump = coeffs @ modes
-        peak = float(np.max(np.abs(bump)))
-        scale = perturbation_scale / peak if peak > 0.0 else 0.0
-        a = coeffs * scale
-
-        def theta_p(t, a=a):
-            t = np.asarray(t, dtype=float)
-            out = np.asarray(angles.theta(t), dtype=float)
-            for k in range(5):
-                out = out + a[k] * np.sin((k + 1) * math.pi * t / T)
-            return out
-
-        if angles.theta_dot is not None:
-            def theta_dot_p(t, a=a, base=angles.theta_dot):
-                t = np.asarray(t, dtype=float)
-                out = np.asarray(base(t), dtype=float)
-                for k in range(5):
-                    out = out + a[k] * (k + 1) * math.pi / T * np.cos((k + 1) * math.pi * t / T)
-                return out
-        else:
-            theta_dot_p = None
-
+        peak = float(np.max(np.abs(grid_modes @ coeffs)))
+        a = coeffs * (perturbation_scale / peak if peak > 0.0 else 0.0)
+        theta_p = plus_series(angles.theta, np.sin, a)
+        theta_dot_p = plus_series(angles.theta_dot, np.cos, a * k) if angles.theta_dot else None
         pert = InvariantAngles(theta_p, angles.alpha, angles.gamma,
                                theta_dot_p, angles.alpha_dot, angles.gamma_dot)
         worst = min(worst, qn_lagrangian(pert, grid))

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, constant
+from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, constant, simpson
 from .optimal import solve_optimal_theta
 
 # Named shaped_pi envelopes; a name may stand for the function wherever an envelope is taken.
@@ -60,20 +60,20 @@ def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
 
 
 def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlField:
-    """Nonnegative envelope rescaled so the pulse area is exactly pi."""
-    from scipy.integrate import quad
-
+    """Nonnegative envelope rescaled so the pulse area, by Simpson's rule on the grid, is pi."""
     envelope, alpha = _check("shaped_pi", envelope=envelope, alpha=alpha).values()
-    T = grid.duration
-    area, _ = quad(envelope, 0.0, T, epsabs=1e-12, epsrel=1e-12, limit=200)
+    samples = np.asarray(envelope(grid.times), dtype=float)
+    if samples.shape != (grid.n_steps,):
+        raise ValueError(f"envelope has shape {samples.shape}, expected {(grid.n_steps,)}")
+    area = float(simpson(samples, grid.h))
     if area <= 1e-12:
         raise ValueError(f"envelope integrates to {area!r}; cannot normalize to pi")
-    if float(np.min(envelope(grid.times))) < -1e-12:
+    if float(np.min(samples)) < -1e-12:
         raise ValueError("envelope must be nonnegative")
-    scale = math.pi / area
-    return ControlField.from_functions(
-        grid, _on_resonance(envelope, scale * math.cos(alpha), scale * math.sin(alpha)),
-        label=f"shaped_pi(alpha={alpha:g})")
+    c_r, c_i = math.pi / area * math.cos(alpha), math.pi / area * math.sin(alpha)
+    return ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples),
+                        label=f"shaped_pi(alpha={alpha:g})",
+                        channels=_on_resonance(envelope, c_r, c_i))
 
 
 def _sinusoidal(omega0: float, delta0: float, duration: float, t):

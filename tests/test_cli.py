@@ -309,18 +309,33 @@ def _probe_imports(args, cwd, package="scipy"):
 @pytest.mark.parametrize("args", [
     [],
     ["protocol", "--kind", "flat_pi", "--grid-steps", "5"],
+    ["protocol", "--kind", "optimal_noise", "--n", "3", "--out", "field.csv"],
     ["simulate", "--sse", "--kind", "transitionless", *FIG1, "--n-traj", "8",
      "--grid-steps", "101", "--dt", "0.001"],
+    ["simulate", "--sse", "--kind", "optimal_noise", "--n-traj", "8",
+     "--grid-steps", "101", "--dt", "0.001"],
+    ["sweep", "--figure", "1", "--grid-steps", "101", "--axis1", "0,0.4,3", "--out", "fig1"],
     ["sweep", "--figure", "2", "--grid-steps", "401", *_AXES, "--out", "fig2"],
+    ["sweep", "--figure", "4", "--grid-steps", "101", "--axis1=-1,1,3", "--out", "fig4"],
     ["sweep", "--figure", "5", "--grid-steps", "401", *_AXES, "--out", "fig5"],
+    ["sweep", "--figure", "7", "--grid-steps", "101", "--axis1", "0,0.6,3",
+     "--axis2=-0.4,0.4,3", "--out", "fig7"],
     ["sensitivity", "--kind", "transitionless", *FIG1, "--method", "formula",
      "--grid-steps", "401"],
-], ids=["import", "protocol", "simulate-sse", "sweep-2", "sweep-5", "sensitivity-formula"])
+    ["sensitivity", "--kind", "shaped_pi", "--method", "both", "--grid-steps", "401"],
+    ["sensitivity", "--kind", "optimal_noise", "--method", "both", "--grid-steps", "401"],
+], ids=["import", "protocol", "protocol-optimal-noise", "simulate-sse",
+        "simulate-sse-optimal-noise", "sweep-1", "sweep-2", "sweep-4", "sweep-5", "sweep-7",
+        "sensitivity-formula", "sensitivity-shaped-pi", "sensitivity-optimal-noise"])
 def test_main_paths_load_no_scipy(tmp_path, args):
-    """Importing the CLI, and running closed-form commands, never imports scipy."""
+    """Importing the CLI, and running every command family and figure, never imports scipy."""
     rc, scipy = _probe_imports(args, tmp_path)
     assert rc == 0
     assert scipy == []
+    if args[:1] == ["protocol"] and "--out" in args:
+        # a protocol written to a file reads back as a field on the default grid
+        field = ControlField.read_csv(tmp_path / args[args.index("--out") + 1])
+        assert field.grid.n_steps == 2001
 
 
 def test_sse_ensemble_starts_no_thread_pool(tmp_path):
@@ -330,23 +345,6 @@ def test_sse_ensemble_starts_no_thread_pool(tmp_path):
                                 tmp_path, package="concurrent.futures.thread")
     assert rc == 0
     assert loaded == []
-
-
-def test_optimal_protocol_loads_scipy_on_first_use(tmp_path):
-    """optimal_noise loads the elliptic integral, and no interpolant, on first use."""
-    rc, scipy = _probe_imports(["protocol", "--kind", "optimal_noise", "--n", "3",
-                                "--out", "field.csv"], tmp_path)
-    assert rc == 0
-    assert "scipy.special" in scipy
-    assert "scipy.interpolate" not in scipy
-    field = ControlField.read_csv(tmp_path / "field.csv")
-    assert field.grid.n_steps == 2001
-    # Fig. 4 contains optimal_noise
-    rc, scipy = _probe_imports(["sweep", "--figure", "4", "--grid-steps", "101",
-                                "--axis1=-1,1,3", "--out", "fig4"], tmp_path)
-    assert rc == 0
-    assert "scipy.special" in scipy
-    assert "scipy.interpolate" not in scipy
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

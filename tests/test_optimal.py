@@ -54,15 +54,34 @@ def test_solution_qn_value(grid):
                                                      abs=1e-9)
 
 
+def test_first_integral_series_matches_the_elliptic_integral():
+    # F(theta) = 2 E(theta | 1/2) on [-pi, 2pi], beyond [0, pi] because stationarity_m
+    # differences theta at t = -1e-5 and T + 1e-5
+    th = np.linspace(-math.pi, 2.0 * math.pi, 200_001)
+    f, slope = optimal._first_integral(th)
+    assert np.max(np.abs(f - 2.0 * ellipeinc(th, 0.5))) < 4e-15
+    assert np.array_equal(slope, np.sqrt(3.0 + np.cos(2.0 * th)))
+
+
+def test_first_integral_series_coefficients():
+    # oracle: the cosine sum at 256 points, whose aliasing error is below 1e-80
+    x = np.arange(256) * (math.pi / 128.0)
+    ref = np.cos(np.multiply.outer(np.arange(18), x)) @ np.sqrt(3.0 + np.cos(x)) / 128.0
+    ref[0] *= 0.5
+    assert np.max(np.abs(optimal._A - ref[:17])) < 4e-15
+    assert abs(ref[17]) / 34.0 < 1e-16  # the first dropped term of F's sine series
+
+
 def test_theta_fn_inverts_the_elliptic_integral():
     # t(theta) = T E(theta | 1/2) / E(pi | 1/2) at any time, and exactly at both ends
-    for duration in (1.0, 2.5):
+    for duration in (0.3, 1.0, 2.5, 7.0):
         theta, _ = solve_optimal_theta(duration)
         t = np.random.default_rng(3).uniform(0.0, duration, 100_000)
         err = ellipeinc(theta(t), 0.5) / ellipeinc(math.pi, 0.5) - t / duration
         assert np.max(np.abs(err)) < 1e-15
         assert float(theta(0.0)) == 0.0
         assert float(theta(duration)) == math.pi
+        assert theta(np.array([0.0, duration])).tolist() == [0.0, math.pi]
 
 
 def test_shooting_oracle_agrees(grid, solution):
@@ -114,7 +133,8 @@ def test_stationarity_m_derivative_fallback():
 
 
 def test_stationarity_m_derivative_fallback_spans_the_duration():
-    # a curved theta on [0, 2]: the fallback theta_dot must hold beyond t = 1 too
+    # a curved theta on [0, 2]: the fallback theta_dot must hold beyond t = 1 too; the
+    # optimum on [0, 2.5] is read at t = -1e-5 and T + 1e-5, outside [0, T]
     def theta(t):
         t = np.asarray(t, dtype=float)
         return 0.5 * np.pi * t + 0.1 * np.sin(np.pi * t)
@@ -122,12 +142,13 @@ def test_stationarity_m_derivative_fallback_spans_the_duration():
     def theta_dot(t):
         return 0.5 * np.pi + 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
 
-    sampled = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0))
-    closed = InvariantAngles(theta, constant(math.pi / 8.0), constant(0.0),
-                             theta_dot, constant(0.0), constant(0.0))
-    t = np.linspace(0.0, 2.0, 41)
-    err = stationarity_m(sampled)(t) - stationarity_m(closed)(t)
-    assert np.max(np.abs(err)) < 1e-9
+    for duration, th, thd in ((2.0, theta, theta_dot), (2.5, *solve_optimal_theta(2.5))):
+        sampled = InvariantAngles(th, constant(math.pi / 8.0), constant(0.0))
+        closed = InvariantAngles(th, constant(math.pi / 8.0), constant(0.0),
+                                 thd, constant(0.0), constant(0.0))
+        t = np.linspace(0.0, duration, 41)
+        err = stationarity_m(sampled)(t) - stationarity_m(closed)(t)
+        assert np.max(np.abs(err)) < 1e-9
 
 
 def test_verify_stationarity_optimal_candidate(grid):

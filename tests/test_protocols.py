@@ -43,6 +43,29 @@ def test_shaped_pi_constant_envelope_equals_flat(grid):
     assert np.max(np.abs(f.omega_i - ref.omega_i)) < 1e-12
 
 
+def _c09_envelope(coeffs):
+    def env(t):
+        t = np.asarray(t, dtype=float)
+        return (coeffs[0] + sum(coeffs[k] * np.sin(k * np.pi * t) for k in range(1, 4))) ** 2
+    return env
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 2.0])
+def test_shaped_pi_area_is_pi_to_the_last_bits(grid, alpha):
+    # the envelope is normalized by the same Simpson rule that pulse_area applies
+    rng = np.random.default_rng(99)
+    envelopes = ["sin", "flat", *(_c09_envelope(rng.uniform(-1.0, 1.0, size=4))
+                                  for _ in range(5))]
+    for envelope in envelopes:
+        area = make_shaped_pi(envelope, alpha, grid).pulse_area()
+        assert abs(area - math.pi) <= 4 * math.ulp(math.pi), envelope
+
+
+def test_shaped_pi_rejects_an_envelope_that_is_not_sampled_per_time(grid):
+    with pytest.raises(ValueError, match="shape"):
+        make_shaped_pi(lambda t: 1.0, 0.0, grid)
+
+
 def test_shaped_pi_rejects_zero_and_negative_envelopes(grid):
     with pytest.raises(ValueError):
         make_shaped_pi(constant(0.0), 0.0, grid)

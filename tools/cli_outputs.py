@@ -6,7 +6,8 @@ Each run calls invlab.cli.main in-process, with OUTDIR as the working
 directory, and leaves its output files there together with <run>.stdout,
 <run>.stderr and a line "<run> <exit code>" in exit_codes.txt.  invlab is
 imported from this checkout's src/, never from an installed copy.  Run the
-script from two checkouts and compare the directories with `diff -r`.
+script from two checkouts and compare the directories with `diff -r`, or
+with tools/compare_outputs.py where numbers may move in the last bits.
 """
 
 from __future__ import annotations
