@@ -2,9 +2,10 @@
 
 All inputs are dimensionless, scaled by the total duration T: Rabi and
 detuning amplitudes are given as omega*T, noise strength as
-lambda*T^(1/2), time steps as fractions of T.  Computation always runs
-on the unit-duration grid; the --duration flag only rescales displayed
-outputs (time columns multiply by T, rates and q_N divide by T).
+lambda/T^(1/2), time steps as fractions of T.  The library computes in
+units of T, on [0, 1]; this module is the one place T enters, and the
+--duration flag only rescales displayed outputs (time columns multiply
+by T, rates and q_N divide by T).
 
 A JSON config file mirroring the flag structure can be passed with
 --config; explicit flags override file values, and --dump-config echoes
@@ -277,7 +278,7 @@ def cmd_sweep(cfg: dict) -> None:
     for kind, params in protocols:
         result = analysis(ProtocolSpec(kind, params).build(grid) if kind else grid, *axes)
         if result.quantity == "q_n" and T != 1.0:  # q_N has units 1/T
-            result = replace(result, values=result.values * (1.0 / T))
+            result = replace(result, values=result.values / T)
         path_base = f"{base}_{kind}" if kind else base
         result.to_csv(path_base + ".csv")
         result.to_json_sidecar(path_base + ".json")

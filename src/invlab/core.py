@@ -8,9 +8,9 @@ The driven two-level system is governed by (hbar = 1)
                 [Omega_R(t) + i Omega_I(t),            Delta(t)]],
 
 where Omega = Omega_R + i Omega_I is the complex Rabi frequency and
-Delta the detuning.  All computation is dimensionless: time runs over
-tau = t/T with total duration 1 by default, so the control channels
-carry units 1/T.  A mixed state is the Bloch vector
+Delta the detuning.  All computation is in units of the duration T:
+time runs over tau = t/T in [0, 1], so the control channels are the
+products Omega T and Delta T.  A mixed state is the Bloch vector
 
     r = (rho_12 + rho_21,  i(rho_12 - rho_21),  rho_11 - rho_22),
 
@@ -44,30 +44,27 @@ import numpy as np
 
 CSV_FIELD_HEADER = "t,omega_r,omega_i,delta"
 _NORM_TOL = 1e-6  # a pure state's norm may miss 1 by this much
-_BOUNDARY_TOL = 1e-9  # theta(0) = 0 and theta(T) = pi hold to this
+_BOUNDARY_TOL = 1e-9  # theta(0) = 0 and theta(1) = pi hold to this
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_i = i * duration / (n_steps - 1), i = 0 .. n_steps-1."""
+    """Uniform grid t_i = i / (n_steps - 1), i = 0 .. n_steps-1, on [0, 1]."""
 
     n_steps: int
-    duration: float = 1.0
 
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.duration, self.n_steps)
+        return np.linspace(0.0, 1.0, self.n_steps)
 
     @property
     def h(self) -> float:
         """Grid spacing."""
-        return self.duration / (self.n_steps - 1)
+        return 1.0 / (self.n_steps - 1)
 
 
 def sampled_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -125,7 +122,7 @@ class ControlField:
 
     ``channels`` is one vectorized callable t -> (omega_r, omega_i, delta):
     the closed forms when available, otherwise a cubic spline over the
-    samples, so that ``values`` can be evaluated anywhere in [0, T].
+    samples, so that ``values`` can be evaluated anywhere in [0, 1].
     ``angles`` holds the invariant angles of the field's error-free
     evolution on the grid when its builder knows them exactly.
     """
@@ -158,12 +155,8 @@ class ControlField:
         """Build from one vectorized callable t -> (omega_r, omega_i, delta)."""
         return cls(grid, *channels(grid.times), label=label, channels=channels)
 
-    @classmethod
-    def from_samples(cls, grid: TimeGrid, omega_r, omega_i, delta, label: str = "") -> "ControlField":
-        return cls(grid, omega_r, omega_i, delta, label)
-
     def values(self, t):
-        """Evaluate (omega_r, omega_i, delta) at arbitrary times in [0, T]."""
+        """Evaluate (omega_r, omega_i, delta) at arbitrary times in [0, 1]."""
         return tuple(np.asarray(c, dtype=float) for c in self.channels(np.asarray(t, dtype=float)))
 
     @cached_property
@@ -178,7 +171,7 @@ class ControlField:
         return (self.omega_r, self.omega_i, self.delta), self.values(0.5 * (ts[:-1] + ts[1:]))
 
     def pulse_area(self) -> float:
-        """Integral of |Omega| over the full duration (Simpson on the grid)."""
+        """Integral of |Omega| over [0, 1] (Simpson on the grid)."""
         return float(simpson(np.hypot(self.omega_r, self.omega_i), self.grid.h))
 
     def csv_columns(self) -> tuple[str, list]:
@@ -190,16 +183,18 @@ class ControlField:
 
     @classmethod
     def read_csv(cls, path, label: str = "") -> "ControlField":
+        """A field in ``to_csv``'s layout whose time column is uniform on [0, T], T > 0 (as
+        ``protocol --duration T`` writes it), in units of T: times / T, channels * T."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
         if header != CSV_FIELD_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}, want {CSV_FIELD_HEADER!r}")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        t = data[:, 0]
-        grid = TimeGrid(n_steps=len(t), duration=float(t[-1]))
-        if not np.allclose(t, grid.times, rtol=0.0, atol=1e-12 * max(1.0, grid.duration)):
-            raise ValueError("CSV time column is not a uniform grid starting at 0")
-        return cls.from_samples(grid, data[:, 1], data[:, 2], data[:, 3], label=label)
+        grid, T = TimeGrid(len(data)), float(data[-1, 0])
+        if not (T > 0.0 and math.isfinite(T)
+                and np.allclose(data[:, 0] / T, grid.times, rtol=0.0, atol=1e-12)):
+            raise ValueError("CSV time column is not a uniform grid on [0, T] with T > 0")
+        return cls(grid, *(data[:, 1:].T * T), label=label)
 
 
 @dataclass(frozen=True)
@@ -290,12 +285,12 @@ class InvariantAngles:
     def has_closed_derivatives(self) -> bool:
         return None not in (self.theta_dot, self.alpha_dot, self.gamma_dot)
 
-    def check_boundaries(self, duration: float = 1.0) -> None:
+    def check_boundaries(self) -> None:
         th0 = float(self.theta(np.array(0.0)))
-        thT = float(self.theta(np.array(duration)))
-        if abs(th0) > _BOUNDARY_TOL or abs(thT - math.pi) > _BOUNDARY_TOL:
+        th1 = float(self.theta(np.array(1.0)))
+        if abs(th0) > _BOUNDARY_TOL or abs(th1 - math.pi) > _BOUNDARY_TOL:
             raise ValueError(
-                f"inversion boundary conditions violated: theta(0)={th0!r}, theta(T)={thT!r}")
+                f"inversion boundary conditions violated: theta(0)={th0!r}, theta(1)={th1!r}")
 
     def sample(self, grid: TimeGrid) -> AngleSamples:
         ts = grid.times

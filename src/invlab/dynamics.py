@@ -288,7 +288,8 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
 
 
 def _require_bounded(states: np.ndarray, what: str) -> None:
-    # an unstable step grows the components long before they overflow; NaN and inf fail too
+    # an unstable step grows the components long before they overflow; NaN and inf fail too,
+    # so the solves run with numpy's overflow and invalid-value warnings off
     if not np.all(np.abs(states) <= 1.0 + 1e-6):
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
@@ -329,7 +330,8 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
     beta = ErrorSetting(beta=beta).beta  # rejects a non-finite beta
     u = np.empty((field.grid.n_steps, 2), dtype=complex)
     u[0] = (1.0, 0.0)
-    u[1:] = _solve(field, _PURE, beta, _scan).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        u[1:] = _solve(field, _PURE, beta, _scan).T
     _require_bounded(u, "pure-state")
     return u
 
@@ -340,7 +342,8 @@ def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = Er
     r = r0.as_array()
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
-    out[1:] = _apply_bloch(_solve(field, _BLOCH, setting, _scan), r).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:] = _apply_bloch(_solve(field, _BLOCH, setting, _scan), r).T
     _require_bounded(out, "Bloch")
     return Trajectory(field.grid, out, "bloch")
 
@@ -350,9 +353,10 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     settings = list(settings)
     _require_rk4_stable(field, settings)
     m = np.empty((3, 3, len(settings)))
-    for k, s in enumerate(settings):
-        m[..., k] = _solve(field, _BLOCH, s, _product)[..., -1]
-    r = _apply_bloch(m, GROUND_BLOCH.as_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, s in enumerate(settings):
+            m[..., k] = _solve(field, _BLOCH, s, _product)[..., -1]
+        r = _apply_bloch(m, GROUND_BLOCH.as_array())
     _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
@@ -361,9 +365,10 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     """P2(T) of the Schrodinger equation from the ground state, one value per beta."""
     betas = [ErrorSetting(beta=b).beta for b in betas]  # rejects a non-finite beta
     u = np.empty((2, len(betas)), dtype=complex)
-    for k, b in enumerate(betas):
-        u[:, k] = _solve(field, _PURE, b, _product)[:, -1]
-    c = _apply_pair(u, 1.0 + 0.0j, 0.0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, b in enumerate(betas):
+            u[:, k] = _solve(field, _PURE, b, _product)[:, -1]
+        c = _apply_pair(u, 1.0 + 0.0j, 0.0j)
     _require_bounded(c, "pure-state")
     return _pure_p2(c[0], c[1])
 

@@ -5,14 +5,14 @@ phase to alpha = n pi/4 with gauge m = 0.  For odd n the stationary
 polar angle obeys
 
     (3 + cos(2 theta)) theta_ddot = sin(2 theta) theta_dot^2,
-    theta(0) = 0,  theta(T) = pi,
+    theta(0) = 0,  theta(1) = pi,
 
-whose first integral is theta_dot * sqrt(3 + cos(2 theta)) = c, so that
-t(theta) = F(theta) / c with
+in units of the duration T.  Its first integral is theta_dot * sqrt(3 +
+cos(2 theta)) = c, so that t(theta) = F(theta) / c with
 
     F(theta) = Int_0^theta sqrt(3 + cos 2s) ds = 2 E(theta | 1/2)
 
-(an incomplete elliptic integral of the second kind) and c = F(pi) / T.
+(an incomplete elliptic integral of the second kind) and c = F(pi).
 sqrt(3 + cos x) is periodic and analytic, so its cosine coefficients
 a_k fall off geometrically and F(theta) = a_0 theta + sum_k a_k
 sin(2k theta) / (2k) reaches rounding by k = 16; theta(t) follows by
@@ -33,8 +33,8 @@ import numpy as np
 from .core import InvariantAngles, TimeGrid
 from .sensitivity import qn_lagrangian
 
-# Newton steps of the F(theta) inversion from the linear guess theta = pi t / T;
-# the fourth lands within an ulp or two of the root everywhere on [0, T].
+# Newton steps of the F(theta) inversion from the linear guess theta = pi t;
+# the fourth lands within an ulp or two of the root everywhere on [0, 1].
 _NEWTON_STEPS = 4
 _FD_STEP = 1e-5  # half-step of stationarity_m's central difference of theta
 
@@ -57,27 +57,25 @@ def _first_integral(theta):
     return _A[0] * theta + y1 * np.sin(2.0 * theta), np.sqrt(3.0 + 0.5 * two_cos)
 
 
-def first_integral_constant(duration: float = 1.0) -> float:
-    """c = (1/T) Int_0^pi sqrt(3 + cos 2 s) ds = a_0 pi / T."""
-    return _F_PI / duration
+def first_integral_constant() -> float:
+    """c = Int_0^pi sqrt(3 + cos 2 s) ds = a_0 pi, in units of 1/T."""
+    return _F_PI
 
 
-def solve_optimal_theta(duration: float = 1.0) -> tuple[Callable, Callable]:
-    """The stationary theta(t) and theta_dot(t) on [0, T], as vectorized callables.
+def solve_optimal_theta() -> tuple[Callable, Callable]:
+    """The stationary theta(t) and theta_dot(t) on [0, 1], as vectorized callables.
 
-    F(theta) = a_0 pi t / T is solved by Newton's method (F' = sqrt(3 +
-    cos 2 theta)) at the times asked for; t = T lands exactly on F(pi), so
-    theta(0) is 0.0 and theta(T) is pi.  Every call checks the defining
+    F(theta) = a_0 pi t is solved by Newton's method (F' = sqrt(3 +
+    cos 2 theta)) at the times asked for; t = 1 lands exactly on F(pi), so
+    theta(0) is 0.0 and theta(1) is pi.  Every call checks the defining
     equation, and a time whose F(theta) misses its target by more than
     1e-12 is a RuntimeError.  theta_dot = c / sqrt(3 + cos 2 theta)
     follows analytically.
     """
-    c = first_integral_constant(duration)
-
     def theta(t):
-        u = np.asarray(t, dtype=float) / duration
-        target = _F_PI * u
-        th = math.pi * u
+        t = np.asarray(t, dtype=float)
+        target = _F_PI * t
+        th = math.pi * t
         for _ in range(_NEWTON_STEPS):
             f, slope = _first_integral(th)
             th = th - (f - target) / slope
@@ -88,7 +86,7 @@ def solve_optimal_theta(duration: float = 1.0) -> tuple[Callable, Callable]:
         return th
 
     def theta_dot(t):
-        return c / np.sqrt(3.0 + np.cos(2.0 * theta(t)))
+        return _F_PI / np.sqrt(3.0 + np.cos(2.0 * theta(t)))
 
     return theta, theta_dot
 
@@ -142,7 +140,7 @@ def verify_stationarity(angles: InvariantAngles, perturbation_scale: float,
     """Probe local minimality of qn_lagrangian around a candidate.
 
     Perturbs theta with random truncated sine series
-    sum_k a_k sin(k pi t / T), k <= 5, which preserve the boundary
+    sum_k a_k sin(k pi t), k <= 5, which preserve the boundary
     values exactly, rescaled so the largest excursion equals
     ``perturbation_scale``.  Reports the worst (smallest) perturbed
     action and its margin over the candidate.
@@ -150,7 +148,7 @@ def verify_stationarity(angles: InvariantAngles, perturbation_scale: float,
     grid = grid or TimeGrid(2001)
     q0 = qn_lagrangian(angles, grid)
     rng = np.random.default_rng(seed)
-    k = np.arange(1, 6) * (math.pi / grid.duration)  # the wavenumbers k pi / T
+    k = np.arange(1, 6) * math.pi  # the wavenumbers k pi
 
     def plus_series(base, mode, a):  # t -> base(t) + sum_k a_k mode(k t)
         return lambda t: (np.asarray(base(t), dtype=float)

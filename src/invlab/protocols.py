@@ -35,7 +35,7 @@ import numpy as np
 from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, constant, simpson
 from .optimal import solve_optimal_theta
 
-# Named shaped_pi envelopes; a name may stand for the function wherever an envelope is taken.
+# Named shaped_pi envelopes, functions of t in [0, 1]; a name may stand for its function.
 ENVELOPES = {
     "sin": lambda t: np.sin(math.pi * np.asarray(t, dtype=float)),
     "flat": lambda t: np.ones_like(np.asarray(t, dtype=float)),
@@ -51,11 +51,10 @@ def _on_resonance(amplitude: Callable, c_r: float, c_i: float) -> Callable:
 
 
 def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
-    """Constant Omega = (pi/T) e^{i alpha}, zero detuning."""
+    """Constant Omega T = pi e^{i alpha}, zero detuning."""
     alpha = _check("flat_pi", alpha=alpha)["alpha"]
-    w = math.pi / grid.duration
-    return ControlField.from_functions(
-        grid, _on_resonance(ENVELOPES["flat"], w * math.cos(alpha), w * math.sin(alpha)),
+    return ControlField.from_functions(grid, _on_resonance(
+        ENVELOPES["flat"], math.pi * math.cos(alpha), math.pi * math.sin(alpha)),
         label=f"flat_pi(alpha={alpha:g})")
 
 
@@ -76,12 +75,11 @@ def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlF
                         channels=_on_resonance(envelope, c_r, c_i))
 
 
-def _sinusoidal(omega0: float, delta0: float, duration: float, t):
+def _sinusoidal(omega0: float, delta0: float, t):
     """WR, D and their time derivatives for the sinusoidal sweep, from one sin and one cos."""
-    w = math.pi / duration
-    wt = w * np.asarray(t, dtype=float)
+    wt = math.pi * np.asarray(t, dtype=float)
     s, c = np.sin(wt), np.cos(wt)
-    return omega0 * s, -delta0 * c, omega0 * w * c, delta0 * w * s
+    return omega0 * s, -delta0 * c, omega0 * math.pi * c, delta0 * math.pi * s
 
 
 def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
@@ -89,7 +87,7 @@ def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlFiel
     omega0, delta0 = _check("sinusoidal_adiabatic", omega0=omega0, delta0=delta0).values()
 
     def channels(t):
-        omega_r, delta, _, _ = _sinusoidal(omega0, delta0, grid.duration, t)
+        omega_r, delta, _, _ = _sinusoidal(omega0, delta0, t)
         return omega_r, np.zeros_like(omega_r), delta
 
     return ControlField.from_functions(
@@ -107,8 +105,8 @@ def _transitionless(omega0, delta0, grid: TimeGrid):
     three; it broadcasts over array parameters.  Wa, and so theta_dot, is
     NaN where the field is singular: the division is masked there.
     """
-    t = np.linspace(0.0, grid.duration, 2 * grid.n_steps - 1)  # nodes are the even entries
-    wr_half, d_half, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
+    t = np.linspace(0.0, 1.0, 2 * grid.n_steps - 1)  # nodes are the even entries
+    wr_half, d_half, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
     wr, d = np.ascontiguousarray(wr_half[..., ::2]), np.ascontiguousarray(d_half[..., ::2])
     wr_dot, d_dot = wr_dot[..., ::2], d_dot[..., ::2]
     gap2 = wr * wr + d * d
@@ -150,7 +148,7 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
     omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
 
     def channels(t):
-        wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, grid.duration, t)
+        wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
         return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
     nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid)
@@ -177,7 +175,7 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid) -> Contro
     the grid samples (derivatives by ``sampled_derivative``) are splined.
     """
     _check("invariant_engineered", angles=angles)
-    angles.check_boundaries(grid.duration)
+    angles.check_boundaries()
     return _invariant_field(angles, angles.sample(grid), "invariant_engineered")
 
 
@@ -201,7 +199,7 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     WR = -sin(n pi/4) theta_dot, WI = cos(n pi/4) theta_dot, D = 0,
     so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.
     """
-    angles = optimal_noise_angles(n, grid.duration)
+    angles = optimal_noise_angles(n)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
     return ControlField.from_functions(
@@ -209,37 +207,36 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
         label=f"optimal_noise(n={n})")
 
 
-def optimal_noise_angles(n: int = 7, duration: float = 1.0) -> InvariantAngles:
+def optimal_noise_angles(n: int = 7) -> InvariantAngles:
     """Invariant angles of the noise-optimal protocol: stationary theta,
     alpha = n pi/4 (n odd), constant gamma (so m = 0)."""
     n = _check("optimal_noise", n=n)["n"]
-    theta, theta_dot = solve_optimal_theta(duration)
+    theta, theta_dot = solve_optimal_theta()
     return InvariantAngles(theta, constant(n * math.pi / 4.0), constant(0.0),
                            theta_dot, constant(0.0), constant(0.0))
 
 
-def optimal_systematic_angles(n: int, duration: float = 1.0) -> InvariantAngles:
+def optimal_systematic_angles(n: int) -> InvariantAngles:
     """Angle triple of the zero-systematic-sensitivity family's default member.
 
     gamma = n (2 theta - sin 2 theta) makes q_S vanish for integer n and any
-    admissible theta and alpha.  This member has theta = pi t/T and
+    admissible theta and alpha.  This member has theta = pi t and
     alpha = -arccot(4 n sin^3 theta) on the continuous branch in (-pi, 0),
-    i.e. alpha = arctan(4 n sin^3 theta) - pi/2, with alpha(0) = alpha(T) = -pi/2:
+    i.e. alpha = arctan(4 n sin^3 theta) - pi/2, with alpha(0) = alpha(1) = -pi/2:
     the choice that makes Omega_I vanish.  Any other member is
     ``make_invariant_engineered(InvariantAngles(...), grid)`` of the same gamma.
     """
     n = _check("optimal_systematic", n=n)["n"]
-    w = math.pi / duration
 
     def theta(t):
-        return math.pi * np.asarray(t, dtype=float) / duration
+        return math.pi * np.asarray(t, dtype=float)
 
     def gamma(t):
         th = theta(t)
         return n * (2.0 * th - np.sin(2.0 * th))
 
     def gamma_dot(t):
-        return 4.0 * n * np.sin(theta(t)) ** 2 * w
+        return 4.0 * n * np.sin(theta(t)) ** 2 * math.pi
 
     def alpha(t):
         return np.arctan(4.0 * n * np.sin(theta(t)) ** 3) - 0.5 * math.pi
@@ -247,15 +244,15 @@ def optimal_systematic_angles(n: int, duration: float = 1.0) -> InvariantAngles:
     def alpha_dot(t):
         th = theta(t)
         x = 4.0 * n * np.sin(th) ** 3
-        return 12.0 * n * np.sin(th) ** 2 * np.cos(th) * w / (1.0 + x * x)
+        return 12.0 * n * np.sin(th) ** 2 * np.cos(th) * math.pi / (1.0 + x * x)
 
-    return InvariantAngles(theta, alpha, gamma, constant(w), alpha_dot, gamma_dot)
+    return InvariantAngles(theta, alpha, gamma, constant(math.pi), alpha_dot, gamma_dot)
 
 
 def make_optimal_systematic(n: int, grid: TimeGrid) -> ControlField:
     """Protocol with zero systematic-error sensitivity (integer n >= 1): the
     member of ``optimal_systematic_angles``, theta = pi t/T with Omega_I = 0."""
-    angles = optimal_systematic_angles(n, grid.duration)
+    angles = optimal_systematic_angles(n)
     return _invariant_field(angles, angles.sample(grid),
                             label=f"optimal_systematic(n={n},gauge=zero_omega_i)")
 

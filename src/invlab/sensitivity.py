@@ -184,9 +184,8 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
     Fits P2 ~ 1 - q_N lambda^2 by least squares on the sampled linear
     regime; the error estimate is the fitted slope's standard error.
     """
-    t_total = field.grid.duration
     samples = np.asarray(lambda2_samples if lambda2_samples is not None
-                         else np.array(DEFAULT_LAMBDA2_SAMPLES) * t_total, dtype=float)
+                         else DEFAULT_LAMBDA2_SAMPLES, dtype=float)
     p2 = final_p2_bloch(field, [ErrorSetting(lambda2=l2) for l2 in samples])
     qn, err = _quadratic_fit(samples, p2, "lambda2")
     return SensitivityReport(q_n=qn, method="finite_difference", error_estimate=err)
@@ -203,7 +202,7 @@ def qs_formula(field: ControlField) -> SensitivityReport:
 def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float:
     """q_S = |Int exp(-i gamma) theta_dot sin^2(theta) dt|^2 by quadrature."""
     grid = grid or TimeGrid(2001)
-    angles.check_boundaries(grid.duration)
+    angles.check_boundaries()
     return _qs_value(simpson(_qs_integrand(angles.sample(grid)), grid.h))
 
 

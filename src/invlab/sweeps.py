@@ -13,7 +13,7 @@ whole figure.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
-points, noise strengths lambda in [0, 1.2] (units T^-1/2) and
+points, noise strengths lambda in [0, 1.2] (units T^1/2) and
 systematic amplitudes beta in [-1, 1] with 61 points each.
 """
 
@@ -131,7 +131,7 @@ def sweep_qs_transitionless(omega0_axis: Axis, delta0_axis: Axis,
 def robustness_curve(field: ControlField, variable: str, axis: Axis) -> SweepResult:
     """P2(T) versus one error parameter (lambda via Bloch, beta via Schrodinger)."""
     if variable == "lambda":
-        values = final_p2_bloch(field, [ErrorSetting(lambda2=x * x) for x in axis.values])
+        values = final_p2_bloch(field, [ErrorSetting(lambda2=x * x) for x in axis.values.tolist()])
     elif variable == "beta":
         values = final_p2_pure(field, axis.values)
     else:
@@ -142,6 +142,6 @@ def robustness_curve(field: ControlField, variable: str, axis: Axis) -> SweepRes
 def map_p2(field: ControlField, lambda_axis: Axis, beta_axis: Axis) -> SweepResult:
     """P2(T) over the combined (lambda, beta) error plane."""
     settings = [ErrorSetting(beta=b, lambda2=lam * lam)
-                for lam in lambda_axis.values for b in beta_axis.values]
+                for lam in lambda_axis.values.tolist() for b in beta_axis.values.tolist()]
     values = final_p2_bloch(field, settings).reshape(lambda_axis.n_points, beta_axis.n_points)
     return SweepResult((lambda_axis, beta_axis), values, "p2", field.label)

@@ -2,7 +2,7 @@
 first-integral solver ``invlab.solve_optimal_theta``.
 
 It integrates (3 + cos 2 theta) theta_ddot = sin(2 theta) theta_dot^2 from
-theta(0) = 0 and finds theta_dot(0) by bracketing theta(T) = pi.
+theta(0) = 0 and finds theta_dot(0) by bracketing theta(1) = pi.
 ``ode_residual`` checks any sampled solution against that equation.
 """
 
@@ -24,9 +24,8 @@ class Shot(NamedTuple):
 
 def solve_optimal_theta_shooting(grid: TimeGrid, substeps: int = 8) -> Shot:
     """Independent oracle: RK4 shooting on the second-order ODE itself."""
-    T = grid.duration
     n_fine = substeps * (grid.n_steps - 1)
-    h = T / n_fine
+    h = 1.0 / n_fine  # on [0, 1], in units of the duration
 
     def rhs(th, v):
         return v, math.sin(2.0 * th) * v * v / (3.0 + math.cos(2.0 * th))
@@ -48,7 +47,7 @@ def solve_optimal_theta_shooting(grid: TimeGrid, substeps: int = 8) -> Shot:
                 rates[(k + 1) // substeps] = v
         return nodes, rates
 
-    c = first_integral_constant(T)
+    c = first_integral_constant()
     guess = 0.5 * c  # theta_dot(0) = c / sqrt(3 + cos 0)
     lo, hi = 0.8 * guess, 1.2 * guess
 

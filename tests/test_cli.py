@@ -50,13 +50,44 @@ def test_protocol_json_format(tmp_path):
     assert data["omega_r"] == pytest.approx([math.pi] * 5)
 
 
-def test_protocol_duration_scaling(capsys):
+def _at_durations(tmp_path, args, suffix=".csv"):
+    """The --out file of one command run at T = 1 and at --duration 2.5, as (unit, scaled)."""
+    paths = []
+    for T in ("1", "2.5"):
+        paths.append(tmp_path / f"T{T}{suffix}")
+        assert run_cli([*args, "--duration", T, "--out", str(paths[-1])]) == 0
+    return paths
+
+
+def test_protocol_duration_scaling(tmp_path, capsys):
     assert run_cli(["protocol", "--kind", "flat_pi", "--grid-steps", "3",
                     "--duration", "2.0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     last = lines[-1].split(",")
     assert float(last[0]) == 2.0                      # time scaled by T
     assert float(last[1]) == pytest.approx(math.pi / 2.0)  # rates scaled by 1/T
+    # between --duration 2.5 and the unit run: t times T, channels over T, P2 the same
+    for kind in (["--kind", "transitionless", *FIG1], ["--kind", "optimal_noise", "--n", "3"]):
+        unit, scaled = (np.loadtxt(p, delimiter=",", skiprows=1) for p in
+                        _at_durations(tmp_path, ["protocol", *kind, "--grid-steps", "101"]))
+        assert np.array_equal(scaled[:, 0], unit[:, 0] * 2.5)
+        assert np.array_equal(scaled[:, 1:], unit[:, 1:] / 2.5)
+        unit, scaled = (np.loadtxt(p, delimiter=",", skiprows=1) for p in _at_durations(
+            tmp_path, ["simulate", *kind, "--lambda2", "0.1", "--beta", "0.05",
+                       "--grid-steps", "101"]))
+        assert np.array_equal(scaled[:, 0], unit[:, 0] * 2.5)
+        assert scaled[:, 1:].tobytes() == unit[:, 1:].tobytes()
+    unit, scaled = (json.loads(p.read_text()) for p in _at_durations(
+        tmp_path, ["simulate", "--kind", "flat_pi", "--sse", "--lambda2", "0.09", "--n-traj", "64",
+                   "--grid-steps", "101", "--dt", "0.001"], ".json"))
+    assert (scaled["p2_mean"], scaled["p2_stderr"]) == (unit["p2_mean"], unit["p2_stderr"])
+    assert scaled["dt"] == unit["dt"] * 2.5
+    unit, scaled = _at_durations(tmp_path, ["sweep", "--figure", "1", "--axis1", "0,0.6,3",
+                                            "--grid-steps", "101"], "")
+    for slug in ("optimal_noise", "flat_pi", "sinusoidal_adiabatic", "transitionless"):
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"{scaled.name}_{slug}{ext}").read_bytes() == \
+                (tmp_path / f"{unit.name}_{slug}{ext}").read_bytes()
 
 
 def test_protocol_optimal_systematic_zero_gauge(tmp_path):
@@ -130,6 +161,45 @@ def test_sensitivity_duration_scaling(tmp_path):
     data = json.loads(out.read_text())
     assert data["q_n"] == pytest.approx(2.4674 / 2.0, abs=1e-4)  # units 1/T
     assert data["q_s"] == pytest.approx(2.4674, abs=1e-4)        # dimensionless
+    # between --duration 2.5 and the unit run: q_N and its error over T, q_S the same
+    for kind in (["--kind", "transitionless", *FIG1], ["--kind", "optimal_noise", "--n", "7"]):
+        unit, scaled = (json.loads(p.read_text()) for p in _at_durations(
+            tmp_path, ["sensitivity", *kind, "--method", "both", "--grid-steps", "401"], ".json"))
+        for a, b in ((unit, scaled), (unit["finite_difference"], scaled["finite_difference"])):
+            assert (b["q_n"], b["q_n_error"]) == (a["q_n"] / 2.5, a["q_n_error"] / 2.5)
+            assert (b["q_s"], b["q_s_error"]) == (a["q_s"], a["q_s_error"])
+    unit, scaled = _at_durations(tmp_path, ["sweep", "--figure", "5", *_AXES,
+                                            "--grid-steps", "401"], "")
+    for ext in (".csv", ".json"):
+        assert (tmp_path / f"{scaled.name}{ext}").read_bytes() == \
+            (tmp_path / f"{unit.name}{ext}").read_bytes()
+
+
+def test_sweep_and_sensitivity_scale_q_n_alike(tmp_path):
+    # both divide q_N by T, so a Fig. 2 cell is its field's reported q_n bit for bit
+    base = tmp_path / "fig2"
+    assert run_cli(["sweep", "--figure", "2", "--axis1=2,3,2", "--axis2=1,4,2",
+                    "--grid-steps", "401", "--duration", "2.5", "--out", str(base)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "fig2.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for omega0, delta0, q_n in rows:
+        out = tmp_path / "sens.json"
+        assert run_cli(["sensitivity", "--kind", "transitionless", "--omega0", omega0,
+                        "--delta0", delta0, "--method", "formula", "--grid-steps", "401",
+                        "--duration", "2.5", "--out", str(out)]) == 0
+        assert float(q_n) == json.loads(out.read_text())["q_n"]
+
+
+@pytest.mark.parametrize("kind", [kind for kind, family in PROTOCOLS.items()
+                                  if all(p.cli_settable for p in family.params)])
+def test_read_csv_reads_a_duration_file_in_units_of_t(tmp_path, kind):
+    """A field written with --duration 2.5 reads back as the field the CLI computed with."""
+    flags = FIG1 if kind in ("sinusoidal_adiabatic", "transitionless") else []
+    unit, scaled = (ControlField.read_csv(p) for p in _at_durations(
+        tmp_path, ["protocol", "--kind", kind, *flags, "--grid-steps", "201"]))
+    assert scaled.grid == unit.grid == TimeGrid(201)
+    for a, b in zip(scaled.stage_tables[0], unit.stage_tables[0]):
+        assert np.all(np.abs(a - b) <= 2.0 * np.spacing(np.abs(b)))
 
 
 def test_sweep_figure2_reduced(tmp_path):
@@ -454,6 +524,25 @@ def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axes, message):
     assert run_cli(["sweep", "--figure", figure, *axes, "--grid-steps", "3",
                     "--out", str(tmp_path / "fig")]) == 1
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, code, refusal", [
+    # lambda^2 overflows to inf, which the error setting refuses
+    (["sweep", "--figure", "1", "--axis1", "0,1e200,3"], 2,
+     "lambda2 must be finite and >= 0, got inf"),
+    (["sweep", "--figure", "7", "--axis1", "0,1e200,3"], 2,
+     "lambda2 must be finite and >= 0, got inf"),
+    # the solves overflow, which the bounds check refuses
+    (["sweep", "--figure", "4", "--axis1=-1e300,1e300,3"], 1,
+     "pure-state integration diverged (a component exceeds 1 in modulus)"),
+    (["simulate", "--kind", "optimal_noise", "--n", "1", "--beta", "1e308"], 1,
+     "Bloch integration diverged (a component exceeds 1 in modulus)")],
+    ids=["sweep-1", "sweep-7", "sweep-4", "simulate"])
+def test_numerical_refusals_print_the_refusal_alone(tmp_path, capsys, args, code, refusal):
+    """Under the suite's error::RuntimeWarning filter, as under the default one."""
+    assert run_cli([*args, "--grid-steps", "11", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"invlab: {refusal}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -73,15 +73,14 @@ def test_first_integral_series_coefficients():
 
 
 def test_theta_fn_inverts_the_elliptic_integral():
-    # t(theta) = T E(theta | 1/2) / E(pi | 1/2) at any time, and exactly at both ends
-    for duration in (0.3, 1.0, 2.5, 7.0):
-        theta, _ = solve_optimal_theta(duration)
-        t = np.random.default_rng(3).uniform(0.0, duration, 100_000)
-        err = ellipeinc(theta(t), 0.5) / ellipeinc(math.pi, 0.5) - t / duration
-        assert np.max(np.abs(err)) < 1e-15
-        assert float(theta(0.0)) == 0.0
-        assert float(theta(duration)) == math.pi
-        assert theta(np.array([0.0, duration])).tolist() == [0.0, math.pi]
+    # t(theta) = E(theta | 1/2) / E(pi | 1/2) at any time, and exactly at both ends
+    theta, _ = solve_optimal_theta()
+    t = np.random.default_rng(3).uniform(0.0, 1.0, 100_000)
+    err = ellipeinc(theta(t), 0.5) / ellipeinc(math.pi, 0.5) - t
+    assert np.max(np.abs(err)) < 1e-15
+    assert float(theta(0.0)) == 0.0
+    assert float(theta(1.0)) == math.pi
+    assert theta(np.array([0.0, 1.0])).tolist() == [0.0, math.pi]
 
 
 def test_shooting_oracle_agrees(grid, solution):
@@ -132,21 +131,21 @@ def test_stationarity_m_derivative_fallback():
     assert float(m(0.5)) == pytest.approx(math.pi, abs=1e-6)
 
 
-def test_stationarity_m_derivative_fallback_spans_the_duration():
-    # a curved theta on [0, 2]: the fallback theta_dot must hold beyond t = 1 too; the
-    # optimum on [0, 2.5] is read at t = -1e-5 and T + 1e-5, outside [0, T]
+def test_stationarity_m_derivative_fallback_on_curved_thetas():
+    # a curved theta on [0, 1], and the optimum, whose fallback reads theta at
+    # t = -1e-5 and 1 + 1e-5, outside [0, 1]
     def theta(t):
         t = np.asarray(t, dtype=float)
-        return 0.5 * np.pi * t + 0.1 * np.sin(np.pi * t)
+        return np.pi * t + 0.1 * np.sin(np.pi * t)
 
     def theta_dot(t):
-        return 0.5 * np.pi + 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
+        return np.pi + 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
 
-    for duration, th, thd in ((2.0, theta, theta_dot), (2.5, *solve_optimal_theta(2.5))):
+    for th, thd in ((theta, theta_dot), solve_optimal_theta()):
         sampled = InvariantAngles(th, constant(math.pi / 8.0), constant(0.0))
         closed = InvariantAngles(th, constant(math.pi / 8.0), constant(0.0),
                                  thd, constant(0.0), constant(0.0))
-        t = np.linspace(0.0, duration, 41)
+        t = np.linspace(0.0, 1.0, 41)
         err = stationarity_m(sampled)(t) - stationarity_m(closed)(t)
         assert np.max(np.abs(err)) < 1e-9
 

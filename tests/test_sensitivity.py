@@ -180,16 +180,6 @@ def test_qs_invariant_small_n_limit():
     assert q == pytest.approx(PI2_4, abs=1e-4)
 
 
-def test_qs_dimensionless_qn_scales_inversely_with_duration():
-    # same dimensionless protocol on a duration-2 grid: q_S unchanged, q_N halves
-    f1 = make_transitionless(2.0, 1.4, TimeGrid(2001, duration=1.0))
-    f2 = make_transitionless(1.0, 0.7, TimeGrid(2001, duration=2.0))
-    assert qs_formula(f2).q_s == pytest.approx(qs_formula(f1).q_s, abs=1e-9)
-    assert qn_formula(f2).q_n == pytest.approx(qn_formula(f1).q_n / 2.0, abs=1e-9)
-    assert qn_finite_difference(f2).q_n == pytest.approx(
-        qn_finite_difference(f1).q_n / 2.0, rel=1e-4)
-
-
 def test_qs_invariant_half_integer():
     # sin^2(pi/2) / (4 * 1/4) = 1 for the n = 1/2 member outside the family
     ang = InvariantAngles(

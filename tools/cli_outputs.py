@@ -42,6 +42,11 @@ def runs():
                                         "2.5", "--out", f"protocol_{name}.json"]
         yield f"sensitivity_{name}", ["sensitivity", *kind, "--method", "both",
                                       "--out", f"sensitivity_{name}.json"]
+    # --duration is the one place T enters: q_N divides by T, q_S stays
+    for name in ("transitionless", "optimal_noise_7"):
+        yield f"sensitivity_{name}_duration", [
+            "sensitivity", *KINDS[name], "--method", "both", "--duration", "2.5",
+            "--out", f"sensitivity_{name}_duration.json"]
     bloch = ["simulate", *KINDS["transitionless"], "--beta", "0.05", "--lambda2", "0.1"]
     yield "simulate", [*bloch, "--out", "simulate.csv"]
     yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
@@ -49,6 +54,9 @@ def runs():
                                 "--out", "simulate_duration.csv"]
     yield "simulate_sse", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2", "0.09",
                            "--n-traj", "300", "--seed", "42", "--out", "simulate_sse.json"]
+    yield "simulate_sse_duration", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2",
+                                    "0.09", "--n-traj", "300", "--seed", "42", "--duration", "2.5",
+                                    "--out", "simulate_sse_duration.json"]
     # the default ensemble (10^4 trajectories, dt = 1/4000) is one batch; 10001 crosses a
     # batch boundary
     for name, n_traj in (("_default", []), ("_10001", ["--n-traj", "10001"])):
@@ -63,9 +71,10 @@ def runs():
             "--seed", "42", *dt, "--out", f"simulate_sse_optimal_noise{name}.json"]
     for figure in (1, 2, 4, 5, 7):
         yield f"sweep_{figure}", ["sweep", "--figure", str(figure), "--out", f"figure{figure}"]
-    # q_N has units 1/T, so --duration rescales the cells
-    yield "sweep_2_duration", ["sweep", "--figure", "2", "--duration", "2.5",
-                               "--out", "figure2_duration"]
+    # q_N has units 1/T, so --duration rescales the Fig. 2 cells; P2 and q_S stay
+    for figure in (1, 2, 5):
+        yield f"sweep_{figure}_duration", ["sweep", "--figure", str(figure), "--duration", "2.5",
+                                           "--out", f"figure{figure}_duration"]
     # the delta0 = 0 cells are singular fields, written as empty cells
     yield "sweep_2_signed", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=-1,1,3",
                              "--grid-steps", "101", "--out", "figure2_signed"]
