@@ -7,16 +7,14 @@ from .core import (AngleSamples, BlochState, ControlField, GROUND_BLOCH,
 from .dynamics import (EnsembleResult, ErrorSetting, Trajectory, evolve_bloch,
                        evolve_propagator, evolve_pure, evolve_sse, final_p2_bloch,
                        final_p2_pure, monte_carlo_p2)
-from .optimal import (StationarityReport, first_integral_constant, solve_optimal_theta,
-                      stationarity_m, verify_stationarity)
+from .optimal import first_integral_constant, solve_optimal_theta
 from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         make_optimal_noise, make_optimal_systematic,
                         make_shaped_pi, make_sinusoidal, make_transitionless,
                         optimal_noise_angles, optimal_systematic_angles,
                         transitionless_angles)
 from .sensitivity import (SensitivityReport, qn_finite_difference, qn_formula,
-                          qn_lagrangian, qn_pi_analytic, qs_finite_difference,
-                          qs_formula, qs_invariant)
+                          qn_pi_analytic, qs_finite_difference, qs_formula)
 from .sweeps import (Axis, SweepResult, default_beta_axis, default_delta0_axis,
                      default_lambda_axis, default_omega0_axis, map_p2, robustness_curve,
                      sweep_qn_transitionless, sweep_qs_transitionless)

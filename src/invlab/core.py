@@ -124,7 +124,10 @@ class ControlField:
     the closed forms when available, otherwise a cubic spline over the
     samples, so that ``values`` can be evaluated anywhere in [0, 1].
     ``angles`` holds the invariant angles of the field's error-free
-    evolution on the grid when its builder knows them exactly.
+    evolution on the grid; the builder of every inverting family sets
+    them, theta running from 0 to pi (pi to 0 for a transitionless sweep
+    with delta0 < 0), and a field without them (a bare sweep, samples, a
+    CSV file) has None.
     """
 
     grid: TimeGrid

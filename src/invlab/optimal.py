@@ -25,18 +25,13 @@ conventional shooting solver of the second-order equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import InvariantAngles, TimeGrid
-from .sensitivity import qn_lagrangian
-
 # Newton steps of the F(theta) inversion from the linear guess theta = pi t;
 # the fourth lands within an ulp or two of the root everywhere on [0, 1].
 _NEWTON_STEPS = 4
-_FD_STEP = 1e-5  # half-step of stationarity_m's central difference of theta
 
 # sqrt(3 + cos x) = a_0 + sum_k a_k cos(k x), k <= 16, from one 64-point cosine sum (the
 # trapezoid rule, exact to rounding for this periodic analytic integrand); a_17 / 34 < 1e-16
@@ -86,84 +81,11 @@ def solve_optimal_theta() -> tuple[Callable, Callable]:
         return th
 
     def theta_dot(t):
-        return _F_PI / np.sqrt(3.0 + np.cos(2.0 * theta(t)))
+        return stationary_theta_dot(theta(t))
 
     return theta, theta_dot
 
 
-def stationarity_m(angles: InvariantAngles) -> Callable:
-    """Gauge function that makes the action stationary in m:
-
-        m = theta_dot sin(4 alpha) sin^2 theta
-            / (4 cos^2 theta + 2 sin^2(2 alpha) sin^2 theta).
-
-    At alpha = n pi/4 (where sin 4 alpha = 0) and wherever the
-    denominator degenerates, the stationary value is identically 0.
-    Without a closed-form theta_dot, theta is differenced centrally at the
-    times asked for.
-    """
-    if angles.theta_dot is not None:
-        theta_dot = angles.theta_dot
-    else:
-        def theta_dot(t):
-            t = np.asarray(t, dtype=float)
-            return (np.asarray(angles.theta(t + _FD_STEP), dtype=float)
-                    - np.asarray(angles.theta(t - _FD_STEP), dtype=float)) / (2.0 * _FD_STEP)
-
-    def m_of_t(t):
-        t = np.asarray(t, dtype=float)
-        th = np.asarray(angles.theta(t), dtype=float)
-        al = np.asarray(angles.alpha(t), dtype=float)
-        thd = np.asarray(theta_dot(t), dtype=float)
-        s4 = np.sin(4.0 * al)
-        den = 4.0 * np.cos(th) ** 2 + 2.0 * np.sin(2.0 * al) ** 2 * np.sin(th) ** 2
-        num = thd * s4 * np.sin(th) ** 2
-        ok = (np.abs(s4) > 1e-12) & (den > 1e-12)
-        return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-
-    return m_of_t
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    candidate_qn: float
-    min_perturbed_qn: float
-    margin: float
-    n_perturbations: int
-    perturbation_scale: float
-    seed: int
-
-
-def verify_stationarity(angles: InvariantAngles, perturbation_scale: float,
-                        n_perturbations: int = 20, seed: int = 0,
-                        grid: TimeGrid | None = None) -> StationarityReport:
-    """Probe local minimality of qn_lagrangian around a candidate.
-
-    Perturbs theta with random truncated sine series
-    sum_k a_k sin(k pi t), k <= 5, which preserve the boundary
-    values exactly, rescaled so the largest excursion equals
-    ``perturbation_scale``.  Reports the worst (smallest) perturbed
-    action and its margin over the candidate.
-    """
-    grid = grid or TimeGrid(2001)
-    q0 = qn_lagrangian(angles, grid)
-    rng = np.random.default_rng(seed)
-    k = np.arange(1, 6) * math.pi  # the wavenumbers k pi
-
-    def plus_series(base, mode, a):  # t -> base(t) + sum_k a_k mode(k t)
-        return lambda t: (np.asarray(base(t), dtype=float)
-                          + mode(np.multiply.outer(np.asarray(t, dtype=float), k)) @ a)
-
-    grid_modes = np.sin(np.multiply.outer(grid.times, k))
-    worst = math.inf
-    for _ in range(n_perturbations):
-        coeffs = rng.uniform(-1.0, 1.0, size=5)
-        peak = float(np.max(np.abs(grid_modes @ coeffs)))
-        a = coeffs * (perturbation_scale / peak if peak > 0.0 else 0.0)
-        theta_p = plus_series(angles.theta, np.sin, a)
-        theta_dot_p = plus_series(angles.theta_dot, np.cos, a * k) if angles.theta_dot else None
-        pert = InvariantAngles(theta_p, angles.alpha, angles.gamma,
-                               theta_dot_p, angles.alpha_dot, angles.gamma_dot)
-        worst = min(worst, qn_lagrangian(pert, grid))
-    return StationarityReport(q0, worst, worst - q0, n_perturbations,
-                              perturbation_scale, seed)
+def stationary_theta_dot(theta):
+    """theta_dot = c / sqrt(3 + cos 2 theta) of the stationary trajectory, at its theta."""
+    return _F_PI / np.sqrt(3.0 + np.cos(2.0 * theta))

@@ -20,6 +20,12 @@ optimal_noise            minimal noise sensitivity: stationary theta,
 optimal_systematic       zero systematic sensitivity: gamma = n(2 th - sin 2 th);
                          the builder's member has th = pi t/T and WI = 0, and
                          invariant_engineered builds any other th or al
+
+Every family but the bare sweep attaches the invariant angles of its
+error-free evolution on the grid (``ControlField.angles``), which the
+closed-form sensitivities read without an ODE solve.  An on-resonance pulse
+Omega = |Omega| e^{i phi} has theta = its cumulative area,
+alpha = phi - pi/2 (n pi/4 for optimal_noise) and gamma = 0.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, constant, simpson
-from .optimal import solve_optimal_theta
+from .optimal import solve_optimal_theta, stationary_theta_dot
 
 # Named shaped_pi envelopes, functions of t in [0, 1]; a name may stand for its function.
 ENVELOPES = {
@@ -50,29 +56,59 @@ def _on_resonance(amplitude: Callable, c_r: float, c_i: float) -> Callable:
     return channels
 
 
+def _resonant_angles(grid: TimeGrid, theta, theta_dot, alpha: float) -> AngleSamples:
+    """Invariant angles of an on-resonance pulse with Omega = theta_dot e^{i(alpha + pi/2)}:
+    theta its cumulative area, constant alpha, gamma = 0, so alpha_dot = gamma_dot = 0."""
+    zero = np.zeros(1)
+    return AngleSamples(grid, theta, np.full(1, alpha), zero, theta_dot, zero, zero)
+
+
+def _step_simpson(nodes, mids, h: float):
+    """Cumulative integral at the nodes, by Simpson's rule on each step from its two
+    nodes and its midpoint; along the last axis."""
+    steps = (h / 6.0) * (nodes[..., :-1] + 4.0 * mids + nodes[..., 1:])
+    return np.concatenate((np.zeros_like(steps[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
+
+
 def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
-    """Constant Omega T = pi e^{i alpha}, zero detuning."""
+    """Constant Omega T = pi e^{i alpha}, zero detuning; theta = pi t."""
     alpha = _check("flat_pi", alpha=alpha)["alpha"]
-    return ControlField.from_functions(grid, _on_resonance(
-        ENVELOPES["flat"], math.pi * math.cos(alpha), math.pi * math.sin(alpha)),
-        label=f"flat_pi(alpha={alpha:g})")
+    c_r, c_i = math.pi * math.cos(alpha), math.pi * math.sin(alpha)
+    ts = grid.times
+    a = np.ones_like(ts)
+    return ControlField(grid, c_r * a, c_i * a, np.zeros_like(a),
+                        label=f"flat_pi(alpha={alpha:g})",
+                        channels=_on_resonance(ENVELOPES["flat"], c_r, c_i),
+                        angles=_resonant_angles(grid, math.pi * ts, math.pi * a,
+                                                alpha - 0.5 * math.pi))
 
 
 def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlField:
-    """Nonnegative envelope rescaled so the pulse area, by Simpson's rule on the grid, is pi."""
+    """Envelope rescaled so the pulse area, by Simpson's rule on the grid, is pi.
+
+    The envelope must be nonnegative at the nodes and at the step midpoints,
+    which a fourth-order Runge-Kutta step reads too.  theta is the cumulative
+    area by Simpson's rule on each step, rescaled to end at pi.
+    """
     envelope, alpha = _check("shaped_pi", envelope=envelope, alpha=alpha).values()
-    samples = np.asarray(envelope(grid.times), dtype=float)
+    ts = grid.times
+    samples = np.asarray(envelope(ts), dtype=float)
     if samples.shape != (grid.n_steps,):
         raise ValueError(f"envelope has shape {samples.shape}, expected {(grid.n_steps,)}")
+    mids = np.asarray(envelope(0.5 * (ts[:-1] + ts[1:])), dtype=float)
     area = float(simpson(samples, grid.h))
     if area <= 1e-12:
         raise ValueError(f"envelope integrates to {area!r}; cannot normalize to pi")
-    if float(np.min(samples)) < -1e-12:
-        raise ValueError("envelope must be nonnegative")
-    c_r, c_i = math.pi / area * math.cos(alpha), math.pi / area * math.sin(alpha)
+    if min(float(np.min(samples)), float(np.min(mids))) < -1e-12:
+        raise ValueError("envelope must be nonnegative at the grid nodes and step midpoints")
+    scale = math.pi / area
+    c_r, c_i = scale * math.cos(alpha), scale * math.sin(alpha)
+    cumulative = _step_simpson(samples, mids, grid.h)
     return ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples),
                         label=f"shaped_pi(alpha={alpha:g})",
-                        channels=_on_resonance(envelope, c_r, c_i))
+                        channels=_on_resonance(envelope, c_r, c_i),
+                        angles=_resonant_angles(grid, cumulative * (math.pi / cumulative[-1]),
+                                                scale * samples, alpha - 0.5 * math.pi))
 
 
 def _sinusoidal(omega0: float, delta0: float, t):
@@ -116,9 +152,7 @@ def _transitionless(omega0, delta0, grid: TimeGrid):
                    where=np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1))
     # gamma integrates gamma_dot = sqrt(WR^2 + D^2) by Simpson's rule on each step
     gamma_dot = np.sqrt(wr_half * wr_half + d_half * d_half)
-    steps = (grid.h / 6.0) * (gamma_dot[..., :-1:2] + 4.0 * gamma_dot[..., 1::2]
-                              + gamma_dot[..., 2::2])
-    gamma = np.concatenate((np.zeros_like(steps[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
+    gamma = _step_simpson(gamma_dot[..., ::2], gamma_dot[..., 1::2], grid.h)
     zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
     angles = AngleSamples(grid, np.arctan2(wr, -d), zero, gamma, wa, zero,
                           np.ascontiguousarray(gamma_dot[..., ::2]))
@@ -189,7 +223,7 @@ def _invariant_field(angles: InvariantAngles, s: AngleSamples, label: str) -> Co
                              angles.alpha_dot(t), angles.gamma_dot(t))
 
     controls = _controls(s.theta, s.alpha, s.theta_dot, s.alpha_dot, s.gamma_dot)
-    return ControlField(s.grid, *controls, label=label, channels=channels)
+    return ControlField(s.grid, *controls, label=label, channels=channels, angles=s)
 
 
 def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
@@ -197,14 +231,19 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
 
     theta solves the stationarity ODE; the controls are the pi pulse
     WR = -sin(n pi/4) theta_dot, WI = cos(n pi/4) theta_dot, D = 0,
-    so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.
+    so |WR| = |WI| = theta_dot / sqrt(2) with signs set by n.  theta is
+    solved once on the grid and serves both the channels and the angles.
     """
     angles = optimal_noise_angles(n)
+    theta = angles.theta(grid.times)
+    theta_dot = stationary_theta_dot(theta)
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
-    return ControlField.from_functions(
-        grid, _on_resonance(angles.theta_dot, sign_r * math.sqrt(0.5), sign_i * math.sqrt(0.5)),
-        label=f"optimal_noise(n={n})")
+    c_r, c_i = sign_r * math.sqrt(0.5), sign_i * math.sqrt(0.5)
+    return ControlField(grid, c_r * theta_dot, c_i * theta_dot, np.zeros_like(theta_dot),
+                        label=f"optimal_noise(n={n})",
+                        channels=_on_resonance(angles.theta_dot, c_r, c_i),
+                        angles=_resonant_angles(grid, theta, theta_dot, n * math.pi / 4.0))
 
 
 def optimal_noise_angles(n: int = 7) -> InvariantAngles:

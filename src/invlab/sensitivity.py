@@ -9,16 +9,18 @@ more robust; q_N carries units 1/T, q_S is dimensionless.
 Both closed forms (which assume the unperturbed protocol inverts) are
 functionals of one error-free evolution.  A field that carries the
 invariant angles of that evolution (``ControlField.angles``, set by the
-transitionless builder) is read through them: q_N is the action of the
-Lagrangian density L(m, alpha, theta, theta_dot) used by the variational
-machinery in :mod:`invlab.optimal`, and
+builder of every inverting family) is read through them, with no ODE
+solve: q_N is the action of the Lagrangian density L(m, alpha, theta,
+theta_dot) whose stationary point is the noise optimum of
+:mod:`invlab.optimal`, and
 
     q_S = | Int exp(-i gamma) theta_dot sin^2(theta) dt |^2.
 
-Any other field is read through the propagator U(t) = [[a, b], [-b*, a*]]
-of :func:`invlab.dynamics.evolve_propagator`.  Its columns evolve the
-ground state, psi_0 = (a, -b*), and the orthogonal solution from the
-excited state, psi_perp = (b, a*).  Then
+A field without angles (the bare sinusoidal sweep, a field read from
+CSV) is read through the propagator U(t) = [[a, b], [-b*, a*]] of
+:func:`invlab.dynamics.evolve_propagator`, and refused unless it
+inverts.  Its columns evolve the ground state, psi_0 = (a, -b*), and the
+orthogonal solution from the excited state, psi_perp = (b, a*).  Then
 
     q_N = 1/4 Int [WI^2 (r1^2 + r3^2) + WR^2 (r2^2 + r3^2)] dt,
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AngleSamples, ControlField, InvariantAngles, TimeGrid, simpson
+from .core import AngleSamples, ControlField, simpson
 from .dynamics import ErrorSetting, evolve_propagator, final_p2_bloch, final_p2_pure
 
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
@@ -86,7 +88,12 @@ def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float,
 
 
 def _qn_density(s: AngleSamples) -> np.ndarray:
-    """The q_N Lagrangian density L(m, alpha, theta, theta_dot) of ``qn_lagrangian``."""
+    """The q_N Lagrangian density L(m, alpha, theta, theta_dot), with the gauge
+    m = tan(theta)(Delta + alpha_dot) derived from the angle triple:
+
+    L = 1/4 [(cos^2 th + cos^2 al sin^2 th)(m sin al - cos al th_dot)^2
+           + (cos^2 th + sin^2 al sin^2 th)(m cos al + sin al th_dot)^2].
+    """
     sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
     sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
     m = -sin_t * s.gamma_dot  # m = tan(theta)(Delta + alpha_dot) = -sin(theta) gamma_dot
@@ -199,13 +206,6 @@ def qs_formula(field: ControlField) -> SensitivityReport:
     return _formula_report("q_s", _qs_integrand(field.angles), field.grid.h)
 
 
-def qs_invariant(angles: InvariantAngles, grid: TimeGrid | None = None) -> float:
-    """q_S = |Int exp(-i gamma) theta_dot sin^2(theta) dt|^2 by quadrature."""
-    grid = grid or TimeGrid(2001)
-    angles.check_boundaries()
-    return _qs_value(simpson(_qs_integrand(angles.sample(grid)), grid.h))
-
-
 def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityReport:
     """q_S from evolving the Schrodinger equation at several error amplitudes."""
     samples = np.asarray(beta_samples if beta_samples is not None
@@ -213,16 +213,3 @@ def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityR
     p2 = final_p2_pure(field, samples)
     qs, err = _quadratic_fit(samples**2, p2, "beta")
     return SensitivityReport(q_s=qs, method="finite_difference", error_estimate=err)
-
-
-def qn_lagrangian(angles: InvariantAngles, grid: TimeGrid | None = None) -> float:
-    """q_N as the action of the variational density L(m, alpha, theta, theta_dot).
-
-    L = 1/4 [(cos^2 th + cos^2 al sin^2 th)(m sin al - cos al th_dot)^2
-           + (cos^2 th + sin^2 al sin^2 th)(m cos al + sin al th_dot)^2],
-
-    with the gauge m derived from the angle triple.  For a field
-    generated from the same angles this equals qn_formula.
-    """
-    grid = grid or TimeGrid(2001)
-    return float(simpson(_qn_density(angles.sample(grid)), grid.h))

@@ -21,10 +21,10 @@ from invlab import (Axis, GROUND_BLOCH, GROUND_PURE, ErrorSetting,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, monte_carlo_p2, optimal_noise_angles,
                     optimal_systematic_angles, qn_finite_difference, qn_formula,
-                    qn_lagrangian, qn_pi_analytic, qs_finite_difference,
-                    qs_formula, qs_invariant, robustness_curve,
-                    sweep_qn_transitionless, verify_stationarity)
+                    qn_pi_analytic, qs_finite_difference, qs_formula, robustness_curve,
+                    sweep_qn_transitionless)
 from conftest import EX_DELTA0, EX_OMEGA0, src_env
+from stationarity_reference import verify_stationarity
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -53,7 +53,7 @@ def test_c02_optimal_noise_values(grid, optimal_noise_field):
         constant(np.pi / 4.0), constant(0.0),
         lambda t: np.pi - (np.pi / 6.0) * np.cos(2.0 * np.pi * np.asarray(t, dtype=float)),
         constant(0.0), constant(0.0))
-    qn_approx = qn_lagrangian(approx, grid)
+    qn_approx = qn_formula(make_invariant_engineered(approx, grid)).q_n
     ok = (abs(qn_f - 1.82424) < 1e-3 and abs(qn_fd - 1.82424) / 1.82424 < 0.01
           and abs(qn_approx - 1.82538) < 1e-3)
     report(2, f"optimal noise: formula={qn_f:.6f} (1e-3), fd={qn_fd:.6f} (1%), "
@@ -82,13 +82,14 @@ def test_c04_fig2_sweep_minimum(grid):
 
 
 def test_c05_zero_systematic_family(grid):
-    qs_inv = [qs_invariant(optimal_systematic_angles(n)) for n in (1, 2, 3)]
+    qs_inv = [qs_formula(make_invariant_engineered(optimal_systematic_angles(n), grid)).q_s
+              for n in (1, 2, 3)]
     field = make_optimal_systematic(1, grid)
     qs_field = qs_formula(field).q_s
     curve = robustness_curve(field, "beta", Axis("beta", 0.0, 0.05, 2))
     p2_beta = float(curve.values[1])
     ok = (max(qs_inv) <= 1e-10 and qs_field <= 1e-8 and p2_beta >= 1.0 - 1e-3)
-    report(5, f"zero-systematic family: qs_invariant n=1,2,3 max={max(qs_inv):.2e} "
+    report(5, f"zero-systematic family: angle-route q_S n=1,2,3 max={max(qs_inv):.2e} "
               f"(<=1e-10), qs_formula={qs_field:.2e} (<=1e-8), "
               f"P2(beta=0.05)={p2_beta:.6f} (>=1-1e-3)", ok)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import invlab.cli as cli_module
+import invlab.sensitivity as sensitivity_module
 from invlab import ControlField, TimeGrid, make_transitionless, qn_formula, qs_formula
 from invlab.cli import main
 from invlab.protocols import PROTOCOLS
@@ -561,6 +562,35 @@ def test_coarse_sweep_cells_are_the_fields_angle_values(tmp_path, figure, formul
         field = make_transitionless(float(omega0), float(delta0), TimeGrid(3))
         assert field.angles is not None
         assert float(value) == getattr(formula(field), key)
+
+
+CLI_KINDS = {
+    "flat_pi": ["--kind", "flat_pi", "--alpha", "0.3"],
+    "shaped_pi": ["--kind", "shaped_pi", "--envelope", "flat"],
+    "sinusoidal_adiabatic": ["--kind", "sinusoidal_adiabatic", *FIG1],
+    "transitionless": ["--kind", "transitionless", *FIG1],
+    "optimal_noise": ["--kind", "optimal_noise", "--n", "3"],
+    "optimal_systematic": ["--kind", "optimal_systematic", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", CLI_KINDS)
+def test_formula_reports_solve_no_ode_but_for_the_bare_sweep(tmp_path, capsys, monkeypatch,
+                                                             kind):
+    def refuse(field, *args, **kwargs):
+        raise RuntimeError("no propagator solve")
+
+    monkeypatch.setattr(sensitivity_module, "evolve_propagator", refuse)
+    out = tmp_path / "report.json"
+    rc = run_cli(["sensitivity", *CLI_KINDS[kind], "--method", "formula",
+                  "--grid-steps", "401", "--out", str(out)])
+    if kind == "sinusoidal_adiabatic":  # the one CLI kind without angles
+        assert rc == 1
+        assert capsys.readouterr().err == "invlab: no propagator solve\n"
+        return
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert math.isfinite(report["q_n"]) and math.isfinite(report["q_s"])
 
 
 @pytest.mark.parametrize("figure", ["1", "4"])

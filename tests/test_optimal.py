@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc
 
 from invlab import (InvariantAngles, TimeGrid, constant, first_integral_constant,
-                    make_optimal_noise, optimal, optimal_noise_angles, qn_lagrangian,
-                    solve_optimal_theta, stationarity_m, verify_stationarity)
+                    make_invariant_engineered, make_optimal_noise, optimal,
+                    optimal_noise_angles, qn_formula, solve_optimal_theta)
 from shooting_reference import ode_residual, solve_optimal_theta_shooting
+from stationarity_reference import stationarity_m, verify_stationarity
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +49,15 @@ def test_solution_qn_value(grid):
     theta, theta_dot = solve_optimal_theta()
     ang = InvariantAngles(theta, constant(math.pi / 4.0), constant(0.0),
                           theta_dot, constant(0.0), constant(0.0))
-    assert qn_lagrangian(ang, grid) == pytest.approx(1.82424, abs=1e-3)
+    q = qn_formula(make_invariant_engineered(ang, grid)).q_n
+    assert q == pytest.approx(1.82424, abs=1e-3)
     # closed form of the stationary action: c^2 T / 16
-    assert qn_lagrangian(ang, grid) == pytest.approx(first_integral_constant()**2 / 16.0,
-                                                     abs=1e-9)
+    assert q == pytest.approx(first_integral_constant()**2 / 16.0, abs=1e-9)
 
 
 def test_first_integral_series_matches_the_elliptic_integral():
     # F(theta) = 2 E(theta | 1/2) on [-pi, 2pi], beyond [0, pi] because stationarity_m
-    # differences theta at t = -1e-5 and T + 1e-5
+    # differences theta at t = -2e-4 and 1 + 2e-4
     th = np.linspace(-math.pi, 2.0 * math.pi, 200_001)
     f, slope = optimal._first_integral(th)
     assert np.max(np.abs(f - 2.0 * ellipeinc(th, 0.5))) < 4e-15
@@ -133,7 +134,7 @@ def test_stationarity_m_derivative_fallback():
 
 def test_stationarity_m_derivative_fallback_on_curved_thetas():
     # a curved theta on [0, 1], and the optimum, whose fallback reads theta at
-    # t = -1e-5 and 1 + 1e-5, outside [0, 1]
+    # t = -2e-4 and 1 + 2e-4, outside [0, 1]
     def theta(t):
         t = np.asarray(t, dtype=float)
         return np.pi * t + 0.1 * np.sin(np.pi * t)
@@ -171,7 +172,7 @@ def test_linear_theta_with_diagonal_alpha_is_suboptimal(grid):
     ang = InvariantAngles(lambda t: np.pi * np.asarray(t, dtype=float),
                           constant(math.pi / 4.0), constant(0.0),
                           constant(np.pi), constant(0.0), constant(0.0))
-    q = qn_lagrangian(ang, grid)
+    q = qn_formula(make_invariant_engineered(ang, grid)).q_n
     assert q > 1.82424
     # own quadrature oracle: (1/16) int theta_dot^2 (3 + cos 2 theta) dt = 3 pi^2/16
     assert q == pytest.approx(3.0 * math.pi**2 / 16.0, abs=1e-9)

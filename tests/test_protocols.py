@@ -73,6 +73,13 @@ def test_shaped_pi_rejects_zero_and_negative_envelopes(grid):
         make_shaped_pi(lambda t: np.sin(2.0 * np.pi * np.asarray(t)), 0.0, grid)
 
 
+def test_shaped_pi_rejects_an_envelope_negative_at_a_step_midpoint():
+    # every node reads 1 and every midpoint -1, and a Runge-Kutta step reads both
+    envelope = lambda t: np.cos(2.0 * np.pi * 2000.0 * np.asarray(t, dtype=float))
+    with pytest.raises(ValueError, match="nonnegative at the grid nodes and step midpoints"):
+        make_shaped_pi(envelope, 0.0, TimeGrid(2001))
+
+
 def test_sinusoidal_endpoints(grid):
     f = make_sinusoidal(2.0, 1.5, grid)
     wr, wi, d = f.values(np.array([0.0, 0.5, 1.0]))

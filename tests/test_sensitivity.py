@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
-                    evolve_propagator, make_flat_pi, make_optimal_systematic, make_shaped_pi,
-                    make_sinusoidal, make_transitionless, optimal_systematic_angles,
-                    qn_finite_difference, qn_formula, qn_lagrangian,
-                    qn_pi_analytic, qs_finite_difference, qs_formula,
-                    qs_invariant, solve_optimal_theta)
+                    evolve_propagator, make_flat_pi, make_invariant_engineered,
+                    make_optimal_noise, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
+                    make_transitionless, optimal_systematic_angles, qn_finite_difference,
+                    qn_formula, qn_pi_analytic, qs_finite_difference, qs_formula,
+                    solve_optimal_theta)
 from invlab import sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
@@ -23,6 +23,11 @@ PI2_4 = math.pi**2 / 4.0
 SIN_ENVELOPE = lambda t: np.sin(np.pi * np.asarray(t, dtype=float))
 SIN2_ENVELOPE = lambda t: np.sin(np.pi * np.asarray(t, dtype=float)) ** 2
 PARABOLA_ENVELOPE = lambda t: np.asarray(t, dtype=float) * (1.0 - np.asarray(t, dtype=float))
+
+
+def engineered(angles, grid=TimeGrid(2001)):
+    """The field of ``angles``, which carries them: its formulas read the angles' action."""
+    return make_invariant_engineered(angles, grid)
 
 
 def linear_theta_angles(alpha, gamma_dot_const=0.0):
@@ -153,8 +158,8 @@ def test_qs_invariant_constant_gamma_theta_independent():
         (lambda t: np.pi * np.sin(0.5 * np.pi * np.asarray(t, dtype=float)),
          lambda t: 0.5 * np.pi**2 * np.cos(0.5 * np.pi * np.asarray(t, dtype=float))),
     ]
-    values = [qs_invariant(InvariantAngles(th, constant(0.0), constant(0.7),
-                                           thd, constant(0.0), constant(0.0)))
+    values = [qs_formula(engineered(InvariantAngles(th, constant(0.0), constant(0.7),
+                                                    thd, constant(0.0), constant(0.0)))).q_s
               for th, thd in thetas]
     for v in values:
         assert v == pytest.approx(PI2_4, abs=1e-9)
@@ -163,7 +168,7 @@ def test_qs_invariant_constant_gamma_theta_independent():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_qs_invariant_zero_family(n):
-    assert qs_invariant(optimal_systematic_angles(n)) <= 1e-10
+    assert qs_formula(engineered(optimal_systematic_angles(n))).q_s <= 1e-10
 
 
 def test_qs_invariant_small_n_limit():
@@ -175,7 +180,7 @@ def test_qs_invariant_small_n_limit():
                        - np.sin(2.0 * np.pi * np.asarray(t, dtype=float))),
         constant(np.pi), constant(0.0),
         lambda t: 4.0 * n * np.sin(np.pi * np.asarray(t, dtype=float)) ** 2 * np.pi)
-    q = qs_invariant(ang)
+    q = qs_formula(engineered(ang)).q_s
     assert q == pytest.approx(math.sin(n * math.pi) ** 2 / (4.0 * n**2), abs=1e-9)
     assert q == pytest.approx(PI2_4, abs=1e-4)
 
@@ -188,13 +193,14 @@ def test_qs_invariant_half_integer():
                          - np.sin(2.0 * np.pi * np.asarray(t, dtype=float))),
         constant(np.pi), constant(0.0),
         lambda t: 2.0 * np.sin(np.pi * np.asarray(t, dtype=float)) ** 2 * np.pi)
-    assert qs_invariant(ang) == pytest.approx(1.0, abs=1e-9)
+    assert qs_formula(engineered(ang)).q_s == pytest.approx(1.0, abs=1e-9)
 
 
 def test_qs_invariant_matches_qs_formula_on_generated_field(grid):
-    ang = optimal_systematic_angles(1)
+    # the angle route against the propagator route of the same field
     f = make_optimal_systematic(1, grid)
-    assert abs(qs_invariant(ang, grid) - qs_formula(f).q_s) < 1e-6
+    solved = dataclasses.replace(f, angles=None)
+    assert abs(qs_formula(f).q_s - qs_formula(solved).q_s) < 1e-6
 
 
 def test_qs_finite_difference_flat(flat_field):
@@ -207,14 +213,14 @@ def test_qs_finite_difference_optimal_systematic(grid):
 
 
 def test_qn_lagrangian_flat_candidate():
-    assert qn_lagrangian(linear_theta_angles(0.0)) == pytest.approx(PI2_4, abs=1e-9)
+    assert qn_formula(engineered(linear_theta_angles(0.0))).q_n == pytest.approx(PI2_4, abs=1e-9)
 
 
 def test_qn_lagrangian_optimal_candidate(grid):
     theta, theta_dot = solve_optimal_theta()
     ang = InvariantAngles(theta, constant(np.pi / 4.0), constant(0.0),
                           theta_dot, constant(0.0), constant(0.0))
-    assert qn_lagrangian(ang, grid) == pytest.approx(1.82424, abs=1e-3)
+    assert qn_formula(engineered(ang, grid)).q_n == pytest.approx(1.82424, abs=1e-3)
 
 
 def test_qn_lagrangian_approximate_solution():
@@ -222,14 +228,15 @@ def test_qn_lagrangian_approximate_solution():
     theta_dot = lambda t: np.pi - (np.pi / 6.0) * np.cos(2.0 * np.pi * np.asarray(t, dtype=float))
     ang = InvariantAngles(theta, constant(np.pi / 4.0), constant(0.0),
                           theta_dot, constant(0.0), constant(0.0))
-    assert qn_lagrangian(ang) == pytest.approx(1.82538, abs=1e-3)
+    assert qn_formula(engineered(ang)).q_n == pytest.approx(1.82538, abs=1e-3)
 
 
 def test_qn_lagrangian_matches_qn_formula_for_generated_field(grid):
-    # nontrivial angles: detuned field with a time-dependent gauge
-    ang = optimal_systematic_angles(1)
+    # nontrivial angles: detuned field with a time-dependent gauge; the angle
+    # route against the propagator route of the same field
     f = make_optimal_systematic(1, grid)
-    assert abs(qn_lagrangian(ang, grid) - qn_formula(f).q_n) < 1e-6
+    solved = dataclasses.replace(f, angles=None)
+    assert abs(qn_formula(f).q_n - qn_formula(solved).q_n) < 1e-6
 
 
 @pytest.mark.parametrize("make", [
@@ -261,9 +268,9 @@ def test_optimal_below_transitionless_configurations(grid, optimal_noise_field):
         assert qn_formula(make_transitionless(om0, d0, grid)).q_n > q_opt
 
 
-def _both_routes(omega0, delta0, n):
+def _both_routes(build, n):
     """(q_N, q_S) from the field's angles and from its RK4 propagator, on n points."""
-    field = make_transitionless(omega0, delta0, TimeGrid(n))
+    field = build(TimeGrid(n))
     solved = dataclasses.replace(field, angles=None)
     return [(qn_formula(f).q_n, qs_formula(f).q_s) for f in (field, solved)]
 
@@ -281,11 +288,65 @@ def test_angle_route_matches_propagator_route(omega0, delta0):
     # own change from 401 to 1601 points; two of those bound the distance
     # between them.  401 to 801 points is not enough: near the stiff edges the
     # RK4 route is not yet in its asymptotic regime at 401 points.
-    angle, solved = _both_routes(omega0, delta0, 401)
-    angle_fine, solved_fine = _both_routes(omega0, delta0, 1601)
+    _assert_routes_agree(lambda g: make_transitionless(omega0, delta0, g))
+
+
+def _assert_routes_agree(build):
+    angle, solved = _both_routes(build, 401)
+    angle_fine, solved_fine = _both_routes(build, 1601)
     for k in range(2):
         refinement = abs(angle[k] - angle_fine[k]) + abs(solved[k] - solved_fine[k])
         assert abs(angle[k] - solved[k]) <= 2.0 * refinement + 1e-12 * abs(solved[k])
+
+
+def _curved_angles(closed):
+    """A detuned angle triple with a time-dependent gauge, with or without closed derivatives."""
+    theta = lambda t: np.pi * np.asarray(t, dtype=float) + 0.2 * np.sin(np.pi * np.asarray(t))
+    alpha = lambda t: 0.3 + 0.2 * np.sin(np.pi * np.asarray(t, dtype=float))
+    gamma = lambda t: 0.7 * (1.0 - np.cos(np.pi * np.asarray(t, dtype=float)))
+    if not closed:
+        return InvariantAngles(theta, alpha, gamma)
+    return InvariantAngles(
+        theta, alpha, gamma,
+        lambda t: np.pi + 0.2 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float)),
+        lambda t: 0.2 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float)),
+        lambda t: 0.7 * np.pi * np.sin(np.pi * np.asarray(t, dtype=float)))
+
+
+# every angle-carrying family but transitionless: name -> builder of its field on a grid
+ANGLE_FAMILIES = {
+    "flat_pi": lambda g: make_flat_pi(0.3, g),
+    "shaped_pi_sin": lambda g: make_shaped_pi("sin", 0.4, g),
+    "shaped_pi_flat": lambda g: make_shaped_pi("flat", 0.0, g),
+    "shaped_pi_sin2": lambda g: make_shaped_pi(SIN2_ENVELOPE, 2.0, g),
+    **{f"optimal_noise_{n}": (lambda g, n=n: make_optimal_noise(n, g)) for n in (1, 3, 5, 7)},
+    **{f"optimal_systematic_{n}": (lambda g, n=n: make_optimal_systematic(n, g)) for n in (1, 2)},
+    "invariant_engineered_closed": lambda g: make_invariant_engineered(_curved_angles(True), g),
+    "invariant_engineered_sampled": lambda g: make_invariant_engineered(_curved_angles(False), g),
+}
+
+
+@pytest.mark.parametrize("name", ANGLE_FAMILIES)
+def test_angle_route_matches_propagator_route_on_every_family(name):
+    _assert_routes_agree(ANGLE_FAMILIES[name])
+
+
+@pytest.mark.parametrize("n", [11, 401, 2001, 2002])
+@pytest.mark.parametrize("name", [*ANGLE_FAMILIES, "transitionless"])
+def test_every_family_reads_angles_from_0_to_pi_without_an_ode(monkeypatch, name, n):
+    # the builder guarantees the inversion boundaries the angle route relies on,
+    # and both formulas read the angles without a propagator solve
+    def refuse(field, *args, **kwargs):
+        raise AssertionError(f"propagator solve of {field.label}")
+
+    monkeypatch.setattr(sensitivity, "evolve_propagator", refuse)
+    build = ANGLE_FAMILIES.get(name, lambda g: make_transitionless(3.0, 2.0, g))
+    field = build(TimeGrid(n))
+    assert math.isfinite(qn_formula(field).q_n) and math.isfinite(qs_formula(field).q_s)
+    theta = field.angles.theta
+    assert theta.shape == (n,)
+    assert theta[0] == 0.0
+    assert abs(theta[-1] - math.pi) <= 1e-9
 
 
 @pytest.mark.parametrize("make", [lambda g: make_flat_pi(0.0, g),
@@ -310,8 +371,9 @@ def test_error_estimate_on_a_3_mod_4_grid_reads_like_its_neighbour(n, neighbour,
     assert qn_formula(field).error_estimate <= qn_bound
 
 
-@pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.0, g),
-                                   lambda g: make_optimal_systematic(1, g)])
+@pytest.mark.parametrize("build", [
+    lambda g: dataclasses.replace(make_flat_pi(0.0, g), angles=None),
+    lambda g: dataclasses.replace(make_optimal_systematic(1, g), angles=None)])
 def test_formulas_share_one_unperturbed_solve(monkeypatch, build):
     solves = []
 

@@ -42,6 +42,10 @@ def runs():
                                         "2.5", "--out", f"protocol_{name}.json"]
         yield f"sensitivity_{name}", ["sensitivity", *kind, "--method", "both",
                                       "--out", f"sensitivity_{name}.json"]
+        # on 11 points the angle route and the propagator route of the formulas differ most
+        yield f"sensitivity_{name}_coarse", ["sensitivity", *kind, "--method", "formula",
+                                             "--grid-steps", "11",
+                                             "--out", f"sensitivity_{name}_coarse.json"]
     # --duration is the one place T enters: q_N divides by T, q_S stays
     for name in ("transitionless", "optimal_noise_7"):
         yield f"sensitivity_{name}_duration", [
