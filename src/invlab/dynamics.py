@@ -22,16 +22,20 @@ matrix polynomial in the node, midpoint and next-node generators:
     P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
 
 and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms the P_i
-with numpy for one error setting, a chunk of steps at a time: a real 3x3
-matrix for the Bloch equation, and for the pure state the pair (a, b) of
-the SU(2)-form matrix [[a, b], [-b*, a*]], a set the RK4 polynomial never
-leaves.  Within a chunk, trajectories come from a log-depth prefix product
-of the steps, final states from a product reduction over the same tree;
-chunks are chained in time order, so a final state is bit-identical
-either way.  Callers that need only P2(T) pass a list of error settings,
-solved one after another on the field's shared stage tables.  Columns of
-the propagated pure-state matrix evolve the ground and excited states
-together.
+with numpy, a chunk of steps at a time: a real 3x3 matrix for the Bloch
+equation, and for the pure state the pair (a, b) of the SU(2)-form matrix
+[[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  A Bloch step
+table is formed per error setting, each stage in place in its own buffer.
+The pure-state generator is the pair (i d/2, omega w) with omega = 1 + beta,
+so a pair step is P = (p0 + omega^2 p2 + omega^4 p4, omega (q1 + omega^2 q3)):
+its five tables are formed once per chunk from elementwise products of the
+channels, and each beta's steps are their Horner evaluation.  Within a
+chunk, trajectories come from a log-depth prefix product of the steps,
+final states from a product reduction over the same tree; chunks are
+chained in time order, so a final state is bit-identical either way.
+Callers that need only P2(T) pass a list of error settings, solved chunk by
+chunk on the field's shared stage tables.  Columns of the propagated
+pure-state matrix evolve the ground and excited states together.
 
 The stochastic engine is the simplified weak Euler scheme (Kloeden &
 Platen 1992, ch. 14.1) for the Ito stochastic Schrodinger equation
@@ -155,27 +159,40 @@ class EnsembleResult:
 
 
 # A solve forms, reduces and chains its steps _CHUNK_BYTES // identity.nbytes
-# at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB step table.  Measured
-# on 2001 points: whole-grid tables (144 KiB a Bloch solve) page-faulted on every
-# call and ran the entry points 15-20% slower; 1024 pure-state steps a chunk ran
-# final_p2_pure of 10 betas 10-50% slower.
+# at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB step table (a pure-state
+# chunk also keeps its five omega tables, 36 KiB each).  Measured on 2001 points:
+# whole-grid tables (144 KiB a Bloch solve) page-faulted on every call and ran the
+# entry points 15-20% slower; 1024 pure-state steps a chunk ran final_p2_pure of
+# 10 betas 10-50% slower.
 _CHUNK_BYTES = 72 * 1024
+_IDENTITY3 = np.eye(3)[:, :, None]
+
+
+def _stages(field: ControlField, lo: int, hi: int):
+    """Channels read by steps lo .. hi-1: nodes lo .. hi, midpoints lo .. hi-1; and h."""
+    nodes, mids = field.stage_tables
+    return [w[lo:hi + 1] for w in nodes], [w[lo:hi] for w in mids], field.grid.h
 
 
 def _bloch_generator(w, setting: ErrorSetting) -> np.ndarray:
     """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points)."""
     wr, wi, d = w
-    om, l2 = 1.0 + setting.beta, setting.lambda2
+    om, c = 1.0 + setting.beta, -0.5 * setting.lambda2
     g = np.empty((3, 3, wr.size))
-    g[0, 0] = -0.5 * l2 * wi * wi
+    np.multiply(wi, wi, out=g[0, 0])  # scratch for the (2, 2) sum
+    np.multiply(wr, wr, out=g[2, 2])
+    g[2, 2] += g[0, 0]
+    g[2, 2] *= c
+    np.multiply(c, wi, out=g[0, 0])
+    g[0, 0] *= wi
+    np.multiply(c, wr, out=g[1, 1])
+    g[1, 1] *= wr
     g[0, 1] = d
-    g[0, 2] = om * wi
-    g[1, 0] = -d
-    g[1, 1] = -0.5 * l2 * wr * wr
-    g[1, 2] = -om * wr
-    g[2, 0] = -om * wi
-    g[2, 1] = om * wr
-    g[2, 2] = -0.5 * l2 * (wr * wr + wi * wi)
+    np.negative(d, out=g[1, 0])
+    np.multiply(om, wi, out=g[0, 2])
+    np.multiply(-om, wi, out=g[2, 0])
+    np.multiply(om, wr, out=g[2, 1])
+    np.multiply(-om, wr, out=g[1, 2])
     return g
 
 
@@ -184,45 +201,117 @@ def _bloch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", x, y)
 
 
-def _pure_generator(w, beta: float) -> np.ndarray:
-    """-i (H0 + beta H1) at channel samples w as the pair (a, b), shape (2, points)."""
-    wr, wi, d = w
-    g = np.empty((2, wr.size), dtype=complex)
-    g[0] = 0.5j * d
-    g[1] = -0.5 * (1.0 + beta) * (wi + 1j * wr)
-    return g
+def _bloch_stage(a: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+    """A + c A K, in the buffer of the product A K."""
+    out = _bloch_mul(a, k)
+    out *= c
+    out += a
+    return out
+
+
+def _step_propagators(stages, setting: ErrorSetting) -> np.ndarray:
+    """Classical RK4 steps of the Bloch equation as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+
+    For a linear ODE y' = A(t) y one RK4 step is y -> P y with
+    K1 = A_n, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2),
+    K4 = A_n+1 (I + h K3), A at the node, midpoint and next node of
+    ``_stages``.  Shape (3, 3, steps).
+    """
+    nodes, mids, h = stages
+    g = _bloch_generator(nodes, setting)
+    a_n, a_next = g[..., :-1], g[..., 1:]
+    a_m = _bloch_generator(mids, setting)
+    k2 = _bloch_stage(a_m, a_n, 0.5 * h)
+    k3 = _bloch_stage(a_m, k2, 0.5 * h)
+    k4 = _bloch_stage(a_next, k3, h)
+    p = k2  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
+    p += k3
+    p *= 2.0
+    p += a_n
+    p += k4
+    p *= h / 6.0
+    p += _IDENTITY3
+    return p
 
 
 def _pair_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Product of matrices [[a, b], [-b*, a*]] stored as their first rows (a, b)."""
-    a, b = x
-    c, d = y
-    return np.stack((a * c - b * d.conj(), a * d + b * c.conj()))
+    out = x[0] * y  # (a c, a d)
+    t = x[1] * y[::-1].conj()  # (b d*, b c*)
+    out[0] -= t[0]
+    out[1] += t[1]
+    return out
 
 
-# engine -> (generator, product, identity); the identity broadcasts over steps
-_BLOCH = (_bloch_generator, _bloch_mul, np.eye(3)[:, :, None])
-_PURE = (_pure_generator, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
+def _omega_stage(a: np.ndarray, b: np.ndarray, k: list, c: float) -> list:
+    """A + c A K for the pair A = (a, omega b) and a series K in omega, one row longer than K.
 
-
-def _step_propagators(field: ControlField, engine, param, lo: int, hi: int) -> np.ndarray:
-    """Classical RK4 steps lo .. hi-1 as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
-
-    For a linear ODE y' = A(t) y one RK4 step is y -> P y with
-    K1 = A_n, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2),
-    K4 = A_n+1 (I + h K3), A at the node, midpoint and next node.
-    Shape: engine components, then hi - lo.
+    Row j of a series is the coefficient of omega^j: of the a-entry for even
+    j, of the b-entry for odd j.  As in ``_pair_mul``, a multiplies every
+    row, and b conj(K_j), of degree j + 1, is subtracted from the a-entry or
+    added to the b-entry.
     """
-    generator, mul, ident = engine
-    nodes, mids = field.stage_tables
-    h = field.grid.h
-    g = generator([w[lo:hi + 1] for w in nodes], param)
-    a_n, a_next = g[..., :-1], g[..., 1:]
-    a_m = generator([w[lo:hi] for w in mids], param)
-    k2 = a_m + 0.5 * h * mul(a_m, a_n)
-    k3 = a_m + 0.5 * h * mul(a_m, k2)
-    k4 = a_next + h * mul(a_next, k3)
-    return ident + h / 6.0 * (a_n + 2.0 * (k2 + k3) + k4)
+    ca, cb = c * a, c * b
+    out = [ca * x for x in k] + [0.0]
+    for j, x in enumerate(k):
+        t = x.conj()
+        t *= cb
+        if j % 2:
+            out[j + 1] -= t
+        else:
+            out[j + 1] += t
+    out[0] += a
+    out[1] += b
+    return out
+
+
+def _omega_tables(field: ControlField, lo: int, hi: int) -> list:
+    """RK4 steps lo .. hi-1 of the pair form as polynomials in omega = 1 + beta.
+
+    The generator -i (H0 + beta H1) is the pair (a, omega w) with
+    a = i d/2 and w = -(W_I + i W_R)/2, so K1 .. K4 are series of degree 1
+    to 4 in omega, and the step is P = (p0 + omega^2 p2 + omega^4 p4,
+    omega (q1 + omega^2 q3)).  Returns the tables [p0, q1, p2, q3, p4].
+    """
+    nodes, mids, h = _stages(field, lo, hi)
+    (a, w), (a_m, w_m) = [(0.5j * d, -0.5 * (wi + 1j * wr)) for wr, wi, d in (nodes, mids)]
+    k1 = [a[:-1], w[:-1]]
+    k2 = _omega_stage(a_m, w_m, k1, 0.5 * h)
+    k3 = _omega_stage(a_m, w_m, k2, 0.5 * h)
+    p = _omega_stage(a[1:], w[1:], k3, h)  # K4
+    for j, x in enumerate(k3):  # p = I + h/6 (K1 + 2 (K2 + K3) + K4)
+        if j < 3:
+            x += k2[j]
+        x *= 2.0
+        if j < 2:
+            x += k1[j]
+        p[j] += x
+    for x in p:
+        x *= h / 6.0
+    p[0] += 1.0
+    return p
+
+
+def _omega_steps(tables: list, beta: float) -> np.ndarray:
+    """The pair step table at omega = 1 + beta, by Horner in omega^2, shape (2, steps)."""
+    p0, q1, p2, q3, p4 = tables
+    omega = 1.0 + beta
+    s = omega * omega  # inf past overflow: the tables turn inf and NaN, which the bound refuses
+    out = np.empty((2, p0.size), dtype=complex)
+    np.multiply(p4, s, out=out[0])
+    out[0] += p2
+    out[0] *= s
+    out[0] += p0
+    np.multiply(q3, s, out=out[1])
+    out[1] += q1
+    out[1] *= omega
+    return out
+
+
+# engine -> (chunk tables, step table of one error setting, product, identity);
+# the identity broadcasts over steps
+_BLOCH = (_stages, _step_propagators, _bloch_mul, _IDENTITY3)
+_PURE = (_omega_tables, _omega_steps, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
 
 
 def _scan(mul, p: np.ndarray) -> np.ndarray:
@@ -244,12 +333,20 @@ def _scan(mul, p: np.ndarray) -> np.ndarray:
 
 
 def _product(mul, p: np.ndarray) -> np.ndarray:
-    """Ordered product P_n-1 ... P_0 along the last axis (kept, with length 1)."""
-    n = p.shape[-1]
-    if n == 1:
-        return p
-    total = _product(mul, mul(p[..., 1::2], p[..., 0:n - 1:2]))
-    return mul(p[..., n - 1:], total) if n % 2 else total
+    """Ordered product P_n-1 ... P_0 along the last axis (kept, with length 1).
+
+    Pairs are multiplied level by level; an odd level's last entry waits,
+    and the waiting entries multiply the pairs' product deepest level first.
+    """
+    tails = []
+    while p.shape[-1] > 1:
+        n = p.shape[-1]
+        if n % 2:
+            tails.append(p[..., n - 1:])
+        p = mul(p[..., 1::2], p[..., 0:n - 1:2])
+    for tail in reversed(tails):
+        p = mul(tail, p)
+    return p
 
 
 def _apply_bloch(m: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -294,21 +391,24 @@ def _require_bounded(states: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
-def _solve(field: ControlField, engine, param, reduce) -> np.ndarray:
-    """``reduce`` (``_scan`` or ``_product``) of the RK4 steps, chunk by chunk in time order.
+def _solve(field: ControlField, engine, params, reduce) -> list:
+    """``reduce`` (``_scan`` or ``_product``) of the RK4 steps of each param, chunk by chunk.
 
-    Each chunk is reduced on its own and multiplied onto the last entry of
-    the previous one, so the last entry is P_n-1 ... P_0.  A chunk's last
-    scanned prefix is its ``_product``, so both reductions give it bit for bit.
+    A chunk's tables are formed once and serve every param.  Each chunk is
+    reduced on its own and multiplied onto the last entry of the previous
+    one, so the last entry is P_n-1 ... P_0.  A chunk's last scanned prefix
+    is its ``_product``, so both reductions give it bit for bit.
     """
-    mul, ident = engine[1:]
+    tables, steps, mul, ident = engine
     n = field.grid.n_steps - 1
     size = _CHUNK_BYTES // ident.nbytes
-    parts = []
+    runs = [[] for _ in params]
     for lo in range(0, n, size):
-        s = reduce(mul, _step_propagators(field, engine, param, lo, min(lo + size, n)))
-        parts.append(mul(s, parts[-1][..., -1:]) if parts else s)
-    return np.concatenate(parts, axis=-1)
+        chunk = tables(field, lo, min(lo + size, n))
+        for param, run in zip(params, runs):
+            s = reduce(mul, steps(chunk, param))
+            run.append(mul(s, run[-1][..., -1:]) if run else s)
+    return [np.concatenate(run, axis=-1) for run in runs]
 
 
 def evolve_pure(field: ControlField, psi0: PureState, beta: float = 0.0) -> Trajectory:
@@ -331,7 +431,7 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
     u = np.empty((field.grid.n_steps, 2), dtype=complex)
     u[0] = (1.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        u[1:] = _solve(field, _PURE, beta, _scan).T
+        u[1:] = _solve(field, _PURE, [beta], _scan)[0].T
     _require_bounded(u, "pure-state")
     return u
 
@@ -343,7 +443,7 @@ def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = Er
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
     with np.errstate(over="ignore", invalid="ignore"):
-        out[1:] = _apply_bloch(_solve(field, _BLOCH, setting, _scan), r).T
+        out[1:] = _apply_bloch(_solve(field, _BLOCH, [setting], _scan)[0], r).T
     _require_bounded(out, "Bloch")
     return Trajectory(field.grid, out, "bloch")
 
@@ -354,8 +454,8 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     _require_rk4_stable(field, settings)
     m = np.empty((3, 3, len(settings)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, s in enumerate(settings):
-            m[..., k] = _solve(field, _BLOCH, s, _product)[..., -1]
+        for k, run in enumerate(_solve(field, _BLOCH, settings, _product)):
+            m[..., k] = run[..., -1]
         r = _apply_bloch(m, GROUND_BLOCH.as_array())
     _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
@@ -366,8 +466,8 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     betas = [ErrorSetting(beta=b).beta for b in betas]  # rejects a non-finite beta
     u = np.empty((2, len(betas)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, b in enumerate(betas):
-            u[:, k] = _solve(field, _PURE, b, _product)[:, -1]
+        for k, run in enumerate(_solve(field, _PURE, betas, _product)):
+            u[:, k] = run[:, -1]
         c = _apply_pair(u, 1.0 + 0.0j, 0.0j)
     _require_bounded(c, "pure-state")
     return _pure_p2(c[0], c[1])

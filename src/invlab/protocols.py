@@ -104,11 +104,15 @@ def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlF
     scale = math.pi / area
     c_r, c_i = scale * math.cos(alpha), scale * math.sin(alpha)
     cumulative = _step_simpson(samples, mids, grid.h)
-    return ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples),
-                        label=f"shaped_pi(alpha={alpha:g})",
-                        channels=_on_resonance(envelope, c_r, c_i),
-                        angles=_resonant_angles(grid, cumulative * (math.pi / cumulative[-1]),
-                                                scale * samples, alpha - 0.5 * math.pi))
+    field = ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples),
+                         label=f"shaped_pi(alpha={alpha:g})",
+                         channels=_on_resonance(envelope, c_r, c_i),
+                         angles=_resonant_angles(grid, cumulative * (math.pi / cumulative[-1]),
+                                                 scale * samples, alpha - 0.5 * math.pi))
+    # the RK4 midpoints were sampled above: seed the field's stage tables with the channels there
+    nodes = (field.omega_r, field.omega_i, field.delta)
+    vars(field)["stage_tables"] = nodes, (c_r * mids, c_i * mids, np.zeros_like(mids))
+    return field
 
 
 def _sinusoidal(omega0: float, delta0: float, t):

@@ -8,6 +8,7 @@ increments decoded from each trajectory's stream.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,23 +167,33 @@ def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda
 
 
 def test_step_tables_stay_within_the_chunk_budget(monkeypatch):
+    # tables are recorded where they are formed: the Bloch step tables, and per
+    # pure-state chunk the five omega tables (rows) and each beta's step table
     field = make_transitionless(4.0, 5.0, TimeGrid(5001))
-    sizes = []
-    step_propagators = dynamics._step_propagators
+    sizes = {"bloch": [], "omega": [], "pure": []}
 
-    def recording(*args):
-        p = step_propagators(*args)
-        sizes.append((p.dtype, p.nbytes))
-        return p
+    def recording(kind, form, rows):
+        def formed(*args):
+            p = form(*args)
+            sizes[kind].extend((t.dtype, t.nbytes) for t in (p if rows else [p]))
+            return p
+        return formed
 
-    monkeypatch.setattr(dynamics, "_step_propagators", recording)
+    tables, steps, mul, ident = dynamics._BLOCH
+    monkeypatch.setattr(dynamics, "_BLOCH", (tables, recording("bloch", steps, False), mul, ident))
+    tables, steps, mul, ident = dynamics._PURE
+    monkeypatch.setattr(dynamics, "_PURE", (recording("omega", tables, True),
+                                            recording("pure", steps, False), mul, ident))
     final_p2_bloch(field, [ErrorSetting(0.1, 0.2)])
     evolve_bloch(field, GROUND_BLOCH)
     final_p2_pure(field, [0.1])
     evolve_propagator(field)
-    assert {dtype for dtype, _ in sizes} == {np.dtype(float), np.dtype(complex)}
-    assert len(sizes) == 2 * 5 + 2 * 3  # 5000 steps: 1024 Bloch or 2304 pure steps a chunk
-    assert max(nbytes for _, nbytes in sizes) <= dynamics._CHUNK_BYTES
+    # 5000 steps: 1024 Bloch or 2304 pure steps a chunk
+    assert {dtype for dtype, _ in sizes["bloch"]} == {np.dtype(float)}
+    assert {dtype for dtype, _ in sizes["omega"] + sizes["pure"]} == {np.dtype(complex)}
+    assert len(sizes["bloch"]) == 2 * 5
+    assert len(sizes["omega"]) == 5 * 2 * 3 and len(sizes["pure"]) == 2 * 3
+    assert max(nbytes for kind in sizes.values() for _, nbytes in kind) <= dynamics._CHUNK_BYTES
 
 
 def test_final_p2_of_no_settings_is_empty():
@@ -203,6 +214,29 @@ def test_final_p2_rejects_divergence():
 def test_final_p2_pure_rejects_a_non_finite_beta():
     with pytest.raises(ValueError, match="beta must be finite"):
         final_p2_pure(make_flat_pi(0.0, GRID), [0.0, math.inf])
+
+
+def test_pure_state_divergence_past_overflow_is_refused():
+    # omega^4 = (1 + 1e200)^4 overflows: the step tables hold inf and NaN, not a P2
+    field = make_flat_pi(0.0, GRID)
+    with pytest.raises(FloatingPointError, match="pure-state integration diverged"):
+        final_p2_pure(field, [0.0, 1e200])
+    with pytest.raises(FloatingPointError, match="pure-state integration diverged"):
+        evolve_propagator(field, np.float64(1e200))
+
+
+def test_bloch_setting_memory_is_pinned(flat_field):
+    """One warm Bloch setting on 2001 points forms its steps in place: one 1024-step chunk
+    holds the two generator tables, K2 .. K4 and the products' temporaries."""
+    setting = [ErrorSetting(0.1, 0.2)]
+    final_p2_bloch(flat_field, setting)  # stage tables, and numpy's einsum set-up
+    tracemalloc.start()
+    try:
+        final_p2_bloch(flat_field, setting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 460 * 2**10, peak / 2**10
 
 
 def _sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record):

@@ -36,6 +36,23 @@ def test_shaped_pi_sin_envelope(grid):
     assert f.pulse_area() == pytest.approx(math.pi, abs=1e-8)
 
 
+def test_shaped_pi_seeds_its_stage_tables_from_the_build(grid):
+    # the envelope is read once at the nodes and once at the midpoints, and the
+    # seeded tables are the ones the field's channels give there, bit for bit
+    calls = []
+
+    def envelope(t):
+        calls.append(np.size(t))
+        return np.sin(np.pi * np.asarray(t))
+
+    f = make_shaped_pi(envelope, 0.3, grid)
+    seeded = f.stage_tables
+    assert calls == [grid.n_steps, grid.n_steps - 1]
+    fresh = ControlField(grid, f.omega_r, f.omega_i, f.delta, channels=f.channels).stage_tables
+    for got, want in zip(seeded, fresh):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
 def test_shaped_pi_constant_envelope_equals_flat(grid):
     f = make_shaped_pi(lambda t: np.full_like(np.asarray(t, dtype=float), 2.7), 0.3, grid)
     ref = make_flat_pi(0.3, grid)
