@@ -80,16 +80,17 @@ _OPTIONS = (
             "grid points (default 2001)"),
     _Option("common", "output", "path", "--out", str, None, None,
             "output path (default: stdout)"),
-    _Option("common", "output", "format", "--format", str, ("csv", "json"), "csv", "output format"),
+    # read by protocol and simulate only: a sweep always writes CSV and a JSON sidecar,
+    # and a sensitivity report is always JSON
+    _Option("format", "output", "format", "--format", str, ("csv", "json"), "csv", "output format"),
     _Option("common", None, "duration", "--duration", float, None, 1.0,
             "physical duration T used only to scale displayed outputs"),
     _Option("protocol", "protocol", "kind", "--kind", str, None, None, "protocol kind"),
-    # one row per protocol parameter name the command line can set, as the protocol table
-    # gives it (choices are names, so strings); None leaves the kind's own default
+    # one row per protocol parameter name, as the protocol table gives it (choices are
+    # names, so strings); None leaves the kind's own default
     *(_Option("protocol", "protocol", p.name, f"--{p.name}", str if p.choices else p.type,
               tuple(sorted(p.choices)) if p.choices else None, None, p.help)
-      for p in {q.name: q for family in PROTOCOLS.values() for q in family.params
-                if q.cli_settable}.values()),
+      for p in {q.name: q for family in PROTOCOLS.values() for q in family.params}.values()),
     _Option("simulate", "errors", "beta", "--beta", float, None, 0.0, "systematic error amplitude"),
     _Option("simulate", "errors", "lambda2", "--lambda2", float, None, 0.0,
             "noise intensity lambda^2 (units T)"),
@@ -118,20 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="invlab",
         description="Generate, simulate and stress-test population-inversion protocols.")
     sub = parser.add_subparsers(dest="command")
-    groups = {name: argparse.ArgumentParser(add_help=False)
-              for name in ("common", "protocol", "simulate", "sensitivity", "sweep")}
-    groups["common"].add_argument("--config", help="JSON config file; flags override its values")
-    groups["common"].add_argument("--dump-config", action="store_true",
-                                  help="print the effective config as JSON and exit")
-    for opt in _OPTIONS:
-        if opt.type is bool:
-            groups[opt.group].add_argument(opt.flag, action="store_true", default=None,
-                                           help=opt.help)
-        else:
-            groups[opt.group].add_argument(opt.flag, type=opt.type, choices=opt.choices,
-                                           help=opt.help)
-    for command, (_, text, names) in _SUBCOMMANDS.items():
-        sub.add_parser(command, parents=[groups[name] for name in names], help=text)
+    for command, (_, text, groups) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", help="JSON config file; flags override its values")
+        cmd.add_argument("--dump-config", action="store_true",
+                         help="print the effective config as JSON and exit")
+        for opt in _OPTIONS:
+            if opt.group not in groups:
+                continue
+            if opt.type is bool:
+                cmd.add_argument(opt.flag, action="store_true", default=None, help=opt.help)
+            else:
+                cmd.add_argument(opt.flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -288,9 +287,10 @@ def cmd_sweep(cfg: dict) -> None:
 
 # subcommand -> (handler, help, flag groups it takes)
 _SUBCOMMANDS = {
-    "protocol": (cmd_protocol, "emit a generated control field", ("common", "protocol")),
+    "protocol": (cmd_protocol, "emit a generated control field",
+                 ("common", "format", "protocol")),
     "simulate": (cmd_simulate, "evolve a protocol (Bloch equation or SSE ensemble)",
-                 ("common", "protocol", "simulate")),
+                 ("common", "format", "protocol", "simulate")),
     "sensitivity": (cmd_sensitivity, "compute noise/systematic sensitivities",
                     ("common", "protocol", "sensitivity")),
     "sweep": (cmd_sweep, "reproduce a figure's data on a parameter grid", ("common", "sweep")),

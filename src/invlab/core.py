@@ -173,10 +173,6 @@ class ControlField:
         ts = self.grid.times
         return (self.omega_r, self.omega_i, self.delta), self.values(0.5 * (ts[:-1] + ts[1:]))
 
-    def pulse_area(self) -> float:
-        """Integral of |Omega| over [0, 1] (Simpson on the grid)."""
-        return float(simpson(np.hypot(self.omega_r, self.omega_i), self.grid.h))
-
     def csv_columns(self) -> tuple[str, list]:
         """The CSV header and its columns: t and the three channels."""
         return CSV_FIELD_HEADER, [self.grid.times, self.omega_r, self.omega_i, self.delta]
@@ -234,23 +230,6 @@ class BlochState:
 
 GROUND_PURE = PureState(1.0 + 0.0j, 0.0j)
 GROUND_BLOCH = BlochState(0.0, 0.0, 1.0)
-
-
-def excitation_probability(state: BlochState) -> float:
-    """Probability to be in the excited state, P2 = (1 - r3)/2."""
-    return 0.5 * (1.0 - state.r3)
-
-
-def bloch_from_pure(state: PureState) -> BlochState:
-    """Map a normalized pure state to its Bloch vector.
-
-    r1 = 2 Re(c1 conj(c2)), r2 = -2 Im(c1 conj(c2)), r3 = |c1|^2 - |c2|^2.
-    Rejects input whose norm deviates from 1 by more than 1e-6.
-    """
-    state.check_normalized()
-    cross = state.c1 * np.conj(state.c2)
-    return BlochState(float(2.0 * cross.real), float(-2.0 * cross.imag),
-                      float(abs(state.c1) ** 2 - abs(state.c2) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,11 +127,6 @@ class Trajectory:
     def final_p2(self) -> float:
         return float(self.p2()[-1])
 
-    def final(self):
-        if self.kind == "bloch":
-            return BlochState(*map(float, self.states[-1]))
-        return PureState(complex(self.states[-1, 0]), complex(self.states[-1, 1]))
-
     def csv_columns(self) -> tuple[str, list]:
         """The CSV header and its columns: t, then r1..r3 or the parts of c1 and c2."""
         if self.kind == "bloch":

@@ -3,7 +3,10 @@
 Every generator returns a :class:`~invlab.core.ControlField`, built from
 one channel function t -> (WR, WI, D), whose error-free evolution takes
 the ground state to the excited state at t = T (the bare sinusoidal
-reference being the deliberate exception).
+reference being the deliberate exception).  The protocol table
+``PROTOCOLS`` holds every kind the command line builds;
+invariant_engineered takes an angle trajectory, which no flag can give, so
+it is built in Python by ``make_invariant_engineered`` alone.
 
 Families
 --------
@@ -141,9 +144,14 @@ SINGULAR_GAP2 = 1e-12
 def _transitionless(omega0, delta0, grid: TimeGrid):
     """Node channels (WR, Wa, D), invariant angles and min(WR^2 + D^2) over the nodes.
 
-    One ``_sinusoidal`` evaluation on the nodes and step midpoints serves all
-    three; it broadcasts over array parameters.  Wa, and so theta_dot, is
-    NaN where the field is singular: the division is masked there.
+    The angles of the error-free evolution are theta = atan2(WR, -D),
+    alpha = 0, theta_dot = Wa (the counter-diabatic term) and
+    gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by Simpson's
+    rule over each step.  For delta0 < 0, theta runs from pi to 0.  One
+    ``_sinusoidal`` evaluation on the nodes and step midpoints serves all
+    three results; it broadcasts over array parameters, e.g. delta0 of shape
+    (k, 1) gives (k, points) samples.  Wa, and so theta_dot, is NaN where the
+    field is singular: the division is masked there.
     """
     t = np.linspace(0.0, 1.0, 2 * grid.n_steps - 1)  # nodes are the even entries
     wr_half, d_half, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
@@ -163,25 +171,13 @@ def _transitionless(omega0, delta0, grid: TimeGrid):
     return (wr, wa, d), angles, min_gap2
 
 
-def transitionless_angles(omega0, delta0, grid: TimeGrid) -> AngleSamples:
-    """Invariant angles of the transitionless field's error-free evolution on ``grid``.
-
-    theta = atan2(WR, -D), alpha = 0, theta_dot = Wa (the counter-diabatic
-    term) and gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by
-    Simpson's rule over each step.  For delta0 < 0, theta runs from pi to 0.
-    Broadcasts over array parameters, e.g. delta0 of shape (k, 1) gives
-    (k, points) samples; theta_dot is NaN where the field is singular.
-    """
-    return _transitionless(omega0, delta0, grid)[1]
-
-
 def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
     """Sinusoidal sweep with the counter-diabatic term in the imaginary channel.
 
     The added coupling Wa = (WR D_dot - WR_dot D)/(WR^2 + D^2) cancels all
     diabatic transitions, so the state tracks the instantaneous eigenstate
     of the reference for any duration; the field carries that evolution's
-    invariant angles (``transitionless_angles``).
+    invariant angles.
     """
     omega0, delta0 = _check("transitionless", omega0=omega0, delta0=delta0).values()
 
@@ -212,7 +208,8 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid) -> Contro
     With closed-form derivatives the channels are closed forms too; otherwise
     the grid samples (derivatives by ``sampled_derivative``) are splined.
     """
-    _check("invariant_engineered", angles=angles)
+    if not isinstance(angles, InvariantAngles):
+        raise ValueError(f"invariant_engineered: angles must be InvariantAngles, got {angles!r}")
     angles.check_boundaries()
     return _invariant_field(angles, angles.sample(grid), "invariant_engineered")
 
@@ -303,11 +300,9 @@ def make_optimal_systematic(n: int, grid: TimeGrid) -> ControlField:
 class Param(NamedTuple):
     """One protocol parameter: its type, default, rule and help.
 
-    type is float, int, str, callable or a class.  A parameter without a
-    default is required.  choices maps each allowed name to the value it
-    stands for.
-    The parameter is a command-line flag exactly when its type is int, float
-    or str, or when it has choices; help is the flag's help text.
+    type is float, int or callable.  A parameter without a default is
+    required.  choices maps each allowed name to the value it stands for.
+    Every parameter is a command-line flag, and help is its help text.
     """
 
     name: str
@@ -317,10 +312,6 @@ class Param(NamedTuple):
     odd: bool = False
     choices: dict | None = None
     help: str = ""
-
-    @property
-    def cli_settable(self) -> bool:
-        return self.type in (int, float, str) or self.choices is not None
 
     def check(self, kind: str, value):
         """The value, converted to int or float where typed so; ValueError if it breaks the rule."""
@@ -334,7 +325,7 @@ class Param(NamedTuple):
                   and not isinstance(value, bool))
             value = self.type(value) if ok else value
         else:
-            ok = callable(value) if self.type is callable else isinstance(value, self.type)
+            ok = callable(value)
         if not ok:
             raise ValueError(f"{kind}: {self.name} must be {self.type.__name__}, got {value!r}")
         if self.above is not None and not value > self.above:
@@ -345,7 +336,7 @@ class Param(NamedTuple):
 
 
 class Family(NamedTuple):
-    """A protocol kind; the command line exposes it when it can set every required parameter."""
+    """A protocol kind, built by the command line from its parameters' flags."""
 
     build: Callable[..., ControlField]  # called with grid= and every parameter by name
     params: tuple
@@ -366,8 +357,6 @@ PROTOCOLS = {
                                help="shaped_pi envelope name"), _ALPHA)),
     "sinusoidal_adiabatic": Family(lambda **p: make_sinusoidal(**p), _SWEEP),
     "transitionless": Family(lambda **p: make_transitionless(**p), _SWEEP),
-    "invariant_engineered": Family(lambda **p: make_invariant_engineered(**p),
-                                   (Param("angles", InvariantAngles),)),
     "optimal_noise": Family(lambda **p: make_optimal_noise(**p),
                             (Param("n", int, 7, odd=True, help=_N_HELP),)),
     "optimal_systematic": Family(
@@ -375,13 +364,11 @@ PROTOCOLS = {
         (Param("n", int, 1, above=0, help=_N_HELP),)),
 }
 
-PROTOCOL_KINDS = tuple(PROTOCOLS)
-
 
 def _check(kind: str, **params) -> dict:
     """A kind's parameters, each checked by its rule: those given, in their order, then defaults."""
     if kind not in PROTOCOLS:
-        raise ValueError(f"unknown protocol kind {kind!r}; expected one of {PROTOCOL_KINDS}")
+        raise ValueError(f"unknown protocol kind {kind!r}; expected one of {tuple(PROTOCOLS)}")
     table = PROTOCOLS[kind].params
     unknown = set(params).difference(p.name for p in table)
     if unknown:
@@ -390,8 +377,7 @@ def _check(kind: str, **params) -> dict:
     for p in table:
         value = out.get(p.name, p.default)
         if value is Parameter.empty:
-            raise ValueError(f"{kind} requires parameter {p.name!r}"
-                             + ("" if p.cli_settable else " (a Python object, not a CLI flag)"))
+            raise ValueError(f"{kind} requires parameter {p.name!r}")
         out[p.name] = p.check(kind, value)
     return out
 

@@ -18,9 +18,10 @@ theta_dot) whose stationary point is the noise optimum of
 
 A field without angles (the bare sinusoidal sweep, a field read from
 CSV) is read through the propagator U(t) = [[a, b], [-b*, a*]] of
-:func:`invlab.dynamics.evolve_propagator`, and refused unless it
-inverts.  Its columns evolve the ground state, psi_0 = (a, -b*), and the
-orthogonal solution from the excited state, psi_perp = (b, a*).  Then
+:func:`invlab.dynamics.evolve_propagator`, solved once per formula, and
+refused unless it inverts.  Its columns evolve the ground state,
+psi_0 = (a, -b*), and the orthogonal solution from the excited state,
+psi_perp = (b, a*).  Then
 
     q_N = 1/4 Int [WI^2 (r1^2 + r3^2) + WR^2 (r2^2 + r3^2)] dt,
 
@@ -36,14 +37,13 @@ the quadratic response; the two must agree within max(1%, fit error).
 
 Quadrature is the composite Simpson rule of :func:`invlab.core.simpson`
 on the evolution grid; each formula report carries a numerical-error
-estimate from comparing against the half-resolution quadrature.  The
-finite-difference routes always solve the perturbed dynamics, so they stay
-independent of the angles.
+estimate from comparing against the half-resolution quadrature over the
+whole duration.  The finite-difference routes always solve the perturbed
+dynamics, so they stay independent of the angles.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +74,18 @@ class SensitivityReport:
 def _simpson_with_estimate(f: np.ndarray, h: float, value=float) -> tuple[float, float]:
     """``value`` of the composite Simpson integral, and its distance from the half-grid one.
 
-    Both sides of the comparison cover the largest prefix whose count and
-    half count are odd (count 1 mod 4), so both grids take plain Simpson:
+    The comparison is made on the largest prefix and suffix whose count and
+    half count are odd (count m = 1 mod 4), so both grids take plain Simpson:
     f[::2] of an even count would stop one step short of T, and an even half
-    count would take the end correction at step 2h.  Below 5 points the
-    prefix is the first 3 samples (2 on a 2-point grid).
+    count would take the end correction at step 2h.  The estimate is the
+    larger of the two, which together cover [0, 1]; for n = 1 mod 4 both are
+    the whole grid.  Below 5 points m is 3 (2 on a 2-point grid).
     """
     full = value(simpson(f, h))
     n = f.shape[-1]
     m = n - (n - 1) % 4 if n >= 5 else min(n, 3)
-    prefix = full if m == n else value(simpson(f[:m], h))
-    return full, abs(prefix - value(simpson(f[:m:2], 2.0 * h)))
+    return full, max(abs(value(simpson(part, h)) - value(simpson(part[::2], 2.0 * h)))
+                     for part in (f[:m], f[n - m:]))
 
 
 def _qn_density(s: AngleSamples) -> np.ndarray:
@@ -122,49 +123,32 @@ def _formula_report(quantity: str, f: np.ndarray, h: float) -> SensitivityReport
     return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
 
 
-_PROPAGATOR_FORMULAS = weakref.WeakKeyDictionary()  # field -> its two reports, dropped with it
-
-
-def _propagator_formulas(field: ControlField) -> tuple[SensitivityReport, SensitivityReport]:
-    """The q_N and q_S formula reports of a field without angles, from one solve of
-    its error-free propagator, kept while the field lives; refuses a field that
-    does not invert."""
-    if field not in _PROPAGATOR_FORMULAS:
-        a, b = evolve_propagator(field).T
-        p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
-        if p2_final < 1.0 - INVERSION_THRESHOLD:
-            raise RuntimeError(
-                f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
-        h, wr, wi = field.grid.h, field.omega_r, field.omega_i
+def _formula(quantity: str, field: ControlField) -> SensitivityReport:
+    """The formula report of ``quantity`` ("q_n" or "q_s"): from the field's invariant
+    angles, or else from one solve of its error-free propagator, refusing a field
+    that does not invert."""
+    if field.angles is not None:
+        return _formula_report(quantity, ANGLE_FORMS[quantity][0](field.angles), field.grid.h)
+    a, b = evolve_propagator(field).T
+    p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
+    if p2_final < 1.0 - INVERSION_THRESHOLD:
+        raise RuntimeError(
+            f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
+    wr, wi = field.omega_r, field.omega_i
+    if quantity == "q_s":
         bc = b.conj()
-        qs = _formula_report("q_s", 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a), h)
+        f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
+    else:
         ab = a * b
         r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
-        qn = _formula_report("q_n", 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2)), h)
-        _PROPAGATOR_FORMULAS[field] = qn, qs
-    return _PROPAGATOR_FORMULAS[field]
+        f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
+    return _formula_report(quantity, f, field.grid.h)
 
 
 def qn_formula(field: ControlField) -> SensitivityReport:
     """q_N from the field's invariant angles, or else from the unperturbed
     Bloch vector and the dissipator quadratic form."""
-    if field.angles is None:
-        return _propagator_formulas(field)[0]
-    return _formula_report("q_n", _qn_density(field.angles), field.grid.h)
-
-
-def qn_pi_analytic(field: ControlField) -> SensitivityReport:
-    """q_N = 1/4 Int WR^2 dt, valid only for on-resonance real pi pulses."""
-    scale = max(1.0, float(np.max(np.abs(field.omega_r))))
-    if np.max(np.abs(field.omega_i)) > 1e-8 * scale:
-        raise ValueError("field has a nonzero imaginary Rabi component")
-    if np.max(np.abs(field.delta)) > 1e-8 * scale:
-        raise ValueError("field is not on resonance (nonzero detuning)")
-    area = float(simpson(field.omega_r, field.grid.h))
-    if abs(area - np.pi) > 1e-6:
-        raise ValueError(f"pulse area is {area!r}, not pi")
-    qn, err = _simpson_with_estimate(0.25 * field.omega_r**2, field.grid.h)
-    return SensitivityReport(q_n=qn, method="analytic_pi", error_estimate=err)
+    return _formula("q_n", field)
 
 
 def _quadratic_fit(x: np.ndarray, p2: np.ndarray, name: str) -> tuple[float, float]:
@@ -201,9 +185,7 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
 def qs_formula(field: ControlField) -> SensitivityReport:
     """q_S from the field's invariant angles, or else from the first-order
     matrix element between the orthogonal solutions."""
-    if field.angles is None:
-        return _propagator_formulas(field)[1]
-    return _formula_report("q_s", _qs_integrand(field.angles), field.grid.h)
+    return _formula("q_s", field)
 
 
 def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityReport:

@@ -3,10 +3,11 @@
 Cells are independent pure evaluations, run in grid-index order.  The
 sensitivity surfaces of the transitionless family solve no dynamics: a
 cell reads the invariant angles of its field's error-free evolution, which
-are closed forms (``transitionless_angles``), and one row of cells (one
-omega0, every delta0) is evaluated as a (cells, points) array.  Each cell
-equals ``qn_formula``/``qs_formula`` of ``make_transitionless`` at its
-parameters bit for bit.  A cell whose field is singular (the
+are closed forms, and one row of cells (one omega0, every delta0) is
+evaluated as a (cells, points) array by ``protocols._transitionless``,
+which ``make_transitionless`` calls too.  Each cell equals
+``qn_formula``/``qs_formula`` of ``make_transitionless`` at its parameters
+bit for bit.  A cell whose field is singular (the
 counter-diabatic denominator vanishes on the grid) is recorded as a
 missing value (NaN, emitted as an empty CSV cell) rather than aborting the
 whole figure.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
-from .protocols import ProtocolSpec, transitionless_angles
+from .protocols import ProtocolSpec, _transitionless
 from .sensitivity import ANGLE_FORMS
 
 
@@ -78,12 +79,10 @@ class SweepResult:
     def to_csv(self, path) -> None:
         write_text(path, csv_text(*self.csv_columns()))
 
-    def sidecar_dict(self) -> dict:
-        return {"grid_spec": {f"axis{i}": asdict(a) for i, a in enumerate(self.axes, start=1)},
-                "quantity": self.quantity, "protocol_label": self.protocol_label}
-
     def to_json_sidecar(self, path) -> None:
-        write_text(path, json_text(self.sidecar_dict()))
+        write_text(path, json_text(
+            {"grid_spec": {f"axis{i}": asdict(a) for i, a in enumerate(self.axes, start=1)},
+             "quantity": self.quantity, "protocol_label": self.protocol_label}))
 
 
 def default_omega0_axis() -> Axis:
@@ -111,7 +110,7 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
     values = np.empty((omega0_axis.n_points, delta0_axis.n_points))
     for row, omega0 in zip(values, omega0_axis.values):
         # a singular field's theta_dot is NaN, and so is its cell
-        amplitudes = simpson(integrand(transitionless_angles(omega0, delta0, grid)), grid.h)
+        amplitudes = simpson(integrand(_transitionless(omega0, delta0, grid)[1]), grid.h)
         row[:] = [value(a) for a in amplitudes]
     return SweepResult((omega0_axis, delta0_axis), values, quantity, "transitionless")
 

@@ -21,9 +21,10 @@ from invlab import (Axis, GROUND_BLOCH, GROUND_PURE, ErrorSetting,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, monte_carlo_p2, optimal_noise_angles,
                     optimal_systematic_angles, qn_finite_difference, qn_formula,
-                    qn_pi_analytic, qs_finite_difference, qs_formula, robustness_curve,
+                    qs_finite_difference, qs_formula, robustness_curve,
                     sweep_qn_transitionless)
 from conftest import EX_DELTA0, EX_OMEGA0, src_env
+from pi_pulse_reference import qn_pi_analytic
 from stationarity_reference import verify_stationarity
 
 PI2_4 = math.pi**2 / 4.0

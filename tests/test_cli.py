@@ -191,8 +191,7 @@ def test_sweep_and_sensitivity_scale_q_n_alike(tmp_path):
         assert float(q_n) == json.loads(out.read_text())["q_n"]
 
 
-@pytest.mark.parametrize("kind", [kind for kind, family in PROTOCOLS.items()
-                                  if all(p.cli_settable for p in family.params)])
+@pytest.mark.parametrize("kind", PROTOCOLS)
 def test_read_csv_reads_a_duration_file_in_units_of_t(tmp_path, kind):
     """A field written with --duration 2.5 reads back as the field the CLI computed with."""
     flags = FIG1 if kind in ("sinusoidal_adiabatic", "transitionless") else []
@@ -320,6 +319,15 @@ def test_exit_codes(capsys):
     assert run_cli(["protocol", "--kind", "optimal_noise", "--n", "3",
                     "--grid-steps", "201"]) == 0
     assert run_cli([]) == 2
+
+
+@pytest.mark.parametrize("args", [["sweep", "--figure", "4", "--format", "json"],
+                                  ["sensitivity", "--kind", "flat_pi", "--format", "csv"]])
+def test_format_is_refused_where_no_output_reads_it(tmp_path, capsys, args):
+    # a sweep always writes CSV and a JSON sidecar, and a sensitivity report is always JSON
+    assert run_cli([*args, "--grid-steps", "11", "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point(tmp_path):
@@ -622,9 +630,7 @@ def test_protocol_flags_come_from_the_protocol_table(capsys):
     params = {}
     for family in PROTOCOLS.values():
         for p in family.params:
-            if p.cli_settable:
-                params.setdefault(p.name, set()).add(
-                    (p.type, tuple(sorted(p.choices or ())), p.help))
+            params.setdefault(p.name, set()).add((p.type, tuple(sorted(p.choices or ())), p.help))
     assert all(len(rules) == 1 for rules in params.values()), params
     assert run_cli(["protocol", "--help"]) == 0
     text = capsys.readouterr().out

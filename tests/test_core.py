@@ -1,15 +1,38 @@
 import io
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import CubicSpline
 
-from invlab import (BlochState, ControlField, InvariantAngles, PureState,
-                    TimeGrid, bloch_from_pure, constant, excitation_probability,
-                    sampled_derivative)
+import invlab
+from invlab import (ControlField, InvariantAngles, PureState, TimeGrid, Trajectory,
+                    constant, sampled_derivative)
 from invlab.core import csv_text, json_text, simpson
+from bloch_reference import bloch_from_pure
+
+# every public name of the package; an addition or removal is made here on purpose
+PUBLIC_NAMES = [
+    "AngleSamples", "Axis", "BlochState", "ControlField", "EnsembleResult", "ErrorSetting",
+    "GROUND_BLOCH", "GROUND_PURE", "InvariantAngles", "ProtocolSpec", "PureState",
+    "SensitivityReport", "SweepResult", "TimeGrid", "Trajectory", "constant",
+    "default_beta_axis", "default_delta0_axis", "default_lambda_axis", "default_omega0_axis",
+    "evolve_bloch", "evolve_propagator", "evolve_pure", "evolve_sse", "final_p2_bloch",
+    "final_p2_pure", "first_integral_constant", "make_flat_pi", "make_invariant_engineered",
+    "make_optimal_noise", "make_optimal_systematic", "make_shaped_pi", "make_sinusoidal",
+    "make_transitionless", "map_p2", "monte_carlo_p2", "optimal_noise_angles",
+    "optimal_systematic_angles", "qn_finite_difference", "qn_formula", "qs_finite_difference",
+    "qs_formula", "robustness_curve", "sampled_derivative", "solve_optimal_theta",
+    "sweep_qn_transitionless", "sweep_qs_transitionless",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(invlab).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
 
 
 def test_time_grid_points():
@@ -64,7 +87,7 @@ def test_simpson_small_counts_and_exactness():
     ((0.0, 0.0, 0.0), 0.5),
 ])
 def test_excitation_probability(r, expected):
-    assert excitation_probability(BlochState(*r)) == expected
+    assert Trajectory(TimeGrid(2), np.array([r, r]), "bloch").final_p2() == expected
 
 
 @pytest.mark.parametrize("c1,c2,expected", [
@@ -91,7 +114,7 @@ def test_bloch_from_pure_random_states():
         psi = PureState(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
         r = bloch_from_pure(psi)
         assert abs(r.norm() - 1.0) < 1e-12
-        assert excitation_probability(r) == pytest.approx(abs(psi.c2) ** 2, abs=1e-12)
+        assert 0.5 * (1.0 - r.r3) == pytest.approx(abs(psi.c2) ** 2, abs=1e-12)
 
 
 def test_sign_convention_matches_density_matrix():

@@ -11,12 +11,12 @@ from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bl
                     evolve_propagator, make_flat_pi, make_invariant_engineered,
                     make_optimal_noise, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, optimal_systematic_angles, qn_finite_difference,
-                    qn_formula, qn_pi_analytic, qs_finite_difference, qs_formula,
-                    solve_optimal_theta)
+                    qn_formula, qs_finite_difference, qs_formula, solve_optimal_theta)
 from invlab import sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
 from conftest import EX_DELTA0, EX_OMEGA0
+from pi_pulse_reference import qn_pi_analytic
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -371,10 +371,9 @@ def test_error_estimate_on_a_3_mod_4_grid_reads_like_its_neighbour(n, neighbour,
     assert qn_formula(field).error_estimate <= qn_bound
 
 
-@pytest.mark.parametrize("build", [
-    lambda g: dataclasses.replace(make_flat_pi(0.0, g), angles=None),
-    lambda g: dataclasses.replace(make_optimal_systematic(1, g), angles=None)])
-def test_formulas_share_one_unperturbed_solve(monkeypatch, build):
+@pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.0, g),
+                                   lambda g: make_optimal_systematic(1, g)])
+def test_formulas_without_angles_keep_no_state(monkeypatch, build):
     solves = []
 
     def counting(field, *args, **kwargs):
@@ -382,12 +381,35 @@ def test_formulas_share_one_unperturbed_solve(monkeypatch, build):
         return evolve_propagator(field, *args, **kwargs)
 
     monkeypatch.setattr(sensitivity, "evolve_propagator", counting)
-    field = build(TimeGrid(401))
-    assert field.angles is None
+    with_angles = build(TimeGrid(401))
+    field = dataclasses.replace(with_angles, angles=None)
     qn, qs = qn_formula(field), qs_formula(field)
     assert qn_formula(field) == qn and qs_formula(field) == qs
-    assert solves == [id(field)]
-    # the shared solve does not keep its field alive
+    assert solves == [id(field)] * 4  # one propagator solve per report, none kept
+    assert abs(qn.q_n - qn_formula(with_angles).q_n) < 1e-6
+    assert abs(qs.q_s - qs_formula(with_angles).q_s) < 1e-6
+    # no report keeps its field alive
     ref = weakref.ref(field)
     del field
     assert ref() is None
+
+
+# integrand -> its integral over [0, 1]
+_ESTIMATE_CASES = {
+    "curved_last_fifth": (lambda t: np.maximum(t - 0.8, 0.0) ** 4, 0.2**5 / 5.0),
+    "curved_first_fifth": (lambda t: np.maximum(0.2 - t, 0.0) ** 4, 0.2**5 / 5.0),
+    "sin2_exp": (lambda t: np.sin(np.pi * t) ** 2 * np.exp(t),
+                 0.5 * (math.e - 1.0) * (1.0 - 1.0 / (1.0 + 4.0 * math.pi**2))),
+    "exp3": (lambda t: np.exp(3.0 * t), (math.exp(3.0) - 1.0) / 3.0),
+}
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14, 51, 52, 1001, 1003, 2000, 2001, 2002, 2003])
+@pytest.mark.parametrize("name", _ESTIMATE_CASES)
+def test_error_estimate_bounds_the_error_of_the_whole_integral(name, n):
+    # the half-grid comparison used to cover a prefix of the grid only, [0, 0.8]
+    # on 11 and 12 points, and read 0 for an integrand curved in its last fifth
+    integrand, exact = _ESTIMATE_CASES[name]
+    grid = TimeGrid(n)
+    q, err = sensitivity._simpson_with_estimate(integrand(grid.times), grid.h)
+    assert abs(q - exact) <= err

@@ -46,6 +46,10 @@ def runs():
         yield f"sensitivity_{name}_coarse", ["sensitivity", *kind, "--method", "formula",
                                              "--grid-steps", "11",
                                              "--out", f"sensitivity_{name}_coarse.json"]
+    # on 12 points (0 mod 4) the error estimate compares a prefix and a suffix of the grid
+    yield "sensitivity_transitionless_12", ["sensitivity", *KINDS["transitionless"], "--method",
+                                            "formula", "--grid-steps", "12",
+                                            "--out", "sensitivity_transitionless_12.json"]
     # --duration is the one place T enters: q_N divides by T, q_S stays
     for name in ("transitionless", "optimal_noise_7"):
         yield f"sensitivity_{name}_duration", [
@@ -82,6 +86,9 @@ def runs():
     # the delta0 = 0 cells are singular fields, written as empty cells
     yield "sweep_2_signed", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=-1,1,3",
                              "--grid-steps", "101", "--out", "figure2_signed"]
+    # a sweep always writes CSV and a JSON sidecar, so it takes no --format
+    yield "sweep_format_json", ["sweep", "--figure", "4", "--format", "json", "--grid-steps", "101",
+                                "--out", "figure4_format"]
     yield "help", ["--help"]
     for command in ("protocol", "simulate", "sensitivity", "sweep"):
         yield f"help_{command}", [command, "--help"]
