@@ -4,8 +4,8 @@ from .core import (AngleSamples, BlochState, ControlField, GROUND_BLOCH,
                    GROUND_PURE, InvariantAngles, PureState, TimeGrid, constant,
                    sampled_derivative)
 from .dynamics import (EnsembleResult, ErrorSetting, Trajectory, evolve_bloch,
-                       evolve_propagator, evolve_pure, evolve_sse, final_p2_bloch,
-                       final_p2_pure, monte_carlo_p2)
+                       evolve_propagator, evolve_pure, final_p2_bloch, final_p2_pure,
+                       monte_carlo_p2)
 from .optimal import first_integral_constant, solve_optimal_theta
 from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         make_optimal_noise, make_optimal_systematic,

@@ -45,7 +45,8 @@ Platen 1992, ch. 14.1) for the Ito stochastic Schrodinger equation
 with two independent Wiener increments driving the real and imaginary
 Rabi channels.  Each increment is a two-point variable dW = +-sqrt(dt),
 which keeps weak order 1: ensemble means converge as dt, single
-realizations do not follow a Brownian path.  Each step is again a matrix
+realizations do not follow a Brownian path, so the engine gives ensemble
+means alone (``monte_carlo_p2``).  Each step is again a matrix
 [[a_k, b_k], [-b_k*, a_k*]]:
 
     a_k = 1 + dt (i d_k / 2 - lambda^2 |Omega_k|^2 / 8),
@@ -68,8 +69,8 @@ that of dW_I, a 1 bit meaning +sqrt(dt).  A trajectory's signs depend on
 (s, i) alone, so ensembles are order-independent and bit-reproducible
 under any batching.  A batch draws its signs in pieces of trajectories,
 one after another from one Philox stream, which gives the bytes of one
-random_raw call; a single trajectory is a batch of one that equals its
-ensemble member bit for bit.  The ensemble runs on the calling thread.
+random_raw call, and every step writes a separate buffer, so a batch of
+one rounds like the rest.  The ensemble runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -80,16 +81,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, PureState, TimeGrid,
+from .core import (GROUND_BLOCH, BlochState, ControlField, PureState, TimeGrid,
                    csv_text, write_text)
 
 _MAX_SEED = 2**64
 # Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
 # batch.  A batch's signs, one byte per four steps each (1 KB at 4000 steps,
 # 10 MB for the batch, scaling with 1/dt), are its only batch-by-steps
-# buffer; the step tables, 11 MB at 4000 steps, are built once per ensemble.
+# buffer; the step table, 8 MB at 4000 steps, is built once per ensemble.
 # Each group costs a fixed number of numpy calls, so larger batches spread
-# that cost; 16384 would raise the peak of a 2 * 10^4 ensemble from 23 to 30 MiB.
+# that cost; 16384 would raise the peak of a 2 * 10^4 ensemble from 20 to 27 MiB.
 _SSE_BATCH = 10_000
 # Trajectories per Philox call while a batch's signs are drawn: the raw words
 # of one piece (1 MB at 4000 steps) are transposed into the batch's sign array.
@@ -468,17 +469,18 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     return _pure_p2(c[0], c[1])
 
 
-def _sse_tables(field: ControlField, lambda2: float, dt: float, n_sse: int) -> list:
-    """Products of 1, 2, 3 and 4 consecutive SSE steps for every sign pattern.
+def _sse_table(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np.ndarray:
+    """Products of four consecutive SSE steps for every sign pattern, shape (groups, 256, 2).
 
     Step k is the module docstring's [[a_k, b_k], [-b_k*, a_k*]], channels at
-    the left endpoint (Ito).  Entry r-1 of the list has shape (groups, 4**r,
-    2): row [q, i] is the pair (a, b) of M_4q+r-1 ... M_4q for the signs in
-    the low 2r bits of i, bit 2j that of dW_R and bit 2j+1 that of dW_I at
-    step 4q+j, so one gather of rows reads both halves.  Steps past n_sse
-    are the identity, so a tail group shorter than four steps reads its
-    full-group entry like any other.  Refuses a step whose damping
-    lambda2 |Omega|^2 dt reaches 1 at any step time.
+    the left endpoint (Ito).  Row [q, i] is the pair (a, b) of
+    M_4q+3 ... M_4q for the signs in the bits of i, bit 2j that of dW_R and
+    bit 2j+1 that of dW_I at step 4q+j, so one gather of rows reads both
+    halves.  Steps past n_sse are the identity, so a tail group shorter than
+    four steps reads its row like any other.  The products of one, two and
+    three steps are formed on the way, each freed once the next is built.
+    Refuses a step whose damping lambda2 |Omega|^2 dt reaches 1 at any step
+    time.
     """
     groups = -(-n_sse // 4)
     wr, wi, dl = field.values(np.arange(n_sse) * dt)
@@ -494,18 +496,17 @@ def _sse_tables(field: ControlField, lambda2: float, dt: float, n_sse: int) -> l
     steps[:n_sse, :, 1].real = -0.5 * wi[:, None] * inc[[0, 0, 1, 1]]
     steps[:n_sse, :, 1].imag = -0.5 * wr[:, None] * inc[[0, 1, 0, 1]]
     steps = steps.reshape(groups, 4, 4, 2)
-    tables = [steps[:, 0]]
+    table = steps[:, 0]
     for j in range(1, 4):
-        c, d = tables[-1][..., 0], tables[-1][..., 1]
+        c, d = table[..., 0], table[..., 1]
         width = c.shape[-1]
-        prod = np.empty((groups, 4 * width, 2), dtype=complex)
+        table = np.empty((groups, 4 * width, 2), dtype=complex)
         for sign in range(4):  # step j's sign is the high bits: one slice at a time, in place
             a, b = steps[:, j, sign, 0, None], steps[:, j, sign, 1, None]
-            part = prod[:, sign * width:(sign + 1) * width]
+            part = table[:, sign * width:(sign + 1) * width]
             np.subtract(a * c, b * d.conj(), out=part[..., 0])  # _pair_mul's arithmetic
             np.add(a * d, b * c.conj(), out=part[..., 1])
-        tables.append(prod)
-    return tables
+    return table
 
 
 def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
@@ -525,69 +526,41 @@ def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
     n2 -= t
 
 
-def _sse_run(tables: list, n_sse: int, c1, c2, signs: np.ndarray, record_every: int = 0):
-    """Euler-Maruyama core on two-point increments, vectorized over a batch of trajectories.
+def _sse_run(table: np.ndarray, signs: np.ndarray):
+    """Euler-Maruyama core on two-point increments, a batch of trajectories from the ground state.
 
-    ``tables``: ``_sse_tables`` for the n_sse steps.  ``c1, c2``: complex
-    arrays (batch,), not modified.  ``signs``: uint8 (bytes, batch), byte q
-    holding the signs of steps 4q .. 4q+3 (a trajectory's column may run
-    past the last group; the rest is unused).  Each group of four steps is
-    one gather of (a, b) rows from the group's 256-row table and one 2x2
-    update.  States at every record_every-th step are a side computation:
-    a node inside a group applies that group's prefix table to the state at
-    its start, and the main chain never reads them.  Returns the final
-    amplitudes and, if record_every > 0, the recorded states.
+    ``table``: ``_sse_table`` for the steps.  ``signs``: uint8 (bytes,
+    batch), byte q holding the signs of steps 4q .. 4q+3 (a trajectory's
+    column may run past the last group; the rest is unused).  Each group of
+    four steps is one gather of (a, b) rows from the group's 256-row table
+    and one 2x2 update.  Returns the final amplitudes (c1, c2).
     """
-    full = tables[3]
-    c1, c2 = np.array(c1, dtype=complex), np.array(c2, dtype=complex)
-    count = c1.shape[0]
+    count = signs.shape[1]
+    c1, c2 = np.ones(count, dtype=complex), np.zeros(count, dtype=complex)
     n1, n2, w, t = np.empty((4, count), dtype=complex)
     g = np.empty((count, 2), dtype=complex)
     u, v = g[:, 0], g[:, 1]
-    index = np.empty(count, dtype=np.uint8)
-    recorded = None
-    if record_every:
-        recorded = np.empty((n_sse // record_every + 1, count, 2), dtype=complex)
-        recorded[0, :, 0] = c1
-        recorded[0, :, 1] = c2
     # a uint8 index cannot leave a 256-row table; "clip" is the cheaper bounds rule
-    for q in range(full.shape[0]):
-        row = signs[q]
-        end = min(4 * q + 4, n_sse)
-        if record_every:
-            for k in range(4 * q + 1, end):
-                if k % record_every == 0:
-                    r = k - 4 * q
-                    np.bitwise_and(row, 4**r - 1, out=index)
-                    tables[r - 1][q].take(index, axis=0, out=g, mode="clip")
-                    _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
-                    recorded[k // record_every, :, 0] = n1
-                    recorded[k // record_every, :, 1] = n2
-        full[q].take(row, axis=0, out=g, mode="clip")
+    for q in range(table.shape[0]):
+        table[q].take(signs[q], axis=0, out=g, mode="clip")
         _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
         c1, n1, c2, n2 = n1, c1, n2, c2
-        if record_every and end % record_every == 0:
-            recorded[end // record_every, :, 0] = c1
-            recorded[end // record_every, :, 1] = c2
-    return c1, c2, recorded
+    return c1, c2
 
 
-def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: float,
-                      seed: int, first: int, count: int, record: bool = False):
-    """Yield ``_sse_run`` on trajectories first .. first+count-1 from psi0, _SSE_BATCH at a time.
+def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int, count: int):
+    """Yield ``_sse_run`` on trajectories 0 .. count-1, _SSE_BATCH at a time.
 
-    dt must divide the grid spacing.  The step tables and one (bytes, batch)
+    dt must divide the grid spacing.  The step table and one (bytes, batch)
     sign array are made once.  Each batch's signs, read under the module
     docstring's seed contract, fill that array in pieces of _SIGN_PIECE
     trajectories drawn one after another from the same Philox stream: the
     bytes one call would give.
     """
-    for name, value in (("seed", seed), ("traj_index", first)):
-        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                or not 0 <= value < _MAX_SEED):
-            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or not 0 <= seed < _MAX_SEED):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     ErrorSetting(lambda2=lambda2)  # rejects a negative or non-finite lambda2
-    psi0.check_normalized()
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     grid = field.grid
@@ -596,36 +569,20 @@ def _sse_trajectories(field: ControlField, psi0: PureState, lambda2: float, dt: 
     if per < 1 or abs(ratio - per) > 1e-9 * ratio:
         raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
     n_sse = per * (grid.n_steps - 1)
-    tables = _sse_tables(field, lambda2, dt, n_sse)
+    table = _sse_table(field, lambda2, dt, n_sse)
     words = -(-n_sse // 32)
     blocks = -(-words // 4)
-    first = int(first)  # a numpy uint64 index times the block count would wrap
-    philox = np.random.Philox(key=int(seed), counter=first * blocks)
+    philox = np.random.Philox(key=int(seed))
     signs = np.empty((8 * words, min(count, _SSE_BATCH)), dtype=np.uint8)  # reused by every batch
-    for lo in range(first, first + count, _SSE_BATCH):
-        m = min(_SSE_BATCH, first + count - lo)
+    for lo in range(0, count, _SSE_BATCH):
+        m = min(_SSE_BATCH, count - lo)
         for j in range(0, m, _SIGN_PIECE):
             p = min(_SIGN_PIECE, m - j)
             raw = philox.random_raw(4 * blocks * p).reshape(p, 4 * blocks)
             # contiguous rows before the byte transpose, which is slower from strided ones
             raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
             signs[:, j:j + p] = raw.view(np.uint8).T
-        yield _sse_run(tables, n_sse, np.full(m, complex(psi0.c1)), np.full(m, complex(psi0.c2)),
-                       signs[:, :m], record_every=per if record else 0)
-
-
-def evolve_sse(field: ControlField, psi0: PureState, lambda2: float, dt: float,
-               seed: int, traj_index: int = 0) -> Trajectory:
-    """One realization of the weak Euler scheme; states recorded at the grid nodes.
-
-    Its increments are two-point signs, not Brownian increments, so it is
-    not a sample-path approximation of the SSE: only averages over many
-    realizations converge (weak order 1).  From the ground state it is
-    member ``traj_index`` of ``monte_carlo_p2``'s ensemble for the same seed,
-    bit for bit.  It is left unnormalized, as the scheme produces it.
-    """
-    rec = next(_sse_trajectories(field, psi0, lambda2, dt, seed, traj_index, 1, record=True))[2]
-    return Trajectory(field.grid, rec[:, 0, :], "pure")
+        yield _sse_run(table, signs[:, :m])
 
 
 def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
@@ -641,7 +598,12 @@ def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    p2 = np.concatenate([_pure_p2(c1, c2) for c1, c2, _ in
-                         _sse_trajectories(field, GROUND_PURE, lambda2, dt, seed, 0, n_traj)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = np.concatenate([_pure_p2(c1, c2) for c1, c2 in
+                             _sse_trajectories(field, lambda2, dt, seed, n_traj)])
+    # a step that grows the state, unchecked by the stiffness bound, overflows to inf and NaN
+    if not np.all(np.isfinite(p2)):
+        raise FloatingPointError("SSE integration diverged (a trajectory's P2 is not finite); "
+                                 "take a smaller dt")
     stderr = float(np.std(p2, ddof=1) / math.sqrt(n_traj))
     return EnsembleResult(float(np.mean(p2)), stderr, n_traj, seed, dt)

@@ -328,6 +328,8 @@ class Param(NamedTuple):
             ok = callable(value)
         if not ok:
             raise ValueError(f"{kind}: {self.name} must be {self.type.__name__}, got {value!r}")
+        if self.type is float and not math.isfinite(value):
+            raise ValueError(f"{kind}: {self.name} must be finite, got {value!r}")
         if self.above is not None and not value > self.above:
             raise ValueError(f"{kind}: {self.name} must be > {self.above:g}, got {value!r}")
         if self.odd and value % 2 == 0:

@@ -54,7 +54,7 @@ from .dynamics import ErrorSetting, evolve_propagator, final_p2_bloch, final_p2_
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
 
 DEFAULT_LAMBDA2_SAMPLES = tuple(0.002 * k for k in range(1, 11))
-DEFAULT_BETA_SAMPLES = tuple(0.01 * k for k in range(-5, 6) if k != 0)
+BETA_SAMPLES = tuple(0.01 * k for k in range(-5, 6) if k != 0)
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,9 @@ def qs_formula(field: ControlField) -> SensitivityReport:
     return _formula("q_s", field)
 
 
-def qs_finite_difference(field: ControlField, beta_samples=None) -> SensitivityReport:
-    """q_S from evolving the Schrodinger equation at several error amplitudes."""
-    samples = np.asarray(beta_samples if beta_samples is not None
-                         else DEFAULT_BETA_SAMPLES, dtype=float)
+def qs_finite_difference(field: ControlField) -> SensitivityReport:
+    """q_S from evolving the Schrodinger equation at the error amplitudes BETA_SAMPLES."""
+    samples = np.asarray(BETA_SAMPLES)
     p2 = final_p2_pure(field, samples)
     qs, err = _quadratic_fit(samples**2, p2, "beta")
     return SensitivityReport(q_s=qs, method="finite_difference", error_estimate=err)

@@ -546,8 +546,12 @@ def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axes, message):
     (["sweep", "--figure", "4", "--axis1=-1e300,1e300,3"], 1,
      "pure-state integration diverged (a component exceeds 1 in modulus)"),
     (["simulate", "--kind", "optimal_noise", "--n", "1", "--beta", "1e308"], 1,
-     "Bloch integration diverged (a component exceeds 1 in modulus)")],
-    ids=["sweep-1", "sweep-7", "sweep-4", "simulate"])
+     "Bloch integration diverged (a component exceeds 1 in modulus)"),
+    # dt |Omega| ~ 2.5 without noise: the Euler steps grow the state past overflow
+    (["simulate", "--kind", "transitionless", "--omega0", "1e4", "--delta0", "1e4", "--sse",
+      "--lambda2", "0", "--n-traj", "10"], 1,
+     "SSE integration diverged (a trajectory's P2 is not finite); take a smaller dt")],
+    ids=["sweep-1", "sweep-7", "sweep-4", "simulate", "simulate-sse"])
 def test_numerical_refusals_print_the_refusal_alone(tmp_path, capsys, args, code, refusal):
     """Under the suite's error::RuntimeWarning filter, as under the default one."""
     assert run_cli([*args, "--grid-steps", "11", "--out", str(tmp_path / "out")]) == code

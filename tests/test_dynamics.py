@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, EnsembleResult, ErrorSetting,
                     PureState, TimeGrid, constant, dynamics, evolve_bloch,
-                    evolve_propagator, evolve_pure, evolve_sse, make_flat_pi,
+                    evolve_propagator, evolve_pure, make_flat_pi,
                     make_transitionless, monte_carlo_p2)
 from invlab.dynamics import _sse_run
 from bloch_reference import bloch_from_pure
@@ -141,27 +141,33 @@ def test_error_setting_validation():
         ErrorSetting(lambda2=-0.1)
 
 
+def _sse_finals(field, lambda2, dt, seed, n_traj):
+    """Final amplitudes (n_traj, 2) of an ensemble's members, in index order."""
+    return np.concatenate([np.stack(run, axis=1) for run in
+                           dynamics._sse_trajectories(field, lambda2, dt, seed, n_traj)])
+
+
 def test_sse_noise_free_matches_pure(grid, flat_field):
-    sse = evolve_sse(flat_field, GROUND_PURE, 0.0, 1.0 / 4000.0, seed=5)
+    sse = _sse_finals(flat_field, 0.0, 1.0 / 4000.0, 5, 2)
     pure = evolve_pure(flat_field, GROUND_PURE)
-    assert np.max(np.abs(sse.states - pure.states)) < 1e-3  # Euler is O(dt)
+    assert np.max(np.abs(sse - pure.states[-1])) < 1e-3  # Euler is O(dt)
 
 
 def test_sse_bit_reproducible(grid, flat_field):
-    a = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=123)
-    b = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=123)
-    assert np.array_equal(a.states, b.states)
-    c = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=124)
-    assert not np.array_equal(a.states, c.states)
+    a = _sse_finals(flat_field, 0.09, 1.0 / 2000.0, 123, 4)
+    b = _sse_finals(flat_field, 0.09, 1.0 / 2000.0, 123, 4)
+    assert np.array_equal(a, b)
+    c = _sse_finals(flat_field, 0.09, 1.0 / 2000.0, 124, 4)
+    assert not np.array_equal(a, c)
 
 
 def test_sse_validation(grid, flat_field):
     with pytest.raises(ValueError):
-        evolve_sse(flat_field, GROUND_PURE, 0.1, -1e-4, seed=0)
+        monte_carlo_p2(flat_field, 0.1, 4, -1e-4, seed=0)
     with pytest.raises(ValueError):
-        evolve_sse(flat_field, GROUND_PURE, 0.1, 0.001, seed=0)  # does not divide h
+        monte_carlo_p2(flat_field, 0.1, 4, 0.001, seed=0)  # does not divide h
     with pytest.raises(ValueError):
-        evolve_sse(flat_field, GROUND_PURE, -0.1, 1.0 / 4000.0, seed=0)
+        monte_carlo_p2(flat_field, -0.1, 4, 1.0 / 4000.0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_p2(flat_field, 0.1, 1, 1.0 / 4000.0, seed=0)
 
@@ -194,25 +200,24 @@ def test_monte_carlo_batching_invariance(grid, flat_field, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, n_traj, batch", [("flat", 16, None), ("transitionless", 11, 4)])
-def test_monte_carlo_is_a_batch_of_evolve_sse_runs(grid, flat_field, monkeypatch,
-                                                    kind, n_traj, batch):
+def test_monte_carlo_is_a_batch_of_single_trajectory_runs(grid, flat_field, monkeypatch,
+                                                            kind, n_traj, batch):
     field = flat_field if kind == "flat" else make_transitionless(2.0, 1.3, grid)
     if batch:
         monkeypatch.setattr(dynamics, "_SSE_BATCH", batch)  # 11 trajectories cross two boundaries
     dt, seed = 1.0 / 2000.0, 17
     res = monte_carlo_p2(field, 0.09, n_traj, dt, seed)
-    p2 = np.array([evolve_sse(field, GROUND_PURE, 0.09, dt, seed, traj_index=i).final_p2()
-                   for i in range(n_traj)])
+    monkeypatch.setattr(dynamics, "_SSE_BATCH", 1)  # each member on its own
+    c1, c2 = _sse_finals(field, 0.09, dt, seed, n_traj).T
+    p2 = np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
     assert res == EnsembleResult(float(np.mean(p2)), float(np.std(p2, ddof=1) / math.sqrt(n_traj)),
                                  n_traj, seed, dt)
 
 
 def test_sse_rejects_an_unstable_step(flat_field):
     # lambda2 * max|Omega|^2 * dt = 0.5 * pi^2 * 1/2000 ~ 2.5e-3: accepted
-    evolve_sse(flat_field, GROUND_PURE, 0.5, 1.0 / 2000.0, seed=0)
-    with pytest.raises(ValueError, match="lambda2 \\* max"):
-        evolve_sse(flat_field, GROUND_PURE, 500.0, 1.0 / 2000.0, seed=0)
-    with pytest.raises(ValueError, match="unstable"):
+    monte_carlo_p2(flat_field, 0.5, 4, 1.0 / 2000.0, seed=0)
+    with pytest.raises(ValueError, match="Euler-Maruyama step unstable: lambda2 \\* max"):
         monte_carlo_p2(flat_field, 500.0, 4, 1.0 / 2000.0, seed=0)
 
 
@@ -226,8 +231,6 @@ def test_sse_stiffness_is_checked_at_every_step_time():
     # dt = 0.25 steps at t = 0, 0.25, 0.5, 0.75; at t = 0.25 lambda2 |Omega|^2 dt = 15
     with pytest.raises(ValueError, match="lambda2 \\* max\\|Omega\\|\\^2 \\* dt = 15.1 >= 1"):
         monte_carlo_p2(_bump_field(), 0.5, 4, 0.25, seed=0)
-    with pytest.raises(ValueError, match="Euler-Maruyama step unstable"):
-        evolve_sse(_bump_field(), GROUND_PURE, 0.5, 0.25, seed=0)
 
 
 def test_rk4_stability_is_checked_at_the_midpoints():
@@ -248,7 +251,7 @@ def test_ensemble_memory_is_pinned(flat_field, n_traj):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * 2**20, peak / 2**20
+    assert peak <= 22 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -274,8 +277,6 @@ def test_propagator_route_requires_a_finite_beta(flat_field, evolve, beta):
                                                (0.1, math.nan, "dt"), (0.1, math.inf, "dt"),
                                                (0.1, 0.0, "dt")])
 def test_sse_requires_finite_settings(flat_field, lambda2, dt, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        evolve_sse(flat_field, GROUND_PURE, lambda2, dt, seed=0)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         monte_carlo_p2(flat_field, lambda2, 4, dt, seed=0)
 
@@ -316,9 +317,7 @@ def test_sse_weak_order_one(grid, flat_field):
         rng = np.random.default_rng(42)
         signs = rng.integers(0, 256, size=(-(-n_sse // 4), n_paths), dtype=np.uint8)
         field = make_flat_pi(0.0, TimeGrid(n_sse + 1))
-        c1 = np.ones(n_paths, dtype=complex)
-        c2 = np.zeros(n_paths, dtype=complex)
-        c1, c2, _ = _sse_run(dynamics._sse_tables(field, lam2, dt, n_sse), n_sse, c1, c2, signs)
+        c1, c2 = _sse_run(dynamics._sse_table(field, lam2, dt, n_sse), signs)
         p2_em = np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
         plus = np.unpackbits(signs, axis=0, bitorder="little")[0::2][:n_sse].sum(axis=0)
         w_T = math.sqrt(dt) * (2.0 * plus - n_sse)
@@ -334,22 +333,14 @@ def test_sse_weak_order_one(grid, flat_field):
     assert min(orders) >= 0.8, (errors, orders)
 
 
-@pytest.mark.parametrize("name, bad", [(name, bad) for name in ("seed", "traj_index")
-                                       for bad in (-1, 2**64, 1.5, True, "1")])
-def test_trajectory_rng_rejects_bad_keys(flat_field, name, bad):
-    # the seed and first trajectory index key the Philox window of every SSE entry point
-    keys = {"seed": 0, "traj_index": 0, name: bad}
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, **keys)
-    if name == "seed":
-        with pytest.raises(ValueError, match="^seed must be an integer"):
-            monte_carlo_p2(flat_field, 0.09, 4, 1.0 / 2000.0, seed=bad)
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True, "1"])
+def test_trajectory_rng_rejects_bad_seeds(flat_field, bad):
+    # the seed keys the Philox windows of every trajectory
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        monte_carlo_p2(flat_field, 0.09, 4, 1.0 / 2000.0, seed=bad)
 
 
-def test_sse_last_key_is_a_python_int_counter(flat_field):
-    # the window's counter is index * blocks; as a numpy uint64 product it would wrap (with a warning)
+def test_sse_last_seed_may_be_a_numpy_integer(flat_field):
     top = 2**64 - 1
-    got = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=np.uint64(top),
-                     traj_index=np.uint64(top))
-    want = evolve_sse(flat_field, GROUND_PURE, 0.09, 1.0 / 2000.0, seed=top, traj_index=top)
-    assert np.array_equal(got.states, want.states)
+    got = monte_carlo_p2(flat_field, 0.09, 4, 1.0 / 2000.0, seed=np.uint64(top))
+    assert got == monte_carlo_p2(flat_field, 0.09, 4, 1.0 / 2000.0, seed=top)

@@ -239,14 +239,12 @@ def test_bloch_setting_memory_is_pinned(flat_field):
     assert peak <= 460 * 2**10, peak / 2**10
 
 
-def _sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record):
-    """Trajectories 0 .. n_traj-1 integrated ``batch`` at a time, joined."""
+def _sse_in_batches(field, lambda2, dt, seed, n_traj, batch):
+    """Final amplitudes of trajectories 0 .. n_traj-1 integrated ``batch`` at a time, joined."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_SSE_BATCH", batch)
-        runs = list(dynamics._sse_trajectories(field, psi0, lambda2, dt, seed, 0, n_traj, record))
-    c1, c2, recorded = zip(*runs)
-    return (np.concatenate(c1), np.concatenate(c2),
-            np.concatenate(recorded, axis=1) if record else None)
+        c1, c2 = zip(*dynamics._sse_trajectories(field, lambda2, dt, seed, n_traj))
+    return np.concatenate(c1), np.concatenate(c2)
 
 
 def _increments(seed, index, n_sse, dt):
@@ -263,24 +261,19 @@ def _increments(seed, index, n_sse, dt):
 
 
 @settings(max_examples=15, deadline=None)
-@given(sse_fields(), st.floats(0.0, 0.5), st.integers(1, 5),
-       pure_states().filter(lambda p: abs(p.c2) > 0.0), st.booleans(),
-       st.integers(0, 2**63))
-def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, psi0, record, seed):
+@given(sse_fields(), st.floats(0.0, 0.5), st.integers(1, 5), st.integers(0, 2**63))
+def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, seed):
     n_traj, n_sse = 7, per * (field.grid.n_steps - 1)
     dt = field.grid.h / per
     dw = np.stack([_increments(seed, i, n_sse, dt) for i in range(n_traj)])
-    ref = reference_sse_run(field, np.full(n_traj, complex(psi0.c1)),
-                            np.full(n_traj, complex(psi0.c2)), lambda2, dt,
-                            dw[:, :, 0].T, dw[:, :, 1].T, per if record else 0)
-    runs = [_sse_in_batches(field, psi0, lambda2, dt, seed, n_traj, batch, record)
-            for batch in (1, 3, 7)]
-    keep = 3 if record else 2  # final c1, c2 and the recorded states, if any
-    for got, want in zip(runs[0][:keep], ref[:keep]):
+    ref = reference_sse_run(field, np.ones(n_traj, dtype=complex), np.zeros(n_traj, dtype=complex),
+                            lambda2, dt, dw[:, :, 0].T, dw[:, :, 1].T)
+    runs = [_sse_in_batches(field, lambda2, dt, seed, n_traj, batch) for batch in (1, 3, 7)]
+    for got, want in zip(runs[0], ref):
         assert np.max(np.abs(got - want)) < 1e-12
     # every step writes a separate buffer, so a batch of one rounds like the rest
     for run in runs[1:]:
-        assert all(np.array_equal(got, want) for got, want in zip(run[:keep], runs[0][:keep]))
+        assert all(np.array_equal(got, want) for got, want in zip(run, runs[0]))
     ensembles = []
     with pytest.MonkeyPatch.context() as mp:
         for batch in (1, 3, 7):
@@ -290,42 +283,42 @@ def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, psi
 
 
 @settings(max_examples=6, deadline=None)
-@given(sse_fields(), st.floats(0.0, 0.5), pure_states(), st.integers(0, 2**63),
-       st.integers(0, 2**32))
-def test_sse_draws_do_not_depend_on_batch(field, lambda2, psi0, seed, index):
+@given(sse_fields(), st.floats(0.0, 0.5), st.integers(0, 2**63), st.integers(2, 6))
+def test_sse_draws_do_not_depend_on_batch(field, lambda2, seed, count):
+    # member i's draws are keyed by (seed, i) alone: neither the batch size nor the
+    # ensemble size moves them, so the first ``count`` members of 7 are an ensemble of ``count``
     dt = field.grid.h / 2
-    runs = []
+    full = [_sse_in_batches(field, lambda2, dt, seed, 7, batch) for batch in (1, 3, 7)]
+    for batch in (1, 3, 7):
+        part = _sse_in_batches(field, lambda2, dt, seed, count, batch)
+        for run in full:
+            assert all(np.array_equal(got, want[:count]) for got, want in zip(part, run))
+    ensembles = []
     with pytest.MonkeyPatch.context() as mp:
         for batch in (1, 3, 7):
             mp.setattr(dynamics, "_SSE_BATCH", batch)
-            states = dynamics.evolve_sse(field, psi0, lambda2, dt, seed, index).states
-            runs.append((states, monte_carlo_p2(field, lambda2, 7, dt, seed)))
-    for states, ensemble in runs[1:]:
-        assert np.array_equal(states, runs[0][0]) and ensemble == runs[0][1]
+            ensembles.append(monte_carlo_p2(field, lambda2, count, dt, seed))
+    assert ensembles[0] == ensembles[1] == ensembles[2]
 
 
 @pytest.mark.parametrize("piece", [1, 3, 7])
 def test_batch_signs_drawn_in_pieces_are_one_call(monkeypatch, piece):
-    """A batch's signs drawn ``piece`` trajectories at a time hold the bytes of one Philox call,
-    and every member of the batch equals its own evolve_sse run bit for bit."""
+    """A batch's signs drawn ``piece`` trajectories at a time hold the bytes of one Philox call."""
     field = make_transitionless(2.0, 1.3, TimeGrid(202))
-    dt, seed, first, n_traj = field.grid.h / 2, 9, 5, 11
+    dt, seed, n_traj = field.grid.h / 2, 9, 11
     n_sse = 402  # 13 words of a 16-word window: the last three are drawn but never read
     words = -(-n_sse // 32)
     blocks = -(-words // 4)
     run, seen = dynamics._sse_run, []
 
-    def spy(tables, n, c1, c2, signs, record_every=0):
+    def spy(table, signs):
         seen.append(signs.copy())
-        return run(tables, n, c1, c2, signs, record_every)
+        return run(table, signs)
 
     monkeypatch.setattr(dynamics, "_SSE_BATCH", n_traj)
     monkeypatch.setattr(dynamics, "_SIGN_PIECE", piece)
     monkeypatch.setattr(dynamics, "_sse_run", spy)
-    c1, c2, _ = next(dynamics._sse_trajectories(field, GROUND_PURE, 0.09, dt, seed, first, n_traj))
-    raw = np.random.Philox(key=seed, counter=first * blocks).random_raw(4 * blocks * n_traj)
+    list(dynamics._sse_trajectories(field, 0.09, dt, seed, n_traj))
+    raw = np.random.Philox(key=seed).random_raw(4 * blocks * n_traj)
     want = raw.reshape(n_traj, 4 * blocks)[:, :words].astype("<u8").view(np.uint8).T
     assert len(seen) == 1 and seen[0].shape == want.shape and np.array_equal(seen[0], want)
-    for i in range(n_traj):
-        final = dynamics.evolve_sse(field, GROUND_PURE, 0.09, dt, seed, first + i).states[-1]
-        assert np.array_equal(final, [c1[i], c2[i]])

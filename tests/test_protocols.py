@@ -367,10 +367,19 @@ def test_protocol_spec_dispatch(grid):
     ("flat_pi", {"omega0": 3.0}, None, ["--omega0", "3"]),
     ("transitionless", {"omega0": 1.0, "delta0": 1.0, "n": 3}, None,
      ["--omega0", "1", "--delta0", "1", "--n", "3"]),
+    # non-finite values: each refused by its rule, before any channel is formed
+    ("flat_pi", {"alpha": math.inf}, lambda g: make_flat_pi(math.inf, g), ["--alpha", "inf"]),
+    ("flat_pi", {"alpha": math.nan}, lambda g: make_flat_pi(math.nan, g), ["--alpha", "nan"]),
+    ("sinusoidal_adiabatic", {"omega0": math.inf, "delta0": 1.0},
+     lambda g: make_sinusoidal(math.inf, 1.0, g), ["--omega0", "inf", "--delta0", "1"]),
+    ("transitionless", {"omega0": 1.0, "delta0": -math.inf},
+     lambda g: make_transitionless(1.0, -math.inf, g), ["--omega0", "1", "--delta0", "-inf"]),
 ])
 def test_each_parameter_rule_holds_on_every_route(capsys, kind, params, builder, flags):
     with pytest.raises(ValueError) as refused:
         ProtocolSpec(kind, params)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in params.values()):
+        assert "must be finite, got" in str(refused.value)
     if builder is not None:
         with pytest.raises(ValueError):
             builder(TimeGrid(101))

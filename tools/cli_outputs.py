@@ -94,6 +94,13 @@ def runs():
         yield f"help_{command}", [command, "--help"]
     yield "dump_config", ["simulate", *KINDS["optimal_noise_7"], "--lambda2", "0.1",
                           "--dump-config"]
+    # refusals, last so that the earlier lines of exit_codes.txt keep their bytes: an ensemble
+    # whose Euler steps overflow, and a non-finite protocol parameter
+    yield "simulate_sse_diverged", ["simulate", "--kind", "transitionless", "--omega0", "1e4",
+                                    "--delta0", "1e4", "--sse", "--lambda2", "0", "--n-traj", "10",
+                                    "--out", "simulate_sse_diverged.json"]
+    yield "protocol_flat_pi_alpha_inf", ["protocol", "--kind", "flat_pi", "--alpha", "inf",
+                                         "--out", "protocol_flat_pi_alpha_inf.csv"]
 
 
 def import_cli():
