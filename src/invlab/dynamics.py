@@ -53,10 +53,12 @@ means alone (``monte_carlo_p2``).  Each step is again a matrix
     b_k = -1/2 w_I (dt + lambda dW_I) - i/2 w_R (dt + lambda dW_R).
 
 a_k holds the detuning and the Ito correction; b_k takes one of four
-values per step.  So four steps take one of 256 values: their products
-are tabulated once per ensemble as (groups, 256, 2) rows (a, b), and one
-byte of signs picks the row of a trajectory's four-step propagator, one
-gather per group for a whole batch.  No normalization is enforced during
+values per step.  So four steps take one of 256 values: the pairs of
+each step under its four sign patterns are formed once per ensemble, and
+the products of each group of four steps are tabulated as 256 rows (a, b)
+a block of groups at a time, just before those groups run.  One byte of
+signs picks the row of a trajectory's four-step propagator, one gather per
+group for a whole batch.  No normalization is enforced during
 evolution; final probabilities divide by the squared norm to absorb the
 O(dt) drift.
 
@@ -88,13 +90,20 @@ _MAX_SEED = 2**64
 # Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
 # batch.  A batch's signs, one byte per four steps each (1 KB at 4000 steps,
 # 10 MB for the batch, scaling with 1/dt), are its only batch-by-steps
-# buffer; the step table, 8 MB at 4000 steps, is built once per ensemble.
-# Each group costs a fixed number of numpy calls, so larger batches spread
-# that cost; 16384 would raise the peak of a 2 * 10^4 ensemble from 20 to 27 MiB.
+# buffer.  The step pairs, 512 KiB at 4000 steps, are formed once per ensemble;
+# each batch forms the four-step table again, a block of groups at a time
+# (8-10 ms a batch at 4000 steps).  Each group costs a fixed number of numpy
+# calls, so larger batches spread that cost; 16384 would raise the peak of a
+# 2 * 10^4 ensemble from 13 to 20 MiB.
 _SSE_BATCH = 10_000
 # Trajectories per Philox call while a batch's signs are drawn: the raw words
 # of one piece (1 MB at 4000 steps) are transposed into the batch's sign array.
 _SIGN_PIECE = 1024
+# Groups of four steps whose table _sse_run forms at a time, into one (64, 256, 2)
+# block of 512 KiB reused by every block of the batch.  On a 10^4-trajectory
+# ensemble at 4000 steps, blocks of 16 groups ran about 10% slower, and 64 ran
+# no slower than one block of all 1000 groups.
+_TABLE_GROUPS = 64
 
 
 @dataclass(frozen=True)
@@ -370,10 +379,14 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
     The fastest rate of -lambda^2 L2 is lambda^2 (W_R^2 + W_I^2) / 2, real
     and negative; a step h times it past the interval makes the solve grow.
     The rate is read where the steps read it: at the nodes and the midpoints.
+    A field whose |Omega|^2 overflows there is refused on its own.
     """
     lambda2 = max((s.lambda2 for s in settings), default=0.0)
     if lambda2 > 0.0:
-        rate = max(float(np.max(wr ** 2 + wi ** 2)) for wr, wi, _ in field.stage_tables)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = max(float(np.max(wr ** 2 + wi ** 2)) for wr, wi, _ in field.stage_tables)
+        if not math.isfinite(rate):
+            raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
         x = field.grid.h * lambda2 * rate / 2.0
         if x >= _RK4_REAL_LIMIT:
             raise ValueError(f"RK4 step unstable: h * max(lambda2 |Omega|^2) / 2 = {x:.3g} >= "
@@ -469,23 +482,24 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     return _pure_p2(c[0], c[1])
 
 
-def _sse_table(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np.ndarray:
-    """Products of four consecutive SSE steps for every sign pattern, shape (groups, 256, 2).
+def _sse_steps(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np.ndarray:
+    """The pair (a, b) of every SSE step under each sign pattern, shape (groups, 4, 4, 2).
 
     Step k is the module docstring's [[a_k, b_k], [-b_k*, a_k*]], channels at
-    the left endpoint (Ito).  Row [q, i] is the pair (a, b) of
-    M_4q+3 ... M_4q for the signs in the bits of i, bit 2j that of dW_R and
-    bit 2j+1 that of dW_I at step 4q+j, so one gather of rows reads both
-    halves.  Steps past n_sse are the identity, so a tail group shorter than
-    four steps reads its row like any other.  The products of one, two and
-    three steps are formed on the way, each freed once the next is built.
-    Refuses a step whose damping lambda2 |Omega|^2 dt reaches 1 at any step
-    time.
+    the left endpoint (Ito).  Entry [q, j, s] is step 4q+j under the signs s,
+    bit 0 that of dW_R and bit 1 that of dW_I.  Steps past n_sse are the
+    identity, so a tail group shorter than four steps reads its rows like any
+    other.  Refuses a field whose |Omega|^2 is not finite at a step time, and
+    a step whose damping lambda2 |Omega|^2 dt reaches 1 at any step time.
     """
     groups = -(-n_sse // 4)
     wr, wi, dl = field.values(np.arange(n_sse) * dt)
-    rate = wr * wr + wi * wi
-    stiffness = lambda2 * float(np.max(rate)) * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = wr * wr + wi * wi
+    peak = float(np.max(rate))
+    if not math.isfinite(peak):
+        raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
+    stiffness = lambda2 * peak * dt
     if stiffness >= 1.0:
         raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "
                          f"{stiffness:.3g} >= 1; take a smaller dt")
@@ -495,18 +509,30 @@ def _sse_table(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np
     steps[:n_sse, :, 0] = (1.0 + dt * (0.5j * dl - 0.125 * lambda2 * rate))[:, None]
     steps[:n_sse, :, 1].real = -0.5 * wi[:, None] * inc[[0, 0, 1, 1]]
     steps[:n_sse, :, 1].imag = -0.5 * wr[:, None] * inc[[0, 1, 0, 1]]
-    steps = steps.reshape(groups, 4, 4, 2)
-    table = steps[:, 0]
+    return steps.reshape(groups, 4, 4, 2)
+
+
+def _sse_block(steps: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[:g] with the four-step products of the g groups of ``steps``, (g, 256, 2).
+
+    Row [q, i] is the pair (a, b) of M_4q+3 ... M_4q for the signs in the
+    bits of i, bit 2j that of dW_R and bit 2j+1 that of dW_I at step 4q+j,
+    so one gather of rows reads both halves.  The products of two and three
+    steps are formed in the leading rows of ``out``: step j's sign is the
+    high bits, and the slice of sign 0, which overwrites the shorter
+    products it reads, is formed last.
+    """
+    g = steps.shape[0]
+    c, d = steps[:, 0, :, 0], steps[:, 0, :, 1]
     for j in range(1, 4):
-        c, d = table[..., 0], table[..., 1]
         width = c.shape[-1]
-        table = np.empty((groups, 4 * width, 2), dtype=complex)
-        for sign in range(4):  # step j's sign is the high bits: one slice at a time, in place
+        cc, dc = c.conj(), d.conj()
+        for sign in (3, 2, 1, 0):
             a, b = steps[:, j, sign, 0, None], steps[:, j, sign, 1, None]
-            part = table[:, sign * width:(sign + 1) * width]
-            np.subtract(a * c, b * d.conj(), out=part[..., 0])  # _pair_mul's arithmetic
-            np.add(a * d, b * c.conj(), out=part[..., 1])
-    return table
+            part = out[:g, sign * width:(sign + 1) * width]
+            np.subtract(a * c, b * dc, out=part[..., 0])  # _pair_mul's arithmetic
+            np.add(a * d, b * cc, out=part[..., 1])
+        c, d = out[:g, :4 * width, 0], out[:g, :4 * width, 1]
 
 
 def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
@@ -526,32 +552,37 @@ def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
     n2 -= t
 
 
-def _sse_run(table: np.ndarray, signs: np.ndarray):
+def _sse_run(steps: np.ndarray, signs: np.ndarray):
     """Euler-Maruyama core on two-point increments, a batch of trajectories from the ground state.
 
-    ``table``: ``_sse_table`` for the steps.  ``signs``: uint8 (bytes,
+    ``steps``: ``_sse_steps`` for the steps.  ``signs``: uint8 (bytes,
     batch), byte q holding the signs of steps 4q .. 4q+3 (a trajectory's
-    column may run past the last group; the rest is unused).  Each group of
-    four steps is one gather of (a, b) rows from the group's 256-row table
-    and one 2x2 update.  Returns the final amplitudes (c1, c2).
+    column may run past the last group; the rest is unused).  The four-step
+    table is formed _TABLE_GROUPS groups at a time into one reused block.
+    Each group of four steps is one gather of (a, b) rows from the group's
+    256-row table and one 2x2 update.  Returns the final amplitudes (c1, c2).
     """
-    count = signs.shape[1]
+    groups, count = steps.shape[0], signs.shape[1]
     c1, c2 = np.ones(count, dtype=complex), np.zeros(count, dtype=complex)
     n1, n2, w, t = np.empty((4, count), dtype=complex)
     g = np.empty((count, 2), dtype=complex)
     u, v = g[:, 0], g[:, 1]
-    # a uint8 index cannot leave a 256-row table; "clip" is the cheaper bounds rule
-    for q in range(table.shape[0]):
-        table[q].take(signs[q], axis=0, out=g, mode="clip")
-        _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
-        c1, n1, c2, n2 = n1, c1, n2, c2
+    block = np.empty((min(groups, _TABLE_GROUPS), 256, 2), dtype=complex)
+    for lo in range(0, groups, _TABLE_GROUPS):
+        hi = min(lo + _TABLE_GROUPS, groups)
+        _sse_block(steps[lo:hi], block)
+        for table, group_signs in zip(block, signs[lo:hi]):
+            # a uint8 index cannot leave a 256-row table; "clip" is the cheaper bounds rule
+            table.take(group_signs, axis=0, out=g, mode="clip")
+            _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
+            c1, n1, c2, n2 = n1, c1, n2, c2
     return c1, c2
 
 
 def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int, count: int):
     """Yield ``_sse_run`` on trajectories 0 .. count-1, _SSE_BATCH at a time.
 
-    dt must divide the grid spacing.  The step table and one (bytes, batch)
+    dt must divide the grid spacing.  The step pairs and one (bytes, batch)
     sign array are made once.  Each batch's signs, read under the module
     docstring's seed contract, fill that array in pieces of _SIGN_PIECE
     trajectories drawn one after another from the same Philox stream: the
@@ -569,7 +600,7 @@ def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int,
     if per < 1 or abs(ratio - per) > 1e-9 * ratio:
         raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
     n_sse = per * (grid.n_steps - 1)
-    table = _sse_table(field, lambda2, dt, n_sse)
+    steps = _sse_steps(field, lambda2, dt, n_sse)
     words = -(-n_sse // 32)
     blocks = -(-words // 4)
     philox = np.random.Philox(key=int(seed))
@@ -582,7 +613,7 @@ def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int,
             # contiguous rows before the byte transpose, which is slower from strided ones
             raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
             signs[:, j:j + p] = raw.view(np.uint8).T
-        yield _sse_run(table, signs[:, :m])
+        yield _sse_run(steps, signs[:, :m])
 
 
 def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,

@@ -342,6 +342,24 @@ class Family(NamedTuple):
 
     build: Callable[..., ControlField]  # called with grid= and every parameter by name
     params: tuple
+    rule: Callable[[str, dict], None] | None = None  # ValueError on a bad parameter set
+
+
+def _representable_sweep(kind: str, p: dict) -> None:
+    """Refuse a sweep whose squared channels or counter-diabatic numerator overflow a float.
+
+    On [0, 1], WR^2 + D^2 lies between delta0^2 and omega0^2, and the
+    numerator WR D_dot - WR_dot D is pi omega0 delta0, so |Wa| peaks at
+    pi |omega0 delta0| / min(omega0^2, delta0^2).  A singular sweep is the
+    builder's to refuse.
+    """
+    omega0, delta0 = p["omega0"], p["delta0"]
+    numerator = math.pi * abs(omega0 * delta0)
+    gap2 = min(omega0 * omega0, delta0 * delta0)
+    wa = numerator / gap2 if gap2 >= SINGULAR_GAP2 else 0.0
+    if not math.isfinite(omega0 * omega0 + delta0 * delta0 + wa * wa + numerator):
+        raise ValueError(f"{kind}: omega0={omega0!r} and delta0={delta0!r} overflow "
+                         f"WR^2 + WI^2 + D^2 or the counter-diabatic numerator")
 
 
 _ALPHA = Param("alpha", float, 0.0, help="pulse phase (radians)")
@@ -358,7 +376,7 @@ PROTOCOLS = {
                         (Param("envelope", callable, "sin", choices=ENVELOPES,
                                help="shaped_pi envelope name"), _ALPHA)),
     "sinusoidal_adiabatic": Family(lambda **p: make_sinusoidal(**p), _SWEEP),
-    "transitionless": Family(lambda **p: make_transitionless(**p), _SWEEP),
+    "transitionless": Family(lambda **p: make_transitionless(**p), _SWEEP, _representable_sweep),
     "optimal_noise": Family(lambda **p: make_optimal_noise(**p),
                             (Param("n", int, 7, odd=True, help=_N_HELP),)),
     "optimal_systematic": Family(
@@ -368,19 +386,22 @@ PROTOCOLS = {
 
 
 def _check(kind: str, **params) -> dict:
-    """A kind's parameters, each checked by its rule: those given, in their order, then defaults."""
+    """A kind's parameters, those given in their order, then defaults: each checked by its
+    own rule, then the whole set by the kind's rule."""
     if kind not in PROTOCOLS:
         raise ValueError(f"unknown protocol kind {kind!r}; expected one of {tuple(PROTOCOLS)}")
-    table = PROTOCOLS[kind].params
-    unknown = set(params).difference(p.name for p in table)
+    family = PROTOCOLS[kind]
+    unknown = set(params).difference(p.name for p in family.params)
     if unknown:
         raise ValueError(f"{kind} takes no parameter {sorted(unknown)[0]!r}")
     out = dict(params)
-    for p in table:
+    for p in family.params:
         value = out.get(p.name, p.default)
         if value is Parameter.empty:
             raise ValueError(f"{kind} requires parameter {p.name!r}")
         out[p.name] = p.check(kind, value)
+    if family.rule is not None:
+        family.rule(kind, out)
     return out
 
 

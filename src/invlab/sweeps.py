@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
-from .protocols import ProtocolSpec, _transitionless
+from .protocols import SINGULAR_GAP2, ProtocolSpec, _transitionless
 from .sensitivity import ANGLE_FORMS
 
 
@@ -103,8 +103,14 @@ def default_beta_axis(n_points: int = 61) -> Axis:
 
 def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
                           quantity: str) -> SweepResult:
-    for ends in ((omega0_axis.min, delta0_axis.min), (omega0_axis.max, delta0_axis.max)):
-        ProtocolSpec("transitionless", dict(zip(("omega0", "delta0"), ends)))  # the family's rules
+    # the family's rules where its overflow rule peaks: at the plane's corners, and at the
+    # least |delta0| of a regular field, where the counter-diabatic term is largest
+    deltas = delta0_axis.values
+    regular = deltas[deltas * deltas >= SINGULAR_GAP2]
+    least = regular[np.argmin(np.abs(regular))] if regular.size else deltas[0]
+    for omega0 in (omega0_axis.min, omega0_axis.max):
+        for delta0 in (delta0_axis.min, delta0_axis.max, float(least)):
+            ProtocolSpec("transitionless", {"omega0": omega0, "delta0": delta0})
     integrand, value = ANGLE_FORMS[quantity]
     delta0 = delta0_axis.values[:, None]
     values = np.empty((omega0_axis.n_points, delta0_axis.n_points))

@@ -550,13 +550,48 @@ def test_diverged_sweep_cell_exits_1(tmp_path, capsys, figure, axes, message):
     # dt |Omega| ~ 2.5 without noise: the Euler steps grow the state past overflow
     (["simulate", "--kind", "transitionless", "--omega0", "1e4", "--delta0", "1e4", "--sse",
       "--lambda2", "0", "--n-traj", "10"], 1,
-     "SSE integration diverged (a trajectory's P2 is not finite); take a smaller dt")],
-    ids=["sweep-1", "sweep-7", "sweep-4", "simulate", "simulate-sse"])
+     "SSE integration diverged (a trajectory's P2 is not finite); take a smaller dt"),
+    # finite parameters whose transitionless channels overflow: bad input, refused before
+    # any channel is formed
+    *[([command, "--kind", "transitionless", "--omega0", omega0, "--delta0", "1", *extra], 2,
+       f"transitionless: omega0={float(omega0)!r} and delta0=1.0 overflow WR^2 + WI^2 + D^2 "
+       "or the counter-diabatic numerator")
+      for command, omega0, extra in [("sensitivity", "1e200", ["--method", "formula"]),
+                                     ("protocol", "1e200", []), ("protocol", "1e308", [])]],
+    (["sweep", "--figure", "2", "--axis1=1e200,1e201,2", "--axis2=1,2,2"], 2,
+     "transitionless: omega0=1e+200 and delta0=1.0 overflow WR^2 + WI^2 + D^2 "
+     "or the counter-diabatic numerator"),
+    # neither the lower nor the upper ends overflow, the corner (max, min) does
+    (["sweep", "--figure", "5", "--axis1=1e153,1e154,2", "--axis2=-1e154,1e153,2"], 2,
+     "transitionless: omega0=1e+154 and delta0=-1e+154 overflow WR^2 + WI^2 + D^2 "
+     "or the counter-diabatic numerator"),
+    # no corner overflows, the counter-diabatic term at the least regular |delta0| does
+    (["sweep", "--figure", "2", "--axis1=1e153,2e153,2", "--axis2=-1,1,9"], 2,
+     "transitionless: omega0=2e+153 and delta0=-0.25 overflow WR^2 + WI^2 + D^2 "
+     "or the counter-diabatic numerator"),
+    # |Omega|^2 of a finite field overflows: no step size or noise level can help
+    *[(["simulate", "--kind", "sinusoidal_adiabatic", "--omega0", "1e200", "--delta0", "1",
+        "--lambda2", "0.1", *sse], 2, "field amplitude overflows: max |Omega|^2 is not finite")
+      for sse in ([], ["--sse", "--n-traj", "4", "--dt", "0.025"])]],
+    ids=["sweep-1", "sweep-7", "sweep-4", "simulate", "simulate-sse", "sensitivity-1e200",
+         "protocol-1e200", "protocol-1e308", "sweep-2-1e200", "sweep-5-corner",
+         "sweep-2-least-delta0", "simulate-overflow", "simulate-sse-overflow"])
 def test_numerical_refusals_print_the_refusal_alone(tmp_path, capsys, args, code, refusal):
     """Under the suite's error::RuntimeWarning filter, as under the default one."""
     assert run_cli([*args, "--grid-steps", "11", "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == f"invlab: {refusal}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_parameters_print_no_numpy_warning():
+    """A refused parameter set prints its refusal alone under the default warning filter too."""
+    proc = subprocess.run([sys.executable, "-m", "invlab.cli", "sensitivity", "--kind",
+                           "transitionless", "--omega0", "1e200", "--delta0", "1", "--grid-steps",
+                           "11", "--method", "formula"],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("invlab: transitionless: omega0=1e+200 and delta0=1.0 overflow "
+                           "WR^2 + WI^2 + D^2 or the counter-diabatic numerator\n")
 
 
 @pytest.mark.parametrize("axis", ["10,12,2", "6,8,2"])

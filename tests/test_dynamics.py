@@ -244,14 +244,26 @@ def test_rk4_stability_is_checked_at_the_midpoints():
 
 @pytest.mark.parametrize("n_traj", [10_000, 20_000])
 def test_ensemble_memory_is_pinned(flat_field, n_traj):
-    """A default-size ensemble is one batch; two batches do not hold two batches' signs."""
+    """A default-size ensemble is one batch; two batches do not hold two batches' signs, and
+    no ensemble holds a four-step table for every group."""
     tracemalloc.start()
     try:
         monte_carlo_p2(flat_field, 0.09, n_traj, 1.0 / 4000.0, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22 * 2**20, peak / 2**20
+    assert peak <= 15 * 2**20, peak / 2**20
+
+
+def test_fine_step_ensemble_memory_is_pinned(flat_field):
+    """At dt = 1/16000 the four-step table is still one block of groups, not a table of 4000."""
+    tracemalloc.start()
+    try:
+        monte_carlo_p2(flat_field, 0.09, 2000, 1.0 / 16000.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -317,7 +329,7 @@ def test_sse_weak_order_one(grid, flat_field):
         rng = np.random.default_rng(42)
         signs = rng.integers(0, 256, size=(-(-n_sse // 4), n_paths), dtype=np.uint8)
         field = make_flat_pi(0.0, TimeGrid(n_sse + 1))
-        c1, c2 = _sse_run(dynamics._sse_table(field, lam2, dt, n_sse), signs)
+        c1, c2 = _sse_run(dynamics._sse_steps(field, lam2, dt, n_sse), signs)
         p2_em = np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
         plus = np.unpackbits(signs, axis=0, bitorder="little")[0::2][:n_sse].sum(axis=0)
         w_T = math.sqrt(dt) * (2.0 * plus - n_sse)

@@ -282,6 +282,30 @@ def test_sse_step_matches_reference_at_every_batch_size(field, lambda2, per, see
     assert ensembles[0] == ensembles[1] == ensembles[2]
 
 
+@pytest.mark.parametrize("n_steps, per", [(91, 3), (11, 3), (101, 4)],
+                         ids=["68-groups-tail", "8-groups-tail", "100-groups"])
+def test_sse_table_blocks_leave_every_bit(monkeypatch, n_steps, per):
+    """The four-step table formed _TABLE_GROUPS groups at a time, one group per block, blocks
+    that do not divide the groups, or one block for all, gives the same bits, within rounding
+    of the elementwise reference.  n_sse = 270 and 30 end in a group of two steps."""
+    field = make_transitionless(2.0, 1.3, TimeGrid(n_steps))
+    n_traj, seed, lambda2 = 9, 17, 0.09
+    n_sse, dt = per * (n_steps - 1), field.grid.h / per
+    finals, ensembles = [], []
+    for size in (1, 3, 7, 64, 1000):
+        monkeypatch.setattr(dynamics, "_TABLE_GROUPS", size)
+        finals.append(_sse_in_batches(field, lambda2, dt, seed, n_traj, 4))
+        ensembles.append(monte_carlo_p2(field, lambda2, n_traj, dt, seed))
+    for run in finals[1:]:
+        assert all(np.array_equal(got, want) for got, want in zip(run, finals[0]))
+    assert all(e == ensembles[0] for e in ensembles[1:])
+    dw = np.stack([_increments(seed, i, n_sse, dt) for i in range(n_traj)])
+    ref = reference_sse_run(field, np.ones(n_traj, dtype=complex), np.zeros(n_traj, dtype=complex),
+                            lambda2, dt, dw[:, :, 0].T, dw[:, :, 1].T)
+    for got, want in zip(finals[0], ref):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 @settings(max_examples=6, deadline=None)
 @given(sse_fields(), st.floats(0.0, 0.5), st.integers(0, 2**63), st.integers(2, 6))
 def test_sse_draws_do_not_depend_on_batch(field, lambda2, seed, count):
@@ -311,9 +335,9 @@ def test_batch_signs_drawn_in_pieces_are_one_call(monkeypatch, piece):
     blocks = -(-words // 4)
     run, seen = dynamics._sse_run, []
 
-    def spy(table, signs):
+    def spy(steps, signs):
         seen.append(signs.copy())
-        return run(table, signs)
+        return run(steps, signs)
 
     monkeypatch.setattr(dynamics, "_SSE_BATCH", n_traj)
     monkeypatch.setattr(dynamics, "_SIGN_PIECE", piece)

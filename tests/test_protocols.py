@@ -374,12 +374,30 @@ def test_protocol_spec_dispatch(grid):
      lambda g: make_sinusoidal(math.inf, 1.0, g), ["--omega0", "inf", "--delta0", "1"]),
     ("transitionless", {"omega0": 1.0, "delta0": -math.inf},
      lambda g: make_transitionless(1.0, -math.inf, g), ["--omega0", "1", "--delta0", "-inf"]),
+    # finite values whose channels overflow: refused before any channel is formed
+    ("transitionless", {"omega0": 1e200, "delta0": 1.0},
+     lambda g: make_transitionless(1e200, 1.0, g), ["--omega0", "1e200", "--delta0", "1"]),
+    ("transitionless", {"omega0": 1e308, "delta0": 1.0},
+     lambda g: make_transitionless(1e308, 1.0, g), ["--omega0", "1e308", "--delta0", "1"]),
+    ("transitionless", {"omega0": 1.0, "delta0": -1e200},
+     lambda g: make_transitionless(1.0, -1e200, g), ["--omega0", "1", "--delta0", "-1e200"]),
+    # WR^2 + D^2 is 1.5e308, but the counter-diabatic numerator pi omega0 delta0 overflows
+    ("transitionless", {"omega0": 8.7e153, "delta0": 8.7e153},
+     lambda g: make_transitionless(8.7e153, 8.7e153, g),
+     ["--omega0", "8.7e153", "--delta0", "8.7e153"]),
+    # only Wa^2 overflows: Wa = pi omega0 / delta0 at t = 0
+    ("transitionless", {"omega0": 1e150, "delta0": 1e-5},
+     lambda g: make_transitionless(1e150, 1e-5, g), ["--omega0", "1e150", "--delta0", "1e-5"]),
 ])
 def test_each_parameter_rule_holds_on_every_route(capsys, kind, params, builder, flags):
     with pytest.raises(ValueError) as refused:
         ProtocolSpec(kind, params)
     if any(isinstance(v, float) and not math.isfinite(v) for v in params.values()):
         assert "must be finite, got" in str(refused.value)
+    elif any(isinstance(v, float) and abs(v) > 1e100 for v in params.values()):
+        assert str(refused.value) == (f"{kind}: omega0={params['omega0']!r} and delta0="
+                                      f"{params['delta0']!r} overflow WR^2 + WI^2 + D^2 "
+                                      "or the counter-diabatic numerator")
     if builder is not None:
         with pytest.raises(ValueError):
             builder(TimeGrid(101))

@@ -101,6 +101,29 @@ def runs():
                                     "--out", "simulate_sse_diverged.json"]
     yield "protocol_flat_pi_alpha_inf", ["protocol", "--kind", "flat_pi", "--alpha", "inf",
                                          "--out", "protocol_flat_pi_alpha_inf.csv"]
+    # finite transitionless parameters whose channels overflow a float
+    huge = ["--kind", "transitionless", "--omega0", "1e200", "--delta0", "1", "--grid-steps", "11"]
+    yield "protocol_transitionless_1e200", ["protocol", *huge,
+                                            "--out", "protocol_transitionless_1e200.csv"]
+    yield "sensitivity_transitionless_1e200", ["sensitivity", *huge, "--method", "formula",
+                                               "--out", "sensitivity_transitionless_1e200.json"]
+    yield "sweep_2_1e200", ["sweep", "--figure", "2", "--axis1=1e200,1e201,2", "--axis2=1,2,2",
+                            "--grid-steps", "11", "--out", "figure2_1e200"]
+    # no corner of the plane overflows, the counter-diabatic term at delta0 = -0.25 does
+    yield "sweep_2_least_delta0", ["sweep", "--figure", "2", "--axis1=1e153,2e153,2",
+                                   "--axis2=-1,1,9", "--grid-steps", "11",
+                                   "--out", "figure2_least_delta0"]
+    # a field whose |Omega|^2 overflows, under the Bloch RK4 and the SSE step checks
+    overflow = ["simulate", "--kind", "sinusoidal_adiabatic", "--omega0", "1e200", "--delta0",
+                "1", "--grid-steps", "11", "--lambda2", "0.1"]
+    yield "simulate_sinusoidal_1e200", [*overflow, "--out", "simulate_sinusoidal_1e200.csv"]
+    yield "simulate_sse_sinusoidal_1e200", [*overflow, "--sse", "--n-traj", "4", "--dt", "0.025",
+                                            "--out", "simulate_sse_sinusoidal_1e200.json"]
+    # 30 SSE steps: the last group of four holds two
+    yield "simulate_sse_tail_group", ["simulate", "--kind", "flat_pi", "--grid-steps", "11",
+                                      "--sse", "--lambda2", "0.1", "--n-traj", "100",
+                                      "--dt", "0.03333333333333333", "--seed", "3",
+                                      "--out", "simulate_sse_tail_group.json"]
 
 
 def import_cli():
