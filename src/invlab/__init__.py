@@ -1,8 +1,7 @@
 """invlab: robust population-inversion protocols for two-level systems."""
 
-from .core import (AngleSamples, BlochState, ControlField, GROUND_BLOCH,
-                   GROUND_PURE, InvariantAngles, PureState, TimeGrid, constant,
-                   sampled_derivative)
+from .core import (AngleSamples, ControlField, GROUND_BLOCH, InvariantAngles, TimeGrid,
+                   constant, sampled_derivative)
 from .dynamics import (EnsembleResult, ErrorSetting, Trajectory, evolve_bloch,
                        evolve_propagator, evolve_pure, final_p2_bloch, final_p2_pure,
                        monte_carlo_p2)

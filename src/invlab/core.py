@@ -1,4 +1,4 @@
-"""Shared data model: time grids, two-level states, and control fields.
+"""Shared data model: time grids, control fields and invariant angles.
 
 Conventions
 -----------
@@ -14,8 +14,11 @@ products Omega T and Delta T.  A mixed state is the Bloch vector
 
     r = (rho_12 + rho_21,  i(rho_12 - rho_21),  rho_11 - rho_22),
 
-with excitation probability P2 = (1 - r3)/2.  Component 1 of a pure
-state is the ground state, component 2 the excited state.
+with excitation probability P2 = (1 - r3)/2.  A pure state is the pair
+of amplitudes (c1, c2), component 1 the ground state and component 2 the
+excited state.  States are plain arrays: the engines take a pair (c1, c2)
+or three Bloch components, and the ground state's Bloch vector is
+``GROUND_BLOCH``.
 
 A field's channels are one vectorized function of time, t -> (Omega_R,
 Omega_I, Delta): the generator's closed forms whenever it has them,
@@ -43,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 CSV_FIELD_HEADER = "t,omega_r,omega_i,delta"
-_NORM_TOL = 1e-6  # a pure state's norm may miss 1 by this much
 _BOUNDARY_TOL = 1e-9  # theta(0) = 0 and theta(1) = pi hold to this
 
 
@@ -196,40 +198,9 @@ class ControlField:
         return cls(grid, *(data[:, 1:].T * T), label=label)
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Two complex amplitudes (c1, c2); component 2 is the excited state."""
-
-    c1: complex
-    c2: complex
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
-
-    def check_normalized(self) -> None:
-        """ValueError unless the norm is 1 within 1e-6."""
-        if abs(self.norm() - 1.0) > _NORM_TOL:
-            raise ValueError(f"pure state is not normalized: |psi| = {self.norm()!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=complex)
-
-
-@dataclass(frozen=True)
-class BlochState:
-    r1: float
-    r2: float
-    r3: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.r1**2 + self.r2**2 + self.r3**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2, self.r3], dtype=float)
-
-
-GROUND_PURE = PureState(1.0 + 0.0j, 0.0j)
-GROUND_BLOCH = BlochState(0.0, 0.0, 1.0)
+# the ground state's Bloch vector, the initial state of every Bloch solve the program runs
+GROUND_BLOCH = np.array([0.0, 0.0, 1.0])
+GROUND_BLOCH.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)

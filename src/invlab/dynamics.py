@@ -83,8 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GROUND_BLOCH, BlochState, ControlField, PureState, TimeGrid,
-                   csv_text, write_text)
+from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, write_text
 
 _MAX_SEED = 2**64
 # Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
@@ -122,27 +121,21 @@ class ErrorSetting:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States aligned with the grid: (n, 3) float for Bloch, (n, 2) complex for pure."""
+    """Bloch vectors aligned with the grid, shape (n, 3)."""
 
     grid: TimeGrid
     states: np.ndarray
-    kind: str  # "bloch" | "pure"
 
     def p2(self) -> np.ndarray:
         """Excitation probability along the trajectory."""
-        if self.kind == "bloch":
-            return 0.5 * (1.0 - self.states[:, 2])
-        return _pure_p2(self.states[:, 0], self.states[:, 1])
+        return 0.5 * (1.0 - self.states[:, 2])
 
     def final_p2(self) -> float:
         return float(self.p2()[-1])
 
     def csv_columns(self) -> tuple[str, list]:
-        """The CSV header and its columns: t, then r1..r3 or the parts of c1 and c2."""
-        if self.kind == "bloch":
-            return "t,r1,r2,r3", [self.grid.times, *self.states.T]
-        c1, c2 = self.states.T
-        return "t,re_c1,im_c1,re_c2,im_c2", [self.grid.times, c1.real, c1.imag, c2.real, c2.imag]
+        """The CSV header and its columns: t, then r1..r3."""
+        return "t,r1,r2,r3", [self.grid.times, *self.states.T]
 
     def to_csv(self, path) -> None:
         write_text(path, csv_text(*self.csv_columns()))
@@ -389,8 +382,8 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
             raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
         x = field.grid.h * lambda2 * rate / 2.0
         if x >= _RK4_REAL_LIMIT:
-            raise ValueError(f"RK4 step unstable: h * max(lambda2 |Omega|^2) / 2 = {x:.3g} >= "
-                             f"{_RK4_REAL_LIMIT}; lower --lambda2 or raise --grid-steps")
+            raise ValueError(f"RK4 step unstable at lambda2 = {lambda2:.3g}: h * max(lambda2 "
+                             f"|Omega|^2) / 2 = {x:.3g} >= {_RK4_REAL_LIMIT}; raise --grid-steps")
 
 
 def _require_bounded(states: np.ndarray, what: str) -> None:
@@ -420,15 +413,19 @@ def _solve(field: ControlField, engine, params, reduce) -> list:
     return [np.concatenate(run, axis=-1) for run in runs]
 
 
-def evolve_pure(field: ControlField, psi0: PureState, beta: float = 0.0) -> Trajectory:
-    """Integrate i dpsi/dt = (H0 + beta H1) psi from a normalized psi0.
+def evolve_pure(field: ControlField, psi0, beta: float = 0.0) -> np.ndarray:
+    """Amplitudes (c1, c2) on the grid, shape (n, 2), of i dpsi/dt = (H0 + beta H1) psi.
 
+    psi0 is the pair (c1, c2), refused unless its norm is 1 within 1e-6.
     H1 scales the off-diagonal (Rabi) part only; the detuning is error-free.
     Norm is conserved to integrator accuracy (< 1e-9 on default grids).
     """
-    psi0.check_normalized()
+    c1, c2 = np.asarray(psi0, dtype=complex)
+    norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"pure state is not normalized: |psi| = {norm!r}")
     u = evolve_propagator(field, beta)
-    return Trajectory(field.grid, _apply_pair(u.T, complex(psi0.c1), complex(psi0.c2)).T, "pure")
+    return _apply_pair(u.T, c1, c2).T
 
 
 def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
@@ -445,16 +442,18 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
     return u
 
 
-def evolve_bloch(field: ControlField, r0: BlochState, setting: ErrorSetting = ErrorSetting()) -> Trajectory:
-    """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r."""
+def evolve_bloch(field: ControlField, r0, setting: ErrorSetting = ErrorSetting()) -> Trajectory:
+    """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r from r0, three finite numbers."""
+    r = np.asarray(r0, dtype=float)
+    if r.shape != (3,) or not np.all(np.isfinite(r)):
+        raise ValueError(f"r0 must be three finite numbers, got {r0!r}")
     _require_rk4_stable(field, [setting])
-    r = r0.as_array()
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
     with np.errstate(over="ignore", invalid="ignore"):
         out[1:] = _apply_bloch(_solve(field, _BLOCH, [setting], _scan)[0], r).T
     _require_bounded(out, "Bloch")
-    return Trajectory(field.grid, out, "bloch")
+    return Trajectory(field.grid, out)
 
 
 def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
@@ -465,7 +464,7 @@ def final_p2_bloch(field: ControlField, settings) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for k, run in enumerate(_solve(field, _BLOCH, settings, _product)):
             m[..., k] = run[..., -1]
-        r = _apply_bloch(m, GROUND_BLOCH.as_array())
+        r = _apply_bloch(m, GROUND_BLOCH)
     _require_bounded(r, "Bloch")
     return 0.5 * (1.0 - r[2])
 
@@ -477,9 +476,8 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for k, run in enumerate(_solve(field, _PURE, betas, _product)):
             u[:, k] = run[:, -1]
-        c = _apply_pair(u, 1.0 + 0.0j, 0.0j)
-    _require_bounded(c, "pure-state")
-    return _pure_p2(c[0], c[1])
+    _require_bounded(u, "pure-state")
+    return _pure_p2(u[0], u[1])  # the ground state's amplitudes (a, -b*) have these moduli
 
 
 def _sse_steps(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np.ndarray:

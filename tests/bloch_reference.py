@@ -2,18 +2,20 @@
 Bloch engines of ``invlab.dynamics`` are checked against each other through it.
 """
 
+import math
+
 import numpy as np
 
-from invlab import BlochState, PureState
 
-
-def bloch_from_pure(state: PureState) -> BlochState:
-    """Map a normalized pure state to its Bloch vector.
+def bloch_from_pure(psi) -> np.ndarray:
+    """Map a normalized pure state, the pair (c1, c2), to its Bloch vector (r1, r2, r3).
 
     r1 = 2 Re(c1 conj(c2)), r2 = -2 Im(c1 conj(c2)), r3 = |c1|^2 - |c2|^2.
     Rejects input whose norm deviates from 1 by more than 1e-6.
     """
-    state.check_normalized()
-    cross = state.c1 * np.conj(state.c2)
-    return BlochState(float(2.0 * cross.real), float(-2.0 * cross.imag),
-                      float(abs(state.c1) ** 2 - abs(state.c2) ** 2))
+    c1, c2 = np.asarray(psi, dtype=complex)
+    norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"pure state is not normalized: |psi| = {norm!r}")
+    cross = c1 * np.conj(c2)
+    return np.array([2.0 * cross.real, -2.0 * cross.imag, abs(c1) ** 2 - abs(c2) ** 2])

@@ -490,7 +490,20 @@ def test_diverged_bloch_run_exits_1(capsys):
 def test_unstable_bloch_step_exits_2(capsys):
     assert run_cli(["simulate", "--kind", "flat_pi", "--lambda2", "1e6", "--grid-steps", "11",
                     "--format", "json"]) == 2
-    assert "lower --lambda2 or raise --grid-steps" in capsys.readouterr().err
+    assert ("RK4 step unstable at lambda2 = 1e+06: h * max(lambda2 |Omega|^2) / 2 = 4.93e+05 "
+            ">= 2.785; raise --grid-steps") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, lambda2", [
+    # the q_N fit's lambda^2 samples, and a Fig. 7 lambda-axis value: neither command has --lambda2
+    (["sensitivity", "--kind", "transitionless", "--omega0", "30", "--delta0", "1",
+      "--grid-steps", "11"], "0.02"),
+    (["sweep", "--figure", "7", "--grid-steps", "5"], "1.44")])
+def test_unstable_bloch_step_advises_only_grid_steps(capsys, args, lambda2):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert f"RK4 step unstable at lambda2 = {lambda2}:" in err
+    assert "raise --grid-steps" in err and "--lambda2" not in err
 
 
 def test_unstable_sse_step_exits_2(capsys):

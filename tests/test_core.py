@@ -8,16 +8,16 @@ from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import CubicSpline
 
 import invlab
-from invlab import (ControlField, InvariantAngles, PureState, TimeGrid, Trajectory,
+from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid, Trajectory,
                     constant, sampled_derivative)
 from invlab.core import csv_text, json_text, simpson
 from bloch_reference import bloch_from_pure
 
 # every public name of the package; an addition or removal is made here on purpose
 PUBLIC_NAMES = [
-    "AngleSamples", "Axis", "BlochState", "ControlField", "EnsembleResult", "ErrorSetting",
-    "GROUND_BLOCH", "GROUND_PURE", "InvariantAngles", "ProtocolSpec", "PureState",
-    "SensitivityReport", "SweepResult", "TimeGrid", "Trajectory", "constant",
+    "AngleSamples", "Axis", "ControlField", "EnsembleResult", "ErrorSetting",
+    "GROUND_BLOCH", "InvariantAngles", "ProtocolSpec", "SensitivityReport", "SweepResult",
+    "TimeGrid", "Trajectory", "constant",
     "default_beta_axis", "default_delta0_axis", "default_lambda_axis", "default_omega0_axis",
     "evolve_bloch", "evolve_propagator", "evolve_pure", "final_p2_bloch",
     "final_p2_pure", "first_integral_constant", "make_flat_pi", "make_invariant_engineered",
@@ -33,6 +33,14 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(invlab).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_ground_bloch_is_a_read_only_array():
+    assert GROUND_BLOCH.dtype == np.dtype(float)
+    assert GROUND_BLOCH.tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        GROUND_BLOCH[2] = -1.0
+    assert GROUND_BLOCH.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_time_grid_points():
@@ -87,7 +95,7 @@ def test_simpson_small_counts_and_exactness():
     ((0.0, 0.0, 0.0), 0.5),
 ])
 def test_excitation_probability(r, expected):
-    assert Trajectory(TimeGrid(2), np.array([r, r]), "bloch").final_p2() == expected
+    assert Trajectory(TimeGrid(2), np.array([r, r])).final_p2() == expected
 
 
 @pytest.mark.parametrize("c1,c2,expected", [
@@ -96,13 +104,13 @@ def test_excitation_probability(r, expected):
     (1.0 / math.sqrt(2), 1.0 / math.sqrt(2), (1.0, 0.0, 0.0)),
 ])
 def test_bloch_from_pure_basics(c1, c2, expected):
-    r = bloch_from_pure(PureState(c1, c2))
-    assert (r.r1, r.r2, r.r3) == pytest.approx(expected, abs=1e-15)
+    r = bloch_from_pure((c1, c2))
+    assert tuple(r) == pytest.approx(expected, abs=1e-15)
 
 
 def test_bloch_from_pure_rejects_unnormalized():
     with pytest.raises(ValueError):
-        bloch_from_pure(PureState(1.0, 0.1))
+        bloch_from_pure((1.0, 0.1))
 
 
 def test_bloch_from_pure_random_states():
@@ -111,18 +119,18 @@ def test_bloch_from_pure_random_states():
     for _ in range(300):
         raw = rng.normal(size=4)
         raw /= np.linalg.norm(raw)
-        psi = PureState(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
-        r = bloch_from_pure(psi)
-        assert abs(r.norm() - 1.0) < 1e-12
-        assert 0.5 * (1.0 - r.r3) == pytest.approx(abs(psi.c2) ** 2, abs=1e-12)
+        c1, c2 = complex(raw[0], raw[1]), complex(raw[2], raw[3])
+        r = bloch_from_pure((c1, c2))
+        assert abs(np.linalg.norm(r) - 1.0) < 1e-12
+        assert 0.5 * (1.0 - r[2]) == pytest.approx(abs(c2) ** 2, abs=1e-12)
 
 
 def test_sign_convention_matches_density_matrix():
     # r2 = i(rho_12 - rho_21) for a state with a complex relative phase
-    psi = PureState(math.sqrt(0.7), complex(0.3, math.sqrt(0.3 - 0.09)))
-    rho12 = psi.c1 * np.conj(psi.c2)
-    r = bloch_from_pure(psi)
-    assert r.r2 == pytest.approx(float((1j * (rho12 - np.conj(rho12))).real), abs=1e-15)
+    c1, c2 = math.sqrt(0.7), complex(0.3, math.sqrt(0.3 - 0.09))
+    rho12 = c1 * np.conj(c2)
+    r = bloch_from_pure((c1, c2))
+    assert r[1] == pytest.approx(float((1j * (rho12 - np.conj(rho12))).real), abs=1e-15)
 
 
 def test_control_field_requires_finite_channels():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, EnsembleResult, ErrorSetting,
-                    PureState, TimeGrid, constant, dynamics, evolve_bloch,
-                    evolve_propagator, evolve_pure, make_flat_pi,
-                    make_transitionless, monte_carlo_p2)
+from invlab import (GROUND_BLOCH, ControlField, EnsembleResult, ErrorSetting, TimeGrid,
+                    constant, dynamics, evolve_bloch, evolve_propagator, evolve_pure,
+                    final_p2_pure, make_flat_pi, make_transitionless, monte_carlo_p2)
 from invlab.dynamics import _sse_run
 from bloch_reference import bloch_from_pure
 
@@ -21,31 +20,35 @@ def zero_field(grid):
 
 
 def test_zero_field_is_identity(grid):
-    psi0 = PureState(complex(0.6, 0.0), complex(0.0, 0.8))
-    traj = evolve_pure(zero_field(grid), psi0)
-    assert np.max(np.abs(traj.states - traj.states[0])) < 1e-12
+    psi = evolve_pure(zero_field(grid), (0.6, 0.8j))
+    assert np.max(np.abs(psi - psi[0])) < 1e-12
 
 
 def test_flat_pi_inverts_pure(grid, flat_field):
-    traj = evolve_pure(flat_field, GROUND_PURE)
-    assert abs(traj.states[-1, 1]) ** 2 == pytest.approx(1.0, abs=1e-10)
+    psi = evolve_pure(flat_field, (1, 0))
+    assert abs(psi[-1, 1]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evolve_pure_rejects_unnormalized(grid, flat_field):
-    with pytest.raises(ValueError):
-        evolve_pure(flat_field, PureState(1.0, 0.5))
+    with pytest.raises(ValueError, match="^pure state is not normalized: \\|psi\\| = 1.118"):
+        evolve_pure(flat_field, (1.0, 0.5))
+    with pytest.raises(ValueError, match="^pure state is not normalized"):
+        evolve_pure(flat_field, (1.0 + 2e-6, 0.0))
+    with pytest.raises(ValueError, match="^pure state is not normalized"):
+        evolve_pure(flat_field, (math.nan, 0.0))
+    evolve_pure(flat_field, (1.0 + 5e-7, 0.0))  # within the 1e-6 tolerance
 
 
 @pytest.mark.parametrize("beta", [-1.0, -0.5, 0.3, 1.0])
 def test_flat_pi_systematic_closed_form(grid, flat_field, beta):
     # any pi pulse: P2(beta) = 1/2 - 1/2 cos((1+beta) pi)
-    p2 = evolve_pure(flat_field, GROUND_PURE, beta=beta).final_p2()
+    p2 = final_p2_pure(flat_field, [beta])[0]
     assert p2 == pytest.approx(0.5 - 0.5 * math.cos((1.0 + beta) * math.pi), abs=1e-8)
 
 
 def test_norm_conservation_under_systematic_error(grid, transitionless_example):
-    traj = evolve_pure(transitionless_example, GROUND_PURE, beta=0.35)
-    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-9
+    psi = evolve_pure(transitionless_example, (1, 0), beta=0.35)
+    assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) < 1e-9
 
 
 def test_flat_pi_inverts_bloch(grid, flat_field):
@@ -82,10 +85,9 @@ def test_bloch_norm_monotone_under_noise(grid, transitionless_example):
 
 def test_pure_bloch_consistency(grid, transitionless_example):
     beta = 0.12
-    pure = evolve_pure(transitionless_example, GROUND_PURE, beta=beta)
+    pure = evolve_pure(transitionless_example, (1, 0), beta=beta)
     bloch = evolve_bloch(transitionless_example, GROUND_BLOCH, ErrorSetting(beta=beta))
-    mapped = np.array([bloch_from_pure(PureState(c1, c2)).as_array()
-                       for c1, c2 in pure.states])
+    mapped = np.array([bloch_from_pure(psi) for psi in pure])
     assert np.max(np.abs(mapped - bloch.states)) < 1e-8
 
 
@@ -94,8 +96,8 @@ def test_rk4_step_halving_order():
     errs = []
     for n in (33, 65, 129):
         f = make_transitionless(2.0, 1.3, TimeGrid(n))
-        errs.append(evolve_pure(f, GROUND_PURE, beta=0.3).states[-1])
-    ref = evolve_pure(make_transitionless(2.0, 1.3, TimeGrid(4097)), GROUND_PURE, beta=0.3).states[-1]
+        errs.append(evolve_pure(f, (1, 0), beta=0.3)[-1])
+    ref = evolve_pure(make_transitionless(2.0, 1.3, TimeGrid(4097)), (1, 0), beta=0.3)[-1]
     e = [np.max(np.abs(s - ref)) for s in errs]
     orders = [math.log2(e[i] / e[i + 1]) for i in range(2)]
     assert min(orders) >= 3.8
@@ -122,18 +124,22 @@ def test_trajectory_csv(tmp_path, grid, flat_field):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], grid.times)
     assert np.array_equal(data[:, 1:], bl.states)
-    assert bl.csv_columns()[0] == "t,r1,r2,r3"
-    pu = evolve_pure(flat_field, GROUND_PURE)
-    path2 = tmp_path / "pure.csv"
-    pu.to_csv(path2)
-    assert path2.read_text().splitlines()[0] == "t,re_c1,im_c1,re_c2,im_c2"
-    data = np.loadtxt(path2, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], grid.times)
-    assert np.array_equal(data[:, 1::2] + 1j * data[:, 2::2], pu.states)
-    assert np.any(data[:, 2::2] != 0.0)
-    header, columns = pu.csv_columns()
-    assert header == "t,re_c1,im_c1,re_c2,im_c2"
+    header, columns = bl.csv_columns()
+    assert header == "t,r1,r2,r3"
     assert np.array_equal(np.column_stack(columns), data)
+
+
+@pytest.mark.parametrize("r0", [(0.0, 1.0), (0.0, 0.0, 1.0, 0.0), [[0.0, 0.0, 1.0]], 1.0,
+                                (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)])
+def test_evolve_bloch_requires_three_finite_numbers(flat_field, r0):
+    with pytest.raises(ValueError, match="^r0 must be three finite numbers"):
+        evolve_bloch(flat_field, r0)
+
+
+def test_evolve_bloch_takes_any_three_numbers(flat_field):
+    ref = evolve_bloch(flat_field, GROUND_BLOCH).states
+    for r0 in ((0, 0, 1), [0.0, 0.0, 1.0], np.array([0.0, 0.0, 1.0])):
+        assert np.array_equal(evolve_bloch(flat_field, r0).states, ref)
 
 
 def test_error_setting_validation():
@@ -149,8 +155,8 @@ def _sse_finals(field, lambda2, dt, seed, n_traj):
 
 def test_sse_noise_free_matches_pure(grid, flat_field):
     sse = _sse_finals(flat_field, 0.0, 1.0 / 4000.0, 5, 2)
-    pure = evolve_pure(flat_field, GROUND_PURE)
-    assert np.max(np.abs(sse - pure.states[-1])) < 1e-3  # Euler is O(dt)
+    pure = evolve_pure(flat_field, (1, 0))
+    assert np.max(np.abs(sse - pure[-1])) < 1e-3  # Euler is O(dt)
 
 
 def test_sse_bit_reproducible(grid, flat_field):
@@ -236,7 +242,7 @@ def test_sse_stiffness_is_checked_at_every_step_time():
 def test_rk4_stability_is_checked_at_the_midpoints():
     # h = 0.5: the midpoint t = 0.25 reads h lambda2 |Omega|^2 / 2 = 30, the nodes 0.25
     field = _bump_field()
-    with pytest.raises(ValueError, match="RK4 step unstable: .* = 30.2 >= 2.785"):
+    with pytest.raises(ValueError, match="RK4 step unstable at lambda2 = 1: .* = 30.2 >= 2.785"):
         dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=1.0)])
     with pytest.raises(ValueError, match="RK4 step unstable"):
         evolve_bloch(field, GROUND_BLOCH, ErrorSetting(lambda2=1.0))
@@ -276,7 +282,7 @@ def test_error_setting_requires_finite_values(kwargs, name):
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("evolve", [evolve_propagator,
-                                    lambda field, beta: evolve_pure(field, GROUND_PURE, beta)],
+                                    lambda field, beta: evolve_pure(field, (1, 0), beta)],
                          ids=["evolve_propagator", "evolve_pure"])
 def test_propagator_route_requires_a_finite_beta(flat_field, evolve, beta):
     # bad input, as in final_p2_pure, not a diverged integration
@@ -307,7 +313,7 @@ def test_rk4_bound_sits_at_the_stability_interval():
     edge = 2.785 * 2.0 / (field.grid.h * math.pi ** 2)
     p2 = dynamics.final_p2_bloch(field, [ErrorSetting(lambda2=0.99 * edge)])[0]
     assert 0.0 <= p2 <= 1.0
-    with pytest.raises(ValueError, match="--lambda2 or raise --grid-steps"):
+    with pytest.raises(ValueError, match="^RK4 step unstable at lambda2 = .*; raise --grid-steps$"):
         dynamics.final_p2_bloch(field, [ErrorSetting(), ErrorSetting(lambda2=edge)])
 
 

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invlab import (GROUND_BLOCH, GROUND_PURE, BlochState, ControlField, ErrorSetting,
-                    PureState, TimeGrid, dynamics, evolve_bloch, evolve_propagator,
-                    evolve_pure, final_p2_bloch, final_p2_pure, make_flat_pi,
-                    make_transitionless, monte_carlo_p2)
+from invlab import (GROUND_BLOCH, ControlField, ErrorSetting, TimeGrid, dynamics,
+                    evolve_bloch, evolve_propagator, evolve_pure, final_p2_bloch,
+                    final_p2_pure, make_flat_pi, make_transitionless, monte_carlo_p2)
 from rk4_reference import reference_bloch, reference_pure
 from sse_reference import reference_sse_run
 
@@ -44,9 +43,9 @@ def pure_states(draw):
     x = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(4)])
     norm = float(np.linalg.norm(x))
     if norm < 1e-3:
-        return GROUND_PURE
+        return (1.0, 0.0)
     x /= norm
-    return PureState(complex(x[0], x[1]), complex(x[2], x[3]))
+    return (complex(x[0], x[1]), complex(x[2], x[3]))
 
 
 @st.composite
@@ -54,7 +53,7 @@ def bloch_states(draw):
     """Unit Bloch vectors; the ground state when the drawn vector is near zero."""
     x = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
     norm = float(np.linalg.norm(x))
-    return GROUND_BLOCH if norm < 1e-3 else BlochState(*(x / norm))
+    return GROUND_BLOCH if norm < 1e-3 else x / norm
 
 
 @st.composite
@@ -73,7 +72,7 @@ def sse_fields(draw):
 @given(smooth_fields(), betas, lambda2s)
 def test_bloch_matches_scalar_reference(field, beta, lambda2):
     r0 = (0.6, 0.0, 0.8)
-    traj = evolve_bloch(field, BlochState(*r0), ErrorSetting(beta, lambda2))
+    traj = evolve_bloch(field, r0, ErrorSetting(beta, lambda2))
     ref = reference_bloch(field, r0, beta, lambda2)
     assert np.max(np.abs(traj.states - ref)) < 1e-12
 
@@ -91,12 +90,14 @@ def test_bloch_contracts_under_noise(field, beta, lambda2, r0):
 @settings(max_examples=25, deadline=None)
 @given(smooth_fields(), betas, pure_states())
 def test_pure_matches_reference_keeps_norm_and_p2_range(field, beta, psi0):
-    traj = evolve_pure(field, psi0, beta=beta)
-    assert np.max(np.abs(traj.states - reference_pure(field, psi0.c1, psi0.c2, beta))) < 1e-12
+    psi = evolve_pure(field, psi0, beta=beta)
+    assert psi.shape == (GRID.n_steps, 2) and psi.dtype == np.dtype(complex)
+    assert np.max(np.abs(psi - reference_pure(field, *psi0, beta))) < 1e-12
     # RK4 is unitary only to its truncation error, which reaches ~1.4e-7 here
     # (201 points, channels up to 12, beta = 1); rounding adds nothing visible.
-    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-6
-    p2 = traj.p2()
+    assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) < 1e-6
+    c1, c2 = np.abs(psi.T) ** 2
+    p2 = c2 / (c1 + c2)
     assert np.all((p2 >= -1e-15) & (p2 <= 1.0 + 1e-15))
 
 
@@ -109,6 +110,13 @@ def test_propagator_columns_are_orthogonal_solutions(field, beta):
     assert np.max(np.abs(np.sum(excited.conj() * ground, axis=1))) < 1e-12
     assert np.max(np.abs(ground - reference_pure(field, 1.0, 0.0, beta))) < 1e-12
     assert np.max(np.abs(excited - reference_pure(field, 0.0, 1.0, beta))) < 1e-12
+
+
+def _propagator_p2(row):
+    """P2 from the ground state at a propagator row (a, b): its amplitudes (a, -b*)
+    give |b|^2 / (|a|^2 + |b|^2)."""
+    a, b = np.abs(row) ** 2
+    return b / (a + b)
 
 
 def _rows_minus_bloch(field):
@@ -142,7 +150,7 @@ def test_batched_final_p2_equals_single_solves(field, pairs):
     pure = final_p2_pure(field, [b for b, _ in pairs])
     for k, s in enumerate(cases):
         assert bloch[k] == evolve_bloch(field, GROUND_BLOCH, s).final_p2()
-        assert pure[k] == evolve_pure(field, GROUND_PURE, beta=s.beta).final_p2()
+        assert pure[k] == _propagator_p2(evolve_propagator(field, s.beta)[-1])
     assert np.all((pure >= 0.0) & (pure <= 1.0))
 
 
@@ -157,13 +165,12 @@ def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda
         mp.setattr(dynamics, "_CHUNK_BYTES", 72 * chunk)
         setting = ErrorSetting(beta, lambda2)
         traj = evolve_bloch(field, GROUND_BLOCH, setting)
-        ref = reference_bloch(field, GROUND_BLOCH.as_array(), beta, lambda2)
+        ref = reference_bloch(field, GROUND_BLOCH, beta, lambda2)
         assert np.max(np.abs(traj.states - ref)) < 1e-12
         u = evolve_propagator(field, beta)
         assert np.max(np.abs(u[:, 0] - reference_pure(field, 1.0, 0.0, beta)[:, 0])) < 1e-12
         assert final_p2_bloch(field, [setting])[0] == traj.final_p2()
-        pure = evolve_pure(field, GROUND_PURE, beta=beta)
-        assert final_p2_pure(field, [beta])[0] == pure.final_p2()
+        assert final_p2_pure(field, [beta])[0] == _propagator_p2(u[-1])
 
 
 def test_step_tables_stay_within_the_chunk_budget(monkeypatch):

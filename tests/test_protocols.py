@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from invlab import (GROUND_BLOCH, GROUND_PURE, ControlField, InvariantAngles, ProtocolSpec,
-                    PureState, TimeGrid, constant, evolve_bloch, evolve_pure, make_flat_pi,
+from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, ProtocolSpec,
+                    TimeGrid, constant, evolve_bloch, evolve_pure, make_flat_pi,
                     make_invariant_engineered, make_optimal_noise,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, optimal_systematic_angles, qs_formula)
@@ -159,11 +159,10 @@ def test_transitionless_inverts_perfectly(grid, om0, d0):
 def test_transitionless_tracks_instantaneous_eigenstate(grid):
     """Overlap with the reference eigenstate stays >= 1 - 1e-6 at all times."""
     f = make_transitionless(EX_OMEGA0, EX_DELTA0, grid)
-    traj = evolve_pure(f, GROUND_PURE)
+    psi = evolve_pure(f, (1, 0))
     ts = grid.times
     theta_ad = np.arctan2(EX_OMEGA0 * np.sin(np.pi * ts), EX_DELTA0 * np.cos(np.pi * ts))
-    overlap = np.abs(np.cos(theta_ad / 2.0) * traj.states[:, 0]
-                     + np.sin(theta_ad / 2.0) * traj.states[:, 1])
+    overlap = np.abs(np.cos(theta_ad / 2.0) * psi[:, 0] + np.sin(theta_ad / 2.0) * psi[:, 1])
     assert float(np.min(overlap)) >= 1.0 - 1e-6
 
 
@@ -190,21 +189,19 @@ def test_invariant_engineered_round_trip(grid):
         lambda t: 0.7 * np.pi * np.sin(np.pi * np.asarray(t, dtype=float)))
     f = make_invariant_engineered(ang, grid)
     a0, g0 = float(alpha(0.0)), float(gamma(0.0))
-    psi0 = PureState(np.exp(-0.5j * (a0 + g0)), 0.0)
-    traj = evolve_pure(f, psi0)
+    psi = evolve_pure(f, (np.exp(-0.5j * (a0 + g0)), 0.0))
     ts = grid.times
     th, al, ga = theta(ts), alpha(ts), gamma(ts)
     target = np.stack([np.cos(th / 2.0) * np.exp(-0.5j * al) * np.exp(-0.5j * ga),
                        np.sin(th / 2.0) * np.exp(0.5j * al) * np.exp(-0.5j * ga)], axis=1)
-    assert np.max(np.abs(traj.states - target)) < 1e-8
+    assert np.max(np.abs(psi - target)) < 1e-8
 
 
 def _extract_reengineer_deviation(n_steps):
     """Field -> trajectory -> angles -> field, interior max deviation."""
     g = TimeGrid(n_steps)
     original = make_transitionless(2.0, 1.3, g)
-    traj = evolve_pure(original, GROUND_PURE)
-    c1, c2 = traj.states[:, 0], traj.states[:, 1]
+    c1, c2 = evolve_pure(original, (1, 0)).T
     theta = 2.0 * np.arctan2(np.abs(c2), np.abs(c1))
     phi1 = np.unwrap(np.angle(c1))
     phi2 = np.empty_like(phi1)
