@@ -62,17 +62,17 @@ group for a whole batch.  No normalization is enforced during
 evolution; final probabilities divide by the squared norm to absorb the
 O(dt) drift.
 
-Seed contract: with W = ceil(n_steps / 32) and B = ceil(W / 4),
-trajectory i of seed s reads W words of
-Philox(key=s, counter=i * B).random_raw as little-endian bytes, a window
-of B Philox blocks that no other trajectory reads.  Byte q drives steps
-4q .. 4q+3; its bit 2j is the sign of dW_R at step 4q+j and bit 2j+1
-that of dW_I, a 1 bit meaning +sqrt(dt).  A trajectory's signs depend on
-(s, i) alone, so ensembles are order-independent and bit-reproducible
-under any batching.  A batch draws its signs in pieces of trajectories,
-one after another from one Philox stream, which gives the bytes of one
-random_raw call, and every step writes a separate buffer, so a batch of
-one rounds like the rest.  The ensemble runs on the calling thread.
+Seed contract: trajectory i of seed s belongs to stream k = i // 1024,
+Philox(key=s, counter=k << 128), whose random_raw words are read as
+little-endian bytes laid out group-major: byte q * 1024 + i % 1024
+drives steps 4q .. 4q+3 of trajectory i.  Its bit 2j is the sign of dW_R
+at step 4q+j and bit 2j+1 that of dW_I, a 1 bit meaning +sqrt(dt).  A
+trajectory's signs depend on (s, i) alone, so ensembles are
+order-independent and bit-reproducible under any batching.  A batch keeps
+one Philox object per stream it touches and reads the rows of each block
+of groups from them just before that block runs, so no sign array spans
+the steps.  Every step writes a separate buffer, so a batch of one rounds
+like the rest.  The ensemble runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -86,22 +86,19 @@ import numpy as np
 from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, write_text
 
 _MAX_SEED = 2**64
-# Trajectories per monte_carlo_p2 batch: the CLI's default ensemble is one
-# batch.  A batch's signs, one byte per four steps each (1 KB at 4000 steps,
-# 10 MB for the batch, scaling with 1/dt), are its only batch-by-steps
-# buffer.  The step pairs, 512 KiB at 4000 steps, are formed once per ensemble;
-# each batch forms the four-step table again, a block of groups at a time
-# (8-10 ms a batch at 4000 steps).  Each group costs a fixed number of numpy
-# calls, so larger batches spread that cost; 16384 would raise the peak of a
-# 2 * 10^4 ensemble from 13 to 20 MiB.
-_SSE_BATCH = 10_000
-# Trajectories per Philox call while a batch's signs are drawn: the raw words
-# of one piece (1 MB at 4000 steps) are transposed into the batch's sign array.
-_SIGN_PIECE = 1024
-# Groups of four steps whose table _sse_run forms at a time, into one (64, 256, 2)
-# block of 512 KiB reused by every block of the batch.  On a 10^4-trajectory
-# ensemble at 4000 steps, blocks of 16 groups ran about 10% slower, and 64 ran
-# no slower than one block of all 1000 groups.
+# Trajectories per Philox stream under the seed contract: the width of a stream's
+# group-major rows.  Part of the contract, so every ensemble's draws depend on it.
+_STREAM_WIDTH = 1024
+# Trajectories per monte_carlo_p2 batch, ten streams: the CLI's default ensemble is
+# one batch, and no two batches of an ensemble draw from the same stream.  The step
+# pairs, 512 KiB at 4000 steps, are formed once per ensemble; each batch forms the
+# four-step table again, a block of groups at a time (8-10 ms a batch at 4000 steps).
+# Each group costs a fixed number of numpy calls, so larger batches spread that cost.
+_SSE_BATCH = 10 * _STREAM_WIDTH
+# Groups of four steps whose table and signs _sse_run forms at a time: one
+# (64, 256, 2) table block of 512 KiB and one (64, batch) sign block, both reused by
+# every block of the batch.  On a 10^4-trajectory ensemble at 4000 steps, blocks of
+# 16 groups ran about 10% slower, and 64 ran no slower than one block of all 1000.
 _TABLE_GROUPS = 64
 
 
@@ -443,10 +440,17 @@ def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:
 
 
 def evolve_bloch(field: ControlField, r0, setting: ErrorSetting = ErrorSetting()) -> Trajectory:
-    """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r from r0, three finite numbers."""
+    """Integrate dr/dt = (L0 + beta L1 - lambda^2 L2) r from r0, three finite numbers.
+
+    r0 must lie in the Bloch ball: a length above 1 + 1e-6, the tolerance
+    of the integration's own bound, is refused.
+    """
     r = np.asarray(r0, dtype=float)
     if r.shape != (3,) or not np.all(np.isfinite(r)):
         raise ValueError(f"r0 must be three finite numbers, got {r0!r}")
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0 + 1e-6:
+        raise ValueError(f"r0 must lie in the Bloch ball, |r0| <= 1, got |r0| = {norm!r}")
     _require_rk4_stable(field, [setting])
     out = np.empty((field.grid.n_steps, 3))
     out[0] = r
@@ -550,26 +554,29 @@ def _sse_pair_step(u, v, c1, c2, n1, n2, w, t) -> None:
     n2 -= t
 
 
-def _sse_run(steps: np.ndarray, signs: np.ndarray):
-    """Euler-Maruyama core on two-point increments, a batch of trajectories from the ground state.
+def _sse_run(steps: np.ndarray, count: int, fill):
+    """Euler-Maruyama core on two-point increments, ``count`` trajectories from the ground state.
 
-    ``steps``: ``_sse_steps`` for the steps.  ``signs``: uint8 (bytes,
-    batch), byte q holding the signs of steps 4q .. 4q+3 (a trajectory's
-    column may run past the last group; the rest is unused).  The four-step
-    table is formed _TABLE_GROUPS groups at a time into one reused block.
+    ``steps``: ``_sse_steps`` for the steps.  ``fill(out)`` writes the sign
+    bytes of the next ``len(out)`` groups, in order, into the rows of the
+    uint8 block ``out`` of shape (g, count): a row holds one group's byte of
+    each trajectory, the signs of its four steps.  The four-step table and
+    the signs are formed _TABLE_GROUPS groups at a time into reused blocks.
     Each group of four steps is one gather of (a, b) rows from the group's
     256-row table and one 2x2 update.  Returns the final amplitudes (c1, c2).
     """
-    groups, count = steps.shape[0], signs.shape[1]
+    groups = steps.shape[0]
     c1, c2 = np.ones(count, dtype=complex), np.zeros(count, dtype=complex)
     n1, n2, w, t = np.empty((4, count), dtype=complex)
     g = np.empty((count, 2), dtype=complex)
     u, v = g[:, 0], g[:, 1]
     block = np.empty((min(groups, _TABLE_GROUPS), 256, 2), dtype=complex)
+    signs = np.empty((block.shape[0], count), dtype=np.uint8)
     for lo in range(0, groups, _TABLE_GROUPS):
-        hi = min(lo + _TABLE_GROUPS, groups)
-        _sse_block(steps[lo:hi], block)
-        for table, group_signs in zip(block, signs[lo:hi]):
+        size = min(_TABLE_GROUPS, groups - lo)
+        _sse_block(steps[lo:lo + size], block)
+        fill(signs[:size])
+        for table, group_signs in zip(block[:size], signs):
             # a uint8 index cannot leave a 256-row table; "clip" is the cheaper bounds rule
             table.take(group_signs, axis=0, out=g, mode="clip")
             _sse_pair_step(u, v, c1, c2, n1, n2, w, t)
@@ -577,14 +584,32 @@ def _sse_run(steps: np.ndarray, signs: np.ndarray):
     return c1, c2
 
 
+def _stream_signs(seed: int, lo: int, hi: int):
+    """A ``fill`` for ``_sse_run`` that reads trajectories lo .. hi-1 under the seed contract.
+
+    It keeps one Philox object per stream the trajectories touch.  Each call
+    reads the stream's full group-major rows for the next groups, as
+    contiguous bytes, and copies the columns of lo .. hi-1 into ``out``.
+    """
+    width = _STREAM_WIDTH
+    streams = []
+    for k in range(lo // width, -(-hi // width)):
+        first, last = max(lo, k * width), min(hi, (k + 1) * width)
+        streams.append((np.random.Philox(key=seed, counter=k << 128),
+                        slice(first - lo, last - lo), slice(first - k * width, last - k * width)))
+
+    def fill(out: np.ndarray) -> None:
+        for philox, batch_cols, stream_cols in streams:
+            raw = philox.random_raw(width // 8 * out.shape[0]).astype("<u8", copy=False)
+            out[:, batch_cols] = raw.view(np.uint8).reshape(-1, width)[:, stream_cols]
+    return fill
+
+
 def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int, count: int):
     """Yield ``_sse_run`` on trajectories 0 .. count-1, _SSE_BATCH at a time.
 
-    dt must divide the grid spacing.  The step pairs and one (bytes, batch)
-    sign array are made once.  Each batch's signs, read under the module
-    docstring's seed contract, fill that array in pieces of _SIGN_PIECE
-    trajectories drawn one after another from the same Philox stream: the
-    bytes one call would give.
+    dt must divide the grid spacing.  The step pairs are made once; each
+    batch reads its signs under the module docstring's seed contract.
     """
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or not 0 <= seed < _MAX_SEED):
@@ -597,21 +622,10 @@ def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int,
     per = int(round(ratio))
     if per < 1 or abs(ratio - per) > 1e-9 * ratio:
         raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
-    n_sse = per * (grid.n_steps - 1)
-    steps = _sse_steps(field, lambda2, dt, n_sse)
-    words = -(-n_sse // 32)
-    blocks = -(-words // 4)
-    philox = np.random.Philox(key=int(seed))
-    signs = np.empty((8 * words, min(count, _SSE_BATCH)), dtype=np.uint8)  # reused by every batch
+    steps = _sse_steps(field, lambda2, dt, per * (grid.n_steps - 1))
     for lo in range(0, count, _SSE_BATCH):
-        m = min(_SSE_BATCH, count - lo)
-        for j in range(0, m, _SIGN_PIECE):
-            p = min(_SIGN_PIECE, m - j)
-            raw = philox.random_raw(4 * blocks * p).reshape(p, 4 * blocks)
-            # contiguous rows before the byte transpose, which is slower from strided ones
-            raw = np.ascontiguousarray(raw[:, :words], dtype="<u8")
-            signs[:, j:j + p] = raw.view(np.uint8).T
-        yield _sse_run(steps, signs[:, :m])
+        hi = min(lo + _SSE_BATCH, count)
+        yield _sse_run(steps, hi - lo, _stream_signs(int(seed), lo, hi))
 
 
 def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,

@@ -255,15 +255,18 @@ def _sse_in_batches(field, lambda2, dt, seed, n_traj, batch):
 
 
 def _increments(seed, index, n_sse, dt):
-    """(dW_R, dW_I) of each step of trajectory ``index``, decoded from its window's bytes.
+    """(dW_R, dW_I) of each step of trajectory ``index``, decoded from its stream's bytes.
 
-    W = ceil(n_sse / 32) words of random_raw from Philox(key=seed) at counter
-    index * ceil(W / 4), little-endian; bit 2j of byte q is the sign of dW_R
-    at step 4q+j and bit 2j+1 that of dW_I, 1 meaning +sqrt(dt).
+    Trajectory i reads stream Philox(key=seed, counter=(i // 1024) << 128),
+    whose random_raw words, little-endian, hold 1024 bytes per group of four
+    steps: byte q * 1024 + i % 1024 is trajectory i's byte of group q.  Bit
+    2j of that byte is the sign of dW_R at step 4q+j and bit 2j+1 that of
+    dW_I, 1 meaning +sqrt(dt).
     """
-    words = -(-n_sse // 32)
-    raw = np.random.Philox(key=seed, counter=index * -(-words // 4)).random_raw(words)
-    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")
+    groups = -(-n_sse // 4)
+    stream = np.random.Philox(key=seed, counter=(index // 1024) << 128)
+    rows = stream.random_raw(128 * groups).astype("<u8").view(np.uint8).reshape(groups, 1024)
+    bits = np.unpackbits(rows[:, index % 1024], bitorder="little")
     return math.sqrt(dt) * (2.0 * bits[:2 * n_sse].reshape(n_sse, 2) - 1.0)
 
 
@@ -332,24 +335,29 @@ def test_sse_draws_do_not_depend_on_batch(field, lambda2, seed, count):
     assert ensembles[0] == ensembles[1] == ensembles[2]
 
 
-@pytest.mark.parametrize("piece", [1, 3, 7])
-def test_batch_signs_drawn_in_pieces_are_one_call(monkeypatch, piece):
-    """A batch's signs drawn ``piece`` trajectories at a time hold the bytes of one Philox call."""
-    field = make_transitionless(2.0, 1.3, TimeGrid(202))
-    dt, seed, n_traj = field.grid.h / 2, 9, 11
-    n_sse = 402  # 13 words of a 16-word window: the last three are drawn but never read
-    words = -(-n_sse // 32)
-    blocks = -(-words // 4)
-    run, seen = dynamics._sse_run, []
-
-    def spy(steps, signs):
-        seen.append(signs.copy())
-        return run(steps, signs)
-
-    monkeypatch.setattr(dynamics, "_SSE_BATCH", n_traj)
-    monkeypatch.setattr(dynamics, "_SIGN_PIECE", piece)
-    monkeypatch.setattr(dynamics, "_sse_run", spy)
-    list(dynamics._sse_trajectories(field, 0.09, dt, seed, n_traj))
-    raw = np.random.Philox(key=seed).random_raw(4 * blocks * n_traj)
-    want = raw.reshape(n_traj, 4 * blocks)[:, :words].astype("<u8").view(np.uint8).T
-    assert len(seen) == 1 and seen[0].shape == want.shape and np.array_equal(seen[0], want)
+def test_ensembles_across_a_stream_edge_do_not_depend_on_batch_or_block():
+    """1030 trajectories read streams 0 and 1.  Batches and table blocks of any size, batches
+    that start inside a stream included, give the same bits; the members on both sides of
+    the edge follow the reference on their decoded increments, and the first ``count``
+    members of the ensemble are an ensemble of ``count``."""
+    field = make_transitionless(2.0, 1.3, TimeGrid(11))
+    n_traj, seed, lambda2 = 1030, 5, 0.09
+    n_sse, dt = 30, field.grid.h / 3  # 8 groups, the last of two steps
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (1, 7, 64):
+            mp.setattr(dynamics, "_TABLE_GROUPS", size)
+            runs.extend(_sse_in_batches(field, lambda2, dt, seed, n_traj, batch)
+                        for batch in (1, 3, 1023, 1024, 1025, 10240))
+    for run in runs[1:]:
+        assert all(np.array_equal(got, want) for got, want in zip(run, runs[0]))
+    members = [0, 1023, 1024, 1029]
+    dw = np.stack([_increments(seed, i, n_sse, dt) for i in members])
+    ref = reference_sse_run(field, np.ones(len(members), dtype=complex),
+                            np.zeros(len(members), dtype=complex), lambda2, dt,
+                            dw[:, :, 0].T, dw[:, :, 1].T)
+    for got, want in zip(runs[0], ref):
+        assert np.max(np.abs(got[members] - want)) < 1e-12
+    for count in (1, 1024, 1025):
+        part = _sse_in_batches(field, lambda2, dt, seed, count, dynamics._SSE_BATCH)
+        assert all(np.array_equal(got, want[:count]) for got, want in zip(part, runs[0]))

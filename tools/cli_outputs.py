@@ -65,12 +65,17 @@ def runs():
     yield "simulate_sse_duration", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2",
                                     "0.09", "--n-traj", "300", "--seed", "42", "--duration", "2.5",
                                     "--out", "simulate_sse_duration.json"]
-    # the default ensemble (10^4 trajectories, dt = 1/4000) is one batch; 10001 crosses a
-    # batch boundary
-    for name, n_traj in (("_default", []), ("_10001", ["--n-traj", "10001"])):
+    # the default ensemble (10^4 trajectories, dt = 1/4000) is one batch of ten 1024-wide
+    # Philox streams; 10241 crosses a batch boundary
+    for name, n_traj in (("_default", []), ("_10241", ["--n-traj", "10241"])):
         yield f"simulate_sse{name}", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2",
                                       "0.09", "--seed", "42", *n_traj,
                                       "--out", f"simulate_sse{name}.json"]
+    # 1025 trajectories cross the edge between the first two streams
+    yield "simulate_sse_stream_edge", ["simulate", *KINDS["transitionless"], "--sse", "--lambda2",
+                                       "0.09", "--seed", "42", "--n-traj", "1025",
+                                       "--grid-steps", "101", "--dt", "0.001",
+                                       "--out", "simulate_sse_stream_edge.json"]
     # optimal_noise's theta is evaluated at the SSE times; at dt = 1/8000 they fall between
     # the nodes of the field's grid
     for name, dt in (("", []), ("_dt8000", ["--dt", "0.000125"])):
