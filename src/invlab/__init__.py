@@ -10,8 +10,8 @@ from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         make_optimal_noise, make_optimal_systematic,
                         make_shaped_pi, make_sinusoidal, make_transitionless,
                         optimal_noise_angles, optimal_systematic_angles)
-from .sensitivity import (SensitivityReport, qn_finite_difference, qn_formula,
-                          qs_finite_difference, qs_formula)
+from .sensitivity import (SensitivityReport, qn_derivative, qn_finite_difference, qn_formula,
+                          qs_derivative, qs_finite_difference, qs_formula)
 from .sweeps import (Axis, SweepResult, default_beta_axis, default_delta0_axis,
                      default_lambda_axis, default_omega0_axis, map_p2, robustness_curve,
                      sweep_qn_transitionless, sweep_qs_transitionless)

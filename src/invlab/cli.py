@@ -31,8 +31,7 @@ from typing import NamedTuple
 from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, json_text, write_text
 from .dynamics import ErrorSetting, evolve_bloch, monte_carlo_p2
 from .protocols import PROTOCOLS, ProtocolSpec
-from .sensitivity import (qn_finite_difference, qn_formula, qs_finite_difference,
-                          qs_formula)
+from .sensitivity import qn_derivative, qn_formula, qs_derivative, qs_formula
 from .sweeps import (Axis, default_beta_axis, default_delta0_axis,
                      default_lambda_axis, default_omega0_axis, map_p2,
                      robustness_curve, sweep_qn_transitionless,
@@ -245,7 +244,8 @@ def cmd_sensitivity(cfg: dict) -> None:
     if method in ("formula", "both"):
         out.update(pack(qn_formula(field), qs_formula(field)))
     if method in ("finite_difference", "both"):
-        fd = pack(qn_finite_difference(field), qs_finite_difference(field))
+        # the derivative route keeps the method's old name, flag value and JSON key
+        fd = pack(qn_derivative(field), qs_derivative(field))
         if method == "both":
             out["finite_difference"] = fd
         else:

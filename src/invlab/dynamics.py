@@ -37,6 +37,16 @@ Callers that need only P2(T) pass a list of error settings, solved chunk by
 chunk on the field's shared stage tables.  Columns of the propagated
 pure-state matrix evolve the ground and excited states together.
 
+The sensitivities' derivatives of P2(T) are taken through the same steps,
+each carried as a truncated power series: the Bloch step as P0 + lambda^2 P1
+at beta = 0 (L2 is diagonal, so a stage's first-order term is one product
+and a row scaling), and the pair step re-expanded from its omega tables to
+second order in beta.  Series multiply by the truncated Cauchy product, so
+one solve gives the exact derivatives of the discrete solution (Taylor
+mode; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  A
+half-resolution solve, for a Richardson estimate, reads the grid's own
+nodes: the even nodes as nodes and the odd ones as midpoints, at step 2h.
+
 The stochastic engine is the simplified weak Euler scheme (Kloeden &
 Platen 1992, ch. 14.1) for the Ito stochastic Schrodinger equation
 
@@ -155,7 +165,8 @@ class EnsembleResult:
 
 # A solve forms, reduces and chains its steps _CHUNK_BYTES // identity.nbytes
 # at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB step table (a pure-state
-# chunk also keeps its five omega tables, 36 KiB each).  Measured on 2001 points:
+# chunk also keeps its five omega tables, 36 KiB each; a series solve takes as many
+# steps, in a table two or three times larger, which ran faster than smaller chunks).  Measured on 2001 points:
 # whole-grid tables (144 KiB a Bloch solve) page-faulted on every call and ran the
 # entry points 15-20% slower; 1024 pure-state steps a chunk ran final_p2_pure of
 # 10 betas 10-50% slower.
@@ -163,10 +174,27 @@ _CHUNK_BYTES = 72 * 1024
 _IDENTITY3 = np.eye(3)[:, :, None]
 
 
-def _stages(field: ControlField, lo: int, hi: int):
-    """Channels read by steps lo .. hi-1: nodes lo .. hi, midpoints lo .. hi-1; and h."""
+def _stages(nodes, mids, h: float, lo: int, hi: int):
+    """Channels read by steps lo .. hi-1 of step h: nodes lo .. hi, midpoints lo .. hi-1; and h."""
+    return [w[lo:hi + 1] for w in nodes], [w[lo:hi] for w in mids], h
+
+
+def _runs(field: ControlField, half: bool) -> list:
+    """The (nodes, midpoints, h) of the field's RK4 solve, one run of steps after another.
+
+    The half-resolution solve reads the grid's own nodes: the even nodes as
+    nodes, the odd nodes as midpoints, at step 2h, so it evaluates no field.
+    On an odd step count its last step is taken at h.
+    """
     nodes, mids = field.stage_tables
-    return [w[lo:hi + 1] for w in nodes], [w[lo:hi] for w in mids], field.grid.h
+    h = field.grid.h
+    if not half:
+        return [(nodes, mids, h)]
+    k = (field.grid.n_steps - 1) // 2  # steps of 2h
+    runs = [([w[:2 * k + 1:2] for w in nodes], [w[1:2 * k:2] for w in nodes], 2.0 * h)]
+    if (field.grid.n_steps - 1) % 2:
+        runs.append(([w[2 * k:] for w in nodes], [w[2 * k:] for w in mids], h))
+    return runs
 
 
 def _bloch_generator(w, setting: ErrorSetting) -> np.ndarray:
@@ -229,6 +257,47 @@ def _step_propagators(stages, setting: ErrorSetting) -> np.ndarray:
     return p
 
 
+def _lambda2_stage(a: np.ndarray, d: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+    """A + c A K to first order in lambda^2, for A = a + lambda^2 diag(d) and K the series
+    K0 + lambda^2 K1 along axis 2.
+
+    Order 1 is c (a K1 + diag(d) K0) + diag(d): one product a K of both orders, and a
+    row scaling.
+    """
+    out = _bloch_mul(a[:, :, None], k)
+    out[:, :, 1] += d[:, None] * k[:, :, 0]
+    out *= c
+    out[:, :, 0] += a
+    for i in range(3):
+        out[i, i, 1] += d[i]
+    return out
+
+
+def _lambda2_steps(stages, _=None) -> np.ndarray:
+    """The Bloch RK4 steps at beta = 0 as series P0 + lambda^2 P1, shape (3, 3, 2, steps).
+
+    The generator is L0 - lambda^2 L2, with L2 diagonal.
+    """
+    nodes, mids, h = stages
+    g, a_m = _bloch_generator(nodes, ErrorSetting()), _bloch_generator(mids, ErrorSetting())
+    d, d_m = (-0.5 * np.stack((wi * wi, wr * wr, wr * wr + wi * wi)) for wr, wi, _ in (nodes, mids))
+    k1 = np.zeros((3, 3, 2, g.shape[-1] - 1))
+    k1[:, :, 0] = g[..., :-1]
+    for i in range(3):
+        k1[i, i, 1] = d[i, :-1]
+    k2 = _lambda2_stage(a_m, d_m, k1, 0.5 * h)
+    k3 = _lambda2_stage(a_m, d_m, k2, 0.5 * h)
+    k4 = _lambda2_stage(g[..., 1:], d[:, 1:], k3, h)
+    p = k2  # I + h/6 (K1 + 2 (K2 + K3) + K4)
+    p += k3
+    p *= 2.0
+    p += k1
+    p += k4
+    p *= h / 6.0
+    p[:, :, 0] += _IDENTITY3
+    return p
+
+
 def _pair_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Product of matrices [[a, b], [-b*, a*]] stored as their first rows (a, b)."""
     out = x[0] * y  # (a c, a d)
@@ -260,7 +329,7 @@ def _omega_stage(a: np.ndarray, b: np.ndarray, k: list, c: float) -> list:
     return out
 
 
-def _omega_tables(field: ControlField, lo: int, hi: int) -> list:
+def _omega_tables(nodes, mids, h: float, lo: int, hi: int) -> list:
     """RK4 steps lo .. hi-1 of the pair form as polynomials in omega = 1 + beta.
 
     The generator -i (H0 + beta H1) is the pair (a, omega w) with
@@ -268,7 +337,7 @@ def _omega_tables(field: ControlField, lo: int, hi: int) -> list:
     to 4 in omega, and the step is P = (p0 + omega^2 p2 + omega^4 p4,
     omega (q1 + omega^2 q3)).  Returns the tables [p0, q1, p2, q3, p4].
     """
-    nodes, mids, h = _stages(field, lo, hi)
+    nodes, mids, h = _stages(nodes, mids, h, lo, hi)
     (a, w), (a_m, w_m) = [(0.5j * d, -0.5 * (wi + 1j * wr)) for wr, wi, d in (nodes, mids)]
     k1 = [a[:-1], w[:-1]]
     k2 = _omega_stage(a_m, w_m, k1, 0.5 * h)
@@ -303,10 +372,36 @@ def _omega_steps(tables: list, beta: float) -> np.ndarray:
     return out
 
 
-# engine -> (chunk tables, step table of one error setting, product, identity);
-# the identity broadcasts over steps
+def _beta_steps(tables: list, _=None) -> np.ndarray:
+    """The pair step table at omega = 1 + beta to second order in beta, shape (2, 3, steps):
+    row [0, j] is the beta^j coefficient of p0 + omega^2 p2 + omega^4 p4, row [1, j] that
+    of omega q1 + omega^3 q3."""
+    p0, q1, p2, q3, p4 = tables
+    return np.array([[p0 + p2 + p4, 2.0 * p2 + 4.0 * p4, p2 + 6.0 * p4],
+                     [q1 + q3, q1 + 3.0 * q3, 3.0 * q3]])
+
+
+def _series_mul(mul):
+    """The product of power series truncated at their length, coefficients along axis -2,
+    whose coefficients multiply by ``mul``: coefficient i of x times the first
+    length - i coefficients of y, added from order i on, one ``mul`` per i."""
+    def series_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        orders = x.shape[-2]
+        out = mul(x[..., :1, :], y)
+        for i in range(1, orders):
+            out[..., i:, :] += mul(x[..., i:i + 1, :], y[..., :orders - i, :])
+        return out
+    return series_mul
+
+
+# engine -> (chunk tables, step table of one param, product, identity of one step's
+# matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps.  The series engines carry
+# P2's error at order 1 in lambda^2 (at beta = 0) and at order 2 in beta, along axis -2
+# of their steps; they ignore their one param and take a plain solve's steps a chunk.
 _BLOCH = (_stages, _step_propagators, _bloch_mul, _IDENTITY3)
 _PURE = (_omega_tables, _omega_steps, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
+_BLOCH_LAMBDA2 = (_stages, _lambda2_steps, _series_mul(_bloch_mul), _BLOCH[3])
+_PURE_BETA = (_omega_tables, _beta_steps, _series_mul(_pair_mul), _PURE[3])
 
 
 def _scan(mul, p: np.ndarray) -> np.ndarray:
@@ -390,24 +485,26 @@ def _require_bounded(states: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
-def _solve(field: ControlField, engine, params, reduce) -> list:
+def _solve(field: ControlField, engine, params, reduce, half: bool = False) -> list:
     """``reduce`` (``_scan`` or ``_product``) of the RK4 steps of each param, chunk by chunk.
 
     A chunk's tables are formed once and serve every param.  Each chunk is
     reduced on its own and multiplied onto the last entry of the previous
     one, so the last entry is P_n-1 ... P_0.  A chunk's last scanned prefix
-    is its ``_product``, so both reductions give it bit for bit.
+    is its ``_product``, so both reductions give it bit for bit.  ``half``
+    solves on the half-resolution steps of ``_runs``.
     """
     tables, steps, mul, ident = engine
-    n = field.grid.n_steps - 1
     size = _CHUNK_BYTES // ident.nbytes
-    runs = [[] for _ in params]
-    for lo in range(0, n, size):
-        chunk = tables(field, lo, min(lo + size, n))
-        for param, run in zip(params, runs):
-            s = reduce(mul, steps(chunk, param))
-            run.append(mul(s, run[-1][..., -1:]) if run else s)
-    return [np.concatenate(run, axis=-1) for run in runs]
+    out = [[] for _ in params]
+    for nodes, mids, h in _runs(field, half):
+        n = mids[0].size
+        for lo in range(0, n, size):
+            chunk = tables(nodes, mids, h, lo, min(lo + size, n))
+            for param, run in zip(params, out):
+                s = reduce(mul, steps(chunk, param))
+                run.append(mul(s, run[-1][..., -1:]) if run else s)
+    return [np.concatenate(run, axis=-1) for run in out]
 
 
 def evolve_pure(field: ControlField, psi0, beta: float = 0.0) -> np.ndarray:
@@ -482,6 +579,44 @@ def final_p2_pure(field: ControlField, betas) -> np.ndarray:
             u[:, k] = run[:, -1]
     _require_bounded(u, "pure-state")
     return _pure_p2(u[0], u[1])  # the ground state's amplitudes (a, -b*) have these moduli
+
+
+def _final_series(field: ControlField, engine, half: bool, what: str) -> np.ndarray:
+    """The last entry of a series solve: its order-0 solution is bounded like a plain
+    solve's, and no coefficient may overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _solve(field, engine, [None], _product, half)[0][..., -1]
+    _require_bounded(m[..., 0], what)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError(f"{what} integration diverged (a series coefficient overflowed)")
+    return m
+
+
+def final_p2_lambda2_series(field: ControlField, half: bool = False) -> np.ndarray:
+    """P2(T) of the Bloch equation from the ground state at beta = 0, as its series
+    (c0, c1) in lambda^2: c1 is the exact derivative of the RK4 solution.
+
+    ``half`` solves at step 2h on the grid's own nodes (see ``_runs``).
+    """
+    r3 = _apply_bloch(_final_series(field, _BLOCH_LAMBDA2, half, "Bloch"), GROUND_BLOCH)[2]
+    return np.array([0.5, 0.0]) - 0.5 * r3
+
+
+def final_p2_beta_series(field: ControlField, half: bool = False) -> np.ndarray:
+    """P2(T) of the Schrodinger equation from the ground state, as its series (c0, c1, c2) in
+    beta: c1 and c2 are exact derivatives of the RK4 solution.
+
+    ``half`` solves at step 2h on the grid's own nodes (see ``_runs``).
+    """
+    a, b = _final_series(field, _PURE_BETA, half, "pure-state")
+    # P2 = |b|^2 / (|a|^2 + |b|^2): each squared modulus is a Cauchy product, then the
+    # quotient is series division
+    bb = np.convolve(b, b.conj())[:3].real
+    norm = np.convolve(a, a.conj())[:3].real + bb
+    p = np.empty(3)
+    for k in range(3):
+        p[k] = (bb[k] - p[:k] @ norm[k:0:-1]) / norm[0]
+    return p
 
 
 def _sse_steps(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np.ndarray:

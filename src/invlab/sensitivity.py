@@ -31,15 +31,26 @@ and
     q_S = | Int <psi_perp| H1 |psi_0> dt |^2
         = | 1/2 Int [(WR + i WI) a^2 - (WR - i WI) b*^2] dt |^2.
 
-Each closed form is paired with an independent finite-difference route
-that evolves the perturbed dynamics at several error strengths and fits
-the quadratic response; the two must agree within max(1%, fit error).
+Each closed form is paired with an independent derivative route,
+``qn_derivative`` and ``qs_derivative``: q_N = -[lambda^2] P2(T) and
+q_S = -[beta^2] P2(T), the exact derivatives of the discrete RK4 solution
+of the perturbed dynamics, read from one series solve (see
+:mod:`invlab.dynamics`).  Its error estimate is Richardson's, from the same
+coefficient of a half-resolution solve, plus the rounding of the product of
+steps.  The two routes agree within their summed error estimates.  A q_S
+near zero (optimal_systematic) is the RK4 solution's own tiny value, of
+either sign, and is reported as computed.  The CLI reports this route under
+the flag value ``finite-difference`` and the JSON key ``finite_difference``,
+names kept for compatibility.
 
 Quadrature is the composite Simpson rule of :func:`invlab.core.simpson`
 on the evolution grid; each formula report carries a numerical-error
 estimate from comparing against the half-resolution quadrature over the
-whole duration.  The finite-difference routes always solve the perturbed
-dynamics, so they stay independent of the angles.
+whole duration.  The derivative routes always solve the perturbed
+dynamics, so they stay independent of the angles, and refuse a field that
+does not invert as the formulas do.  ``qn_finite_difference`` and
+``qs_finite_difference`` fit a quadratic to P2(T) at ten error strengths;
+they are kept for their callers, and the CLI no longer reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AngleSamples, ControlField, simpson
-from .dynamics import ErrorSetting, evolve_propagator, final_p2_bloch, final_p2_pure
+from .dynamics import (ErrorSetting, evolve_propagator, final_p2_beta_series, final_p2_bloch,
+                       final_p2_lambda2_series, final_p2_pure)
 
 INVERSION_THRESHOLD = 1e-4  # both derivations assume perfect unperturbed inversion
 
@@ -123,6 +135,12 @@ def _formula_report(quantity: str, f: np.ndarray, h: float) -> SensitivityReport
     return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
 
 
+def _require_inversion(field: ControlField, p2_final: float) -> None:
+    if p2_final < 1.0 - INVERSION_THRESHOLD:
+        raise RuntimeError(
+            f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
+
+
 def _formula(quantity: str, field: ControlField) -> SensitivityReport:
     """The formula report of ``quantity`` ("q_n" or "q_s"): from the field's invariant
     angles, or else from one solve of its error-free propagator, refusing a field
@@ -130,10 +148,7 @@ def _formula(quantity: str, field: ControlField) -> SensitivityReport:
     if field.angles is not None:
         return _formula_report(quantity, ANGLE_FORMS[quantity][0](field.angles), field.grid.h)
     a, b = evolve_propagator(field).T
-    p2_final = float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2))
-    if p2_final < 1.0 - INVERSION_THRESHOLD:
-        raise RuntimeError(
-            f"protocol does not invert: P2(T) = {p2_final!r} for {field.label or 'field'}")
+    _require_inversion(field, float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2)))
     wr, wi = field.omega_r, field.omega_i
     if quantity == "q_s":
         bc = b.conj()
@@ -194,3 +209,36 @@ def qs_finite_difference(field: ControlField) -> SensitivityReport:
     p2 = final_p2_pure(field, samples)
     qs, err = _quadratic_fit(samples**2, p2, "beta")
     return SensitivityReport(q_s=qs, method="finite_difference", error_estimate=err)
+
+
+# unit roundoff: a product of n factors is accurate to about n of it, relative to its
+# scale (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3)
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _derivative(quantity: str, field: ControlField, series, order: int) -> SensitivityReport:
+    """The derivative report of ``quantity``: minus the coefficient ``order`` of the P2(T)
+    ``series`` on the grid, refusing a field that does not invert.
+
+    RK4's error is O(h^4), so the step-2h coefficient lies about 16 times as far from the
+    limit as the step-h one, and the error estimate is |q_h - q_2h| / 15 (Richardson),
+    plus the rounding of the n-step product, n u max(1, |q|), which is what remains
+    where q is near zero.
+    """
+    fine = series(field)
+    _require_inversion(field, float(fine[0]))
+    q, q_half = -float(fine[order]), -float(series(field, half=True)[order])
+    rounding = field.grid.n_steps * _UNIT_ROUNDOFF * max(1.0, abs(q))
+    return SensitivityReport(**{quantity: q}, method="derivative",
+                             error_estimate=abs(q - q_half) / 15.0 + rounding)
+
+
+def qn_derivative(field: ControlField) -> SensitivityReport:
+    """q_N = -dP2/d(lambda^2) at zero error, the exact derivative of the RK4 Bloch solution."""
+    return _derivative("q_n", field, final_p2_lambda2_series, 1)
+
+
+def qs_derivative(field: ControlField) -> SensitivityReport:
+    """q_S = -(1/2) d^2P2/d(beta^2) at zero error, the exact derivative of the RK4
+    Schrodinger solution."""
+    return _derivative("q_s", field, final_p2_beta_series, 2)

@@ -495,15 +495,35 @@ def test_unstable_bloch_step_exits_2(capsys):
 
 
 @pytest.mark.parametrize("args, lambda2", [
-    # the q_N fit's lambda^2 samples, and a Fig. 7 lambda-axis value: neither command has --lambda2
-    (["sensitivity", "--kind", "transitionless", "--omega0", "30", "--delta0", "1",
-      "--grid-steps", "11"], "0.02"),
+    # a Fig. 1 and a Fig. 7 lambda-axis value: sweep has no --lambda2
+    (["sweep", "--figure", "1", "--grid-steps", "3"], "1.44"),
     (["sweep", "--figure", "7", "--grid-steps", "5"], "1.44")])
-def test_unstable_bloch_step_advises_only_grid_steps(capsys, args, lambda2):
+def test_unstable_bloch_step_advises_only_grid_steps(tmp_path, monkeypatch, capsys, args,
+                                                     lambda2):
+    monkeypatch.chdir(tmp_path)
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert f"RK4 step unstable at lambda2 = {lambda2}:" in err
     assert "raise --grid-steps" in err and "--lambda2" not in err
+
+
+def test_sensitivity_solves_no_noise_so_only_a_diverged_solve_refuses(capsys):
+    # the derivative route differentiates at lambda = 0, so no noise sample meets RK4's
+    # stability bound; on 11 points this field's error-free rotation diverges
+    assert run_cli(["sensitivity", "--kind", "transitionless", "--omega0", "30", "--delta0", "1",
+                    "--grid-steps", "11"]) == 1
+    err = capsys.readouterr().err
+    assert err == "invlab: Bloch integration diverged (a component exceeds 1 in modulus)\n"
+
+
+@pytest.mark.parametrize("method", ["formula", "finite-difference", "both"])
+def test_sensitivity_refuses_a_field_that_does_not_invert_on_every_route(tmp_path, capsys,
+                                                                         method):
+    out = tmp_path / "report.json"
+    assert run_cli(["sensitivity", "--kind", "sinusoidal_adiabatic", "--omega0", "6",
+                    "--delta0", "4", "--method", method, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invlab: protocol does not invert: P2(T) = 0.9475")
+    assert not out.exists()
 
 
 def test_unstable_sse_step_exits_2(capsys):

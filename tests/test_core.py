@@ -23,8 +23,8 @@ PUBLIC_NAMES = [
     "final_p2_pure", "first_integral_constant", "make_flat_pi", "make_invariant_engineered",
     "make_optimal_noise", "make_optimal_systematic", "make_shaped_pi", "make_sinusoidal",
     "make_transitionless", "map_p2", "monte_carlo_p2", "optimal_noise_angles",
-    "optimal_systematic_angles", "qn_finite_difference", "qn_formula", "qs_finite_difference",
-    "qs_formula", "robustness_curve", "sampled_derivative", "solve_optimal_theta",
+    "optimal_systematic_angles", "qn_derivative", "qn_finite_difference", "qn_formula",
+    "qs_derivative", "qs_finite_difference", "qs_formula", "robustness_curve", "sampled_derivative", "solve_optimal_theta",
     "sweep_qn_transitionless", "sweep_qs_transitionless",
 ]
 

@@ -12,12 +12,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from invlab import (GROUND_BLOCH, ControlField, ErrorSetting, TimeGrid, dynamics,
+from invlab import (GROUND_BLOCH, ControlField, ErrorSetting, ProtocolSpec, TimeGrid, dynamics,
                     evolve_bloch, evolve_propagator, evolve_pure, final_p2_bloch,
-                    final_p2_pure, make_flat_pi, make_transitionless, monte_carlo_p2)
+                    final_p2_pure, make_flat_pi, make_optimal_systematic, make_transitionless,
+                    monte_carlo_p2)
+from invlab.dynamics import final_p2_beta_series, final_p2_lambda2_series
+from invlab.protocols import PROTOCOLS
+from invlab.sensitivity import INVERSION_THRESHOLD
 from rk4_reference import reference_bloch, reference_pure
 from sse_reference import reference_sse_run
 
@@ -171,6 +175,98 @@ def test_chunked_kernel_matches_reference_and_its_own_finals(field, beta, lambda
         assert np.max(np.abs(u[:, 0] - reference_pure(field, 1.0, 0.0, beta)[:, 0])) < 1e-12
         assert final_p2_bloch(field, [setting])[0] == traj.final_p2()
         assert final_p2_pure(field, [beta])[0] == _propagator_p2(u[-1])
+
+
+@st.composite
+def cli_kind_fields(draw):
+    """(kind, field) of every CLI kind over its parameters, on 401 points."""
+    grid = TimeGrid(401)
+    kind = draw(st.sampled_from(sorted(PROTOCOLS)))
+    sweep = (draw(st.floats(0.25, 8.0)),
+             draw(st.one_of(st.floats(-8.0, -0.25), st.floats(0.25, 8.0))))
+    params = {"flat_pi": {"alpha": draw(st.floats(0.0, 2.0 * math.pi))},
+              "shaped_pi": {"envelope": draw(st.sampled_from(["sin", "flat"])),
+                            "alpha": draw(st.floats(0.0, 2.0 * math.pi))},
+              "sinusoidal_adiabatic": dict(zip(("omega0", "delta0"), sweep)),
+              "transitionless": dict(zip(("omega0", "delta0"), sweep)),
+              "optimal_noise": {"n": draw(st.sampled_from([1, 3, 5, 7]))},
+              "optimal_systematic": {"n": draw(st.integers(1, 3))}}[kind]
+    return kind, ProtocolSpec(kind, params).build(grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cli_kind_fields())
+@example(("transitionless", make_transitionless(0.25, 8.0, TimeGrid(401))))
+@example(("optimal_systematic", make_optimal_systematic(2, TimeGrid(401))))
+def test_series_coefficients_are_derivatives_of_the_engines(kind_field):
+    kind, field = kind_field
+    lam, beta = final_p2_lambda2_series(field), final_p2_beta_series(field)
+    # the bare sweep inverts only at isolated parameters; every other kind is drawn
+    # where it inverts, and the series are derivatives whether or not it does
+    assume(kind == "sinusoidal_adiabatic" or lam[0] >= 1.0 - INVERSION_THRESHOLD)
+    assert abs(lam[0] - final_p2_bloch(field, [ErrorSetting()])[0]) <= 1e-14
+    assert abs(beta[0] - final_p2_pure(field, [0.0])[0]) <= 1e-14
+
+    # lambda^2 >= 0, so d/d(lambda^2) is the one-sided second-order quotient
+    # (-3 P(0) + 4 P(x) - P(2x)) / 2x, whose error is O(x^2) like a central one's
+    def lambda2_quotient(x):
+        p = final_p2_bloch(field, [ErrorSetting(lambda2=v) for v in (0.0, x, 2.0 * x)])
+        return (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * x)
+
+    def beta_quotient(x):  # the central second difference over 2: the beta^2 coefficient
+        p = final_p2_pure(field, [-x, 0.0, x])
+        return (p[0] - 2.0 * p[1] + p[2]) / (2.0 * x * x)
+
+    # P2's lambda^2 coefficients grow with q_N (3.7e4 at lambda^8 for optimal_systematic
+    # n = 2), so the lambda^2 step shrinks with it, but not so far that rounding, about
+    # n eps / step, reaches the O(step^2) error
+    for exact, quotient, delta in ((lam[1], lambda2_quotient,
+                                    1e-3 / max(1.0, abs(lam[1])) ** 1.25),
+                                   (beta[2], beta_quotient, 0.004)):
+        scale = max(1.0, abs(exact))
+        far, near, nearest = (quotient(delta / k) for k in (1.0, 2.0, 4.0))
+        # halving delta divides an O(delta^2) error by 4
+        assert abs(exact - far) <= 1e-3 * scale
+        assert abs(exact - near) <= 0.3 * abs(exact - far) + 1e-10 * scale
+        # 4 near - far cancels the delta^2 term; what is left shrinks again as delta halves,
+        # so the coefficient lies within the last extrapolation's change of it.  A
+        # coefficient off by e would leave both extrapolations near e.  Over 300 drawn
+        # fields the excess read at most 2.6e-10 scale, the quotients' rounding.
+        coarse, fine = (4.0 * near - far) / 3.0, (4.0 * nearest - near) / 3.0
+        assert abs(exact - fine) <= abs(coarse - fine) + 1e-9 * scale
+
+
+@pytest.mark.parametrize("series", [final_p2_lambda2_series, final_p2_beta_series])
+@pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.3, g),
+                                   lambda g: make_transitionless(3.0, 2.0, g)],
+                         ids=["flat_pi", "transitionless"])
+def test_half_solve_reads_the_grid_nodes_as_the_2h_grid(monkeypatch, build, series):
+    # on an even step count the half solve is the solve of the 2h grid, its nodes the
+    # even nodes and its midpoints the odd ones; it evaluates no field
+    fine, coarse = build(TimeGrid(401)), build(TimeGrid(201))
+    series(fine)  # forms the stage tables
+
+    def refuse(*args):
+        raise AssertionError("the half solve evaluated the field")
+
+    monkeypatch.setattr(ControlField, "values", refuse)
+    half = series(fine, half=True)
+    monkeypatch.undo()
+    assert np.max(np.abs(half - series(coarse))) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(smooth_fields(), st.integers(1, 64))
+def test_chunked_series_solves_match_whole_ones(field, chunk):
+    whole = [series(field, half) for series in (final_p2_lambda2_series, final_p2_beta_series)
+             for half in (False, True)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_CHUNK_BYTES", 72 * chunk)
+        chunked = [series(field, half) for series in (final_p2_lambda2_series,
+                                                      final_p2_beta_series)
+                   for half in (False, True)]
+    for a, b in zip(whole, chunked):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
 
 
 def test_step_tables_stay_within_the_chunk_budget(monkeypatch):

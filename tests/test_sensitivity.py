@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
                     evolve_propagator, make_flat_pi, make_invariant_engineered,
                     make_optimal_noise, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
-                    make_transitionless, optimal_systematic_angles, qn_finite_difference,
-                    qn_formula, qs_finite_difference, qs_formula, solve_optimal_theta)
+                    make_transitionless, optimal_systematic_angles, qn_derivative,
+                    qn_finite_difference, qn_formula, qs_derivative, qs_finite_difference,
+                    qs_formula, solve_optimal_theta)
 from invlab import sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
@@ -239,19 +240,68 @@ def test_qn_lagrangian_matches_qn_formula_for_generated_field(grid):
     assert abs(qn_formula(f).q_n - qn_formula(solved).q_n) < 1e-6
 
 
-@pytest.mark.parametrize("make", [
-    lambda g: make_flat_pi(0.0, g),
-    lambda g: make_shaped_pi(SIN_ENVELOPE, 0.0, g),
-    lambda g: make_transitionless(EX_OMEGA0, EX_DELTA0, g),
-], ids=["flat", "shaped", "transitionless"])
+# Fields on which the formulas and the derivative routes are compared: every CLI kind at
+# its defaults (transitionless at the Fig. 1 example, having none), and the stiffest
+# fields measured.  The bare sweep is compared where both refuse it.
+AGREEMENT_FIELDS = {
+    "flat": lambda g: make_flat_pi(0.0, g),
+    "shaped": lambda g: make_shaped_pi(SIN_ENVELOPE, 0.0, g),
+    "transitionless": lambda g: make_transitionless(EX_OMEGA0, EX_DELTA0, g),
+    "optimal_noise_7": lambda g: make_optimal_noise(7, g),
+    "optimal_systematic_1": lambda g: make_optimal_systematic(1, g),
+    "optimal_systematic_2": lambda g: make_optimal_systematic(2, g),
+    "transitionless_1_6": lambda g: make_transitionless(1.0, 6.0, g),
+    "transitionless_0.25_8": lambda g: make_transitionless(0.25, 8.0, g),
+}
+# |formula - derivative| beyond err_f + err_d, over max(1, |q|), measured on these fields and
+# seven more at 401, 2001 and 4001 points: the derivative's estimate covers its rounding, and
+# the excesses, at most 8.8e-11 (transitionless(0.25, 8)'s q_S on 2001 points), are its
+# Richardson term reading up to 1% under the distance (RK4's terms past h^4; up to 40% for
+# optimal_systematic n=2's q_N on 401 points)
+AGREEMENT_FLOOR = 1e-10
+
+
+ROUTES = (("q_n", qn_formula, qn_derivative), ("q_s", qs_formula, qs_derivative))
+
+
+@pytest.mark.parametrize("make", AGREEMENT_FIELDS.values(), ids=AGREEMENT_FIELDS)
 def test_dual_method_agreement(grid, make):
     f = make(grid)
-    qn_f, qn_fd = qn_formula(f), qn_finite_difference(f)
-    tol_n = max(0.01 * qn_f.q_n, qn_f.error_estimate + qn_fd.error_estimate)
-    assert abs(qn_f.q_n - qn_fd.q_n) <= tol_n
-    qs_f, qs_fd = qs_formula(f), qs_finite_difference(f)
-    tol_s = max(0.01 * qs_f.q_s, qs_f.error_estimate + qs_fd.error_estimate)
-    assert abs(qs_f.q_s - qs_fd.q_s) <= tol_s
+    for key, formula, derivative in ROUTES:
+        rep_f, rep_d = formula(f), derivative(f)
+        q_f, q_d = getattr(rep_f, key), getattr(rep_d, key)
+        tol = rep_f.error_estimate + rep_d.error_estimate + AGREEMENT_FLOOR * max(1.0, abs(q_f))
+        assert abs(q_f - q_d) <= tol, (key, q_f, q_d, rep_f.error_estimate, rep_d.error_estimate)
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, 2001) for name in ("flat", "shaped", "optimal_noise_7", "optimal_systematic_2",
+                                "transitionless_1_6", "transitionless_0.25_8")),
+    # an odd step count: the half solve takes its last step at h; without it the half
+    # solve would stop short of T and the estimate would read the missing step
+    ("transitionless_1_6", 2002), ("transitionless_1_6", 402)])
+def test_derivative_matches_the_formula_and_its_error_estimate_tracks_the_distance(name, n):
+    f = AGREEMENT_FIELDS[name](TimeGrid(n))
+    assert qn_derivative(f).q_n == pytest.approx(qn_formula(f).q_n, rel=1e-6)
+    for key, formula, derivative in ROUTES:
+        q_f, rep = getattr(formula(f), key), derivative(f)
+        distance = abs(getattr(rep, key) - q_f)
+        if distance > 1e-10 * abs(q_f):
+            assert 0.5 * distance <= rep.error_estimate <= 2.0 * distance
+
+
+@pytest.mark.parametrize("omega0, delta0", [(6.0, 4.0), (EX_OMEGA0, EX_DELTA0)])
+def test_derivative_routes_refuse_a_field_that_does_not_invert(grid, omega0, delta0):
+    f = make_sinusoidal(omega0, delta0, grid)
+    with pytest.raises(RuntimeError) as formula_error:
+        qs_formula(f)
+    for route in (qn_derivative, qs_derivative):
+        with pytest.raises(RuntimeError, match="^protocol does not invert: P2\\(T\\) = ") as error:
+            route(f)
+        # the same P2(T) to rounding, read from the Bloch or the pure-state solve
+        p2 = [float(str(e.value).split("= ")[1].split(" ")[0]) for e in (formula_error, error)]
+        assert p2[0] == pytest.approx(p2[1], abs=1e-12)
+        assert str(error.value).endswith(f" for {f.label}")
 
 
 def test_qn_ordering_chain(grid, flat_field, optimal_noise_field):

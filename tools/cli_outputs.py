@@ -129,6 +129,10 @@ def runs():
                                       "--sse", "--lambda2", "0.1", "--n-traj", "100",
                                       "--dt", "0.03333333333333333", "--seed", "3",
                                       "--out", "simulate_sse_tail_group.json"]
+    # a field that does not invert, refused by the derivative route as by the formulas
+    yield "sensitivity_sinusoidal_6_4_derivative", [
+        "sensitivity", "--kind", "sinusoidal_adiabatic", "--omega0", "6", "--delta0", "4",
+        "--method", "finite-difference", "--out", "sensitivity_sinusoidal_6_4_derivative.json"]
 
 
 def import_cli():
