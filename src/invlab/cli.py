@@ -274,11 +274,13 @@ def cmd_sweep(cfg: dict) -> None:
     T = cfg["duration"]
     grid = TimeGrid(cfg["grid"]["n_steps"])
     base = cfg["output"]["path"] or f"figure{figure}"
+    results = []  # every curve or map first, so a refusal leaves no partial figure behind
     for kind, params in protocols:
         result = analysis(ProtocolSpec(kind, params).build(grid) if kind else grid, *axes)
         if result.quantity == "q_n" and T != 1.0:  # q_N has units 1/T
             result = replace(result, values=result.values / T)
-        path_base = f"{base}_{kind}" if kind else base
+        results.append((f"{base}_{kind}" if kind else base, result))
+    for path_base, result in results:
         result.to_csv(path_base + ".csv")
         result.to_json_sidecar(path_base + ".json")
         print(path_base + ".csv")

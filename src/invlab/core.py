@@ -206,7 +206,12 @@ GROUND_BLOCH.flags.writeable = False
 @dataclass(frozen=True, eq=False)
 class AngleSamples:
     """Grid evaluation of an InvariantAngles triple and its three derivatives; an
-    angle constant in time may be stored with a trailing axis of length 1."""
+    angle constant in time may be stored with a trailing axis of length 1.
+
+    ``sin_theta`` and ``cos_theta`` are np.sin and np.cos of theta, taken when
+    first read, unless the builder stored them: the transitionless builder
+    stores WR / gamma_dot and -D / gamma_dot, which need no trigonometry.
+    """
 
     grid: TimeGrid
     theta: np.ndarray
@@ -215,6 +220,14 @@ class AngleSamples:
     theta_dot: np.ndarray
     alpha_dot: np.ndarray
     gamma_dot: np.ndarray
+
+    @cached_property
+    def sin_theta(self) -> np.ndarray:
+        return np.sin(self.theta)
+
+    @cached_property
+    def cos_theta(self) -> np.ndarray:
+        return np.cos(self.theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,7 +70,9 @@ def _step_simpson(nodes, mids, h: float):
     """Cumulative integral at the nodes, by Simpson's rule on each step from its two
     nodes and its midpoint; along the last axis."""
     steps = (h / 6.0) * (nodes[..., :-1] + 4.0 * mids + nodes[..., 1:])
-    return np.concatenate((np.zeros_like(steps[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
+    out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
 
 
 def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
@@ -141,33 +143,50 @@ def make_sinusoidal(omega0: float, delta0: float, grid: TimeGrid) -> ControlFiel
 SINGULAR_GAP2 = 1e-12
 
 
-def _transitionless(omega0, delta0, grid: TimeGrid):
+def _half_turn(grid: TimeGrid):
+    """(sin, cos) of pi t at the grid's nodes, then at its step midpoints: one table over
+    t = linspace(0, 1, 2 n_steps - 1), whose even entries are the nodes, split in two."""
+    wt = math.pi * np.linspace(0.0, 1.0, 2 * grid.n_steps - 1)
+    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+    return (sin_wt[::2].copy(), cos_wt[::2].copy()), (sin_wt[1::2].copy(), cos_wt[1::2].copy())
+
+
+def _transitionless(omega0, delta0, grid: TimeGrid, half_turn):
     """Node channels (WR, Wa, D), invariant angles and min(WR^2 + D^2) over the nodes.
 
     The angles of the error-free evolution are theta = atan2(WR, -D),
     alpha = 0, theta_dot = Wa (the counter-diabatic term) and
     gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by Simpson's
-    rule over each step.  For delta0 < 0, theta runs from pi to 0.  One
-    ``_sinusoidal`` evaluation on the nodes and step midpoints serves all
-    three results; it broadcasts over array parameters, e.g. delta0 of shape
-    (k, 1) gives (k, points) samples.  Wa, and so theta_dot, is NaN where the
-    field is singular: the division is masked there.
+    rule over each step.  For delta0 < 0, theta runs from pi to 0.  The
+    angles carry sin(theta) = WR / gamma_dot and cos(theta) = -D / gamma_dot,
+    so no formula takes a sine or cosine of theta.  The node and midpoint
+    channels are formed separately from one ``_half_turn(grid)`` table, which
+    a caller evaluating many fields computes once; they broadcast over array
+    parameters, e.g. omega0 and delta0 of shape (k, 1) give (k, points)
+    samples, and no (k, 2 n_steps - 1) array is made.  Wa, theta_dot, sin(theta)
+    and cos(theta) are NaN where the field is singular: their divisions are
+    masked there.
     """
-    t = np.linspace(0.0, 1.0, 2 * grid.n_steps - 1)  # nodes are the even entries
-    wr_half, d_half, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
-    wr, d = np.ascontiguousarray(wr_half[..., ::2]), np.ascontiguousarray(d_half[..., ::2])
-    wr_dot, d_dot = wr_dot[..., ::2], d_dot[..., ::2]
+    (sin_wt, cos_wt), (sin_mid, cos_mid) = half_turn
+    wr, d = omega0 * sin_wt, -delta0 * cos_wt  # _sinusoidal's arithmetic, at the nodes
+    wr_dot, d_dot = omega0 * math.pi * cos_wt, delta0 * math.pi * sin_wt
     gap2 = wr * wr + d * d
     min_gap2 = np.min(gap2, axis=-1)
-    numerator = wr * d_dot - wr_dot * d
-    wa = np.divide(numerator, gap2, out=np.full_like(numerator, np.nan),
-                   where=np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1))
+    regular = np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1)
+
+    def masked(numerator, denominator):
+        return np.divide(numerator, denominator, out=np.full_like(numerator, np.nan),
+                         where=regular)
+
+    wa = masked(wr * d_dot - wr_dot * d, gap2)
     # gamma integrates gamma_dot = sqrt(WR^2 + D^2) by Simpson's rule on each step
-    gamma_dot = np.sqrt(wr_half * wr_half + d_half * d_half)
-    gamma = _step_simpson(gamma_dot[..., ::2], gamma_dot[..., 1::2], grid.h)
+    gamma_dot = np.sqrt(gap2)
+    wr_mid, d_mid = omega0 * sin_mid, -delta0 * cos_mid
+    gamma = _step_simpson(gamma_dot, np.sqrt(wr_mid * wr_mid + d_mid * d_mid), grid.h)
     zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
-    angles = AngleSamples(grid, np.arctan2(wr, -d), zero, gamma, wa, zero,
-                          np.ascontiguousarray(gamma_dot[..., ::2]))
+    minus_d = -d
+    angles = AngleSamples(grid, np.arctan2(wr, minus_d), zero, gamma, wa, zero, gamma_dot)
+    vars(angles).update(sin_theta=masked(wr, gamma_dot), cos_theta=masked(minus_d, gamma_dot))
     return (wr, wa, d), angles, min_gap2
 
 
@@ -185,7 +204,7 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
         wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
         return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
-    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid)
+    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid, _half_turn(grid))
     if min_gap2 < SINGULAR_GAP2:
         raise RuntimeError(
             f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(min_gap2)!r}")

@@ -107,7 +107,7 @@ def _qn_density(s: AngleSamples) -> np.ndarray:
     L = 1/4 [(cos^2 th + cos^2 al sin^2 th)(m sin al - cos al th_dot)^2
            + (cos^2 th + sin^2 al sin^2 th)(m cos al + sin al th_dot)^2].
     """
-    sin_t, cos_t = np.sin(s.theta), np.cos(s.theta)
+    sin_t, cos_t = s.sin_theta, s.cos_theta
     sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
     m = -sin_t * s.gamma_dot  # m = tan(theta)(Delta + alpha_dot) = -sin(theta) gamma_dot
     cos2_t, sin2_t = cos_t**2, sin_t**2
@@ -117,7 +117,7 @@ def _qn_density(s: AngleSamples) -> np.ndarray:
 
 def _qs_integrand(s: AngleSamples) -> np.ndarray:
     """exp(-i gamma) theta_dot sin^2(theta), whose integral's squared modulus is q_S."""
-    return np.exp(-1j * s.gamma) * s.theta_dot * np.sin(s.theta) ** 2
+    return (np.cos(s.gamma) - 1j * np.sin(s.gamma)) * s.theta_dot * s.sin_theta ** 2
 
 
 def _qs_value(amp) -> float:

@@ -557,6 +557,14 @@ def test_sweep_axis_outside_the_family_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refused_part_way_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the optimal_noise and flat_pi curves succeed; the sinusoidal_adiabatic one is refused
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["sweep", "--figure", "1", "--grid-steps", "5", "--out", "fig1"]) == 2
+    assert "RK4 step unstable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("figure, axes, message", [
     # h = 1/2 against |beta| >= 10: the RK4 rotation grows, which is a fault and not a missing point
     pytest.param("4", ["--axis1=10,12,2"], "pure-state integration diverged", id="4"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, ProtocolSpec,
@@ -164,6 +166,31 @@ def test_transitionless_tracks_instantaneous_eigenstate(grid):
     theta_ad = np.arctan2(EX_OMEGA0 * np.sin(np.pi * ts), EX_DELTA0 * np.cos(np.pi * ts))
     overlap = np.abs(np.cos(theta_ad / 2.0) * psi[:, 0] + np.sin(theta_ad / 2.0) * psi[:, 1])
     assert float(np.min(overlap)) >= 1.0 - 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.25, 8.0), st.floats(0.25, 8.0), st.booleans(),
+       st.sampled_from([11, 12, 401, 2001]))
+def test_transitionless_sin_and_cos_theta_match_the_angle(omega0, delta0, negative, n):
+    # WR / gamma_dot and -D / gamma_dot against np.sin and np.cos of atan2(WR, -D); near
+    # theta = 0 or pi the sine is tiny and np.sin(theta) keeps an absolute error of an ulp
+    # of theta, so the distance is counted in ulps of 1
+    s = make_transitionless(omega0, -delta0 if negative else delta0, TimeGrid(n)).angles
+    assert np.max(np.abs(s.sin_theta - np.sin(s.theta))) <= 4 * np.spacing(1.0)
+    assert np.max(np.abs(s.cos_theta - np.cos(s.theta))) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: make_flat_pi(0.4, g),
+    lambda g: make_shaped_pi(lambda t: np.sin(np.pi * t) ** 2, 0.3, g),
+    lambda g: make_optimal_noise(3, g),
+    lambda g: make_optimal_systematic(2, g),
+    lambda g: make_invariant_engineered(optimal_systematic_angles(1), g)])
+def test_other_families_take_sin_and_cos_theta_of_theta_when_read(build):
+    s = build(TimeGrid(401)).angles
+    assert "sin_theta" not in vars(s) and "cos_theta" not in vars(s)
+    assert np.array_equal(s.sin_theta, np.sin(s.theta))
+    assert np.array_equal(s.cos_theta, np.cos(s.theta))
 
 
 def test_invariant_engineered_flat_limit(grid):

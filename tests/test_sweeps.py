@@ -12,6 +12,7 @@ from invlab import (Axis, SweepResult, TimeGrid, default_beta_axis,
                     make_optimal_systematic, make_transitionless, map_p2, qn_formula,
                     qs_formula, robustness_curve, sweep_qn_transitionless,
                     sweep_qs_transitionless)
+from invlab.sweeps import _BLOCK_BYTES
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -59,31 +60,53 @@ def test_sweep_qn_failed_cells_become_nan(small_grid):
     assert np.isfinite(res.values[:, 1:]).all()
 
 
+@pytest.mark.parametrize("n_omega0, delta0", [
+    (3, Axis("delta0", -3.0, 6.0, 4)),  # one block
+    (3, Axis("delta0", -3.0, 3.0, 7)),  # 21 cells: a block of 15, then 6
+    (5, Axis("delta0", -2.0, 2.0, 5)),  # 25 cells: a block of 15, then 10
+    (3, Axis("delta0", 0.5, 3.5, 7)),  # 21 cells, none singular: blocks of regular cells only
+])
 @pytest.mark.parametrize("sweep, formula, key", [
     (sweep_qn_transitionless, qn_formula, "q_n"), (sweep_qs_transitionless, qs_formula, "q_s")])
-def test_sweep_cells_equal_the_single_field_formulas(sweep, formula, key):
-    # a row of cells is one array pass, with the same arithmetic as one field
+def test_sweep_cells_equal_the_single_field_formulas(sweep, formula, key, n_omega0, delta0):
+    # a block of cells is one array pass, with the same arithmetic as one field; a
+    # singular delta0 = 0 cell falls inside a block of regular ones
     grid = TimeGrid(401)
-    omega0, delta0 = Axis("omega0", 0.5, 7.5, 3), Axis("delta0", -3.0, 6.0, 4)
+    omega0 = Axis("omega0", 0.5, 7.5, n_omega0)
+    size = _BLOCK_BYTES // (8 * grid.n_steps)
+    cells = n_omega0 * delta0.n_points
+    assert cells <= size or cells % size != 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = sweep(omega0, delta0, grid)
-    assert np.isnan(res.values[:, 1]).all()  # delta0 = 0 is singular
+    singular = delta0.values == 0.0
+    assert singular.sum() <= 1
+    assert np.isnan(res.values[:, singular]).all()
     for i, w in enumerate(omega0.values):
         for j, d in enumerate(delta0.values):
-            if j != 1:
+            if not singular[j]:
                 assert res.values[i, j] == getattr(formula(make_transitionless(w, d, grid)), key)
 
 
-def test_fig2_sweep_memory_is_pinned():
-    """The default Fig. 2 sweep keeps its zero alpha as one column per row of cells."""
+def _default_sweep_peak(sweep) -> int:
     tracemalloc.start()
     try:
-        sweep_qn_transitionless(default_omega0_axis(), default_delta0_axis(), TimeGrid(2001))
-        peak = tracemalloc.get_traced_memory()[1]
+        sweep(default_omega0_axis(), default_delta0_axis(), TimeGrid(2001))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.4 * 2**20, peak / 2**20
+
+
+def test_fig2_sweep_memory_is_pinned():
+    """The default Fig. 2 sweep holds one block of cells at a time (1.04 MiB measured)."""
+    peak = _default_sweep_peak(sweep_qn_transitionless)
+    assert peak <= 1.3 * 2**20, peak / 2**20
+
+
+def test_fig5_sweep_memory_is_pinned():
+    """The default Fig. 5 sweep holds one block of cells at a time (1.03 MiB measured)."""
+    peak = _default_sweep_peak(sweep_qs_transitionless)
+    assert peak <= 1.3 * 2**20, peak / 2**20
 
 
 def test_sweep_refinement_stability(small_grid):

@@ -91,6 +91,8 @@ def runs():
     # the delta0 = 0 cells are singular fields, written as empty cells
     yield "sweep_2_signed", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=-1,1,3",
                              "--grid-steps", "101", "--out", "figure2_signed"]
+    yield "sweep_5_signed", ["sweep", "--figure", "5", "--axis1=1,2,2", "--axis2=-1,1,3",
+                             "--grid-steps", "101", "--out", "figure5_signed"]
     # a sweep always writes CSV and a JSON sidecar, so it takes no --format
     yield "sweep_format_json", ["sweep", "--figure", "4", "--format", "json", "--grid-steps", "101",
                                 "--out", "figure4_format"]
