@@ -25,10 +25,11 @@ and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms the P_i
 with numpy, a chunk of steps at a time: a real 3x3 matrix for the Bloch
 equation, and for the pure state the pair (a, b) of the SU(2)-form matrix
 [[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  A Bloch step
-table is formed per error setting, each stage in place in its own buffer.
-The pure-state generator is the pair (i d/2, omega w) with omega = 1 + beta,
-so a pair step is P = (p0 + omega^2 p2 + omega^4 p4, omega (q1 + omega^2 q3)):
-its five tables are formed once per chunk from elementwise products of the
+table is formed per error setting by ``_rk4_step``, each stage in place in
+its own buffer.  The pure-state generator is the pair (i d/2, omega w)
+with omega = 1 + beta, so a pair step is
+P = (p0 + omega^2 p2 + omega^4 p4, omega (q1 + omega^2 q3)): its five
+tables are formed once per chunk from elementwise products of the
 channels, and each beta's steps are their Horner evaluation.  Within a
 chunk, trajectories come from a log-depth prefix product of the steps,
 final states from a product reduction over the same tree; chunks are
@@ -39,13 +40,14 @@ pure-state matrix evolve the ground and excited states together.
 
 The sensitivities' derivatives of P2(T) are taken through the same steps,
 each carried as a truncated power series: the Bloch step as P0 + lambda^2 P1
-at beta = 0 (L2 is diagonal, so a stage's first-order term is one product
-and a row scaling), and the pair step re-expanded from its omega tables to
-second order in beta.  Series multiply by the truncated Cauchy product, so
-one solve gives the exact derivatives of the discrete solution (Taylor
-mode; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  A
-half-resolution solve, for a Richardson estimate, reads the grid's own
-nodes: the even nodes as nodes and the odd ones as midpoints, at step 2h.
+at beta = 0, formed by the same ``_rk4_step`` from the generator series
+(L0, -L2) under the series product, and the pair step re-expanded from its
+omega tables to second order in beta.  Series multiply by the truncated
+Cauchy product, so one solve gives the exact derivatives of the discrete
+solution (Taylor mode; Griewank & Walther, Evaluating Derivatives, 2008,
+ch. 13).  A half-resolution solve, for a Richardson estimate, reads the
+grid's own nodes: the even nodes as nodes and the odd ones as midpoints, at
+step 2h.
 
 The stochastic engine is the simplified weak Euler scheme (Kloeden &
 Platen 1992, ch. 14.1) for the Ito stochastic Schrodinger equation
@@ -197,11 +199,12 @@ def _runs(field: ControlField, half: bool) -> list:
     return runs
 
 
-def _bloch_generator(w, setting: ErrorSetting) -> np.ndarray:
-    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points)."""
+def _bloch_generator(w, setting: ErrorSetting, out=None) -> np.ndarray:
+    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points), written into
+    ``out`` if given."""
     wr, wi, d = w
     om, c = 1.0 + setting.beta, -0.5 * setting.lambda2
-    g = np.empty((3, 3, wr.size))
+    g = np.empty((3, 3, wr.size)) if out is None else out
     np.multiply(wi, wi, out=g[0, 0])  # scratch for the (2, 2) sum
     np.multiply(wr, wr, out=g[2, 2])
     g[2, 2] += g[0, 0]
@@ -224,78 +227,76 @@ def _bloch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", x, y)
 
 
-def _bloch_stage(a: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
-    """A + c A K, in the buffer of the product A K."""
-    out = _bloch_mul(a, k)
-    out *= c
-    out += a
-    return out
+def _series_mul(mul):
+    """The product of power series truncated at their length, coefficients along axis -2,
+    whose coefficients multiply by ``mul``: coefficient i of x times the first
+    length - i coefficients of y, added from order i on, one ``mul`` per i."""
+    def series_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        orders = x.shape[-2]
+        out = mul(x[..., :1, :], y)
+        for i in range(1, orders):
+            out[..., i:, :] += mul(x[..., i:i + 1, :], y[..., :orders - i, :])
+        return out
+    return series_mul
 
 
-def _step_propagators(stages, setting: ErrorSetting) -> np.ndarray:
-    """Classical RK4 steps of the Bloch equation as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+def _rk4_step(mul, ident: np.ndarray, a_n, a_m, a_next, h: float) -> np.ndarray:
+    """Classical RK4 steps of y' = A(t) y as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    For a linear ODE y' = A(t) y one RK4 step is y -> P y with
-    K1 = A_n, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2),
-    K4 = A_n+1 (I + h K3), A at the node, midpoint and next node of
-    ``_stages``.  Shape (3, 3, steps).
+    For a linear ODE one RK4 step is y -> P y with K1 = A_n,
+    K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2), K4 = A_n+1 (I + h K3), A at
+    the node, midpoint and next node of ``_stages``.  The generators multiply
+    by ``mul``, whose identity is ``ident``; each stage A + c A K is formed in
+    the buffer of the product A K.
     """
-    nodes, mids, h = stages
-    g = _bloch_generator(nodes, setting)
-    a_n, a_next = g[..., :-1], g[..., 1:]
-    a_m = _bloch_generator(mids, setting)
-    k2 = _bloch_stage(a_m, a_n, 0.5 * h)
-    k3 = _bloch_stage(a_m, k2, 0.5 * h)
-    k4 = _bloch_stage(a_next, k3, h)
-    p = k2  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
+    k, stages = a_n, []
+    for a, c in ((a_m, 0.5 * h), (a_m, 0.5 * h), (a_next, h)):
+        k = mul(a, k)
+        k *= c
+        k += a
+        stages.append(k)
+    p, k3, k4 = stages  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
     p += k3
     p *= 2.0
     p += a_n
     p += k4
     p *= h / 6.0
-    p += _IDENTITY3
+    p += ident
     return p
 
 
-def _lambda2_stage(a: np.ndarray, d: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
-    """A + c A K to first order in lambda^2, for A = a + lambda^2 diag(d) and K the series
-    K0 + lambda^2 K1 along axis 2.
+def _step_propagators(stages, setting: ErrorSetting) -> np.ndarray:
+    """The Bloch RK4 steps at one error setting, shape (3, 3, steps)."""
+    nodes, mids, h = stages
+    g = _bloch_generator(nodes, setting)
+    return _rk4_step(_bloch_mul, _IDENTITY3, g[..., :-1], _bloch_generator(mids, setting),
+                     g[..., 1:], h)
 
-    Order 1 is c (a K1 + diag(d) K0) + diag(d): one product a K of both orders, and a
-    row scaling.
-    """
-    out = _bloch_mul(a[:, :, None], k)
-    out[:, :, 1] += d[:, None] * k[:, :, 0]
-    out *= c
-    out[:, :, 0] += a
+
+_LAMBDA2_MUL = _series_mul(_bloch_mul)
+_LAMBDA2_IDENTITY = np.stack((_IDENTITY3, np.zeros_like(_IDENTITY3)), axis=2)  # the series (I, 0)
+
+
+def _lambda2_generator(w) -> np.ndarray:
+    """L0 - lambda^2 L2 at channel samples w as the series (L0, -L2) along axis 2,
+    shape (3, 3, 2, points)."""
+    wr, wi, _ = w
+    g = np.zeros((3, 3, 2, wr.size))
+    _bloch_generator(w, ErrorSetting(), g[:, :, 0])
+    np.multiply(wi, wi, out=g[0, 0, 1])
+    np.multiply(wr, wr, out=g[1, 1, 1])
+    np.add(g[1, 1, 1], g[0, 0, 1], out=g[2, 2, 1])
     for i in range(3):
-        out[i, i, 1] += d[i]
-    return out
+        g[i, i, 1] *= -0.5
+    return g
 
 
 def _lambda2_steps(stages, _=None) -> np.ndarray:
-    """The Bloch RK4 steps at beta = 0 as series P0 + lambda^2 P1, shape (3, 3, 2, steps).
-
-    The generator is L0 - lambda^2 L2, with L2 diagonal.
-    """
+    """The Bloch RK4 steps at beta = 0 as series P0 + lambda^2 P1, shape (3, 3, 2, steps)."""
     nodes, mids, h = stages
-    g, a_m = _bloch_generator(nodes, ErrorSetting()), _bloch_generator(mids, ErrorSetting())
-    d, d_m = (-0.5 * np.stack((wi * wi, wr * wr, wr * wr + wi * wi)) for wr, wi, _ in (nodes, mids))
-    k1 = np.zeros((3, 3, 2, g.shape[-1] - 1))
-    k1[:, :, 0] = g[..., :-1]
-    for i in range(3):
-        k1[i, i, 1] = d[i, :-1]
-    k2 = _lambda2_stage(a_m, d_m, k1, 0.5 * h)
-    k3 = _lambda2_stage(a_m, d_m, k2, 0.5 * h)
-    k4 = _lambda2_stage(g[..., 1:], d[:, 1:], k3, h)
-    p = k2  # I + h/6 (K1 + 2 (K2 + K3) + K4)
-    p += k3
-    p *= 2.0
-    p += k1
-    p += k4
-    p *= h / 6.0
-    p[:, :, 0] += _IDENTITY3
-    return p
+    g = _lambda2_generator(nodes)
+    return _rk4_step(_LAMBDA2_MUL, _LAMBDA2_IDENTITY, g[..., :-1], _lambda2_generator(mids),
+                     g[..., 1:], h)
 
 
 def _pair_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -381,26 +382,13 @@ def _beta_steps(tables: list, _=None) -> np.ndarray:
                      [q1 + q3, q1 + 3.0 * q3, 3.0 * q3]])
 
 
-def _series_mul(mul):
-    """The product of power series truncated at their length, coefficients along axis -2,
-    whose coefficients multiply by ``mul``: coefficient i of x times the first
-    length - i coefficients of y, added from order i on, one ``mul`` per i."""
-    def series_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        orders = x.shape[-2]
-        out = mul(x[..., :1, :], y)
-        for i in range(1, orders):
-            out[..., i:, :] += mul(x[..., i:i + 1, :], y[..., :orders - i, :])
-        return out
-    return series_mul
-
-
 # engine -> (chunk tables, step table of one param, product, identity of one step's
 # matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps.  The series engines carry
 # P2's error at order 1 in lambda^2 (at beta = 0) and at order 2 in beta, along axis -2
 # of their steps; they ignore their one param and take a plain solve's steps a chunk.
 _BLOCH = (_stages, _step_propagators, _bloch_mul, _IDENTITY3)
 _PURE = (_omega_tables, _omega_steps, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
-_BLOCH_LAMBDA2 = (_stages, _lambda2_steps, _series_mul(_bloch_mul), _BLOCH[3])
+_BLOCH_LAMBDA2 = (_stages, _lambda2_steps, _LAMBDA2_MUL, _IDENTITY3)
 _PURE_BETA = (_omega_tables, _beta_steps, _series_mul(_pair_mul), _PURE[3])
 
 

@@ -51,19 +51,20 @@ ENVELOPES = {
 }
 
 
-def _on_resonance(amplitude: Callable, c_r: float, c_i: float) -> Callable:
-    """Channels (c_r a(t), c_i a(t), 0) of a pulse with real amplitude a(t), read once per call."""
+def _resonant_field(grid: TimeGrid, label: str, amplitude: Callable, samples, c_r: float,
+                    c_i: float, theta, theta_dot, alpha: float) -> ControlField:
+    """The on-resonance pulse (c_r a(t), c_i a(t), 0) of real amplitude a(t), sampled on the
+    grid as ``samples`` and read once per channels call, with its invariant angles: for
+    Omega = theta_dot e^{i(alpha + pi/2)}, theta its cumulative area, constant alpha and
+    gamma = 0, so alpha_dot = gamma_dot = 0."""
     def channels(t):
         a = np.asarray(amplitude(np.asarray(t, dtype=float)), dtype=float)
         return c_r * a, c_i * a, np.zeros_like(a)
-    return channels
 
-
-def _resonant_angles(grid: TimeGrid, theta, theta_dot, alpha: float) -> AngleSamples:
-    """Invariant angles of an on-resonance pulse with Omega = theta_dot e^{i(alpha + pi/2)}:
-    theta its cumulative area, constant alpha, gamma = 0, so alpha_dot = gamma_dot = 0."""
     zero = np.zeros(1)
-    return AngleSamples(grid, theta, np.full(1, alpha), zero, theta_dot, zero, zero)
+    angles = AngleSamples(grid, theta, np.full(1, alpha), zero, theta_dot, zero, zero)
+    return ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples), label=label,
+                        channels=channels, angles=angles)
 
 
 def _step_simpson(nodes, mids, h: float):
@@ -81,11 +82,8 @@ def make_flat_pi(alpha: float, grid: TimeGrid) -> ControlField:
     c_r, c_i = math.pi * math.cos(alpha), math.pi * math.sin(alpha)
     ts = grid.times
     a = np.ones_like(ts)
-    return ControlField(grid, c_r * a, c_i * a, np.zeros_like(a),
-                        label=f"flat_pi(alpha={alpha:g})",
-                        channels=_on_resonance(ENVELOPES["flat"], c_r, c_i),
-                        angles=_resonant_angles(grid, math.pi * ts, math.pi * a,
-                                                alpha - 0.5 * math.pi))
+    return _resonant_field(grid, f"flat_pi(alpha={alpha:g})", ENVELOPES["flat"], a, c_r, c_i,
+                           math.pi * ts, math.pi * a, alpha - 0.5 * math.pi)
 
 
 def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlField:
@@ -109,11 +107,9 @@ def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlF
     scale = math.pi / area
     c_r, c_i = scale * math.cos(alpha), scale * math.sin(alpha)
     cumulative = _step_simpson(samples, mids, grid.h)
-    field = ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples),
-                         label=f"shaped_pi(alpha={alpha:g})",
-                         channels=_on_resonance(envelope, c_r, c_i),
-                         angles=_resonant_angles(grid, cumulative * (math.pi / cumulative[-1]),
-                                                 scale * samples, alpha - 0.5 * math.pi))
+    field = _resonant_field(grid, f"shaped_pi(alpha={alpha:g})", envelope, samples, c_r, c_i,
+                            cumulative * (math.pi / cumulative[-1]), scale * samples,
+                            alpha - 0.5 * math.pi)
     # the RK4 midpoints were sampled above: seed the field's stage tables with the channels there
     nodes = (field.omega_r, field.omega_i, field.delta)
     vars(field)["stage_tables"] = nodes, (c_r * mids, c_i * mids, np.zeros_like(mids))
@@ -260,10 +256,8 @@ def make_optimal_noise(n: int, grid: TimeGrid) -> ControlField:
     # -sin(n pi/4), cos(n pi/4) for odd n are exactly +-sqrt(1/2)
     sign_r, sign_i = {1: (-1, 1), 3: (-1, -1), 5: (1, -1), 7: (1, 1)}[n % 8]
     c_r, c_i = sign_r * math.sqrt(0.5), sign_i * math.sqrt(0.5)
-    return ControlField(grid, c_r * theta_dot, c_i * theta_dot, np.zeros_like(theta_dot),
-                        label=f"optimal_noise(n={n})",
-                        channels=_on_resonance(angles.theta_dot, c_r, c_i),
-                        angles=_resonant_angles(grid, theta, theta_dot, n * math.pi / 4.0))
+    return _resonant_field(grid, f"optimal_noise(n={n})", angles.theta_dot, theta_dot, c_r, c_i,
+                           theta, theta_dot, n * math.pi / 4.0)
 
 
 def optimal_noise_angles(n: int = 7) -> InvariantAngles:

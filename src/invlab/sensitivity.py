@@ -50,7 +50,9 @@ whole duration.  The derivative routes always solve the perturbed
 dynamics, so they stay independent of the angles, and refuse a field that
 does not invert as the formulas do.  ``qn_finite_difference`` and
 ``qs_finite_difference`` fit a quadratic to P2(T) at ten error strengths;
-they are kept for their callers, and the CLI no longer reads them.
+the CLI no longer reads them.  They are kept for their two callers, the
+benchmark's Fig. 2/5 cell check (``perfbench/checks.py``) and its layer
+trace (``perfbench/layertrace.py``).
 """
 
 from __future__ import annotations

@@ -255,6 +255,27 @@ def test_half_solve_reads_the_grid_nodes_as_the_2h_grid(monkeypatch, build, seri
     assert np.max(np.abs(half - series(coarse))) <= 1e-12
 
 
+# 2001 points: two chunks; 2002: a half solve whose last step is taken at h
+@pytest.mark.parametrize("n_points", [2001, 2002])
+@pytest.mark.parametrize("kind, params", [
+    ("flat_pi", {"alpha": 0.3}), ("shaped_pi", {"envelope": "sin"}),
+    ("sinusoidal_adiabatic", {"omega0": 3.0, "delta0": 2.0}),
+    ("transitionless", {"omega0": 3.0, "delta0": -2.0}), ("optimal_noise", {"n": 7}),
+    ("optimal_systematic", {"n": 2})])
+def test_lambda2_series_order_0_is_the_plain_solve_bit_for_bit(kind, params, n_points):
+    # both engines form their steps with _rk4_step, and a series product's order 0 is the
+    # product of the orders 0
+    field = ProtocolSpec(kind, params).build(TimeGrid(n_points))
+    nodes, mids = field.stage_tables
+    stages = dynamics._stages(nodes, mids, field.grid.h, 0, mids[0].size)
+    plain = dynamics._step_propagators(stages, ErrorSetting())
+    assert np.array_equal(dynamics._lambda2_steps(stages)[:, :, 0], plain)
+    for half in (False, True):
+        plain = dynamics._solve(field, dynamics._BLOCH, [ErrorSetting()], dynamics._product, half)
+        series = dynamics._solve(field, dynamics._BLOCH_LAMBDA2, [None], dynamics._product, half)
+        assert np.array_equal(series[0][:, :, 0], plain[0])
+
+
 @settings(max_examples=10, deadline=None)
 @given(smooth_fields(), st.integers(1, 64))
 def test_chunked_series_solves_match_whole_ones(field, chunk):

@@ -55,6 +55,11 @@ def runs():
         yield f"sensitivity_{name}_duration", [
             "sensitivity", *KINDS[name], "--method", "both", "--duration", "2.5",
             "--out", f"sensitivity_{name}_duration.json"]
+    # 2001 steps: two Bloch chunks, and a half-resolution solve whose last step is taken at h
+    for name in ("transitionless", "optimal_noise_7"):
+        yield f"sensitivity_{name}_2002", [
+            "sensitivity", *KINDS[name], "--method", "both", "--grid-steps", "2002",
+            "--out", f"sensitivity_{name}_2002.json"]
     bloch = ["simulate", *KINDS["transitionless"], "--beta", "0.05", "--lambda2", "0.1"]
     yield "simulate", [*bloch, "--out", "simulate.csv"]
     yield "simulate_json", [*bloch, "--format", "json", "--out", "simulate.json"]
