@@ -208,26 +208,20 @@ class AngleSamples:
     """Grid evaluation of an InvariantAngles triple and its three derivatives; an
     angle constant in time may be stored with a trailing axis of length 1.
 
-    ``sin_theta`` and ``cos_theta`` are np.sin and np.cos of theta, taken when
-    first read, unless the builder stored them: the transitionless builder
-    stores WR / gamma_dot and -D / gamma_dot, which need no trigonometry.
+    theta enters the controls and both sensitivities only through its sine
+    and cosine, so those are stored in its place: np.sin and np.cos of the
+    sampled theta, or, for a transitionless field, WR / gamma_dot and
+    -D / gamma_dot, which need no trigonometry.
     """
 
     grid: TimeGrid
-    theta: np.ndarray
+    sin_theta: np.ndarray
+    cos_theta: np.ndarray
     alpha: np.ndarray
     gamma: np.ndarray
     theta_dot: np.ndarray
     alpha_dot: np.ndarray
     gamma_dot: np.ndarray
-
-    @cached_property
-    def sin_theta(self) -> np.ndarray:
-        return np.sin(self.theta)
-
-    @cached_property
-    def cos_theta(self) -> np.ndarray:
-        return np.cos(self.theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +263,7 @@ class InvariantAngles:
         thd = np.asarray(self.theta_dot(ts), dtype=float) if self.theta_dot else sampled_derivative(th, grid.h)
         ald = np.asarray(self.alpha_dot(ts), dtype=float) if self.alpha_dot else sampled_derivative(al, grid.h)
         gad = np.asarray(self.gamma_dot(ts), dtype=float) if self.gamma_dot else sampled_derivative(ga, grid.h)
-        return AngleSamples(grid, th, al, ga, thd, ald, gad)
+        return AngleSamples(grid, np.sin(th), np.cos(th), al, ga, thd, ald, gad)
 
 
 def constant(value: float) -> Callable:

@@ -26,9 +26,10 @@ optimal_systematic       zero systematic sensitivity: gamma = n(2 th - sin 2 th)
 
 Every family but the bare sweep attaches the invariant angles of its
 error-free evolution on the grid (``ControlField.angles``), which the
-closed-form sensitivities read without an ODE solve.  An on-resonance pulse
-Omega = |Omega| e^{i phi} has theta = its cumulative area,
-alpha = phi - pi/2 (n pi/4 for optimal_noise) and gamma = 0.
+closed-form sensitivities read without an ODE solve.  theta is stored as
+sin(theta) and cos(theta), the only way the controls and the sensitivities
+read it.  An on-resonance pulse Omega = |Omega| e^{i phi} has theta = its
+cumulative area, alpha = phi - pi/2 (n pi/4 for optimal_noise) and gamma = 0.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _resonant_field(grid: TimeGrid, label: str, amplitude: Callable, samples, c_
         return c_r * a, c_i * a, np.zeros_like(a)
 
     zero = np.zeros(1)
-    angles = AngleSamples(grid, theta, np.full(1, alpha), zero, theta_dot, zero, zero)
+    angles = AngleSamples(grid, np.sin(theta), np.cos(theta), np.full(1, alpha), zero, theta_dot,
+                          zero, zero)
     return ControlField(grid, c_r * samples, c_i * samples, np.zeros_like(samples), label=label,
                         channels=channels, angles=angles)
 
@@ -107,13 +109,9 @@ def make_shaped_pi(envelope: Callable, alpha: float, grid: TimeGrid) -> ControlF
     scale = math.pi / area
     c_r, c_i = scale * math.cos(alpha), scale * math.sin(alpha)
     cumulative = _step_simpson(samples, mids, grid.h)
-    field = _resonant_field(grid, f"shaped_pi(alpha={alpha:g})", envelope, samples, c_r, c_i,
-                            cumulative * (math.pi / cumulative[-1]), scale * samples,
-                            alpha - 0.5 * math.pi)
-    # the RK4 midpoints were sampled above: seed the field's stage tables with the channels there
-    nodes = (field.omega_r, field.omega_i, field.delta)
-    vars(field)["stage_tables"] = nodes, (c_r * mids, c_i * mids, np.zeros_like(mids))
-    return field
+    return _resonant_field(grid, f"shaped_pi(alpha={alpha:g})", envelope, samples, c_r, c_i,
+                           cumulative * (math.pi / cumulative[-1]), scale * samples,
+                           alpha - 0.5 * math.pi)
 
 
 def _sinusoidal(omega0: float, delta0: float, t):
@@ -153,15 +151,14 @@ def _transitionless(omega0, delta0, grid: TimeGrid, half_turn):
     The angles of the error-free evolution are theta = atan2(WR, -D),
     alpha = 0, theta_dot = Wa (the counter-diabatic term) and
     gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by Simpson's
-    rule over each step.  For delta0 < 0, theta runs from pi to 0.  The
-    angles carry sin(theta) = WR / gamma_dot and cos(theta) = -D / gamma_dot,
-    so no formula takes a sine or cosine of theta.  The node and midpoint
-    channels are formed separately from one ``_half_turn(grid)`` table, which
-    a caller evaluating many fields computes once; they broadcast over array
-    parameters, e.g. omega0 and delta0 of shape (k, 1) give (k, points)
-    samples, and no (k, 2 n_steps - 1) array is made.  Wa, theta_dot, sin(theta)
-    and cos(theta) are NaN where the field is singular: their divisions are
-    masked there.
+    rule over each step.  For delta0 < 0, theta runs from pi to 0.  theta
+    itself is never formed: the angles store sin(theta) = WR / gamma_dot and
+    cos(theta) = -D / gamma_dot.  The node and midpoint channels are formed
+    separately from one ``_half_turn(grid)`` table, which a caller evaluating
+    many fields computes once; they broadcast over array parameters, e.g.
+    omega0 and delta0 of shape (k, 1) give (k, points) samples, and no
+    (k, 2 n_steps - 1) array is made.  Wa, theta_dot, sin(theta) and
+    cos(theta) are NaN where the field is singular: their divisions are masked.
     """
     (sin_wt, cos_wt), (sin_mid, cos_mid) = half_turn
     wr, d = omega0 * sin_wt, -delta0 * cos_wt  # _sinusoidal's arithmetic, at the nodes
@@ -180,9 +177,8 @@ def _transitionless(omega0, delta0, grid: TimeGrid, half_turn):
     wr_mid, d_mid = omega0 * sin_mid, -delta0 * cos_mid
     gamma = _step_simpson(gamma_dot, np.sqrt(wr_mid * wr_mid + d_mid * d_mid), grid.h)
     zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
-    minus_d = -d
-    angles = AngleSamples(grid, np.arctan2(wr, minus_d), zero, gamma, wa, zero, gamma_dot)
-    vars(angles).update(sin_theta=masked(wr, gamma_dot), cos_theta=masked(minus_d, gamma_dot))
+    angles = AngleSamples(grid, masked(wr, gamma_dot), masked(-d, gamma_dot), zero, gamma, wa,
+                          zero, gamma_dot)
     return (wr, wa, d), angles, min_gap2
 
 
@@ -208,13 +204,13 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
                         channels=channels, angles=angles)
 
 
-def _controls(theta, alpha, theta_dot, alpha_dot, gamma_dot):
-    """The inversion angles -> controls (WR, WI, D) of the module docstring."""
-    sin_t = np.sin(theta)
+def _controls(sin_t, cos_t, alpha, theta_dot, alpha_dot, gamma_dot):
+    """The inversion angles, theta by its sine and cosine -> controls (WR, WI, D) of the
+    module docstring."""
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     return (cos_a * sin_t * gamma_dot - sin_a * theta_dot,
             sin_a * sin_t * gamma_dot + cos_a * theta_dot,
-            -np.cos(theta) * gamma_dot - alpha_dot)
+            -cos_t * gamma_dot - alpha_dot)
 
 
 def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid) -> ControlField:
@@ -235,10 +231,12 @@ def _invariant_field(angles: InvariantAngles, s: AngleSamples, label: str) -> Co
     if angles.has_closed_derivatives:
         def channels(t):
             t = np.asarray(t, dtype=float)
-            return _controls(angles.theta(t), angles.alpha(t), angles.theta_dot(t),
+            theta = angles.theta(t)
+            return _controls(np.sin(theta), np.cos(theta), angles.alpha(t), angles.theta_dot(t),
                              angles.alpha_dot(t), angles.gamma_dot(t))
 
-    controls = _controls(s.theta, s.alpha, s.theta_dot, s.alpha_dot, s.gamma_dot)
+    controls = _controls(s.sin_theta, s.cos_theta, s.alpha, s.theta_dot, s.alpha_dot,
+                         s.gamma_dot)
     return ControlField(s.grid, *controls, label=label, channels=channels, angles=s)
 
 

@@ -7,8 +7,8 @@ are closed forms.  Cells are evaluated a block at a time, in row-major
 order, by ``protocols._transitionless``, which ``make_transitionless``
 calls too: a block is as many cells as keep each of its (cells, points)
 arrays within ``_BLOCK_BYTES``, and every block reads one sin/cos(pi t)
-table computed once per surface.  The angles carry sin(theta) = WR/gamma_dot
-and cos(theta) = -D/gamma_dot, so no cell takes a sine or cosine of theta.
+table computed once per surface.  The angles store sin(theta) = WR/gamma_dot
+and cos(theta) = -D/gamma_dot, so no cell takes a sine, cosine or angle.
 Each cell equals ``qn_formula``/``qs_formula`` of ``make_transitionless``
 at its parameters bit for bit.  A cell whose field is singular (the
 counter-diabatic denominator vanishes on the grid) is recorded as a

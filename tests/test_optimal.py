@@ -14,7 +14,9 @@ from stationarity_reference import stationarity_m, verify_stationarity
 
 @pytest.fixture(scope="module")
 def solution(grid):
-    return optimal_noise_angles(7).sample(grid)
+    """theta and theta_dot of the noise-optimal protocol at the grid's nodes."""
+    angles = optimal_noise_angles(7)
+    return angles.theta(grid.times), angles.theta_dot(grid.times)
 
 
 def test_first_integral_constant_value():
@@ -24,25 +26,28 @@ def test_first_integral_constant_value():
 
 
 def test_solution_boundaries_and_monotonicity(solution):
-    assert solution.theta[0] == 0.0
-    assert solution.theta[-1] == pytest.approx(math.pi, abs=1e-12)
-    assert np.all(np.diff(solution.theta) > 0.0)
+    theta, _ = solution
+    assert theta[0] == 0.0
+    assert theta[-1] == pytest.approx(math.pi, abs=1e-12)
+    assert np.all(np.diff(theta) > 0.0)
 
 
 def test_solution_symmetry(grid, solution):
     # integrand symmetric under s -> pi - s
+    theta, _ = solution
     mid = (grid.n_steps - 1) // 2
-    assert solution.theta[mid] == pytest.approx(math.pi / 2.0, abs=1e-8)
-    assert np.max(np.abs(solution.theta + solution.theta[::-1] - math.pi)) < 1e-8
+    assert theta[mid] == pytest.approx(math.pi / 2.0, abs=1e-8)
+    assert np.max(np.abs(theta + theta[::-1] - math.pi)) < 1e-8
 
 
-def test_solution_residual(solution):
-    assert ode_residual(solution.theta, solution.grid.h) < 1e-6
+def test_solution_residual(grid, solution):
+    assert ode_residual(solution[0], grid.h) < 1e-6
 
 
 def test_solution_first_integral_relation(solution):
-    gap = np.sqrt(3.0 + np.cos(2.0 * solution.theta))
-    assert np.max(np.abs(solution.theta_dot * gap - first_integral_constant())) < 1e-9
+    theta, theta_dot = solution
+    gap = np.sqrt(3.0 + np.cos(2.0 * theta))
+    assert np.max(np.abs(theta_dot * gap - first_integral_constant())) < 1e-9
 
 
 def test_solution_qn_value(grid):
@@ -87,7 +92,7 @@ def test_theta_fn_inverts_the_elliptic_integral():
 def test_shooting_oracle_agrees(grid, solution):
     shot = solve_optimal_theta_shooting(grid)
     assert ode_residual(shot.theta, grid.h) < 1e-6
-    assert np.max(np.abs(shot.theta - solution.theta)) < 1e-6
+    assert np.max(np.abs(shot.theta - solution[0])) < 1e-6
     assert shot.c == pytest.approx(first_integral_constant(), abs=1e-9)
 
 

@@ -10,9 +10,11 @@ from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, ProtocolSpec,
                     TimeGrid, constant, evolve_bloch, evolve_pure, make_flat_pi,
                     make_invariant_engineered, make_optimal_noise,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
-                    make_transitionless, optimal_systematic_angles, qs_formula)
+                    make_transitionless, optimal_noise_angles, optimal_systematic_angles,
+                    qs_formula)
 from invlab.cli import main
 from invlab.core import simpson
+from invlab.protocols import _step_simpson
 from conftest import EX_DELTA0, EX_OMEGA0
 
 
@@ -42,23 +44,6 @@ def test_shaped_pi_sin_envelope(grid):
     expected = (np.pi**2 / 2.0) * np.sin(np.pi * grid.times)
     assert np.max(np.abs(f.omega_r - expected)) < 1e-9
     assert pulse_area(f) == pytest.approx(math.pi, abs=1e-8)
-
-
-def test_shaped_pi_seeds_its_stage_tables_from_the_build(grid):
-    # the envelope is read once at the nodes and once at the midpoints, and the
-    # seeded tables are the ones the field's channels give there, bit for bit
-    calls = []
-
-    def envelope(t):
-        calls.append(np.size(t))
-        return np.sin(np.pi * np.asarray(t))
-
-    f = make_shaped_pi(envelope, 0.3, grid)
-    seeded = f.stage_tables
-    assert calls == [grid.n_steps, grid.n_steps - 1]
-    fresh = ControlField(grid, f.omega_r, f.omega_i, f.delta, channels=f.channels).stage_tables
-    for got, want in zip(seeded, fresh):
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_shaped_pi_constant_envelope_equals_flat(grid):
@@ -175,22 +160,55 @@ def test_transitionless_sin_and_cos_theta_match_the_angle(omega0, delta0, negati
     # WR / gamma_dot and -D / gamma_dot against np.sin and np.cos of atan2(WR, -D); near
     # theta = 0 or pi the sine is tiny and np.sin(theta) keeps an absolute error of an ulp
     # of theta, so the distance is counted in ulps of 1
-    s = make_transitionless(omega0, -delta0 if negative else delta0, TimeGrid(n)).angles
-    assert np.max(np.abs(s.sin_theta - np.sin(s.theta))) <= 4 * np.spacing(1.0)
-    assert np.max(np.abs(s.cos_theta - np.cos(s.theta))) <= 4 * np.spacing(1.0)
+    field = make_transitionless(omega0, -delta0 if negative else delta0, TimeGrid(n))
+    theta = np.arctan2(field.omega_r, -field.delta)
+    assert np.max(np.abs(field.angles.sin_theta - np.sin(theta))) <= 4 * np.spacing(1.0)
+    assert np.max(np.abs(field.angles.cos_theta - np.cos(theta))) <= 4 * np.spacing(1.0)
 
 
+def _shaped_pi_theta(envelope, g):
+    """make_shaped_pi's theta: the cumulative area by Simpson's rule on each step, ending at pi."""
+    ts = g.times
+    cumulative = _step_simpson(envelope(ts), envelope(0.5 * (ts[:-1] + ts[1:])), g.h)
+    return cumulative * (math.pi / cumulative[-1])
+
+
+def _sin2(t):
+    return np.sin(np.pi * t) ** 2
+
+
+@pytest.mark.parametrize("build,theta", [
+    (lambda g: make_flat_pi(0.4, g), lambda g: math.pi * g.times),
+    (lambda g: make_shaped_pi(_sin2, 0.3, g), lambda g: _shaped_pi_theta(_sin2, g)),
+    (lambda g: make_optimal_noise(3, g), lambda g: optimal_noise_angles(3).theta(g.times)),
+    (lambda g: make_optimal_systematic(2, g),
+     lambda g: optimal_systematic_angles(2).theta(g.times)),
+    (lambda g: make_invariant_engineered(optimal_systematic_angles(1), g),
+     lambda g: optimal_systematic_angles(1).theta(g.times))],
+    ids=["flat_pi", "shaped_pi", "optimal_noise", "optimal_systematic", "invariant_engineered"])
+def test_other_families_store_sin_and_cos_of_their_theta(build, theta):
+    g = TimeGrid(401)
+    s, th = build(g).angles, theta(g)
+    assert np.array_equal(s.sin_theta, np.sin(th))
+    assert np.array_equal(s.cos_theta, np.cos(th))
+
+
+@pytest.mark.parametrize("n", [11, 401, 2001, 2002])
 @pytest.mark.parametrize("build", [
     lambda g: make_flat_pi(0.4, g),
-    lambda g: make_shaped_pi(lambda t: np.sin(np.pi * t) ** 2, 0.3, g),
-    lambda g: make_optimal_noise(3, g),
-    lambda g: make_optimal_systematic(2, g),
-    lambda g: make_invariant_engineered(optimal_systematic_angles(1), g)])
-def test_other_families_take_sin_and_cos_theta_of_theta_when_read(build):
-    s = build(TimeGrid(401)).angles
-    assert "sin_theta" not in vars(s) and "cos_theta" not in vars(s)
-    assert np.array_equal(s.sin_theta, np.sin(s.theta))
-    assert np.array_equal(s.cos_theta, np.cos(s.theta))
+    lambda g: make_shaped_pi("sin", 0.3, g),
+    lambda g: make_optimal_noise(7, g),
+    lambda g: make_optimal_systematic(1, g),
+    lambda g: make_invariant_engineered(optimal_systematic_angles(2), g),
+    lambda g: make_transitionless(3.0, 2.0, g),
+    lambda g: make_transitionless(3.0, -2.0, g)],
+    ids=["flat_pi", "shaped_pi", "optimal_noise", "optimal_systematic",
+         "invariant_engineered", "transitionless", "transitionless_negative_delta0"])
+def test_stored_sin_and_cos_theta_square_to_one(build, n):
+    # the q_N density reads cos^2 + sin^2 weights; counted in ulps of 1
+    s = build(TimeGrid(n)).angles
+    assert s.sin_theta.shape == s.cos_theta.shape == (n,)
+    assert np.max(np.abs(s.sin_theta ** 2 + s.cos_theta ** 2 - 1.0)) <= 4 * np.spacing(1.0)
 
 
 def test_invariant_engineered_flat_limit(grid):
@@ -318,8 +336,9 @@ def test_optimal_systematic_zero_gauge(grid):
 def test_optimal_systematic_gamma_relation(grid):
     ang = optimal_systematic_angles(2)
     s = ang.sample(grid)
-    assert np.max(np.abs(s.gamma - 2.0 * (2.0 * s.theta - np.sin(2.0 * s.theta)))) < 1e-12
-    assert np.max(np.abs(s.gamma_dot - 8.0 * np.sin(s.theta) ** 2 * s.theta_dot)) < 1e-12
+    theta = ang.theta(grid.times)
+    assert np.max(np.abs(s.gamma - 2.0 * (2.0 * theta - np.sin(2.0 * theta)))) < 1e-12
+    assert np.max(np.abs(s.gamma_dot - 8.0 * np.sin(theta) ** 2 * s.theta_dot)) < 1e-12
 
 
 def _zero_systematic_angles(w):

@@ -393,10 +393,10 @@ def test_every_family_reads_angles_from_0_to_pi_without_an_ode(monkeypatch, name
     build = ANGLE_FAMILIES.get(name, lambda g: make_transitionless(3.0, 2.0, g))
     field = build(TimeGrid(n))
     assert math.isfinite(qn_formula(field).q_n) and math.isfinite(qs_formula(field).q_s)
-    theta = field.angles.theta
-    assert theta.shape == (n,)
-    assert theta[0] == 0.0
-    assert abs(theta[-1] - math.pi) <= 1e-9
+    s = field.angles
+    assert s.sin_theta.shape == s.cos_theta.shape == (n,)
+    assert s.sin_theta[0] == 0.0 and s.cos_theta[0] == 1.0
+    assert abs(s.sin_theta[-1]) <= 1e-9 and s.cos_theta[-1] < 0
 
 
 @pytest.mark.parametrize("make", [lambda g: make_flat_pi(0.0, g),

@@ -140,6 +140,14 @@ def runs():
     yield "sensitivity_sinusoidal_6_4_derivative", [
         "sensitivity", "--kind", "sinusoidal_adiabatic", "--omega0", "6", "--delta0", "4",
         "--method", "finite-difference", "--out", "sensitivity_sinusoidal_6_4_derivative.json"]
+    # delta0 < 0: theta runs from pi to 0, so the stored cos(theta) starts at -1
+    yield "sensitivity_transitionless_negative_delta0", [
+        "sensitivity", "--kind", "transitionless", "--omega0", "3", "--delta0", "-2",
+        "--method", "both", "--out", "sensitivity_transitionless_negative_delta0.json"]
+    # shaped_pi's stage tables across two Bloch chunks, and a half solve of an odd step count
+    yield "sensitivity_shaped_pi_sin_2002", [
+        "sensitivity", *KINDS["shaped_pi_sin"], "--grid-steps", "2002", "--method", "both",
+        "--out", "sensitivity_shaped_pi_sin_2002.json"]
 
 
 def import_cli():
