@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from inspect import Parameter
 from typing import Callable, NamedTuple
 
@@ -145,41 +145,43 @@ def _half_turn(grid: TimeGrid):
     return (sin_wt[::2].copy(), cos_wt[::2].copy()), (sin_wt[1::2].copy(), cos_wt[1::2].copy())
 
 
-def _transitionless(omega0, delta0, grid: TimeGrid, half_turn):
+def _masked(numerator, denominator, min_gap2):
+    """numerator / denominator, NaN across each field (leading index) whose min_gap2 is
+    singular; a block of regular fields divides plainly, the same IEEE division."""
+    regular = np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1)
+    return numerator / denominator if regular.all() else np.divide(
+        numerator, denominator, out=np.full_like(numerator, np.nan), where=regular)
+
+
+def _transitionless(omega0, delta0, grid: TimeGrid, node_turn):
     """Node channels (WR, Wa, D), invariant angles and min(WR^2 + D^2) over the nodes.
 
-    The angles of the error-free evolution are theta = atan2(WR, -D),
-    alpha = 0, theta_dot = Wa (the counter-diabatic term) and
-    gamma_dot = sqrt(WR^2 + D^2); gamma is gamma_dot integrated by Simpson's
-    rule over each step.  For delta0 < 0, theta runs from pi to 0.  theta
-    itself is never formed: the angles store sin(theta) = WR / gamma_dot and
-    cos(theta) = -D / gamma_dot.  The node and midpoint channels are formed
-    separately from one ``_half_turn(grid)`` table, which a caller evaluating
-    many fields computes once; they broadcast over array parameters, e.g.
-    omega0 and delta0 of shape (k, 1) give (k, points) samples, and no
-    (k, 2 n_steps - 1) array is made.  Wa, theta_dot, sin(theta) and
-    cos(theta) are NaN where the field is singular: their divisions are masked.
+    The angles are theta = atan2(WR, -D), from pi to 0 for delta0 < 0, alpha = 0,
+    theta_dot = Wa (the counter-diabatic term) and gamma_dot = sqrt(WR^2 + D^2), with theta
+    stored as sin(theta) = WR / gamma_dot.  cos(theta) = -D / gamma_dot and gamma
+    (``_transitionless_gamma``) are left None: a caller forms them only if it reads them.
+    The channels come from the node half of one ``_half_turn(grid)`` table, which a caller
+    of many fields computes once, and broadcast: parameters of shape (k, 1) give (k, points)
+    samples.  Wa, theta_dot and sin(theta) are NaN where the field is singular.
     """
-    (sin_wt, cos_wt), (sin_mid, cos_mid) = half_turn
+    sin_wt, cos_wt = node_turn
     wr, d = omega0 * sin_wt, -delta0 * cos_wt  # _sinusoidal's arithmetic, at the nodes
     wr_dot, d_dot = omega0 * math.pi * cos_wt, delta0 * math.pi * sin_wt
     gap2 = wr * wr + d * d
     min_gap2 = np.min(gap2, axis=-1)
-    regular = np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1)
-
-    def masked(numerator, denominator):
-        return np.divide(numerator, denominator, out=np.full_like(numerator, np.nan),
-                         where=regular)
-
-    wa = masked(wr * d_dot - wr_dot * d, gap2)
-    # gamma integrates gamma_dot = sqrt(WR^2 + D^2) by Simpson's rule on each step
+    wa = _masked(wr * d_dot - wr_dot * d, gap2, min_gap2)
     gamma_dot = np.sqrt(gap2)
-    wr_mid, d_mid = omega0 * sin_mid, -delta0 * cos_mid
-    gamma = _step_simpson(gamma_dot, np.sqrt(wr_mid * wr_mid + d_mid * d_mid), grid.h)
     zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
-    angles = AngleSamples(grid, masked(wr, gamma_dot), masked(-d, gamma_dot), zero, gamma, wa,
-                          zero, gamma_dot)
+    angles = AngleSamples(grid, _masked(wr, gamma_dot, min_gap2), None, zero, None, wa, zero,
+                          gamma_dot)
     return (wr, wa, d), angles, min_gap2
+
+
+def _transitionless_gamma(omega0, delta0, grid: TimeGrid, mid_turn, gamma_dot):
+    """gamma: gamma_dot integrated by Simpson's rule on each step, its midpoints formed from
+    the midpoint half of a ``_half_turn(grid)`` table; no (k, 2 n_steps - 1) array is made."""
+    wr_mid, d_mid = omega0 * mid_turn[0], -delta0 * mid_turn[1]
+    return _step_simpson(gamma_dot, np.sqrt(wr_mid * wr_mid + d_mid * d_mid), grid.h)
 
 
 def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> ControlField:
@@ -196,10 +198,13 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
         wr, d, wr_dot, d_dot = _sinusoidal(omega0, delta0, t)
         return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
-    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid, _half_turn(grid))
+    node_turn, mid_turn = _half_turn(grid)
+    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid, node_turn)
     if min_gap2 < SINGULAR_GAP2:
         raise RuntimeError(
             f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(min_gap2)!r}")
+    angles = replace(angles, cos_theta=-nodes[2] / angles.gamma_dot, gamma=_transitionless_gamma(
+        omega0, delta0, grid, mid_turn, angles.gamma_dot))
     return ControlField(grid, *nodes, label=f"transitionless(omega0={omega0:g},delta0={delta0:g})",
                         channels=channels, angles=angles)
 

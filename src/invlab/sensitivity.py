@@ -108,11 +108,16 @@ def _qn_density(s: AngleSamples) -> np.ndarray:
 
     L = 1/4 [(cos^2 th + cos^2 al sin^2 th)(m sin al - cos al th_dot)^2
            + (cos^2 th + sin^2 al sin^2 th)(m cos al + sin al th_dot)^2].
+    On alpha = 0 (the transitionless family) it reads the alpha-free form: with sin al = 0
+    and cos al = 1 exactly, the terms dropped are exact zeros and factors of 1, so the bits
+    stay those of the general form wherever m and th_dot are finite or NaN.
     """
     sin_t, cos_t = s.sin_theta, s.cos_theta
-    sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
     m = -sin_t * s.gamma_dot  # m = tan(theta)(Delta + alpha_dot) = -sin(theta) gamma_dot
     cos2_t, sin2_t = cos_t**2, sin_t**2
+    if not np.any(s.alpha):
+        return 0.25 * ((cos2_t + sin2_t) * s.theta_dot**2 + cos2_t * m**2)
+    sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
     return 0.25 * ((cos2_t + cos_a**2 * sin2_t) * (m * sin_a - cos_a * s.theta_dot) ** 2
                    + (cos2_t + sin_a**2 * sin2_t) * (m * cos_a + sin_a * s.theta_dot) ** 2)
 

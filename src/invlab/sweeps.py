@@ -8,12 +8,13 @@ order, by ``protocols._transitionless``, which ``make_transitionless``
 calls too: a block is as many cells as keep each of its (cells, points)
 arrays within ``_BLOCK_BYTES``, and every block reads one sin/cos(pi t)
 table computed once per surface.  The angles store sin(theta) = WR/gamma_dot
-and cos(theta) = -D/gamma_dot, so no cell takes a sine, cosine or angle.
-Each cell equals ``qn_formula``/``qs_formula`` of ``make_transitionless``
-at its parameters bit for bit.  A cell whose field is singular (the
-counter-diabatic denominator vanishes on the grid) is recorded as a
-missing value (NaN, emitted as an empty CSV cell) rather than aborting the
-whole figure.
+and cos(theta) = -D/gamma_dot, so no cell takes a sine, cosine or angle, and
+each surface forms only what its integrand reads: the q_N surface cos(theta)
+and no gamma, the q_S surface gamma and no cos(theta).  Each cell equals
+``qn_formula``/``qs_formula`` of ``make_transitionless`` at its parameters
+bit for bit.  A cell whose field is singular (the counter-diabatic
+denominator vanishes on the grid) is recorded as a missing value (NaN,
+emitted as an empty CSV cell) rather than aborting the whole figure.
 
 Default axis ranges bracket every feature reported for these protocol
 families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
@@ -24,13 +25,14 @@ systematic amplitudes beta in [-1, 1] with 61 points each.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
-from .protocols import SINGULAR_GAP2, ProtocolSpec, _half_turn, _transitionless
+from .protocols import (SINGULAR_GAP2, ProtocolSpec, _half_turn, _masked, _transitionless,
+                        _transitionless_gamma)
 from .sensitivity import ANGLE_FORMS
 
 
@@ -126,13 +128,15 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
     omega0, delta0 = (c.reshape(-1, 1) for c in np.meshgrid(
         omega0_axis.values, delta0_axis.values, indexing="ij"))
     values = np.empty(len(omega0))
-    half_turn = _half_turn(grid)
+    node_turn, mid_turn = _half_turn(grid)
     size = max(1, _BLOCK_BYTES // (8 * grid.n_steps))
     for lo in range(0, len(values), size):
-        block = slice(lo, lo + size)
-        # a singular field's theta_dot is NaN, and so is its cell
-        angles = _transitionless(omega0[block], delta0[block], grid, half_turn)[1]
-        values[block] = [value(a) for a in simpson(integrand(angles), grid.h)]
+        o, d = omega0[lo:lo + size], delta0[lo:lo + size]
+        # q_N reads cos(theta), q_S gamma; a singular field's theta_dot is NaN, and its cell
+        (_, _, d_nodes), s, min_gap2 = _transitionless(o, d, grid, node_turn)
+        s = (replace(s, cos_theta=_masked(-d_nodes, s.gamma_dot, min_gap2)) if quantity == "q_n"
+             else replace(s, gamma=_transitionless_gamma(o, d, grid, mid_turn, s.gamma_dot)))
+        values[lo:lo + size] = [value(a) for a in simpson(integrand(s), grid.h)]
     values = values.reshape(omega0_axis.n_points, delta0_axis.n_points)
     return SweepResult((omega0_axis, delta0_axis), values, quantity, "transitionless")
 

@@ -13,7 +13,7 @@ from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bl
                     make_transitionless, optimal_systematic_angles, qn_derivative,
                     qn_finite_difference, qn_formula, qs_derivative, qs_finite_difference,
                     qs_formula, solve_optimal_theta)
-from invlab import sensitivity
+from invlab import protocols, sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
 from conftest import EX_DELTA0, EX_OMEGA0
@@ -397,6 +397,44 @@ def test_every_family_reads_angles_from_0_to_pi_without_an_ode(monkeypatch, name
     assert s.sin_theta.shape == s.cos_theta.shape == (n,)
     assert s.sin_theta[0] == 0.0 and s.cos_theta[0] == 1.0
     assert abs(s.sin_theta[-1]) <= 1e-9 and s.cos_theta[-1] < 0
+
+
+def _qn_density_general(s):
+    """The general-alpha q_N density, written out: the oracle of the alpha-free form."""
+    sin_a, cos_a = np.sin(s.alpha), np.cos(s.alpha)
+    m = -s.sin_theta * s.gamma_dot
+    cos2_t, sin2_t = s.cos_theta**2, s.sin_theta**2
+    return 0.25 * ((cos2_t + cos_a**2 * sin2_t) * (m * sin_a - cos_a * s.theta_dot) ** 2
+                   + (cos2_t + sin_a**2 * sin2_t) * (m * cos_a + sin_a * s.theta_dot) ** 2)
+
+
+def _qn_surface_block(omega0, delta0, grid):
+    """The angles of a block of transitionless fields as the q_N surface forms them."""
+    (_, _, d), s, min_gap2 = protocols._transitionless(omega0, delta0, grid,
+                                                        protocols._half_turn(grid)[0])
+    return dataclasses.replace(s, cos_theta=protocols._masked(-d, s.gamma_dot, min_gap2))
+
+
+def test_alpha_free_qn_density_keeps_the_bits_of_the_general_form():
+    grid = TimeGrid(2001)
+    field = make_transitionless(3.0, 2.0, grid).angles
+    # one block of three cells, the middle one singular (delta0 = 0)
+    block = _qn_surface_block(np.array([[1.0], [2.0], [3.0]]),
+                              np.array([[2.0], [0.0], [-1.5]]), grid)
+    for s in (field, block):
+        assert not np.any(s.alpha)
+        assert np.array_equal(sensitivity._qn_density(s), _qn_density_general(s), equal_nan=True)
+    density = sensitivity._qn_density(block)
+    assert np.isnan(density[1]).all() and np.isfinite(density[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.3, g),
+                                   lambda g: make_optimal_noise(7, g)],
+                         ids=["flat_pi", "optimal_noise_7"])
+def test_qn_density_with_alpha_keeps_the_general_form(build):
+    s = build(TimeGrid(2001)).angles
+    assert np.any(s.alpha)
+    assert np.array_equal(sensitivity._qn_density(s), _qn_density_general(s))
 
 
 @pytest.mark.parametrize("make", [lambda g: make_flat_pi(0.0, g),

@@ -12,6 +12,7 @@ from invlab import (Axis, SweepResult, TimeGrid, default_beta_axis,
                     make_optimal_systematic, make_transitionless, map_p2, qn_formula,
                     qs_formula, robustness_curve, sweep_qn_transitionless,
                     sweep_qs_transitionless)
+from invlab import protocols, sweeps
 from invlab.sweeps import _BLOCK_BYTES
 
 PI2_4 = math.pi**2 / 4.0
@@ -98,15 +99,35 @@ def _default_sweep_peak(sweep) -> int:
 
 
 def test_fig2_sweep_memory_is_pinned():
-    """The default Fig. 2 sweep holds one block of cells at a time (1.04 MiB measured)."""
+    """The default Fig. 2 sweep holds one block of cells at a time (0.69 MiB measured)."""
     peak = _default_sweep_peak(sweep_qn_transitionless)
-    assert peak <= 1.3 * 2**20, peak / 2**20
+    assert peak <= 1.0 * 2**20, peak / 2**20
 
 
 def test_fig5_sweep_memory_is_pinned():
-    """The default Fig. 5 sweep holds one block of cells at a time (1.03 MiB measured)."""
+    """The default Fig. 5 sweep holds one block of cells at a time (0.69 MiB measured)."""
     peak = _default_sweep_peak(sweep_qs_transitionless)
-    assert peak <= 1.3 * 2**20, peak / 2**20
+    assert peak <= 1.0 * 2**20, peak / 2**20
+
+
+class _GammaFormed(Exception):
+    pass
+
+
+def test_fig2_surface_forms_no_gamma(monkeypatch):
+    # q_N reads no gamma, so its surface skips the quadrature; q_S and the field form it
+    def refuse(*args):
+        raise _GammaFormed
+
+    monkeypatch.setattr(protocols, "_transitionless_gamma", refuse)
+    monkeypatch.setattr(sweeps, "_transitionless_gamma", refuse)
+    axes, grid = (Axis("omega0", 1.0, 2.0, 2), Axis("delta0", 0.0, 2.0, 4)), TimeGrid(2001)
+    values = sweep_qn_transitionless(*axes, grid).values
+    assert np.isnan(values[:, 0]).all() and np.isfinite(values[:, 1:]).all()
+    with pytest.raises(_GammaFormed):
+        sweep_qs_transitionless(*axes, grid)
+    with pytest.raises(_GammaFormed):
+        make_transitionless(3.0, 2.0, grid)
 
 
 def test_sweep_refinement_stability(small_grid):

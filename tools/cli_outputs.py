@@ -148,6 +148,11 @@ def runs():
     yield "sensitivity_shaped_pi_sin_2002", [
         "sensitivity", *KINDS["shaped_pi_sin"], "--grid-steps", "2002", "--method", "both",
         "--out", "sensitivity_shaped_pi_sin_2002.json"]
+    # on 2001 points a block is 3 cells: two blocks hold a singular delta0 = 0 cell, the last
+    # is all regular, so both divisions of a block are run
+    for figure in (2, 5):
+        yield f"sweep_{figure}_blocks", ["sweep", "--figure", str(figure), "--axis1=1,2,2",
+                                         "--axis2=0,2,4", "--out", f"figure{figure}_blocks"]
 
 
 def import_cli():
