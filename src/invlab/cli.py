@@ -331,11 +331,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OSError only from reading --config
         print(f"invlab: {exc}", file=sys.stderr)
         return 2
-    if args.dump_config:
-        sys.stdout.write(json_text(cfg))
-        return 0
     try:
-        _SUBCOMMANDS[args.command][0](cfg)
+        if args.dump_config:
+            sys.stdout.write(json_text(cfg))
+        else:
+            _SUBCOMMANDS[args.command][0](cfg)
     except ValueError as exc:
         print(f"invlab: {exc}", file=sys.stderr)
         return 2

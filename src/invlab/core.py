@@ -108,8 +108,9 @@ def csv_text(header: str, columns) -> str:
 
 
 def json_text(obj) -> str:
-    """JSON with a two-space indent, sorted keys and a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """JSON with a two-space indent, sorted keys and a final newline; a non-finite
+    number, which JSON cannot hold, raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text(path, text: str) -> None:

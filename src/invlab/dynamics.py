@@ -24,9 +24,10 @@ matrix polynomial in the node, midpoint and next-node generators:
 and y(t_k) = P_k-1 ... P_0 y(0).  One propagator kernel forms the P_i
 with numpy, a chunk of steps at a time: a real 3x3 matrix for the Bloch
 equation, and for the pure state the pair (a, b) of the SU(2)-form matrix
-[[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  A Bloch step
-table is formed per error setting by ``_rk4_step``, each stage in place in
-its own buffer.  The pure-state generator is the pair (i d/2, omega w)
+[[a, b], [-b*, a*]], a set the RK4 polynomial never leaves.  One step
+builder, ``_rk4_step``, forms both Bloch step tables, plain and series, from
+the one generator ``_bloch_generator``, each stage in place in its own
+buffer.  The pure-state generator is the pair (i d/2, omega w)
 with omega = 1 + beta, so a pair step is
 P = (p0 + omega^2 p2 + omega^4 p4, omega (q1 + omega^2 q3)): its five
 tables are formed once per chunk from elementwise products of the
@@ -41,7 +42,8 @@ pure-state matrix evolve the ground and excited states together.
 The sensitivities' derivatives of P2(T) are taken through the same steps,
 each carried as a truncated power series: the Bloch step as P0 + lambda^2 P1
 at beta = 0, formed by the same ``_rk4_step`` from the generator series
-(L0, -L2) under the series product, and the pair step re-expanded from its
+(L0, -L2) under the series product, -L2 written by the ``_damping`` that
+writes the plain generator's damping, and the pair step re-expanded from its
 omega tables to second order in beta.  Series multiply by the truncated
 Cauchy product, so one solve gives the exact derivatives of the discrete
 solution (Taylor mode; Griewank & Walther, Evaluating Derivatives, 2008,
@@ -89,6 +91,7 @@ like the rest.  The ensemble runs on the calling thread.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -199,12 +202,9 @@ def _runs(field: ControlField, half: bool) -> list:
     return runs
 
 
-def _bloch_generator(w, setting: ErrorSetting, out=None) -> np.ndarray:
-    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points), written into
-    ``out`` if given."""
-    wr, wi, d = w
-    om, c = 1.0 + setting.beta, -0.5 * setting.lambda2
-    g = np.empty((3, 3, wr.size)) if out is None else out
+def _damping(w, c: float, g: np.ndarray) -> None:
+    """Write c diag(WI^2, WR^2, WR^2 + WI^2) on g's diagonal: -lambda^2 L2 at c = -lambda^2/2."""
+    wr, wi, _ = w
     np.multiply(wi, wi, out=g[0, 0])  # scratch for the (2, 2) sum
     np.multiply(wr, wr, out=g[2, 2])
     g[2, 2] += g[0, 0]
@@ -213,6 +213,15 @@ def _bloch_generator(w, setting: ErrorSetting, out=None) -> np.ndarray:
     g[0, 0] *= wi
     np.multiply(c, wr, out=g[1, 1])
     g[1, 1] *= wr
+
+
+def _bloch_generator(w, setting: ErrorSetting, out=None) -> np.ndarray:
+    """L0 + beta L1 - lambda^2 L2 at channel samples w, shape (3, 3, points), written into
+    ``out`` if given."""
+    wr, wi, d = w
+    om = 1.0 + setting.beta
+    g = np.empty((3, 3, wr.size)) if out is None else out
+    _damping(w, -0.5 * setting.lambda2, g)
     g[0, 1] = d
     np.negative(d, out=g[1, 0])
     np.multiply(om, wi, out=g[0, 2])
@@ -240,22 +249,25 @@ def _series_mul(mul):
     return series_mul
 
 
-def _rk4_step(mul, ident: np.ndarray, a_n, a_m, a_next, h: float) -> np.ndarray:
+def _rk4_step(generator, mul, ident: np.ndarray, stages, param) -> np.ndarray:
     """Classical RK4 steps of y' = A(t) y as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     For a linear ODE one RK4 step is y -> P y with K1 = A_n,
-    K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2), K4 = A_n+1 (I + h K3), A at
-    the node, midpoint and next node of ``_stages``.  The generators multiply
-    by ``mul``, whose identity is ``ident``; each stage A + c A K is formed in
-    the buffer of the product A K.
+    K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2), K4 = A_n+1 (I + h K3), with
+    A = generator(w, param) at the node, midpoint and next node of ``stages``
+    (``_stages``).  The generators multiply by ``mul``, whose identity is
+    ``ident``; each stage A + c A K is formed in the buffer of the product A K.
     """
-    k, stages = a_n, []
-    for a, c in ((a_m, 0.5 * h), (a_m, 0.5 * h), (a_next, h)):
+    nodes, mids, h = stages
+    g, a_m = generator(nodes, param), generator(mids, param)
+    a_n = g[..., :-1]
+    k, out = a_n, []
+    for a, c in ((a_m, 0.5 * h), (a_m, 0.5 * h), (g[..., 1:], h)):
         k = mul(a, k)
         k *= c
         k += a
-        stages.append(k)
-    p, k3, k4 = stages  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
+        out.append(k)
+    p, k3, k4 = out  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
     p += k3
     p *= 2.0
     p += a_n
@@ -265,38 +277,13 @@ def _rk4_step(mul, ident: np.ndarray, a_n, a_m, a_next, h: float) -> np.ndarray:
     return p
 
 
-def _step_propagators(stages, setting: ErrorSetting) -> np.ndarray:
-    """The Bloch RK4 steps at one error setting, shape (3, 3, steps)."""
-    nodes, mids, h = stages
-    g = _bloch_generator(nodes, setting)
-    return _rk4_step(_bloch_mul, _IDENTITY3, g[..., :-1], _bloch_generator(mids, setting),
-                     g[..., 1:], h)
-
-
-_LAMBDA2_MUL = _series_mul(_bloch_mul)
-_LAMBDA2_IDENTITY = np.stack((_IDENTITY3, np.zeros_like(_IDENTITY3)), axis=2)  # the series (I, 0)
-
-
-def _lambda2_generator(w) -> np.ndarray:
+def _lambda2_generator(w, _) -> np.ndarray:
     """L0 - lambda^2 L2 at channel samples w as the series (L0, -L2) along axis 2,
-    shape (3, 3, 2, points)."""
-    wr, wi, _ = w
-    g = np.zeros((3, 3, 2, wr.size))
+    shape (3, 3, 2, points): the plain generator, and the damping that it writes."""
+    g = np.zeros((3, 3, 2, w[0].size))
     _bloch_generator(w, ErrorSetting(), g[:, :, 0])
-    np.multiply(wi, wi, out=g[0, 0, 1])
-    np.multiply(wr, wr, out=g[1, 1, 1])
-    np.add(g[1, 1, 1], g[0, 0, 1], out=g[2, 2, 1])
-    for i in range(3):
-        g[i, i, 1] *= -0.5
+    _damping(w, -0.5, g[:, :, 1])
     return g
-
-
-def _lambda2_steps(stages, _=None) -> np.ndarray:
-    """The Bloch RK4 steps at beta = 0 as series P0 + lambda^2 P1, shape (3, 3, 2, steps)."""
-    nodes, mids, h = stages
-    g = _lambda2_generator(nodes)
-    return _rk4_step(_LAMBDA2_MUL, _LAMBDA2_IDENTITY, g[..., :-1], _lambda2_generator(mids),
-                     g[..., 1:], h)
 
 
 def _pair_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -382,13 +369,21 @@ def _beta_steps(tables: list, _=None) -> np.ndarray:
                      [q1 + q3, q1 + 3.0 * q3, 3.0 * q3]])
 
 
+def _bloch_engine(generator, mul, ident: np.ndarray) -> tuple:
+    """A Bloch engine whose steps ``_rk4_step`` forms from ``generator`` under ``mul``."""
+    return _stages, functools.partial(_rk4_step, generator, mul, ident), mul, _IDENTITY3
+
+
 # engine -> (chunk tables, step table of one param, product, identity of one step's
-# matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps.  The series engines carry
-# P2's error at order 1 in lambda^2 (at beta = 0) and at order 2 in beta, along axis -2
-# of their steps; they ignore their one param and take a plain solve's steps a chunk.
-_BLOCH = (_stages, _step_propagators, _bloch_mul, _IDENTITY3)
+# matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps.  Both Bloch engines form
+# their steps by _rk4_step from _bloch_generator, the series one through _lambda2_generator.
+# The series engines carry P2's error at order 1 in lambda^2 (at beta = 0) and at order 2
+# in beta, along axis -2 of their steps; they ignore their one param and take a plain
+# solve's steps a chunk.
+_BLOCH = _bloch_engine(_bloch_generator, _bloch_mul, _IDENTITY3)
+_BLOCH_LAMBDA2 = _bloch_engine(_lambda2_generator, _series_mul(_bloch_mul),
+                               np.stack((_IDENTITY3, np.zeros_like(_IDENTITY3)), axis=2))
 _PURE = (_omega_tables, _omega_steps, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
-_BLOCH_LAMBDA2 = (_stages, _lambda2_steps, _LAMBDA2_MUL, _IDENTITY3)
 _PURE_BETA = (_omega_tables, _beta_steps, _series_mul(_pair_mul), _PURE[3])
 
 
@@ -430,12 +425,6 @@ def _product(mul, p: np.ndarray) -> np.ndarray:
 def _apply_bloch(m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Bloch vectors M r, components first."""
     return m[:, 0] * r[0] + m[:, 1] * r[1] + m[:, 2] * r[2]
-
-
-def _apply_pair(u: np.ndarray, c1: complex, c2: complex) -> np.ndarray:
-    """Amplitudes U (c1, c2) for U = [[a, b], [-b*, a*]], components first."""
-    a, b = u
-    return np.stack((a * c1 + b * c2, a.conj() * c2 - b.conj() * c1))
 
 
 def _pure_p2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -506,8 +495,8 @@ def evolve_pure(field: ControlField, psi0, beta: float = 0.0) -> np.ndarray:
     norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"pure state is not normalized: |psi| = {norm!r}")
-    u = evolve_propagator(field, beta)
-    return _apply_pair(u.T, c1, c2).T
+    a, b = evolve_propagator(field, beta).T  # U (c1, c2) for U = [[a, b], [-b*, a*]]
+    return np.stack((a * c1 + b * c2, a.conj() * c2 - b.conj() * c1)).T
 
 
 def evolve_propagator(field: ControlField, beta: float = 0.0) -> np.ndarray:

@@ -136,12 +136,6 @@ def _qs_value(amp) -> float:
 ANGLE_FORMS = {"q_n": (_qn_density, float), "q_s": (_qs_integrand, _qs_value)}
 
 
-def _formula_report(quantity: str, f: np.ndarray, h: float) -> SensitivityReport:
-    """The formula report of ``quantity`` ("q_n" or "q_s") from its integrand samples."""
-    q, err = _simpson_with_estimate(f, h, ANGLE_FORMS[quantity][1])
-    return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
-
-
 def _require_inversion(field: ControlField, p2_final: float) -> None:
     if p2_final < 1.0 - INVERSION_THRESHOLD:
         raise RuntimeError(
@@ -152,19 +146,22 @@ def _formula(quantity: str, field: ControlField) -> SensitivityReport:
     """The formula report of ``quantity`` ("q_n" or "q_s"): from the field's invariant
     angles, or else from one solve of its error-free propagator, refusing a field
     that does not invert."""
+    integrand, value = ANGLE_FORMS[quantity]
     if field.angles is not None:
-        return _formula_report(quantity, ANGLE_FORMS[quantity][0](field.angles), field.grid.h)
-    a, b = evolve_propagator(field).T
-    _require_inversion(field, float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2)))
-    wr, wi = field.omega_r, field.omega_i
-    if quantity == "q_s":
-        bc = b.conj()
-        f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
+        f = integrand(field.angles)
     else:
-        ab = a * b
-        r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
-        f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
-    return _formula_report(quantity, f, field.grid.h)
+        a, b = evolve_propagator(field).T
+        _require_inversion(field, float(abs(b[-1]) ** 2 / (abs(a[-1]) ** 2 + abs(b[-1]) ** 2)))
+        wr, wi = field.omega_r, field.omega_i
+        if quantity == "q_s":
+            bc = b.conj()
+            f = 0.5 * (bc * (wr - 1j * wi) * -bc + a * (wr + 1j * wi) * a)
+        else:
+            ab = a * b
+            r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
+            f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
+    q, err = _simpson_with_estimate(f, field.grid.h, value)
+    return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
 
 
 def qn_formula(field: ControlField) -> SensitivityReport:

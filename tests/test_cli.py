@@ -280,6 +280,18 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--kind", "flat_pi", "--beta", "nan", "--dump-config"],
+    ["protocol", "--kind", "flat_pi", "--grid-steps", "3", "--format", "json",
+     "--duration", "1e-310"]])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # channels / 1e-310
+def test_non_finite_json_is_refused_as_bad_input(args, capsys):
+    # JSON holds no NaN or inf: a dumped config or a channel that is not finite is refused
+    assert run_cli(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("invlab: ")
+
+
 def test_config_flag_override(tmp_path):
     cfg = {"protocol": {"kind": "flat_pi", "alpha": 0.0}, "grid": {"n_steps": 501}}
     cfg_path = tmp_path / "cfg.json"

@@ -268,8 +268,13 @@ def test_lambda2_series_order_0_is_the_plain_solve_bit_for_bit(kind, params, n_p
     field = ProtocolSpec(kind, params).build(TimeGrid(n_points))
     nodes, mids = field.stage_tables
     stages = dynamics._stages(nodes, mids, field.grid.h, 0, mids[0].size)
-    plain = dynamics._step_propagators(stages, ErrorSetting())
-    assert np.array_equal(dynamics._lambda2_steps(stages)[:, :, 0], plain)
+    plain = dynamics._BLOCH[1](stages, ErrorSetting())
+    assert np.array_equal(dynamics._BLOCH_LAMBDA2[1](stages, None)[:, :, 0], plain)
+    # order 1 of the generator series is -L2 = -1/2 diag(WI^2, WR^2, WR^2 + WI^2)
+    wr, wi, _ = nodes
+    minus_l2 = np.zeros((3, 3, wr.size))
+    minus_l2[0, 0], minus_l2[1, 1], minus_l2[2, 2] = -wi**2 / 2, -wr**2 / 2, -(wr**2 + wi**2) / 2
+    assert np.array_equal(dynamics._lambda2_generator(nodes, None)[:, :, 1], minus_l2)
     for half in (False, True):
         plain = dynamics._solve(field, dynamics._BLOCH, [ErrorSetting()], dynamics._product, half)
         series = dynamics._solve(field, dynamics._BLOCH_LAMBDA2, [None], dynamics._product, half)

@@ -304,6 +304,20 @@ def test_derivative_routes_refuse_a_field_that_does_not_invert(grid, omega0, del
         assert str(error.value).endswith(f" for {f.label}")
 
 
+# The closed forms assume exact inversion.  sinusoidal(30, 60) passes the inversion check,
+# 1 - P2(T) = 8.3e-5 against INVERSION_THRESHOLD = 1e-4, yet on 2001 points its formula q_S
+# reads 0.05133 +- 2.2e-9 and its derivative q_S 0.03171 +- 4.6e-10 (q_N: 53.4047 and
+# 53.3905).  Neither error estimate covers the leftover ground amplitude.
+@pytest.mark.xfail(strict=True, reason="the formulas assume exact inversion")
+def test_routes_agree_on_a_bare_sinusoidal_field_that_inverts(grid):
+    f = make_sinusoidal(30.0, 60.0, grid)
+    for key, formula, derivative in ROUTES:
+        rep_f, rep_d = formula(f), derivative(f)
+        q_f, q_d = getattr(rep_f, key), getattr(rep_d, key)
+        tol = max(0.01 * abs(q_f), rep_f.error_estimate + rep_d.error_estimate)
+        assert abs(q_f - q_d) <= tol, (key, q_f, q_d)
+
+
 def test_qn_ordering_chain(grid, flat_field, optimal_noise_field):
     q_opt = qn_formula(optimal_noise_field).q_n
     q_flat = qn_formula(flat_field).q_n

@@ -153,6 +153,21 @@ def runs():
     for figure in (2, 5):
         yield f"sweep_{figure}_blocks", ["sweep", "--figure", str(figure), "--axis1=1,2,2",
                                          "--axis2=0,2,4", "--out", f"figure{figure}_blocks"]
+    # 4001 points: pure-state solves of two chunks, P2 maps and sensitivities alike
+    yield "sweep_4_4001", ["sweep", "--figure", "4", "--grid-steps", "4001", "--axis1=-1,1,5",
+                           "--out", "figure4_4001"]
+    yield "sensitivity_optimal_systematic_1_4001", [
+        "sensitivity", *KINDS["optimal_systematic_1"], "--method", "both", "--grid-steps", "4001",
+        "--out", "sensitivity_optimal_systematic_1_4001.json"]
+    # a bare sinusoidal field that inverts: the formulas read its propagator
+    for n_points in ("2001", "4001"):
+        yield f"sensitivity_sinusoidal_30_60_{n_points}", [
+            "sensitivity", "--kind", "sinusoidal_adiabatic", "--omega0", "30", "--delta0", "60",
+            "--method", "both", "--grid-steps", n_points,
+            "--out", f"sensitivity_sinusoidal_30_60_{n_points}.json"]
+    # JSON holds no NaN: a non-finite config is refused, not dumped
+    yield "dump_config_beta_nan", ["simulate", "--kind", "flat_pi", "--beta", "nan",
+                                   "--dump-config"]
 
 
 def import_cli():
