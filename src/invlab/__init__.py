@@ -12,8 +12,7 @@ from .protocols import (ProtocolSpec, make_flat_pi, make_invariant_engineered,
                         optimal_noise_angles, optimal_systematic_angles)
 from .sensitivity import (SensitivityReport, qn_derivative, qn_finite_difference, qn_formula,
                           qs_derivative, qs_finite_difference, qs_formula)
-from .sweeps import (Axis, SweepResult, default_beta_axis, default_delta0_axis,
-                     default_lambda_axis, default_omega0_axis, map_p2, robustness_curve,
-                     sweep_qn_transitionless, sweep_qs_transitionless)
+from .sweeps import (Axis, SweepResult, map_p2, robustness_curve, sweep_qn_transitionless,
+                     sweep_qs_transitionless)
 
 __version__ = "0.1.0"

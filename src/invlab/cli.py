@@ -28,36 +28,13 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, json_text, write_text
 from .dynamics import ErrorSetting, evolve_bloch, monte_carlo_p2
 from .protocols import PROTOCOLS, ProtocolSpec
 from .sensitivity import qn_derivative, qn_formula, qs_derivative, qs_formula
-from .sweeps import (Axis, default_beta_axis, default_delta0_axis,
-                     default_lambda_axis, default_omega0_axis, map_p2,
-                     robustness_curve, sweep_qn_transitionless,
-                     sweep_qs_transitionless)
-
-# the transitionless example of Figs. 1, 4 and 7
-_FIG1 = {"omega0": (5.57 / 4.3) * math.pi, "delta0": (5.57 / 4.3) ** 2 * math.pi}
-
-# figure -> (default axes, analysis, protocols).  The analysis gets a
-# protocol's field, or the grid when the protocol is None, and the axes;
-# its result goes to <out>_<kind>, or to <out> for the None protocol.
-# Analyses are called through their module names, so a rebinding is seen.
-_FIGURES = {
-    1: ((default_lambda_axis(),), lambda field, lam: robustness_curve(field, "lambda", lam),
-        [("optimal_noise", {"n": 7}), ("flat_pi", {"alpha": 0.0}),
-         ("sinusoidal_adiabatic", _FIG1), ("transitionless", _FIG1)]),
-    2: ((default_omega0_axis(), default_delta0_axis()),
-        lambda grid, omega0, delta0: sweep_qn_transitionless(omega0, delta0, grid), [(None, {})]),
-    4: ((default_beta_axis(),), lambda field, beta: robustness_curve(field, "beta", beta),
-        [("optimal_systematic", {"n": 1}), ("transitionless", _FIG1), ("optimal_noise", {"n": 7})]),
-    5: ((default_omega0_axis(), default_delta0_axis()),
-        lambda grid, omega0, delta0: sweep_qs_transitionless(omega0, delta0, grid), [(None, {})]),
-    7: ((default_lambda_axis(31), default_beta_axis(31)),
-        lambda field, lam, beta: map_p2(field, lam, beta),
-        [("transitionless", _FIG1), ("optimal_systematic", {"n": 1}), ("optimal_noise", {"n": 7})]),
-}
+from .sweeps import FIGURES, Axis
 
 
 class _Option(NamedTuple):
@@ -103,7 +80,7 @@ _OPTIONS = (
             "SSE time step in units of T (default 1/4000)"),
     _Option("sensitivity", "sensitivity", "method", "--method", str,
             ("formula", "finite-difference", "both"), "both", "analysis route (default both)"),
-    _Option("sweep", "sweep", "figure", "--figure", int, tuple(_FIGURES), None,
+    _Option("sweep", "sweep", "figure", "--figure", int, tuple(FIGURES), None,
             "which figure's data to produce"),
     _Option("sweep", "sweep", "axis1", "--axis1", str, None, None,
             "override first axis as 'min,max,n_points'"),
@@ -203,11 +180,20 @@ def _emit_columns(cfg: dict, label: str, header: str, columns, **extra) -> None:
         _emit(cfg, csv_text(header, columns))
 
 
+def _per_duration(values, T: float):
+    """values / T, for an output in units of 1/T; refused where a finite value overflows."""
+    with np.errstate(over="ignore"):
+        scaled = np.divide(values, T)
+    if np.any(np.isinf(scaled) & np.isfinite(values)):
+        raise ValueError(f"--duration {T!r}: an output divided by it overflows a float")
+    return scaled
+
+
 def cmd_protocol(cfg: dict) -> None:
     field = _field_from_config(cfg)
     T = cfg["duration"]
     header, (t, *channels) = field.csv_columns()
-    _emit_columns(cfg, field.label, header, [t * T, *(c / T for c in channels)])
+    _emit_columns(cfg, field.label, header, [t * T, *(_per_duration(c, T) for c in channels)])
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -236,7 +222,8 @@ def cmd_sensitivity(cfg: dict) -> None:
     method = cfg["sensitivity"]["method"].replace("-", "_")
 
     def pack(qn_report, qs_report):
-        return {"q_n": qn_report.q_n / T, "q_n_error": qn_report.error_estimate / T,
+        return {"q_n": _per_duration(qn_report.q_n, T),
+                "q_n_error": _per_duration(qn_report.error_estimate, T),
                 "q_s": qs_report.q_s, "q_s_error": qs_report.error_estimate}
 
     out = {"protocol_label": field.label, "method": method,
@@ -265,8 +252,8 @@ def _parse_axis(spec: str | None, fallback: Axis) -> Axis:
 def cmd_sweep(cfg: dict) -> None:
     figure = cfg["sweep"]["figure"]
     if figure is None:
-        raise ValueError(f"sweep requires --figure in {set(_FIGURES)}")
-    default_axes, analysis, protocols = _FIGURES[figure]
+        raise ValueError(f"sweep requires --figure in {set(FIGURES)}")
+    default_axes, analysis, protocols = FIGURES[figure]
     if len(default_axes) == 1 and cfg["sweep"]["axis2"] is not None:
         raise ValueError(f"sweep --figure {figure} has one axis; --axis2 does not apply")
     axes = [_parse_axis(cfg["sweep"][f"axis{i}"], fallback)
@@ -277,14 +264,13 @@ def cmd_sweep(cfg: dict) -> None:
     results = []  # every curve or map first, so a refusal leaves no partial figure behind
     for kind, params in protocols:
         result = analysis(ProtocolSpec(kind, params).build(grid) if kind else grid, *axes)
-        if result.quantity == "q_n" and T != 1.0:  # q_N has units 1/T
-            result = replace(result, values=result.values / T)
+        if result.quantity == "q_n":  # q_N has units 1/T
+            result = replace(result, values=_per_duration(result.values, T))
         results.append((f"{base}_{kind}" if kind else base, result))
     for path_base, result in results:
         result.to_csv(path_base + ".csv")
         result.to_json_sidecar(path_base + ".json")
-        print(path_base + ".csv")
-        print(path_base + ".json")
+        print(f"{path_base}.csv\n{path_base}.json")
 
 
 # subcommand -> (handler, help, flag groups it takes)

@@ -145,14 +145,6 @@ def _half_turn(grid: TimeGrid):
     return (sin_wt[::2].copy(), cos_wt[::2].copy()), (sin_wt[1::2].copy(), cos_wt[1::2].copy())
 
 
-def _masked(numerator, denominator, min_gap2):
-    """numerator / denominator, NaN across each field (leading index) whose min_gap2 is
-    singular; a block of regular fields divides plainly, the same IEEE division."""
-    regular = np.expand_dims(min_gap2 >= SINGULAR_GAP2, -1)
-    return numerator / denominator if regular.all() else np.divide(
-        numerator, denominator, out=np.full_like(numerator, np.nan), where=regular)
-
-
 def _transitionless(omega0, delta0, grid: TimeGrid, node_turn):
     """Node channels (WR, Wa, D), invariant angles and min(WR^2 + D^2) over the nodes.
 
@@ -162,18 +154,18 @@ def _transitionless(omega0, delta0, grid: TimeGrid, node_turn):
     (``_transitionless_gamma``) are left None: a caller forms them only if it reads them.
     The channels come from the node half of one ``_half_turn(grid)`` table, which a caller
     of many fields computes once, and broadcast: parameters of shape (k, 1) give (k, points)
-    samples.  Wa, theta_dot and sin(theta) are NaN where the field is singular.
+    samples.  A singular field divides by zero: ``make_transitionless`` refuses it, and a
+    surface masks its cell.
     """
     sin_wt, cos_wt = node_turn
     wr, d = omega0 * sin_wt, -delta0 * cos_wt  # _sinusoidal's arithmetic, at the nodes
     wr_dot, d_dot = omega0 * math.pi * cos_wt, delta0 * math.pi * sin_wt
     gap2 = wr * wr + d * d
     min_gap2 = np.min(gap2, axis=-1)
-    wa = _masked(wr * d_dot - wr_dot * d, gap2, min_gap2)
+    wa = (wr * d_dot - wr_dot * d) / gap2
     gamma_dot = np.sqrt(gap2)
     zero = np.zeros(wa.shape[:-1] + (1,))  # alpha = alpha_dot = 0, broadcast over the points
-    angles = AngleSamples(grid, _masked(wr, gamma_dot, min_gap2), None, zero, None, wa, zero,
-                          gamma_dot)
+    angles = AngleSamples(grid, wr / gamma_dot, None, zero, None, wa, zero, gamma_dot)
     return (wr, wa, d), angles, min_gap2
 
 
@@ -199,7 +191,8 @@ def make_transitionless(omega0: float, delta0: float, grid: TimeGrid) -> Control
         return wr, (wr * d_dot - wr_dot * d) / (wr * wr + d * d), d
 
     node_turn, mid_turn = _half_turn(grid)
-    nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid, node_turn)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        nodes, angles, min_gap2 = _transitionless(omega0, delta0, grid, node_turn)
     if min_gap2 < SINGULAR_GAP2:
         raise RuntimeError(
             f"singular counter-diabatic denominator: min(WR^2 + D^2) = {float(min_gap2)!r}")

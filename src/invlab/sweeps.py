@@ -12,14 +12,15 @@ and cos(theta) = -D/gamma_dot, so no cell takes a sine, cosine or angle, and
 each surface forms only what its integrand reads: the q_N surface cos(theta)
 and no gamma, the q_S surface gamma and no cos(theta).  Each cell equals
 ``qn_formula``/``qs_formula`` of ``make_transitionless`` at its parameters
-bit for bit.  A cell whose field is singular (the counter-diabatic
-denominator vanishes on the grid) is recorded as a missing value (NaN,
-emitted as an empty CSV cell) rather than aborting the whole figure.
+bit for bit.  A singular field (the counter-diabatic denominator vanishes
+on the grid) divides by zero, and its cell is set to NaN (an empty CSV
+cell) rather than aborting the whole figure.
 
-Default axis ranges bracket every feature reported for these protocol
-families: Rabi/detuning amplitudes in [0.25, 8] (units 1/T) with 32
-points, noise strengths lambda in [0, 1.2] (units T^1/2) and
-systematic amplitudes beta in [-1, 1] with 61 points each.
+``FIGURES`` holds each figure's default axes, analysis and protocols.  The
+axes bracket every feature reported for these families: omega0, delta0 in
+[0.25, 8] (units 1/T) with 32 points for Figs. 2 and 5, lambda in [0, 1.2]
+(units T^1/2) and beta in [-1, 1] with 61 points for Figs. 1 and 4 and 31
+per axis for Fig. 7.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
-from .protocols import (SINGULAR_GAP2, ProtocolSpec, _half_turn, _masked, _transitionless,
+from .protocols import (SINGULAR_GAP2, ProtocolSpec, _half_turn, _transitionless,
                         _transitionless_gamma)
 from .sensitivity import ANGLE_FORMS
 
@@ -57,10 +58,6 @@ class Axis:
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.n_points)
 
-    @property
-    def spacing(self) -> float:
-        return (self.max - self.min) / (self.n_points - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -68,12 +65,6 @@ class SweepResult:
     values: np.ndarray  # one dimension per axis; NaN marks a failed cell
     quantity: str  # "q_n" | "q_s" | "p2"
     protocol_label: str
-
-    def located_min(self) -> tuple[tuple[float, ...], float]:
-        """Coordinates and value of the smallest finite cell."""
-        flat = np.where(np.isfinite(self.values), self.values, np.inf)
-        idx = np.unravel_index(int(np.argmin(flat)), self.values.shape)
-        return tuple(float(a.values[i]) for a, i in zip(self.axes, idx)), float(self.values[idx])
 
     def csv_columns(self) -> tuple[str, list]:
         """Long form: a column per axis, then the value column (a failed cell is empty)."""
@@ -88,22 +79,6 @@ class SweepResult:
         write_text(path, json_text(
             {"grid_spec": {f"axis{i}": asdict(a) for i, a in enumerate(self.axes, start=1)},
              "quantity": self.quantity, "protocol_label": self.protocol_label}))
-
-
-def default_omega0_axis() -> Axis:
-    return Axis("omega0", 0.25, 8.0, 32)
-
-
-def default_delta0_axis() -> Axis:
-    return Axis("delta0", 0.25, 8.0, 32)
-
-
-def default_lambda_axis(n_points: int = 61) -> Axis:
-    return Axis("lambda", 0.0, 1.2, n_points)
-
-
-def default_beta_axis(n_points: int = 61) -> Axis:
-    return Axis("beta", -1.0, 1.0, n_points)
 
 
 # A surface evaluates _BLOCK_BYTES // (8 n_steps) cells at a time (at least one): 3 cells
@@ -127,16 +102,17 @@ def _sweep_transitionless(omega0_axis: Axis, delta0_axis: Axis, grid: TimeGrid,
     integrand, value = ANGLE_FORMS[quantity]
     omega0, delta0 = (c.reshape(-1, 1) for c in np.meshgrid(
         omega0_axis.values, delta0_axis.values, indexing="ij"))
-    values = np.empty(len(omega0))
+    values, min_gap2 = np.empty(len(omega0)), np.empty(len(omega0))
     node_turn, mid_turn = _half_turn(grid)
     size = max(1, _BLOCK_BYTES // (8 * grid.n_steps))
-    for lo in range(0, len(values), size):
-        o, d = omega0[lo:lo + size], delta0[lo:lo + size]
-        # q_N reads cos(theta), q_S gamma; a singular field's theta_dot is NaN, and its cell
-        (_, _, d_nodes), s, min_gap2 = _transitionless(o, d, grid, node_turn)
-        s = (replace(s, cos_theta=_masked(-d_nodes, s.gamma_dot, min_gap2)) if quantity == "q_n"
-             else replace(s, gamma=_transitionless_gamma(o, d, grid, mid_turn, s.gamma_dot)))
-        values[lo:lo + size] = [value(a) for a in simpson(integrand(s), grid.h)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # singular: NaN below
+        for lo in range(0, len(values), size):
+            o, d = omega0[lo:lo + size], delta0[lo:lo + size]
+            (_, _, d_nodes), s, min_gap2[lo:lo + size] = _transitionless(o, d, grid, node_turn)
+            s = (replace(s, cos_theta=-d_nodes / s.gamma_dot) if quantity == "q_n"
+                 else replace(s, gamma=_transitionless_gamma(o, d, grid, mid_turn, s.gamma_dot)))
+            values[lo:lo + size] = [value(a) for a in simpson(integrand(s), grid.h)]
+    values[min_gap2 < SINGULAR_GAP2] = np.nan
     values = values.reshape(omega0_axis.n_points, delta0_axis.n_points)
     return SweepResult((omega0_axis, delta0_axis), values, quantity, "transitionless")
 
@@ -170,3 +146,24 @@ def map_p2(field: ControlField, lambda_axis: Axis, beta_axis: Axis) -> SweepResu
                 for lam in lambda_axis.values.tolist() for b in beta_axis.values.tolist()]
     values = final_p2_bloch(field, settings).reshape(lambda_axis.n_points, beta_axis.n_points)
     return SweepResult((lambda_axis, beta_axis), values, "p2", field.label)
+
+
+# the transitionless example of Figs. 1, 4 and 7
+_FIG1 = {"omega0": (5.57 / 4.3) * math.pi, "delta0": (5.57 / 4.3) ** 2 * math.pi}
+_PLANE = (Axis("omega0", 0.25, 8.0, 32), Axis("delta0", 0.25, 8.0, 32))
+
+# The figure table: figure -> (default axes, analysis, protocols).  The analysis gets a
+# protocol's field, or the grid when the protocol is None, and the axes.  Analyses are
+# called through their module names, so a rebinding (tracing, mocking) is seen.
+FIGURES = {
+    1: ((Axis("lambda", 0.0, 1.2, 61),),
+        lambda field, lam: robustness_curve(field, "lambda", lam),
+        [("optimal_noise", {"n": 7}), ("flat_pi", {"alpha": 0.0}),
+         ("sinusoidal_adiabatic", _FIG1), ("transitionless", _FIG1)]),
+    2: (_PLANE, lambda grid, *axes: sweep_qn_transitionless(*axes, grid), [(None, {})]),
+    4: ((Axis("beta", -1.0, 1.0, 61),), lambda field, beta: robustness_curve(field, "beta", beta),
+        [("optimal_systematic", {"n": 1}), ("transitionless", _FIG1), ("optimal_noise", {"n": 7})]),
+    5: (_PLANE, lambda grid, *axes: sweep_qs_transitionless(*axes, grid), [(None, {})]),
+    7: ((Axis("lambda", 0.0, 1.2, 31), Axis("beta", -1.0, 1.0, 31)), lambda *a: map_p2(*a),
+        [("transitionless", _FIG1), ("optimal_systematic", {"n": 1}), ("optimal_noise", {"n": 7})]),
+}

@@ -2,6 +2,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invlab
@@ -19,6 +20,13 @@ def src_env() -> dict:
     src = str(Path(invlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def located_min(result) -> tuple[tuple[float, ...], float]:
+    """Coordinates and value of a SweepResult's smallest finite cell."""
+    flat = np.where(np.isfinite(result.values), result.values, np.inf)
+    idx = np.unravel_index(int(np.argmin(flat)), result.values.shape)
+    return tuple(float(a.values[i]) for a, i in zip(result.axes, idx)), float(result.values[idx])
 
 
 @pytest.fixture(scope="session")

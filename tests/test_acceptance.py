@@ -15,15 +15,15 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from invlab import (Axis, GROUND_BLOCH, ErrorSetting,
-                    InvariantAngles, TimeGrid, constant, default_delta0_axis,
-                    default_omega0_axis, evolve_bloch, final_p2_pure,
+                    InvariantAngles, TimeGrid, constant, evolve_bloch, final_p2_pure,
                     make_flat_pi, make_invariant_engineered, make_optimal_noise,
                     make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, monte_carlo_p2, optimal_noise_angles,
                     optimal_systematic_angles, qn_derivative, qn_finite_difference,
                     qn_formula, qs_derivative, qs_formula, robustness_curve,
                     sweep_qn_transitionless)
-from conftest import EX_DELTA0, EX_OMEGA0, src_env
+from invlab.sweeps import FIGURES
+from conftest import EX_DELTA0, EX_OMEGA0, located_min, src_env
 from pi_pulse_reference import qn_pi_analytic
 from stationarity_reference import verify_stationarity
 
@@ -71,9 +71,9 @@ def test_c03_transitionless_example(grid, transitionless_example):
 
 
 def test_c04_fig2_sweep_minimum(grid):
-    res = sweep_qn_transitionless(default_omega0_axis(), default_delta0_axis(), grid)
-    (w, d), vmin = res.located_min()
-    cell = res.axes[0].spacing + 1e-12
+    res = sweep_qn_transitionless(*FIGURES[2][0], grid)
+    (w, d), vmin = located_min(res)
+    cell = res.axes[0].values[1] - res.axes[0].values[0] + 1e-12
     at_half = float(res.values[1, 1])  # the (0.5, 0.5) cell of the default axes
     ok = (abs(w - 0.5) <= cell and abs(d - 0.5) <= cell
           and abs(vmin - 2.475) / 2.475 < 0.02

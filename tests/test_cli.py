@@ -9,6 +9,7 @@ import pytest
 
 import invlab.cli as cli_module
 import invlab.sensitivity as sensitivity_module
+from invlab import protocols, sweeps
 from invlab import ControlField, TimeGrid, make_transitionless, qn_formula, qs_formula
 from invlab.cli import main
 from invlab.protocols import PROTOCOLS
@@ -284,12 +285,53 @@ def test_dump_config_round_trip(tmp_path, capsys):
     ["simulate", "--kind", "flat_pi", "--beta", "nan", "--dump-config"],
     ["protocol", "--kind", "flat_pi", "--grid-steps", "3", "--format", "json",
      "--duration", "1e-310"]])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # channels / 1e-310
 def test_non_finite_json_is_refused_as_bad_input(args, capsys):
     # JSON holds no NaN or inf: a dumped config or a channel that is not finite is refused
     assert run_cli(args) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("invlab: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["protocol", "--kind", "flat_pi", "--grid-steps", "3"],
+    ["protocol", "--kind", "flat_pi", "--grid-steps", "3", "--format", "json"],
+    ["sensitivity", "--kind", "flat_pi", "--grid-steps", "11", "--method", "formula"],
+    ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=1,2,2", "--grid-steps", "11"]],
+    ids=["protocol_csv", "protocol_json", "sensitivity", "sweep_2"])
+def test_a_duration_whose_scaled_outputs_overflow_exits_2(tmp_path, capsys, args):
+    # channels and q_N divide by T: finite values over T = 1e-310 overflow, and are refused
+    # without a numpy warning (which the test configuration makes an error) or a file
+    assert run_cli([*args, "--duration", "1e-310", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invlab: --duration 1e-310: an output divided by it overflows a float\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_figure_table_calls_analyses_and_builders_by_module_name(tmp_path, monkeypatch):
+    # a tracer or a mock rebinds invlab.sweeps.* and invlab.protocols.make_* in place; the
+    # figure table looks them up at call time, so a sweep calls the rebound names
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("robustness_curve", "map_p2", "sweep_qn_transitionless"):
+        spy(sweeps, name)
+    spy(protocols, "make_optimal_noise")
+    for figure, axes in ((1, ["--axis1=0,1,2"]), (2, ["--axis1=1,2,2", "--axis2=1,2,2"]),
+                         (7, ["--axis1=0,1,2", "--axis2=-1,1,2"])):
+        assert run_cli(["sweep", "--figure", str(figure), *axes, "--grid-steps", "201",
+                        "--out", str(tmp_path / f"figure{figure}")]) == 0
+    # Fig. 1 has four curves and Fig. 7 three maps; both include optimal_noise
+    assert sorted(calls) == sorted(["robustness_curve"] * 4 + ["sweep_qn_transitionless"]
+                                   + ["map_p2"] * 3 + ["make_optimal_noise"] * 2)
 
 
 def test_config_flag_override(tmp_path):

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "AngleSamples", "Axis", "ControlField", "EnsembleResult", "ErrorSetting",
     "GROUND_BLOCH", "InvariantAngles", "ProtocolSpec", "SensitivityReport", "SweepResult",
     "TimeGrid", "Trajectory", "constant",
-    "default_beta_axis", "default_delta0_axis", "default_lambda_axis", "default_omega0_axis",
     "evolve_bloch", "evolve_propagator", "evolve_pure", "final_p2_bloch",
     "final_p2_pure", "first_integral_constant", "make_flat_pi", "make_invariant_engineered",
     "make_optimal_noise", "make_optimal_systematic", "make_shaped_pi", "make_sinusoidal",

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invlab import (GROUND_BLOCH, InvariantAngles, TimeGrid, constant, evolve_bloch,
+from invlab import (GROUND_BLOCH, Axis, InvariantAngles, TimeGrid, constant, evolve_bloch,
                     evolve_propagator, make_flat_pi, make_invariant_engineered,
                     make_optimal_noise, make_optimal_systematic, make_shaped_pi, make_sinusoidal,
                     make_transitionless, optimal_systematic_angles, qn_derivative,
                     qn_finite_difference, qn_formula, qs_derivative, qs_finite_difference,
-                    qs_formula, solve_optimal_theta)
+                    qs_formula, solve_optimal_theta, sweep_qn_transitionless)
 from invlab import protocols, sensitivity
 from invlab.core import simpson
 from invlab.sensitivity import SensitivityReport
@@ -423,10 +423,12 @@ def _qn_density_general(s):
 
 
 def _qn_surface_block(omega0, delta0, grid):
-    """The angles of a block of transitionless fields as the q_N surface forms them."""
-    (_, _, d), s, min_gap2 = protocols._transitionless(omega0, delta0, grid,
-                                                        protocols._half_turn(grid)[0])
-    return dataclasses.replace(s, cos_theta=protocols._masked(-d, s.gamma_dot, min_gap2))
+    """The angles of a block of transitionless fields as the q_N surface forms them: a
+    singular field divides by zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (_, _, d), s, _ = protocols._transitionless(omega0, delta0, grid,
+                                                    protocols._half_turn(grid)[0])
+        return dataclasses.replace(s, cos_theta=-d / s.gamma_dot)
 
 
 def test_alpha_free_qn_density_keeps_the_bits_of_the_general_form():
@@ -438,8 +440,11 @@ def test_alpha_free_qn_density_keeps_the_bits_of_the_general_form():
     for s in (field, block):
         assert not np.any(s.alpha)
         assert np.array_equal(sensitivity._qn_density(s), _qn_density_general(s), equal_nan=True)
-    density = sensitivity._qn_density(block)
-    assert np.isnan(density[1]).all() and np.isfinite(density[[0, 2]]).all()
+    assert np.isfinite(sensitivity._qn_density(block)[[0, 2]]).all()
+    # the surface reads the singular cell as NaN
+    values = sweep_qn_transitionless(Axis("omega0", 1.0, 3.0, 3), Axis("delta0", -2.0, 2.0, 3),
+                                     grid).values  # delta0 = -2, 0, 2
+    assert np.isnan(values[:, 1]).all() and np.isfinite(values[:, [0, 2]]).all()
 
 
 @pytest.mark.parametrize("build", [lambda g: make_flat_pi(0.3, g),

@@ -6,14 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from invlab import (Axis, SweepResult, TimeGrid, default_beta_axis,
-                    default_delta0_axis, default_lambda_axis,
-                    default_omega0_axis, make_flat_pi, make_optimal_noise,
+from invlab import (Axis, SweepResult, TimeGrid, make_flat_pi, make_optimal_noise,
                     make_optimal_systematic, make_transitionless, map_p2, qn_formula,
                     qs_formula, robustness_curve, sweep_qn_transitionless,
                     sweep_qs_transitionless)
 from invlab import protocols, sweeps
-from invlab.sweeps import _BLOCK_BYTES
+from invlab.sweeps import _BLOCK_BYTES, FIGURES
+from conftest import located_min
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -29,17 +28,20 @@ def test_axis_validation():
     with pytest.raises(ValueError):
         Axis("x", 0.0, 1.0, 1)
     ax = Axis("x", 0.0, 1.0, 5)
-    assert ax.spacing == 0.25
+    assert np.all(np.diff(ax.values) == 0.25)
     assert np.array_equal(ax.values, np.linspace(0.0, 1.0, 5))
 
 
 def test_default_axes_match_documented_ranges():
-    assert (default_omega0_axis().min, default_omega0_axis().max,
-            default_omega0_axis().n_points) == (0.25, 8.0, 32)
-    assert default_delta0_axis().spacing == 0.25
-    assert (default_lambda_axis().min, default_lambda_axis().max) == (0.0, 1.2)
-    assert (default_beta_axis().min, default_beta_axis().max) == (-1.0, 1.0)
-    assert default_beta_axis().n_points == 61
+    (omega0, delta0), (lam,), (beta,) = FIGURES[2][0], FIGURES[1][0], FIGURES[4][0]
+    assert FIGURES[5][0] == (omega0, delta0)
+    assert (omega0.name, omega0.min, omega0.max, omega0.n_points) == ("omega0", 0.25, 8.0, 32)
+    assert delta0.name == "delta0" and np.all(np.diff(delta0.values) == 0.25)
+    assert (lam.name, lam.min, lam.max) == ("lambda", 0.0, 1.2)
+    assert (beta.name, beta.min, beta.max) == ("beta", -1.0, 1.0)
+    assert lam.n_points == beta.n_points == 61
+    # Fig. 7 maps the same ranges on 31 points per axis
+    assert FIGURES[7][0] == (Axis("lambda", 0.0, 1.2, 31), Axis("beta", -1.0, 1.0, 31))
 
 
 def test_sweep_qn_small_region(small_grid):
@@ -59,6 +61,18 @@ def test_sweep_qn_failed_cells_become_nan(small_grid):
                                   small_grid)
     assert np.isnan(res.values[:, 0]).all()
     assert np.isfinite(res.values[:, 1:]).all()
+
+
+@pytest.mark.parametrize("delta0", [5e-7, 1e-160])
+@pytest.mark.parametrize("sweep", [sweep_qn_transitionless, sweep_qs_transitionless])
+def test_a_cell_below_the_singular_gap_is_nan(small_grid, sweep, delta0):
+    # min(WR^2 + D^2) = delta0^2 lies below SINGULAR_GAP2, yet no division is by zero: at
+    # 5e-7 every value is finite, at 1e-160 the gap is subnormal and the squares overflow;
+    # the builder refuses the field, and the surface masks its cell
+    values = sweep(Axis("omega0", 1.0, 2.0, 2), Axis("delta0", delta0, 1.0, 2), small_grid).values
+    assert np.isnan(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
+    with pytest.raises(RuntimeError, match="singular"):
+        make_transitionless(1.0, delta0, small_grid)
 
 
 @pytest.mark.parametrize("n_omega0, delta0", [
@@ -92,7 +106,7 @@ def test_sweep_cells_equal_the_single_field_formulas(sweep, formula, key, n_omeg
 def _default_sweep_peak(sweep) -> int:
     tracemalloc.start()
     try:
-        sweep(default_omega0_axis(), default_delta0_axis(), TimeGrid(2001))
+        sweep(*FIGURES[2][0], TimeGrid(2001))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,9 +149,9 @@ def test_sweep_refinement_stability(small_grid):
                                      Axis("delta0", 0.25, 1.25, 5), small_grid)
     fine = sweep_qn_transitionless(Axis("omega0", 0.25, 1.25, 9),
                                    Axis("delta0", 0.25, 1.25, 9), small_grid)
-    c_xy, _ = coarse.located_min()
-    f_xy, _ = fine.located_min()
-    cell = coarse.axes[0].spacing
+    c_xy, _ = located_min(coarse)
+    f_xy, _ = located_min(fine)
+    cell = coarse.axes[0].values[1] - coarse.axes[0].values[0]
     assert abs(c_xy[0] - f_xy[0]) < cell
     assert abs(c_xy[1] - f_xy[1]) < cell
 
@@ -218,7 +232,7 @@ def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
     assert side["quantity"] == "q_n"
     assert side["protocol_label"] == "probe"
     assert side["grid_spec"]["axis2"]["n_points"] == 2
-    coords, val = res.located_min()
+    coords, val = located_min(res)
     assert coords == (1.0, 0.0)
     assert val == 0.25
     # one axis: two columns, and the sidecar has no axis2
@@ -228,7 +242,7 @@ def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
     res.to_json_sidecar(tmp_path / "map.json")
     side = json.loads((tmp_path / "map.json").read_text())
     assert side["grid_spec"] == {"axis1": {"name": "a", "min": 0.0, "max": 1.0, "n_points": 2}}
-    assert res.located_min() == ((1.0,), -0.5)
+    assert located_min(res) == ((1.0,), -0.5)
 
 
 def test_sweep_result_1d_csv(tmp_path, small_grid):

@@ -168,6 +168,18 @@ def runs():
     # JSON holds no NaN: a non-finite config is refused, not dumped
     yield "dump_config_beta_nan", ["simulate", "--kind", "flat_pi", "--beta", "nan",
                                    "--dump-config"]
+    # a --duration so small that the channels and q_N divided by it overflow a float
+    tiny = ["--duration", "1e-310"]
+    yield "protocol_flat_pi_duration_tiny", ["protocol", "--kind", "flat_pi", "--grid-steps", "3",
+                                             *tiny, "--out", "protocol_flat_pi_duration_tiny.csv"]
+    yield "protocol_flat_pi_duration_tiny_json", [
+        "protocol", "--kind", "flat_pi", "--grid-steps", "3", "--format", "json", *tiny,
+        "--out", "protocol_flat_pi_duration_tiny.json"]
+    yield "sensitivity_flat_pi_duration_tiny", [
+        "sensitivity", "--kind", "flat_pi", "--grid-steps", "11", "--method", "formula", *tiny,
+        "--out", "sensitivity_flat_pi_duration_tiny.json"]
+    yield "sweep_2_duration_tiny", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=1,2,2",
+                                    "--grid-steps", "11", *tiny, "--out", "figure2_duration_tiny"]
 
 
 def import_cli():
