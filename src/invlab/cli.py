@@ -268,7 +268,7 @@ def cmd_sweep(cfg: dict) -> None:
             result = replace(result, values=_per_duration(result.values, T))
         results.append((f"{base}_{kind}" if kind else base, result))
     for path_base, result in results:
-        result.to_csv(path_base + ".csv")
+        write_text(path_base + ".csv", csv_text(*result.csv_columns()))
         result.to_json_sidecar(path_base + ".json")
         print(f"{path_base}.csv\n{path_base}.json")
 

@@ -180,12 +180,9 @@ class ControlField:
         """The CSV header and its columns: t and the three channels."""
         return CSV_FIELD_HEADER, [self.grid.times, self.omega_r, self.omega_i, self.delta]
 
-    def to_csv(self, path) -> None:
-        write_text(path, csv_text(*self.csv_columns()))
-
     @classmethod
     def read_csv(cls, path, label: str = "") -> "ControlField":
-        """A field in ``to_csv``'s layout whose time column is uniform on [0, T], T > 0 (as
+        """A field in ``csv_columns``'s layout whose time column is uniform on [0, T], T > 0 (as
         ``protocol --duration T`` writes it), in units of T: times / T, channels * T."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -241,10 +238,6 @@ class InvariantAngles:
     theta_dot: Callable | None = None
     alpha_dot: Callable | None = None
     gamma_dot: Callable | None = None
-
-    @property
-    def has_closed_derivatives(self) -> bool:
-        return None not in (self.theta_dot, self.alpha_dot, self.gamma_dot)
 
     def check_boundaries(self) -> None:
         th0 = float(self.theta(np.array(0.0)))

@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GROUND_BLOCH, ControlField, TimeGrid, csv_text, write_text
+from .core import GROUND_BLOCH, ControlField, TimeGrid
 
 _MAX_SEED = 2**64
 # Trajectories per Philox stream under the seed contract: the width of a stream's
@@ -138,19 +138,12 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray
 
-    def p2(self) -> np.ndarray:
-        """Excitation probability along the trajectory."""
-        return 0.5 * (1.0 - self.states[:, 2])
-
     def final_p2(self) -> float:
-        return float(self.p2()[-1])
+        return 0.5 * (1.0 - float(self.states[-1, 2]))
 
     def csv_columns(self) -> tuple[str, list]:
         """The CSV header and its columns: t, then r1..r3."""
         return "t,r1,r2,r3", [self.grid.times, *self.states.T]
-
-    def to_csv(self, path) -> None:
-        write_text(path, csv_text(*self.csv_columns()))
 
 
 @dataclass(frozen=True)
@@ -431,6 +424,16 @@ def _pure_p2(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.abs(c2) ** 2 / (np.abs(c1) ** 2 + np.abs(c2) ** 2)
 
 
+def _peak_rate(wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, float]:
+    """|Omega|^2 at the given samples and its max; a max that overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = wr * wr + wi * wi
+    peak = float(np.max(rate))
+    if not math.isfinite(peak):
+        raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
+    return rate, peak
+
+
 # RK4's stability interval on the negative real axis is [-2.785, 0]
 _RK4_REAL_LIMIT = 2.785
 
@@ -445,11 +448,8 @@ def _require_rk4_stable(field: ControlField, settings) -> None:
     """
     lambda2 = max((s.lambda2 for s in settings), default=0.0)
     if lambda2 > 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate = max(float(np.max(wr ** 2 + wi ** 2)) for wr, wi, _ in field.stage_tables)
-        if not math.isfinite(rate):
-            raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
-        x = field.grid.h * lambda2 * rate / 2.0
+        peak = max(_peak_rate(wr, wi)[1] for wr, wi, _ in field.stage_tables)
+        x = field.grid.h * lambda2 * peak / 2.0
         if x >= _RK4_REAL_LIMIT:
             raise ValueError(f"RK4 step unstable at lambda2 = {lambda2:.3g}: h * max(lambda2 "
                              f"|Omega|^2) / 2 = {x:.3g} >= {_RK4_REAL_LIMIT}; raise --grid-steps")
@@ -608,11 +608,7 @@ def _sse_steps(field: ControlField, lambda2: float, dt: float, n_sse: int) -> np
     """
     groups = -(-n_sse // 4)
     wr, wi, dl = field.values(np.arange(n_sse) * dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rate = wr * wr + wi * wi
-    peak = float(np.max(rate))
-    if not math.isfinite(peak):
-        raise ValueError("field amplitude overflows: max |Omega|^2 is not finite")
+    rate, peak = _peak_rate(wr, wi)
     stiffness = lambda2 * peak * dt
     if stiffness >= 1.0:
         raise ValueError(f"Euler-Maruyama step unstable: lambda2 * max|Omega|^2 * dt = "

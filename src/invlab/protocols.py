@@ -226,7 +226,7 @@ def make_invariant_engineered(angles: InvariantAngles, grid: TimeGrid) -> Contro
 def _invariant_field(angles: InvariantAngles, s: AngleSamples, label: str) -> ControlField:
     """The field realizing ``angles``, whose grid samples are ``s``."""
     channels = None
-    if angles.has_closed_derivatives:
+    if None not in (angles.theta_dot, angles.alpha_dot, angles.gamma_dot):
         def channels(t):
             t = np.asarray(t, dtype=float)
             theta = angles.theta(t)

@@ -75,7 +75,6 @@ BETA_SAMPLES = tuple(0.01 * k for k in range(-5, 6) if k != 0)
 class SensitivityReport:
     q_n: float | None = None
     q_s: float | None = None
-    method: str = "formula"
     error_estimate: float = 0.0
 
     def __post_init__(self):
@@ -161,7 +160,7 @@ def _formula(quantity: str, field: ControlField) -> SensitivityReport:
             r1, r2, r3 = -2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2
             f = 0.25 * (wi**2 * (r1**2 + r3**2) + wr**2 * (r2**2 + r3**2))
     q, err = _simpson_with_estimate(f, field.grid.h, value)
-    return SensitivityReport(**{quantity: q}, method="formula", error_estimate=err)
+    return SensitivityReport(**{quantity: q}, error_estimate=err)
 
 
 def qn_formula(field: ControlField) -> SensitivityReport:
@@ -198,7 +197,7 @@ def qn_finite_difference(field: ControlField, lambda2_samples=None) -> Sensitivi
                          else DEFAULT_LAMBDA2_SAMPLES, dtype=float)
     p2 = final_p2_bloch(field, [ErrorSetting(lambda2=l2) for l2 in samples])
     qn, err = _quadratic_fit(samples, p2, "lambda2")
-    return SensitivityReport(q_n=qn, method="finite_difference", error_estimate=err)
+    return SensitivityReport(q_n=qn, error_estimate=err)
 
 
 def qs_formula(field: ControlField) -> SensitivityReport:
@@ -212,7 +211,7 @@ def qs_finite_difference(field: ControlField) -> SensitivityReport:
     samples = np.asarray(BETA_SAMPLES)
     p2 = final_p2_pure(field, samples)
     qs, err = _quadratic_fit(samples**2, p2, "beta")
-    return SensitivityReport(q_s=qs, method="finite_difference", error_estimate=err)
+    return SensitivityReport(q_s=qs, error_estimate=err)
 
 
 # unit roundoff: a product of n factors is accurate to about n of it, relative to its
@@ -233,8 +232,7 @@ def _derivative(quantity: str, field: ControlField, series, order: int) -> Sensi
     _require_inversion(field, float(fine[0]))
     q, q_half = -float(fine[order]), -float(series(field, half=True)[order])
     rounding = field.grid.n_steps * _UNIT_ROUNDOFF * max(1.0, abs(q))
-    return SensitivityReport(**{quantity: q}, method="derivative",
-                             error_estimate=abs(q - q_half) / 15.0 + rounding)
+    return SensitivityReport(**{quantity: q}, error_estimate=abs(q - q_half) / 15.0 + rounding)
 
 
 def qn_derivative(field: ControlField) -> SensitivityReport:

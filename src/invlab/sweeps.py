@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ControlField, TimeGrid, csv_text, json_text, simpson, write_text
+from .core import ControlField, TimeGrid, json_text, simpson, write_text
 from .dynamics import ErrorSetting, final_p2_bloch, final_p2_pure
 from .protocols import (SINGULAR_GAP2, ProtocolSpec, _half_turn, _transitionless,
                         _transitionless_gamma)
@@ -71,9 +71,6 @@ class SweepResult:
         coords = np.meshgrid(*(a.values for a in self.axes), indexing="ij")
         return (",".join([a.name for a in self.axes] + [self.quantity]),
                 [c.ravel() for c in coords] + [self.values.ravel()])
-
-    def to_csv(self, path) -> None:
-        write_text(path, csv_text(*self.csv_columns()))
 
     def to_json_sidecar(self, path) -> None:
         write_text(path, json_text(

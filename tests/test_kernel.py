@@ -87,7 +87,7 @@ def test_bloch_contracts_under_noise(field, beta, lambda2, r0):
     # d|r|^2/dt = -lambda^2 (WI^2 r1^2 + WR^2 r2^2 + (WR^2 + WI^2) r3^2) <= 0
     traj = evolve_bloch(field, r0, ErrorSetting(beta, lambda2))
     assert np.all(np.diff(np.linalg.norm(traj.states, axis=1)) <= 1e-9)
-    p2 = traj.p2()
+    p2 = 0.5 * (1.0 - traj.states[:, 2])
     assert np.all((p2 >= 0.0) & (p2 <= 1.0))
 
 

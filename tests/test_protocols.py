@@ -14,7 +14,7 @@ from invlab import (GROUND_BLOCH, ControlField, InvariantAngles, ProtocolSpec,
                     qs_formula)
 from invlab.cli import main
 from invlab.core import simpson
-from invlab.protocols import _step_simpson
+from invlab.protocols import PROTOCOLS, _step_simpson
 from conftest import EX_DELTA0, EX_OMEGA0
 
 
@@ -209,6 +209,32 @@ def test_stored_sin_and_cos_theta_square_to_one(build, n):
     s = build(TimeGrid(n)).angles
     assert s.sin_theta.shape == s.cos_theta.shape == (n,)
     assert np.max(np.abs(s.sin_theta ** 2 + s.cos_theta ** 2 - 1.0)) <= 4 * np.spacing(1.0)
+
+
+_NODE_CASES = [("flat_pi", {"alpha": 0.3}), ("shaped_pi", {"envelope": "sin"}),
+               ("shaped_pi", {"envelope": "flat"}),
+               ("sinusoidal_adiabatic", {"omega0": 3.0, "delta0": 2.0}),
+               ("sinusoidal_adiabatic", {"omega0": 3.0, "delta0": -2.0}),
+               ("transitionless", {"omega0": 3.0, "delta0": 2.0}),
+               ("transitionless", {"omega0": 3.0, "delta0": -2.0}),
+               ("optimal_noise", {"n": 7}), ("optimal_systematic", {"n": 1}),
+               ("invariant_engineered", None)]
+
+
+@pytest.mark.parametrize("n", [11, 2001, 2002])
+@pytest.mark.parametrize("kind,params", _NODE_CASES)
+def test_node_samples_are_the_channels_at_the_nodes_bit_for_bit(kind, params, n):
+    # RK4 reads its node stages from the samples and its midpoint stages from channels,
+    # so the two must be one function of time
+    g = TimeGrid(n)
+    field = (make_invariant_engineered(optimal_systematic_angles(2), g) if params is None
+             else ProtocolSpec(kind, params).build(g))
+    for name, at_nodes in zip(("omega_r", "omega_i", "delta"), field.values(g.times)):
+        assert at_nodes.tobytes() == getattr(field, name).tobytes(), name
+
+
+def test_node_cases_cover_every_protocol_kind():
+    assert {kind for kind, params in _NODE_CASES if params is not None} == set(PROTOCOLS)
 
 
 def test_invariant_engineered_flat_limit(grid):

@@ -45,9 +45,7 @@ def test_report_validation():
 
 
 def test_qn_formula_flat(flat_field):
-    rep = qn_formula(flat_field)
-    assert rep.q_n == pytest.approx(PI2_4, abs=1e-6)
-    assert rep.method == "formula"
+    assert qn_formula(flat_field).q_n == pytest.approx(PI2_4, abs=1e-6)
 
 
 def test_qn_formula_transitionless_example(transitionless_example):
@@ -119,9 +117,7 @@ def test_schwartz_bound_random_envelopes(grid):
 
 
 def test_qn_finite_difference_flat(flat_field):
-    rep = qn_finite_difference(flat_field)
-    assert rep.q_n == pytest.approx(2.4674, rel=0.01)
-    assert rep.method == "finite_difference"
+    assert qn_finite_difference(flat_field).q_n == pytest.approx(2.4674, rel=0.01)
 
 
 def test_qn_finite_difference_optimal(optimal_noise_field):

@@ -11,6 +11,7 @@ from invlab import (Axis, SweepResult, TimeGrid, make_flat_pi, make_optimal_nois
                     qs_formula, robustness_curve, sweep_qn_transitionless,
                     sweep_qs_transitionless)
 from invlab import protocols, sweeps
+from invlab.core import csv_text
 from invlab.sweeps import _BLOCK_BYTES, FIGURES
 from conftest import located_min
 
@@ -221,9 +222,7 @@ def test_map_p2_consistency_and_dominance(small_grid):
 def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
     axes = (Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2))
     res = SweepResult(axes, np.array([[1.0, math.nan], [0.25, 2.0]]), "q_n", "probe")
-    csv_path = tmp_path / "map.csv"
-    res.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
+    lines = csv_text(*res.csv_columns()).splitlines()
     assert lines[0] == "a,b,q_n"
     assert lines[2] == "0,1,"  # NaN cell is empty
     assert len(lines) == 5
@@ -237,18 +236,15 @@ def test_sweep_result_csv_and_sidecar(tmp_path, small_grid):
     assert val == 0.25
     # one axis: two columns, and the sidecar has no axis2
     res = SweepResult(axes[:1], np.array([math.inf, -0.5]), "p2", "probe")
-    res.to_csv(csv_path)
-    assert csv_path.read_text() == "a,p2\n0,\n1,-0.5\n"
+    assert csv_text(*res.csv_columns()) == "a,p2\n0,\n1,-0.5\n"
     res.to_json_sidecar(tmp_path / "map.json")
     side = json.loads((tmp_path / "map.json").read_text())
     assert side["grid_spec"] == {"axis1": {"name": "a", "min": 0.0, "max": 1.0, "n_points": 2}}
     assert located_min(res) == ((1.0,), -0.5)
 
 
-def test_sweep_result_1d_csv(tmp_path, small_grid):
+def test_sweep_result_1d_csv(small_grid):
     res = robustness_curve(make_flat_pi(0.0, small_grid), "beta", Axis("beta", 0.0, 1.0, 3))
-    path = tmp_path / "curve.csv"
-    res.to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = csv_text(*res.csv_columns()).splitlines()
     assert lines[0] == "beta,p2"
     assert len(lines) == 4

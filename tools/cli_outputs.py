@@ -5,9 +5,12 @@
 Each run calls invlab.cli.main in-process, with OUTDIR as the working
 directory, and leaves its output files there together with <run>.stdout,
 <run>.stderr and a line "<run> <exit code>" in exit_codes.txt.  invlab is
-imported from this checkout's src/, never from an installed copy.  Run the
-script from two checkouts and compare the directories with `diff -r`, or
-with tools/compare_outputs.py where numbers may move in the last bits.
+imported from this checkout's src/, never from an installed copy.  OUTDIR
+must be empty or new (exit status 2 otherwise), so no file of an earlier run
+survives into the comparison.  Run the script from two checkouts and compare
+the directories with `diff -r`, or with tools/compare_outputs.py where
+numbers may move in the last bits.  tests/test_golden.py reruns the runs
+whose files are small and compares them with tests/golden/.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+COLUMNS = "100"  # the terminal width argparse wraps --help to
 
 # the kind settings: every family, each optimal one at two indices
 KINDS = {
@@ -180,6 +184,12 @@ def runs():
         "--out", "sensitivity_flat_pi_duration_tiny.json"]
     yield "sweep_2_duration_tiny", ["sweep", "--figure", "2", "--axis1=1,2,2", "--axis2=1,2,2",
                                     "--grid-steps", "11", *tiny, "--out", "figure2_duration_tiny"]
+    # a dumped config read back with --config writes the same CSV as the flags it holds
+    flags = ["simulate", *KINDS["optimal_noise_7"], "--lambda2", "0.1", "--grid-steps", "11"]
+    yield "dump_config_11", [*flags, "--dump-config"]
+    yield "simulate_config", ["simulate", "--config", "dump_config_11.stdout",
+                              "--out", "simulate_config.csv"]
+    yield "simulate_config_flags", [*flags, "--out", "simulate_config_flags.csv"]
 
 
 def import_cli():
@@ -193,23 +203,30 @@ def import_cli():
     return invlab.cli
 
 
+def run(cli, name: str, args: list) -> int:
+    """One run in the working directory: its files, <name>.stdout and <name>.stderr; its
+    exit code.  argparse wraps --help to COLUMNS, which the caller sets."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(args)
+    Path(f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
+    return code
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    cli = import_cli()
     out = Path(sys.argv[1])
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"cli_outputs: {out} is not an empty directory", file=sys.stderr)
+        return 2
+    cli = import_cli()
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    os.environ["COLUMNS"] = "100"  # argparse wraps --help to the terminal width
-    codes = []
-    for name, args in runs():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(args)
-        Path(f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
-        Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
-        codes.append(f"{name} {code}\n")
+    os.environ["COLUMNS"] = COLUMNS
+    codes = [f"{name} {run(cli, name, args)}\n" for name, args in runs()]
     Path("exit_codes.txt").write_text("".join(codes), encoding="utf-8")
     return 0
 
