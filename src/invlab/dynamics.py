@@ -36,14 +36,20 @@ chunk, trajectories come from a log-depth prefix product of the steps,
 final states from a product reduction over the same tree; chunks are
 chained in time order, so a final state is bit-identical either way.
 Callers that need only P2(T) pass a list of error settings, solved chunk by
-chunk on the field's shared stage tables.  Columns of the propagated
-pure-state matrix evolve the ground and excited states together.
+chunk on the field's shared stage tables.  Each setting's steps are formed
+on their own, but a block of up to 8 settings' step tables, side by side,
+is reduced by one product tree: the tree's narrow top levels cost numpy's
+per-call overhead more than arithmetic, and a block pays it once.  Forming
+a block's steps together instead ran slower, its tables out of cache.
+Columns of the propagated pure-state matrix evolve the ground and excited
+states together.
 
 The sensitivities' derivatives of P2(T) are taken through the same steps,
 each carried as a truncated power series: the Bloch step as P0 + lambda^2 P1
 at beta = 0, formed by the same ``_rk4_step`` from the generator series
 (L0, -L2) under the series product, -L2 written by the ``_damping`` that
-writes the plain generator's damping, and the pair step re-expanded from its
+writes the plain generator's damping and, being diagonal, multiplied into
+the stages as a row scaling, and the pair step re-expanded from its
 omega tables to second order in beta.  Series multiply by the truncated
 Cauchy product, so one solve gives the exact derivatives of the discrete
 solution (Taylor mode; Griewank & Walther, Evaluating Derivatives, 2008,
@@ -161,14 +167,21 @@ class EnsembleResult:
             raise ValueError(f"p2_stderr must be >= 0, got {self.p2_stderr}")
 
 
-# A solve forms, reduces and chains its steps _CHUNK_BYTES // identity.nbytes
-# at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB step table (a pure-state
-# chunk also keeps its five omega tables, 36 KiB each; a series solve takes as many
-# steps, in a table two or three times larger, which ran faster than smaller chunks).  Measured on 2001 points:
-# whole-grid tables (144 KiB a Bloch solve) page-faulted on every call and ran the
-# entry points 15-20% slower; 1024 pure-state steps a chunk ran final_p2_pure of
-# 10 betas 10-50% slower.
+# A solve forms, reduces (the tables of _BLOCK settings at once) and chains its steps
+# _CHUNK_BYTES // identity.nbytes at a time: 1024 Bloch or 2304 pure-state steps, a 72 KiB
+# step table (a pure-state chunk also keeps its five omega tables, 36 KiB each; a series
+# solve takes as many steps, in a table two or three times larger, which ran faster than
+# smaller chunks).  Measured on 2001 points: whole-grid tables (144 KiB a Bloch solve)
+# page-faulted on every call and ran the entry points 15-20% slower; 1024 pure-state steps
+# a chunk ran final_p2_pure of 10 betas 10-50% slower.
 _CHUNK_BYTES = 72 * 1024
+# Settings whose step tables one product tree reduces: a 576 KiB block, past the C
+# allocator's initial mmap threshold on purpose, since a block pays the tree's per-call
+# overhead once (glibc raises the threshold past a freed block, so a default Fig. 7 pass
+# page-faulted about once).  Measured on 2001 points against one setting a block, in one
+# process over 30 interleaved passes: blocks of 4, 8 and 16 ran Fig. 1 at x0.86, x0.81 and
+# x0.86, Fig. 4 at x0.46, x0.38 and x0.76, and Fig. 7 at x0.91, x0.87 and x1.12.
+_BLOCK = 8
 _IDENTITY3 = np.eye(3)[:, :, None]
 
 
@@ -229,15 +242,24 @@ def _bloch_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", x, y)
 
 
-def _series_mul(mul):
+def _diagonal_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """3x3 product of a diagonal x and y, row i of y scaled by x's entry (i, i), batched over
+    the trailing axes."""
+    return x[(0, 1, 2), (0, 1, 2)][:, None] * y
+
+
+def _series_mul(mul, higher=None):
     """The product of power series truncated at their length, coefficients along axis -2,
     whose coefficients multiply by ``mul``: coefficient i of x times the first
-    length - i coefficients of y, added from order i on, one ``mul`` per i."""
+    length - i coefficients of y, added from order i on, one ``mul`` per i.  Coefficients
+    of x past order 0 multiply by ``higher`` if given."""
+    higher = higher or mul
+
     def series_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         orders = x.shape[-2]
         out = mul(x[..., :1, :], y)
         for i in range(1, orders):
-            out[..., i:, :] += mul(x[..., i:i + 1, :], y[..., :orders - i, :])
+            out[..., i:, :] += higher(x[..., i:i + 1, :], y[..., :orders - i, :])
         return out
     return series_mul
 
@@ -362,19 +384,23 @@ def _beta_steps(tables: list, _=None) -> np.ndarray:
                      [q1 + q3, q1 + 3.0 * q3, 3.0 * q3]])
 
 
-def _bloch_engine(generator, mul, ident: np.ndarray) -> tuple:
-    """A Bloch engine whose steps ``_rk4_step`` forms from ``generator`` under ``mul``."""
-    return _stages, functools.partial(_rk4_step, generator, mul, ident), mul, _IDENTITY3
+def _bloch_engine(generator, stage_mul, mul, ident: np.ndarray) -> tuple:
+    """A Bloch engine whose steps ``_rk4_step`` forms from ``generator`` under ``stage_mul``
+    and whose steps multiply by ``mul``."""
+    return _stages, functools.partial(_rk4_step, generator, stage_mul, ident), mul, _IDENTITY3
 
 
 # engine -> (chunk tables, step table of one param, product, identity of one step's
-# matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps.  Both Bloch engines form
-# their steps by _rk4_step from _bloch_generator, the series one through _lambda2_generator.
+# matrix); a chunk holds _CHUNK_BYTES // identity.nbytes steps, and _solve lays a block of
+# params' step tables side by side on the axis after the identity's matrix axes.  Both
+# Bloch engines form their steps by _rk4_step from _bloch_generator, the series one through
+# _lambda2_generator, whose order 1, -L2, is diagonal: its stages scale rows there.
 # The series engines carry P2's error at order 1 in lambda^2 (at beta = 0) and at order 2
 # in beta, along axis -2 of their steps; they ignore their one param and take a plain
 # solve's steps a chunk.
-_BLOCH = _bloch_engine(_bloch_generator, _bloch_mul, _IDENTITY3)
-_BLOCH_LAMBDA2 = _bloch_engine(_lambda2_generator, _series_mul(_bloch_mul),
+_BLOCH = _bloch_engine(_bloch_generator, _bloch_mul, _bloch_mul, _IDENTITY3)
+_BLOCH_LAMBDA2 = _bloch_engine(_lambda2_generator, _series_mul(_bloch_mul, _diagonal_mul),
+                               _series_mul(_bloch_mul),
                                np.stack((_IDENTITY3, np.zeros_like(_IDENTITY3)), axis=2))
 _PURE = (_omega_tables, _omega_steps, _pair_mul, np.array([1.0, 0.0], dtype=complex)[:, None])
 _PURE_BETA = (_omega_tables, _beta_steps, _series_mul(_pair_mul), _PURE[3])
@@ -462,26 +488,36 @@ def _require_bounded(states: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
+def _side_by_side(tables: list, axis: int) -> np.ndarray:
+    """The tables stacked on a new ``axis``; one table is a length-1 view of itself, not a copy."""
+    return np.expand_dims(tables[0], axis) if len(tables) == 1 else np.stack(tables, axis)
+
+
 def _solve(field: ControlField, engine, params, reduce, half: bool = False) -> list:
     """``reduce`` (``_scan`` or ``_product``) of the RK4 steps of each param, chunk by chunk.
 
-    A chunk's tables are formed once and serve every param.  Each chunk is
-    reduced on its own and multiplied onto the last entry of the previous
-    one, so the last entry is P_n-1 ... P_0.  A chunk's last scanned prefix
-    is its ``_product``, so both reductions give it bit for bit.  ``half``
-    solves on the half-resolution steps of ``_runs``.
+    A chunk's tables are formed once and serve every param.  Each param's
+    steps are formed on their own, and up to _BLOCK params' steps are laid
+    side by side, on the axis after the matrix axes, and reduced by one
+    ``reduce`` call.  Each chunk is reduced on its own and multiplied onto
+    the last entry of the previous one, so the last entry is P_n-1 ... P_0.
+    A chunk's last scanned prefix is its ``_product``, so both reductions
+    give it bit for bit.  ``half`` solves on the half-resolution steps of
+    ``_runs``.
     """
     tables, steps, mul, ident = engine
     size = _CHUNK_BYTES // ident.nbytes
-    out = [[] for _ in params]
+    axis = ident.ndim - 1
+    blocks = [params[lo:lo + _BLOCK] for lo in range(0, len(params), _BLOCK)]
+    out = [[] for _ in blocks]
     for nodes, mids, h in _runs(field, half):
         n = mids[0].size
         for lo in range(0, n, size):
             chunk = tables(nodes, mids, h, lo, min(lo + size, n))
-            for param, run in zip(params, out):
-                s = reduce(mul, steps(chunk, param))
+            for block, run in zip(blocks, out):
+                s = reduce(mul, _side_by_side([steps(chunk, param) for param in block], axis))
                 run.append(mul(s, run[-1][..., -1:]) if run else s)
-    return [np.concatenate(run, axis=-1) for run in out]
+    return [m for run in out for m in np.moveaxis(np.concatenate(run, axis=-1), axis, 0)]
 
 
 def evolve_pure(field: ControlField, psi0, beta: float = 0.0) -> np.ndarray:

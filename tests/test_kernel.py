@@ -15,10 +15,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from invlab import (GROUND_BLOCH, ControlField, ErrorSetting, ProtocolSpec, TimeGrid, dynamics,
-                    evolve_bloch, evolve_propagator, evolve_pure, final_p2_bloch,
+from invlab import (GROUND_BLOCH, Axis, ControlField, ErrorSetting, ProtocolSpec, TimeGrid,
+                    dynamics, evolve_bloch, evolve_propagator, evolve_pure, final_p2_bloch,
                     final_p2_pure, make_flat_pi, make_optimal_systematic, make_transitionless,
-                    monte_carlo_p2)
+                    map_p2, monte_carlo_p2)
 from invlab.dynamics import final_p2_beta_series, final_p2_lambda2_series
 from invlab.protocols import PROTOCOLS
 from invlab.sensitivity import INVERSION_THRESHOLD
@@ -156,6 +156,26 @@ def test_batched_final_p2_equals_single_solves(field, pairs):
         assert bloch[k] == evolve_bloch(field, GROUND_BLOCH, s).final_p2()
         assert pure[k] == _propagator_p2(evolve_propagator(field, s.beta)[-1])
     assert np.all((pure >= 0.0) & (pure <= 1.0))
+
+
+def test_settings_blocks_solve_each_setting_as_alone(monkeypatch):
+    # blocks of 3 settings: 7 settings are two full blocks and a partial one, on a grid
+    # of two chunks; a 3x4 map is four blocks, reshaped with lambda along the rows
+    monkeypatch.setattr(dynamics, "_BLOCK", 3)
+    field = make_transitionless(3.0, 2.0, TimeGrid(2001))
+    cases = [ErrorSetting(b, l2) for b, l2 in zip((-0.3, -0.1, 0.0, 0.05, 0.2, 0.4, 0.7),
+                                                 (0.0, 0.3, 0.1, 0.6, 0.0, 0.2, 0.9))]
+    bloch = final_p2_bloch(field, cases)
+    pure = final_p2_pure(field, [s.beta for s in cases])
+    for k, s in enumerate(cases):
+        assert bloch[k] == evolve_bloch(field, GROUND_BLOCH, s).final_p2()
+        assert pure[k] == _propagator_p2(evolve_propagator(field, s.beta)[-1])
+    lam, beta = Axis("lambda", 0.0, 1.0, 3), Axis("beta", -0.5, 0.5, 4)
+    plane = map_p2(field, lam, beta).values
+    for i, x in enumerate(lam.values):
+        for j, b in enumerate(beta.values):
+            assert plane[i, j] == evolve_bloch(field, GROUND_BLOCH,
+                                               ErrorSetting(b, x * x)).final_p2()
 
 
 @settings(max_examples=10, deadline=None)
@@ -366,6 +386,20 @@ def test_bloch_setting_memory_is_pinned(flat_field):
     finally:
         tracemalloc.stop()
     assert peak <= 460 * 2**10, peak / 2**10
+
+
+def test_many_settings_memory_is_pinned(flat_field):
+    """64 warm Bloch settings on 2001 points are solved 8 at a time: a block of 8 step tables
+    and its reduction, never a table of every setting."""
+    cases = [ErrorSetting(0.01 * k, 0.2) for k in range(64)]
+    final_p2_bloch(flat_field, cases)
+    tracemalloc.start()
+    try:
+        final_p2_bloch(flat_field, cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1200 * 2**10, peak / 2**10
 
 
 def _sse_in_batches(field, lambda2, dt, seed, n_traj, batch):
