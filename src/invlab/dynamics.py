@@ -92,7 +92,20 @@ order-independent and bit-reproducible under any batching.  A batch keeps
 one Philox object per stream it touches and reads the rows of each block
 of groups from them just before that block runs, so no sign array spans
 the steps.  Every step writes a separate buffer, so a batch of one rounds
-like the rest.  The ensemble runs on the calling thread.
+like the rest.
+
+An ensemble runs as contiguous ranges of trajectories cut on stream edges
+(``_part_count``): one per CPU the process may use, at most one per stream,
+each of at least _FORK_FLOOR trajectory-steps.  The calling process runs the
+first range and an ``os.fork`` child each other one, whose P2 values come
+back through a pipe as raw float64 bytes and are joined in index order, so
+the result is byte-identical for any number of ranges.  Without ``os.fork``,
+below the floor, or while another Python thread is alive, the ensemble is
+one range in the calling process.  A failed worker raises RuntimeError; bad
+input is refused before any fork.  The workers' memory shows in
+``RUSAGE_CHILDREN``, not in the calling process's ``ru_maxrss``.  On Python
+>= 3.12 the fork may warn (DeprecationWarning) of numpy's OpenBLAS worker
+thread; the child calls no BLAS.
 """
 
 from __future__ import annotations
@@ -100,6 +113,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +125,8 @@ _MAX_SEED = 2**64
 # Trajectories per Philox stream under the seed contract: the width of a stream's
 # group-major rows.  Part of the contract, so every ensemble's draws depend on it.
 _STREAM_WIDTH = 1024
-# Trajectories per monte_carlo_p2 batch, ten streams: the CLI's default ensemble is
-# one batch, and no two batches of an ensemble draw from the same stream.  The step
+# Trajectories per monte_carlo_p2 batch, ten streams: each range of the CLI's default
+# ensemble is one batch, and no two batches of an ensemble draw from the same stream.  The step
 # pairs, 512 KiB at 4000 steps, are formed once per ensemble; each batch forms the
 # four-step table again, a block of groups at a time (8-10 ms a batch at 4000 steps).
 # Each group costs a fixed number of numpy calls, so larger batches spread that cost.
@@ -121,6 +136,9 @@ _SSE_BATCH = 10 * _STREAM_WIDTH
 # every block of the batch.  On a 10^4-trajectory ensemble at 4000 steps, blocks of
 # 16 groups ran about 10% slower, and 64 ran no slower than one block of all 1000.
 _TABLE_GROUPS = 64
+# Trajectory-steps each range of an ensemble holds at least, about 10 ms of work: a fork, the
+# child's exit and its reaping took 2.3-3.3 ms at 40-60 MB resident (2-vCPU Xeon VM).
+_FORK_FLOOR = 2**22
 
 
 @dataclass(frozen=True)
@@ -264,32 +282,32 @@ def _series_mul(mul, higher=None):
     return series_mul
 
 
-def _rk4_step(generator, mul, ident: np.ndarray, stages, param) -> np.ndarray:
+def _rk4_step(generator, mul, ident: np.ndarray, stages, param, out=None) -> np.ndarray:
     """Classical RK4 steps of y' = A(t) y as matrices, P = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     For a linear ODE one RK4 step is y -> P y with K1 = A_n,
     K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2), K4 = A_n+1 (I + h K3), with
     A = generator(w, param) at the node, midpoint and next node of ``stages``
     (``_stages``).  The generators multiply by ``mul``, whose identity is
-    ``ident``; each stage A + c A K is formed in the buffer of the product A K.
+    ``ident``; each stage A + c A K is formed in the buffer of the product A K,
+    and P is written into ``out`` if given.
     """
     nodes, mids, h = stages
     g, a_m = generator(nodes, param), generator(mids, param)
     a_n = g[..., :-1]
-    k, out = a_n, []
+    k, ks = a_n, []
     for a, c in ((a_m, 0.5 * h), (a_m, 0.5 * h), (g[..., 1:], h)):
         k = mul(a, k)
         k *= c
         k += a
-        out.append(k)
-    p, k3, k4 = out  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
+        ks.append(k)
+    p, k3, k4 = ks  # I + h/6 (a_n + 2 (k2 + k3) + k4), operation for operation
     p += k3
     p *= 2.0
     p += a_n
     p += k4
     p *= h / 6.0
-    p += ident
-    return p
+    return np.add(p, ident, out=p if out is None else out)
 
 
 def _lambda2_generator(w, _) -> np.ndarray:
@@ -359,12 +377,13 @@ def _omega_tables(nodes, mids, h: float, lo: int, hi: int) -> list:
     return p
 
 
-def _omega_steps(tables: list, beta: float) -> np.ndarray:
-    """The pair step table at omega = 1 + beta, by Horner in omega^2, shape (2, steps)."""
+def _omega_steps(tables: list, beta: float, out=None) -> np.ndarray:
+    """The pair step table at omega = 1 + beta, by Horner in omega^2, shape (2, steps), written
+    into ``out`` if given."""
     p0, q1, p2, q3, p4 = tables
     omega = 1.0 + beta
     s = omega * omega  # inf past overflow: the tables turn inf and NaN, which the bound refuses
-    out = np.empty((2, p0.size), dtype=complex)
+    out = np.empty((2, p0.size), dtype=complex) if out is None else out
     np.multiply(p4, s, out=out[0])
     out[0] += p2
     out[0] *= s
@@ -488,24 +507,35 @@ def _require_bounded(states: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"{what} integration diverged (a component exceeds 1 in modulus)")
 
 
-def _side_by_side(tables: list, axis: int) -> np.ndarray:
-    """The tables stacked on a new ``axis``; one table is a length-1 view of itself, not a copy."""
-    return np.expand_dims(tables[0], axis) if len(tables) == 1 else np.stack(tables, axis)
+def _block_steps(engine, chunk, block: list, size: int) -> np.ndarray:
+    """The ``size`` steps of each of ``block``'s params side by side, on the axis after the
+    identity's matrix axes: each written by ``steps`` into its place in one table, and one
+    param's table a length-1 view of itself."""
+    _, steps, _, ident = engine
+    axis = ident.ndim - 1
+    if len(block) == 1:
+        return np.expand_dims(steps(chunk, block[0]), axis)
+    out = np.empty(ident.shape[:axis] + (len(block), size), dtype=ident.dtype)
+    for k, param in enumerate(block):
+        steps(chunk, param, out[..., k, :])
+    return out
 
 
 def _solve(field: ControlField, engine, params, reduce, half: bool = False) -> list:
     """``reduce`` (``_scan`` or ``_product``) of the RK4 steps of each param, chunk by chunk.
 
     A chunk's tables are formed once and serve every param.  Each param's
-    steps are formed on their own, and up to _BLOCK params' steps are laid
-    side by side, on the axis after the matrix axes, and reduced by one
-    ``reduce`` call.  Each chunk is reduced on its own and multiplied onto
-    the last entry of the previous one, so the last entry is P_n-1 ... P_0.
+    steps are formed on their own, written side by side into one table of up
+    to _BLOCK params, on the axis after the matrix axes, and reduced by one
+    ``reduce`` call, which alone holds the table, so ``_product`` lets it go
+    after the tree's first level.  Each chunk is reduced on its own and
+    multiplied onto the last entry of the previous one, so the last entry is
+    P_n-1 ... P_0.
     A chunk's last scanned prefix is its ``_product``, so both reductions
     give it bit for bit.  ``half`` solves on the half-resolution steps of
     ``_runs``.
     """
-    tables, steps, mul, ident = engine
+    tables, _, mul, ident = engine
     size = _CHUNK_BYTES // ident.nbytes
     axis = ident.ndim - 1
     blocks = [params[lo:lo + _BLOCK] for lo in range(0, len(params), _BLOCK)]
@@ -513,9 +543,10 @@ def _solve(field: ControlField, engine, params, reduce, half: bool = False) -> l
     for nodes, mids, h in _runs(field, half):
         n = mids[0].size
         for lo in range(0, n, size):
-            chunk = tables(nodes, mids, h, lo, min(lo + size, n))
+            hi = min(lo + size, n)
+            chunk = tables(nodes, mids, h, lo, hi)
             for block, run in zip(blocks, out):
-                s = reduce(mul, _side_by_side([steps(chunk, param) for param in block], axis))
+                s = reduce(mul, _block_steps(engine, chunk, block, hi - lo))
                 run.append(mul(s, run[-1][..., -1:]) if run else s)
     return [m for run in out for m in np.moveaxis(np.concatenate(run, axis=-1), axis, 0)]
 
@@ -762,11 +793,10 @@ def _stream_signs(seed: int, lo: int, hi: int):
     return fill
 
 
-def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int, count: int):
-    """Yield ``_sse_run`` on trajectories 0 .. count-1, _SSE_BATCH at a time.
+def _sse_setup(field: ControlField, lambda2: float, dt: float, seed) -> np.ndarray:
+    """``_sse_steps`` of an ensemble, once its seed, lambda2 and dt are checked.
 
-    dt must divide the grid spacing.  The step pairs are made once; each
-    batch reads its signs under the module docstring's seed contract.
+    dt must divide the grid spacing.
     """
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or not 0 <= seed < _MAX_SEED):
@@ -779,10 +809,87 @@ def _sse_trajectories(field: ControlField, lambda2: float, dt: float, seed: int,
     per = int(round(ratio))
     if per < 1 or abs(ratio - per) > 1e-9 * ratio:
         raise ValueError(f"dt={dt} does not divide the grid spacing {grid.h}")
-    steps = _sse_steps(field, lambda2, dt, per * (grid.n_steps - 1))
-    for lo in range(0, count, _SSE_BATCH):
-        hi = min(lo + _SSE_BATCH, count)
-        yield _sse_run(steps, hi - lo, _stream_signs(int(seed), lo, hi))
+    return _sse_steps(field, lambda2, dt, per * (grid.n_steps - 1))
+
+
+def _sse_batches(steps: np.ndarray, seed: int, lo: int, hi: int):
+    """Yield ``_sse_run`` on trajectories lo .. hi-1, _SSE_BATCH at a time, each batch
+    reading its signs under the module docstring's seed contract."""
+    for first in range(lo, hi, _SSE_BATCH):
+        last = min(first + _SSE_BATCH, hi)
+        yield _sse_run(steps, last - first, _stream_signs(int(seed), first, last))
+
+
+def _range_p2(steps: np.ndarray, seed: int, lo: int, hi: int) -> np.ndarray:
+    """P2(T) of trajectories lo .. hi-1, in index order."""
+    return np.concatenate([_pure_p2(c1, c2) for c1, c2 in _sse_batches(steps, seed, lo, hi)])
+
+
+def _part_count(n_traj: int, n_sse: int) -> int:
+    """Ranges an ensemble of ``n_traj`` trajectories of ``n_sse`` steps runs in.
+
+    One per CPU the process may use, at most one per stream the ensemble
+    touches, and each of at least _FORK_FLOOR trajectory-steps; one where
+    the process cannot fork, or where another Python thread is alive, whose
+    locks a forked child could inherit held.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), -(-n_traj // _STREAM_WIDTH),
+                      n_traj * n_sse // _FORK_FLOOR))
+
+
+def _fork_range(steps: np.ndarray, seed: int, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that writes P2(T) of trajectories lo .. hi-1 to a pipe as raw float64
+    bytes and leaves by ``os._exit``; return its pid and the pipe's read end."""
+    fd, out = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(fd)
+                with open(out, "wb") as pipe:
+                    pipe.write(_range_p2(steps, seed, lo, hi))
+                code = 0
+            finally:
+                os._exit(code)  # never the parent's exit code, buffers or handlers
+    except BaseException:
+        os.close(fd)
+        raise
+    finally:
+        os.close(out)
+    return pid, fd
+
+
+def _ensemble_p2(steps: np.ndarray, seed: int, n_traj: int) -> np.ndarray:
+    """P2(T) of trajectories 0 .. n_traj-1 in index order, run as ``_part_count`` ranges.
+
+    The ranges are contiguous and cut on stream edges, so no two processes
+    draw from one stream.  Each range past the first runs in a child of
+    ``_fork_range``; this process runs the first range, then reads the
+    others into their places, and reaps every child whatever happens.  A
+    child that fails or writes short raises RuntimeError.
+    """
+    streams = -(-n_traj // _STREAM_WIDTH)
+    parts = _part_count(n_traj, 4 * steps.shape[0])
+    edges = sorted({min(n_traj, streams * k // parts * _STREAM_WIDTH) for k in range(parts + 1)})
+    p2, children, failed = np.empty(n_traj), [], False
+    try:
+        for lo, hi in zip(edges[1:], edges[2:]):
+            children.append((*_fork_range(steps, seed, lo, hi), p2[lo:hi]))
+        p2[:edges[1]] = _range_p2(steps, seed, 0, edges[1])
+        for _, fd, rows in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                failed |= pipe.readinto(rows) != rows.nbytes
+    finally:
+        for pid, fd, _ in children:
+            os.close(fd)  # a child still writing to an unread pipe fails rather than waits
+            failed |= os.waitpid(pid, 0)[1] != 0
+    if failed:
+        raise RuntimeError("an SSE worker process failed; its trajectories are lost")
+    return p2
 
 
 def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
@@ -794,13 +901,14 @@ def monte_carlo_p2(field: ControlField, lambda2: float, n_traj: int, dt: float,
     under the module docstring's seed contract.  The mean converges with
     weak order 1 in dt.  Deterministic given the seed: trajectory i's signs
     depend on (seed, i) alone and the reduction runs in index order, so the
-    result does not depend on batching.
+    result depends neither on batching nor on the ranges the trajectories
+    run in (``_ensemble_p2``).
     """
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    if not isinstance(n_traj, numbers.Integral) or isinstance(n_traj, bool) or n_traj < 2:
+        raise ValueError(f"n_traj must be an integer >= 2, got {n_traj!r}")
+    steps = _sse_setup(field, lambda2, dt, seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        p2 = np.concatenate([_pure_p2(c1, c2) for c1, c2 in
-                             _sse_trajectories(field, lambda2, dt, seed, n_traj)])
+        p2 = _ensemble_p2(steps, seed, int(n_traj))
     # a step that grows the state, unchecked by the stiffness bound, overflows to inf and NaN
     if not np.all(np.isfinite(p2)):
         raise FloatingPointError("SSE integration diverged (a trajectory's P2 is not finite); "

@@ -226,10 +226,21 @@ def test_c12_cli_determinism(tmp_path):
         outs.append(path.read_bytes())
     # the ensemble must not depend on the CPUs the process may use; pin it to one
     path = tmp_path / "pinned.json"
+    pin_one = lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     proc = subprocess.run(args + ["--out", str(path)], capture_output=True, env=src_env(),
-                          preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+                          preexec_fn=pin_one)
     assert proc.returncode == 0, proc.stderr
     outs.append(path.read_bytes())
+    # 10^7 trajectory-steps, above the floor of two ranges: split on every CPU, whole on one
+    split_args = list(args)
+    split_args[args.index("--n-traj") + 1] = "10000"
+    split_outs = []
+    for name, pin in (("split", None), ("split_pinned", pin_one)):
+        path = tmp_path / f"{name}.json"
+        proc = subprocess.run(split_args + ["--out", str(path)], capture_output=True,
+                              env=src_env(), preexec_fn=pin)
+        assert proc.returncode == 0, proc.stderr
+        split_outs.append(path.read_bytes())
     sweep_outs = []
     for name in ("sw1", "sw2"):
         base = tmp_path / name
@@ -239,9 +250,10 @@ def test_c12_cli_determinism(tmp_path):
              "--out", str(base)], capture_output=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         sweep_outs.append((tmp_path / f"{name}.csv").read_bytes())
-    ok = len(set(outs)) == 1 and sweep_outs[0] == sweep_outs[1]
+    ok = len(set(outs)) == 1 and split_outs[0] == split_outs[1] and sweep_outs[0] == sweep_outs[1]
     report(12, "CLI determinism: byte-identical ensemble and sweep outputs across "
-               "repeated runs, and the ensemble on all allowed CPUs vs one", ok)
+               "repeated runs, and the ensemble on all allowed CPUs vs one, below and above "
+               "the floor of a split into ranges", ok)
 
 
 def test_figure_ordering_properties(grid, flat_field, optimal_noise_field):

@@ -472,7 +472,8 @@ def test_main_paths_load_no_scipy(tmp_path, args):
 
 
 def test_sse_ensemble_starts_no_thread_pool(tmp_path):
-    """The ensemble runs on the calling thread, so the thread pool module never loads."""
+    """An ensemble's ranges run in forked processes, never in threads, so the thread pool
+    module never loads."""
     rc, loaded = _probe_imports(["simulate", "--sse", "--kind", "flat_pi", "--n-traj", "64",
                                  "--lambda2", "0.09", "--grid-steps", "101", "--dt", "0.001"],
                                 tmp_path, package="concurrent.futures.thread")

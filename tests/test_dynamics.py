@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 from invlab import (GROUND_BLOCH, ControlField, EnsembleResult, ErrorSetting, TimeGrid,
                     constant, dynamics, evolve_bloch, evolve_propagator, evolve_pure,
                     final_p2_pure, make_flat_pi, make_transitionless, monte_carlo_p2)
+from invlab.cli import main
 from invlab.core import csv_text, write_text
 from invlab.dynamics import _sse_run
 from bloch_reference import bloch_from_pure
@@ -164,8 +167,9 @@ def test_error_setting_validation():
 
 def _sse_finals(field, lambda2, dt, seed, n_traj):
     """Final amplitudes (n_traj, 2) of an ensemble's members, in index order."""
-    return np.concatenate([np.stack(run, axis=1) for run in
-                           dynamics._sse_trajectories(field, lambda2, dt, seed, n_traj)])
+    steps = dynamics._sse_setup(field, lambda2, dt, seed)
+    return np.concatenate([np.stack(run, axis=1)
+                           for run in dynamics._sse_batches(steps, seed, 0, n_traj)])
 
 
 def test_sse_noise_free_matches_pure(grid, flat_field):
@@ -191,6 +195,11 @@ def test_sse_validation(grid, flat_field):
         monte_carlo_p2(flat_field, -0.1, 4, 1.0 / 4000.0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_p2(flat_field, 0.1, 1, 1.0 / 4000.0, seed=0)
+    # the ensemble's ranges are cut from n_traj, so it is an integer like the seed
+    for bad in (2.5, 3.0, "10", True):
+        with pytest.raises(ValueError, match="^n_traj must be an integer >= 2"):
+            monte_carlo_p2(flat_field, 0.1, bad, 1.0 / 4000.0, seed=0)
+    assert monte_carlo_p2(flat_field, 0.1, np.int64(4), 1.0 / 2000.0, seed=0).n_traj == 4
 
 
 def test_monte_carlo_noise_free(grid, flat_field):
@@ -285,6 +294,72 @@ def test_fine_step_ensemble_memory_is_pinned(flat_field):
     table and the signs are one block of groups each, not 4000 groups."""
     peak = _ensemble_peak_mib(flat_field, 10_000, 1.0 / 16000.0)
     assert peak <= 5, peak
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_worker_raises_and_every_worker_is_reaped(flat_field, monkeypatch, capsys):
+    """A worker that raises, writes short, or writes all but exits non-zero fails the
+    ensemble with RuntimeError, and the CLI with exit 1; no child outlives the call."""
+    monkeypatch.setattr(dynamics, "_part_count", lambda *_: 3)
+    args = (flat_field, 0.09, 3000, 1.0 / 2000.0, 3)
+    whole = monte_carlo_p2(*args)
+    _no_child_left()
+    real_range, real_exit = dynamics._range_p2, os._exit
+    for fault in ("raise", "short", "status"):
+        def failing(steps, seed, lo, hi):
+            if lo == 0:  # this process's own range
+                return real_range(steps, seed, lo, hi)
+            if fault == "raise":
+                raise MemoryError
+            return real_range(steps, seed, lo, hi)[fault == "short":]
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_range_p2", failing)
+            if fault == "status":  # only a worker leaves by os._exit
+                mp.setattr(os, "_exit", lambda code: real_exit(3))
+            with pytest.raises(RuntimeError, match="^an SSE worker process failed"):
+                monte_carlo_p2(*args)
+            _no_child_left()
+            assert main(["simulate", "--sse", "--kind", "flat_pi", "--lambda2", "0.09",
+                         "--n-traj", "3000", "--dt", "0.0005", "--grid-steps", "2001",
+                         "--seed", "3"]) == 1
+            assert "invlab: an SSE worker process failed" in capsys.readouterr().err
+            _no_child_left()
+    assert monte_carlo_p2(*args) == whole
+
+
+def test_part_rule_and_ensembles_that_never_fork(monkeypatch):
+    """Ranges: one per usable CPU, at most one per stream, each of at least _FORK_FLOOR
+    trajectory-steps.  Below the floor, or while another Python thread is alive, or without
+    os.fork or os.sched_getaffinity, an ensemble never forks."""
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        # (n_traj, steps) -> ranges: floor-capped, stream-capped, and under one floor
+        for n_traj, n_sse, parts in [(10_000, 4000, 9), (20_000, 4000, 19), (3000, 10**6, 3),
+                                     (2000, 4000, 1), (3000, 1000, 1)]:
+            assert dynamics._part_count(n_traj, n_sse) == parts, (n_traj, n_sse)
+
+    def no_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    field = make_flat_pi(0.0, TimeGrid(1001))
+    monte_carlo_p2(field, 0.09, 3000, 1.0 / 1000.0, seed=3)  # three streams, 3e6 < 2**22
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert dynamics._part_count(10_000, 4000) == 1
+        monte_carlo_p2(field, 0.09, 10_000, 1.0 / 4000.0, seed=3)
+    finally:
+        stop.set()
+        thread.join()
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as mp:
+            mp.delattr(os, name)
+            assert dynamics._part_count(10_000, 4000) == 1
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -388,25 +388,29 @@ def test_bloch_setting_memory_is_pinned(flat_field):
     assert peak <= 460 * 2**10, peak / 2**10
 
 
-def test_many_settings_memory_is_pinned(flat_field):
-    """64 warm Bloch settings on 2001 points are solved 8 at a time: a block of 8 step tables
-    and its reduction, never a table of every setting."""
-    cases = [ErrorSetting(0.01 * k, 0.2) for k in range(64)]
-    final_p2_bloch(flat_field, cases)
+@pytest.mark.parametrize("final, cases, bound_kib", [
+    (final_p2_bloch, [ErrorSetting(0.01 * k, 0.2) for k in range(64)], 1120),
+    (final_p2_pure, [0.01 * k for k in range(64)], 1450)], ids=["bloch", "pure"])
+def test_many_settings_memory_is_pinned(flat_field, final, cases, bound_kib):
+    """64 warm settings on 2001 points are solved 8 at a time: each setting's steps written
+    into one block of 8 step tables, and its reduction, never a table of every setting.  The
+    pure-state peak is the first level of the block's product tree."""
+    final(flat_field, cases)
     tracemalloc.start()
     try:
-        final_p2_bloch(flat_field, cases)
+        final(flat_field, cases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1200 * 2**10, peak / 2**10
+    assert peak <= bound_kib * 2**10, peak / 2**10
 
 
 def _sse_in_batches(field, lambda2, dt, seed, n_traj, batch):
     """Final amplitudes of trajectories 0 .. n_traj-1 integrated ``batch`` at a time, joined."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_SSE_BATCH", batch)
-        c1, c2 = zip(*dynamics._sse_trajectories(field, lambda2, dt, seed, n_traj))
+        steps = dynamics._sse_setup(field, lambda2, dt, seed)
+        c1, c2 = zip(*dynamics._sse_batches(steps, seed, 0, n_traj))
     return np.concatenate(c1), np.concatenate(c2)
 
 
@@ -491,11 +495,13 @@ def test_sse_draws_do_not_depend_on_batch(field, lambda2, seed, count):
     assert ensembles[0] == ensembles[1] == ensembles[2]
 
 
-def test_ensembles_across_a_stream_edge_do_not_depend_on_batch_or_block():
+def test_ensembles_across_a_stream_edge_do_not_depend_on_batch_block_or_parts():
     """1030 trajectories read streams 0 and 1.  Batches and table blocks of any size, batches
     that start inside a stream included, give the same bits; the members on both sides of
     the edge follow the reference on their decoded increments, and the first ``count``
-    members of the ensemble are an ensemble of ``count``."""
+    members of the ensemble are an ensemble of ``count``.  3078 trajectories, four streams,
+    run as 1, 2, 3 or 5 ranges (the part rule forced past its caps, five being more ranges
+    than streams) give the same mean and standard error bit for bit."""
     field = make_transitionless(2.0, 1.3, TimeGrid(11))
     n_traj, seed, lambda2 = 1030, 5, 0.09
     n_sse, dt = 30, field.grid.h / 3  # 8 groups, the last of two steps
@@ -517,3 +523,15 @@ def test_ensembles_across_a_stream_edge_do_not_depend_on_batch_or_block():
     for count in (1, 1024, 1025):
         part = _sse_in_batches(field, lambda2, dt, seed, count, dynamics._SSE_BATCH)
         assert all(np.array_equal(got, want[:count]) for got, want in zip(part, runs[0]))
+    ensembles, ranges, real = [], [], dynamics._range_p2
+
+    def recorded(steps, seed, lo, hi):  # a worker's record stays in the worker
+        ranges.append((lo, hi))
+        return real(steps, seed, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_range_p2", recorded)
+        for parts in (1, 2, 3, 5):
+            mp.setattr(dynamics, "_part_count", lambda *_: parts)
+            ensembles.append(monte_carlo_p2(field, lambda2, 3078, dt, seed))
+    assert len({(e.p2_mean.hex(), e.p2_stderr.hex()) for e in ensembles}) == 1
+    assert ranges == [(0, 3078), (0, 2048), (0, 1024), (0, 1024)]  # cut on stream edges
